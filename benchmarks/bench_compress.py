@@ -14,8 +14,9 @@ gradient-sync variance stays inside the budget.
 A second invariant rides along: **level-0 parity**.  With the ladder
 pinned to ``(0,)`` the ``qsync+qsgd`` strategy must be bit-identical to
 plain ``qsync`` — same plan dict, same ``iteration_time`` bits — on every
-dispatch tier (analytic object path, compiled kernel, discrete-event
-engine, and the coalescing service).
+dispatch tier (the analytic object path of an ``incremental=False``
+replayer, the compiled kernel, a named schedule policy, and the
+coalescing service).
 
 Standalone: ``python -m benchmarks.bench_compress [--small] [output.json]``.
 The tier-1 suite runs a scaled-down smoke invocation
@@ -42,10 +43,10 @@ from repro.experiments.comm import (
     build_preset,
 )
 from repro.experiments.compress import LOSS_BUDGET, compress_preset
-from repro.kernel import HAVE_NUMPY
 from repro.quant.qsgd import CompressionConfig
 from repro.service import PlanService
 from repro.session import PlanRequest, PlanSession
+from repro.session.planners import get_planner
 
 #: The preset whose numbers are the headline (the paper's 16+16 cluster-A
 #: shape: V100 training nodes + T4 inference nodes over 100G uplinks).
@@ -75,6 +76,17 @@ def _parity_tier(name: str, plan_fn, **request_kw) -> dict:
     }
 
 
+def _object_path_plan(session: PlanSession):
+    """A ``plan`` function running each request on an ``incremental=False``
+    replayer: no compiled kernel, sequential recovery — the reference."""
+    def plan(request: PlanRequest):
+        ctx = session.prepare(request)
+        ctx.replayer.incremental = False
+        return get_planner(request.strategy).plan(ctx)
+
+    return plan
+
+
 def level0_parity(quick: bool) -> list[dict]:
     """The four-tier level-0 parity matrix on the headline preset."""
     graph_kw = QUICK_GRAPH_KW if quick else GRAPH_KW
@@ -87,9 +99,8 @@ def level0_parity(quick: bool) -> list[dict]:
     )
     tiers = []
     session = PlanSession()
-    tiers.append(_parity_tier("object", session.plan, use_kernel=False, **base))
-    if HAVE_NUMPY:
-        tiers.append(_parity_tier("kernel", session.plan, use_kernel=True, **base))
+    tiers.append(_parity_tier("object", _object_path_plan(session), **base))
+    tiers.append(_parity_tier("kernel", session.plan, **base))
     tiers.append(
         _parity_tier(
             "engine", session.plan, schedule_policy="ddp_overlap", **base
@@ -125,7 +136,6 @@ def run_bench(small: bool = False, path: str | Path = "BENCH_compress.json") -> 
             "mode": "small" if small else "full",
             "loss_budget": LOSS_BUDGET,
             "headline_preset": HEADLINE_PRESET,
-            "have_numpy": HAVE_NUMPY,
         },
         "presets": presets,
         "level0_parity": parity,

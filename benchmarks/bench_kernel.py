@@ -4,8 +4,10 @@ Two headline numbers guard the PR 8 kernel tier:
 
 1. **Single evaluation** — ``Replayer.simulate()`` with the compiled kernel
    (one ``repro.kernel.evaluate`` over frozen arrays) vs the analytic
-   object-path replay of the same state, on the mini-BERT ClusterA setup
-   ``bench_engine`` uses.  Target: >= 10x at full scale.
+   object-path replay of the same state (``simulate_global_dfg`` over
+   ``Replayer.build_global_dfg()``), on the mini-BERT ClusterA setup
+   ``bench_engine`` uses.  Both sides revalidate the same per-rank DFG and
+   memory caches on every call; the kernel saves the recurrence.
 2. **Batched what-if sweep** — ``Replayer.whatif_candidates`` evaluating a
    window of single-op precision changes in one vectorized pass vs the
    sequential apply -> simulate -> revert trial loop the allocator's
@@ -32,7 +34,7 @@ except ImportError:  # standalone invocation without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.common.dtypes import higher_precision
-from repro.kernel import HAVE_NUMPY
+from repro.core.replayer import simulate_global_dfg
 from repro.session import PlanRequest, PlanSession
 
 MODEL_NAME = "mini_bert"
@@ -73,6 +75,22 @@ def _candidate_list(replayer, limit):
     return out
 
 
+def _object_simulate(replayer):
+    """The analytic object-path replay of the replayer's current state:
+    the same memory estimates, global DFG and pricing ``simulate()`` uses,
+    played through ``simulate_global_dfg`` instead of the kernel."""
+    memory = {
+        w.rank: replayer.memory_estimate(w.rank)
+        for w in replayer.cluster.workers
+    }
+    return simulate_global_dfg(
+        replayer.build_global_dfg(),
+        replayer.cluster,
+        memory=memory,
+        collective_model=replayer.collective_model,
+    )
+
+
 def _sequential_sweep(replayer, candidates):
     """The pre-batching recovery trial: apply to every same-type rank,
     simulate, read memory, revert.  Returns (throughput, memory) rows."""
@@ -97,8 +115,6 @@ def _sequential_sweep(replayer, candidates):
 
 def run_bench(small: bool = False, path: str | Path = "BENCH_kernel.json") -> dict:
     """Measure parity + speedups of the compiled kernel, write the report."""
-    if not HAVE_NUMPY:
-        raise RuntimeError("bench_kernel requires the numpy optional extra")
     graph_kw = SMALL_GRAPH_KW if small else GRAPH_KW
     calls = 50 if small else 300
     n_cands = 16 if small else 64
@@ -111,18 +127,13 @@ def run_bench(small: bool = False, path: str | Path = "BENCH_kernel.json") -> di
     replayer = ctx.replayer
 
     # ---- single evaluation: kernel vs analytic object path -------------
-    replayer.use_kernel = True
     sim_kernel = replayer.simulate()
     kernel_sims = replayer.stats.kernel_sims
-    replayer.use_kernel = False
-    sim_object = replayer.simulate()
+    sim_object = _object_simulate(replayer)
     parity_single = sim_kernel == sim_object and kernel_sims > 0
 
-    replayer.use_kernel = True
     t_kernel = _time_calls(replayer.simulate, calls)
-    replayer.use_kernel = False
-    t_object = _time_calls(replayer.simulate, calls)
-    replayer.use_kernel = True
+    t_object = _time_calls(lambda: _object_simulate(replayer), calls)
     single_speedup = t_object / t_kernel if t_kernel > 0 else float("inf")
 
     # ---- batched what-if sweep vs sequential trials ---------------------

@@ -40,6 +40,13 @@ from repro.core.replayer import Replayer
 from repro.graph.dag import PrecisionDAG
 from repro.graph.subgraph import group_blocks, isomorphism_classes
 
+#: Recovery candidates per batched what-if sweep, used whenever the
+#: replayer's compiled kernel can serve its evaluations
+#: (:meth:`Replayer.compiled_global` is not ``None``).  The accept/reject
+#: sequence — and therefore the plan, attempt and accept counts — is
+#: bit-identical to the sequential loop at any width.
+RECOVERY_WINDOW = 16
+
 
 @dataclasses.dataclass
 class AllocatorConfig:
@@ -58,15 +65,6 @@ class AllocatorConfig:
     #: the recovery heaps — the "throughput-maximum case" where the recovery
     #: target shifts from the inference GPUs to the training GPUs.
     amp_mode: bool = False
-    #: Batch recovery candidates into one compiled-kernel what-if sweep
-    #: (PR 8) when the replayer's kernel tier is available.  The
-    #: accept/reject sequence — and therefore the final plan, attempt and
-    #: accept counts — is bit-identical to the sequential loop: rejects
-    #: against the current base are final, and the first accept in a
-    #: window sends the rest of the window back to the heap.
-    batched_recovery: bool = True
-    #: Candidates per batched sweep window.
-    recovery_batch: int = 16
 
 
 @dataclasses.dataclass
@@ -375,20 +373,19 @@ class Allocator:
         sims_before = self.replayer.stats.simulate_calls
         whatifs_before = self.replayer.stats.whatif_evals
 
-        # Batched recovery (PR 8): evaluate a window of candidates in one
-        # compiled-kernel what-if sweep instead of one simulate() each.
-        # Equivalence discipline keeping the accept/reject sequence — and
-        # the plan — bit-identical to the sequential loop: a reject against
-        # the current base is final either way (the sequential trial
-        # restores the state it mutated), while the first accept in a
-        # window invalidates the remaining verdicts, so those candidates
-        # return to the heap before the next window is drawn.
+        # Batched recovery (PR 8): when the compiled kernel serves this
+        # replayer, evaluate a window of candidates in one what-if sweep
+        # instead of one simulate() each; otherwise the sequential trial
+        # loop (the reference path) runs.  Equivalence discipline keeping
+        # the accept/reject sequence — and the plan — bit-identical to the
+        # sequential loop: a reject against the current base is final
+        # either way (the sequential trial restores the state it mutated),
+        # while the first accept in a window invalidates the remaining
+        # verdicts, so those candidates return to the heap before the next
+        # window is drawn.
         batch_width = 1
-        if (
-            self.config.batched_recovery
-            and self.replayer.compiled_global() is not None
-        ):
-            batch_width = max(1, self.config.recovery_batch)
+        if self.replayer.compiled_global() is not None:
+            batch_width = RECOVERY_WINDOW
 
         while heap and attempts < self.config.max_recovery_steps:
             # Draw a window; entries with no next precision are consumed

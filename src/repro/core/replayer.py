@@ -23,7 +23,7 @@ from repro.common.dtypes import Precision
 from repro.core.cost_mapper import CostMapper
 from repro.core.dfg import GlobalDFG, LocalDFG
 from repro.engine.perturbation import Perturbation  # repro: allow RPR004 dispatch tiers (PR 5): the Replayer validates policy/perturbation kwargs at construction, before any engine run
-from repro.engine.policy import DDPOverlapPolicy, SchedulePolicy, resolve_schedule_policy  # repro: allow RPR004 dispatch tiers (PR 5): non-default policies route through the engine; the engine itself never imports core's Replayer
+from repro.engine.policy import SchedulePolicy, eq6_fast_path, resolve_schedule_policy  # repro: allow RPR004 dispatch tiers (PR 5): non-default policies route through the engine; the engine itself never imports core's Replayer
 from repro.graph.dag import PrecisionDAG
 from repro.hardware.cluster import Cluster
 from repro.kernel import (
@@ -32,7 +32,6 @@ from repro.kernel import (
     evaluate as kernel_evaluate,
     candidate_row as kernel_candidate_row,
     simulate_batch as kernel_simulate_batch,
-    HAVE_NUMPY,
 )
 from repro.parallel.comm_model import CollectiveModel, resolve_collective_model
 from repro.quant.qsgd import level_bits
@@ -68,10 +67,6 @@ class ReplayerStats:
     kernel_sims: int = 0
     #: Candidates evaluated through the batched what-if kernel sweep.
     whatif_evals: int = 0
-
-
-#: Hot-cache "no entry" marker (None is a real cached verdict there).
-_MISS = object()
 
 
 @dataclasses.dataclass
@@ -115,14 +110,12 @@ class Replayer:
         Optional deterministic straggler/bandwidth-drift injection
         (:class:`repro.engine.Perturbation`); also routed through the
         engine.
-    use_kernel:
-        Compiled-array-kernel dispatch tier (:mod:`repro.kernel`).
-        ``None`` (the default) enables it when numpy is importable;
-        ``True`` requests it (still subject to numpy availability and
-        incremental mode); ``False`` pins the object path.  The kernel is
-        bit-identical to the analytic Eq. (6) fast path and only serves
-        the same calls that path would (default policy, no perturbation,
-        no timeline).
+
+    Which tier serves an evaluation is never a knob: the compiled array
+    kernel (:mod:`repro.kernel`) serves every call
+    :func:`~repro.engine.policy.eq6_fast_path` admits in incremental mode,
+    bit-identical to the analytic recurrence; ``incremental=False`` is the
+    object-path reference.
     """
 
     def __init__(
@@ -137,7 +130,6 @@ class Replayer:
         collective_model: CollectiveModel | str | None = None,
         schedule_policy: SchedulePolicy | str | None = None,
         perturbation: Perturbation | None = None,
-        use_kernel: bool | None = None,
     ) -> None:
         self.cluster = cluster
         self.collective_model = resolve_collective_model(collective_model)
@@ -169,32 +161,14 @@ class Replayer:
         # (structurally identical DAGs with equal signatures have identical
         # footprints, device-independent)
         self._mem_sig_cache: dict[tuple, MemoryEstimate] = {}
-        self.use_kernel = (
-            HAVE_NUMPY if use_kernel is None else bool(use_kernel) and HAVE_NUMPY
-        )
         # device type -> (precision signature, structure fingerprint,
         # CompiledLocal | None) — keyed exactly like _type_dfg_cache; None
         # is a cached "not lowerable" verdict so failures don't retry.
         self._kernel_local_cache: dict[str, tuple[tuple, int, object]] = {}
-        # (per-type (name, sig, fingerprint) tuple) -> CompiledGlobal
+        # (cluster, collective model, per-type (name, sig, fingerprint),
+        # bucket bits) -> CompiledGlobal; the priced durations are baked in,
+        # so the cluster and collective model ride in the key.
         self._kernel_global_cache: tuple[tuple, object] | None = None
-        # per-type bucket-size tuples -> priced per-bucket durations; the
-        # pricing itself always goes through bucket_comm_durations so the
-        # kernel and analytic tiers cannot drift.  Both pricing caches are
-        # dropped when collective_model is swapped out (identity-checked in
-        # compiled_global — the analytic path reprices every call).
-        self._comm_price_cache: dict[tuple, list[float]] = {}
-        self._priced_model: CollectiveModel = self.collective_model
-        # O(ranks) fast-path revalidation for the simulate() hot loop: the
-        # exact (cluster, collective model, per-DAG version snapshot) the
-        # cached CompiledGlobal was last validated against, plus the
-        # evaluated per-rank result dicts (evaluate() is pure, so they are
-        # constant per compilation).  ``_hot_cache`` additionally carries
-        # the assembled memory dict and the CompiledGlobal (or None — a
-        # cached "won't lower" verdict) for one simulate() list-compare.
-        self._kernel_fast: tuple | None = None
-        self._kernel_result_cache: tuple | None = None
-        self._hot_cache: tuple | None = None
         for worker in cluster.workers:
             rank = worker.rank
             self.mappers[rank] = CostMapper(
@@ -359,48 +333,26 @@ class Replayer:
         self._kernel_local_cache[tname] = (sig, fingerprint, compiled)
         return compiled
 
-    def _dag_versions(self) -> list:
-        """Identity + mutation-counter snapshot of every rank's DAG — the
-        O(ranks) revalidation key for the kernel fast path (version counters
-        are monotone, so a mutate-and-revert cycle never replays a key).
-        Reads the counters' backing fields directly: this runs on every
-        simulate() and the property indirection is measurable there."""
-        out: list = []
-        append = out.append
-        for dag in self.dags.values():
-            append(dag)
-            append(dag._version)
-            append(dag._structure_version)
-        return out
-
-    def compiled_global(self, _versions: list | None = None):
+    def compiled_global(self):
         """The compiled representation of the current global DFG, or None.
 
-        ``None`` whenever the kernel tier cannot serve bit-identically:
-        numpy missing or the tier disabled, non-incremental mode, a local
-        that refuses to lower, or same-type ranks whose DFGs have diverged
-        (the per-type compilation assumes shared plans, like the type DFG
-        cache).  Callers fall back to the object path.
+        ``None`` whenever the kernel tier cannot serve this replayer's
+        evaluations bit-identically: its own schedule policy and
+        perturbation fail :func:`~repro.engine.policy.eq6_fast_path`,
+        non-incremental mode, a local that refuses to lower, or same-type
+        ranks whose DFGs have diverged (the per-type compilation assumes
+        shared plans, like the type DFG cache).  Callers fall back to the
+        object path.
         """
-        if not (self.use_kernel and self.incremental):
+        if not eq6_fast_path(self.schedule_policy, self.perturbation):
             return None
-        versions = self._dag_versions() if _versions is None else _versions
-        bits = self._bucket_bits()
-        fast = self._kernel_fast
-        if (
-            fast is not None
-            and fast[0] is self.cluster
-            and fast[1] is self.collective_model
-            and fast[2] == bits
-            and fast[3] == versions
-        ):
-            return fast[4]
-        if self._priced_model is not self.collective_model:
-            # collective_model was swapped (e.g. topology experiments):
-            # every priced duration is stale, so reprice from scratch.
-            self._comm_price_cache.clear()
-            self._kernel_global_cache = None
-            self._priced_model = self.collective_model
+        return self._compile()
+
+    def _compile(self):
+        """:meth:`compiled_global` minus the dispatch rule (``simulate``
+        applies the rule to its per-call overrides instead)."""
+        if not self.incremental:
+            return None
         reps: dict[str, int] = {}
         order: list[str] = []
         shared: dict[str, LocalDFG] = {}
@@ -429,65 +381,42 @@ class Replayer:
             by_type[tname] = cl
             entry = self._kernel_local_cache[tname]
             key_parts.append((tname, entry[0], entry[1]))
-        # The compression axis rides in every pricing/compilation key: a
-        # level change recompiles the global (durations are baked into the
-        # CompiledGlobal), and level 0 normalizes to None so uncompressed
-        # keys are byte-identical to the pre-compression ones.
-        gkey = (tuple(key_parts), bits)
+        # The compression axis rides in the key: a level change recompiles
+        # the global (durations are baked into the CompiledGlobal), and
+        # level 0 normalizes to None so uncompressed keys are unchanged.
+        bits = self._bucket_bits()
+        gkey = (self.cluster, self.collective_model, tuple(key_parts), bits)
         cached = self._kernel_global_cache
         if cached is not None and cached[0] == gkey:
-            self._kernel_fast = (
-                self.cluster, self.collective_model, bits, versions, cached[1]
-            )
             return cached[1]
-        size_key = (
-            tuple(by_type[tname].bucket_nbytes for tname in order), bits
+        # Priced through the same bucket_comm_durations as the analytic
+        # and engine tiers, so no tier can drift on a cost term.
+        durs = bucket_comm_durations(
+            locals_, self.cluster, self.collective_model, bits
         )
-        durs = self._comm_price_cache.get(size_key)
-        if durs is None:
-            durs = bucket_comm_durations(
-                locals_, self.cluster, self.collective_model, bits
-            )
-            self._comm_price_cache[size_key] = durs
         cg = compile_global(
             [(w.rank, by_type[w.device.name]) for w in self.cluster.workers],
             durs,
         )
-        if cg is None:
-            return None
         self._kernel_global_cache = (gkey, cg)
-        self._kernel_fast = (
-            self.cluster, self.collective_model, bits, versions, cg
-        )
         return cg
 
     def _kernel_result(self, cg, memory) -> SimulationResult:
         """One Eq. (6) evaluation on the compiled arrays."""
-        cached = self._kernel_result_cache
-        if cached is not None and cached[0] is cg:
-            _, iteration, per_device_compute, comm_wait = cached
-        else:
-            iteration, comm_end = kernel_evaluate(cg)
-            per_device_compute = {}
-            comm_wait = {}
-            for w in self.cluster.workers:
-                cl = cg.locals[cg.local_of_rank[w.rank]]
-                # compute_end + opt is the object path's compute_time
-                # addition order ((fwd + bwd) + opt) — bit-identical by
-                # construction.
-                per_device_compute[w.rank] = cl.compute_end + cl.opt
-                comm_wait[w.rank] = max(0.0, comm_end - cl.compute_end)
-            self._kernel_result_cache = (
-                cg, iteration, per_device_compute, comm_wait
-            )
-        # The per-rank dicts are shared across results of one compilation
-        # (results are read-only by the same convention as published DFGs);
-        # a fresh SimulationResult still wraps them per call.
+        iteration, comm_end = kernel_evaluate(cg)
+        per_device_compute = {}
+        comm_wait = {}
+        for w in self.cluster.workers:
+            cl = cg.locals[cg.local_of_rank[w.rank]]
+            # compute_end + opt is the object path's compute_time addition
+            # order ((fwd + bwd) + opt) — bit-identical by construction.
+            per_device_compute[w.rank] = cl.compute_end + cl.opt
+            comm_wait[w.rank] = max(0.0, comm_end - cl.compute_end)
         return SimulationResult(
             iteration_time=iteration,
             per_device_compute=per_device_compute,
             comm_wait_time=comm_wait,
-            memory=memory or {},
+            memory=memory,
             timeline=[],
         )
 
@@ -552,58 +481,25 @@ class Replayer:
         """Estimate one iteration's latency under current precisions.
 
         ``schedule_policy``/``perturbation`` override the instance defaults
-        for this call only.  The default DDP-overlap schedule without a
-        timeline stays on the Eq. (6) fast path (the allocator hot loop) —
-        served by the compiled array kernel when available, the analytic
-        object recurrence otherwise, bit-identical either way; timeline
-        collection, alternative policies, and perturbations run through
-        the discrete-event engine — bit-identical on the default policy.
+        for this call only.  Calls :func:`~repro.engine.policy.eq6_fast_path`
+        admits (the allocator hot loop) are served by the compiled array
+        kernel when it lowers, the analytic object recurrence otherwise,
+        bit-identical either way; timeline collection, alternative
+        policies, and perturbations run through the discrete-event engine —
+        bit-identical on the default policy.
         """
         self.stats.simulate_calls += 1
-        versions = None
-        memory = None
-        bits = self._bucket_bits()
-        hot_cg = _MISS
-        if self.use_kernel and self.incremental:
-            versions = self._dag_versions()
-            hot = self._hot_cache
-            if (
-                hot is not None
-                and hot[0] is self.cluster
-                and hot[1] is self.collective_model
-                and hot[2] == bits
-                and hot[3] == versions
-            ):
-                memory = hot[4]
-                hot_cg = hot[5]
-        if memory is None:
-            memory = {
-                w.rank: self.memory_estimate(w.rank)
-                for w in self.cluster.workers
-            }
+        memory = {
+            w.rank: self.memory_estimate(w.rank) for w in self.cluster.workers
+        }
         policy = (
             self.schedule_policy
             if schedule_policy is None
             else resolve_schedule_policy(schedule_policy)
         )
         pert = self.perturbation if perturbation is None else perturbation
-        # Kernel tier: exactly the calls execute_global_dfg would route to
-        # the analytic fast path (same guard), minus anything the compiled
-        # representation can't serve (then the kernel declines and the
-        # object path runs).
-        if (
-            not collect_timeline
-            and (pert is None or pert.is_noop)
-            and type(policy) is DDPOverlapPolicy
-        ):
-            cg = hot_cg
-            if cg is _MISS:
-                cg = self.compiled_global(versions)
-                if versions is not None:
-                    self._hot_cache = (
-                        self.cluster, self.collective_model, bits,
-                        versions, memory, cg,
-                    )
+        if eq6_fast_path(policy, pert, collect_timeline):
+            cg = self._compile()
             if cg is not None:
                 self.stats.kernel_sims += 1
                 return self._kernel_result(cg, memory)
@@ -615,7 +511,7 @@ class Replayer:
             gdfg, self.cluster, collect_timeline=collect_timeline,
             memory=memory, collective_model=self.collective_model,
             schedule_policy=policy, perturbation=pert,
-            bucket_bits=bits,
+            bucket_bits=self._bucket_bits(),
         )
 
     def memory_estimate(self, rank: int) -> MemoryEstimate:

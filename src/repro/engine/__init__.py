@@ -10,7 +10,8 @@ supplies the event-driven core underneath it:
 * :mod:`repro.engine.policy` — the :class:`SchedulePolicy` protocol with
   :class:`DDPOverlapPolicy` (the Eq. (6) default, bit-identical to
   :func:`~repro.core.replayer.simulate_global_dfg` — the parity oracle) and
-  :class:`BlockingSyncPolicy` (no-overlap vanilla sync SGD);
+  :class:`BlockingSyncPolicy` (no-overlap vanilla sync SGD), plus
+  :func:`eq6_fast_path`, the one rule for when the analytic path may serve;
 * :mod:`repro.engine.perturbation` — deterministic, seed-derived straggler
   and bandwidth-drift injection;
 * :mod:`repro.engine.segments` — epoch-segmented simulation across elastic
@@ -40,6 +41,7 @@ from repro.engine.policy import (
     BlockingSyncPolicy,
     DDPOverlapPolicy,
     SchedulePolicy,
+    eq6_fast_path,
     resolve_schedule_policy,
 )
 from repro.engine.segments import (
@@ -65,6 +67,7 @@ __all__ = [
     "catalog_backward_segment",
     "catalog_forward_segment",
     "catalog_pure_cost",
+    "eq6_fast_path",
     "execute_global_dfg",
     "optimizer_pass_seconds",
     "resolve_schedule_policy",

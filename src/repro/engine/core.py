@@ -40,8 +40,8 @@ from typing import TYPE_CHECKING
 
 from repro.engine.perturbation import Perturbation
 from repro.engine.policy import (
-    DDPOverlapPolicy,
     SchedulePolicy,
+    eq6_fast_path,
     resolve_schedule_policy,
 )
 
@@ -71,10 +71,11 @@ def execute_global_dfg(
     """Simulate a global DFG, dispatching between the analytic Eq. (6) fast
     path and the discrete-event engine.
 
-    The analytic recurrence serves the allocator's hot loop: default
-    DDP-overlap schedule, no perturbation, no timeline.  Timeline
-    collection, alternative schedule policies, and perturbations run
-    through :func:`run_engine` (bit-identical on the default policy).
+    The analytic recurrence serves exactly the calls
+    :func:`~repro.engine.policy.eq6_fast_path` admits: default DDP-overlap
+    schedule, no perturbation, no timeline (the allocator hot loop).
+    Timeline collection, alternative schedule policies, and perturbations
+    run through :func:`run_engine` (bit-identical on the default policy).
     ``bucket_bits`` (per-bucket compressed gradient widths) is forwarded
     to the shared bucket pricing on both branches; ``None`` keeps the
     uncompressed pricing bit-identical.
@@ -82,11 +83,7 @@ def execute_global_dfg(
     policy = resolve_schedule_policy(schedule_policy)
     if perturbation is not None and perturbation.is_noop:
         perturbation = None
-    if (
-        perturbation is None
-        and not collect_timeline
-        and type(policy) is DDPOverlapPolicy
-    ):
+    if eq6_fast_path(policy, perturbation, collect_timeline):
         from repro.core.replayer import simulate_global_dfg
 
         return simulate_global_dfg(

@@ -26,6 +26,10 @@ Two built-ins:
 Policies are selectable by name through :func:`resolve_schedule_policy`
 (the same vocabulary pattern as
 :func:`repro.parallel.comm_model.resolve_collective_model`).
+
+:func:`eq6_fast_path` is the one rule deciding whether an evaluation may
+skip the event engine for the analytic recurrence (or the compiled kernel
+that mirrors it bit-for-bit).
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from typing import TYPE_CHECKING, Mapping, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.dfg import LocalDFG
+    from repro.engine.perturbation import Perturbation
 
 
 class SchedulePolicy(abc.ABC):
@@ -96,6 +101,30 @@ class BlockingSyncPolicy(SchedulePolicy):
 
     def compute_end(self, ldfg: "LocalDFG") -> float:
         return ldfg.forward_time + ldfg.backward_time
+
+
+def eq6_fast_path(
+    policy: SchedulePolicy,
+    perturbation: "Perturbation | None" = None,
+    collect_timeline: bool = False,
+) -> bool:
+    """May the analytic Eq. (6) path serve this evaluation?
+
+    True exactly for the default DDP-overlap schedule (the class itself,
+    not a subclass), a no-op perturbation and no timeline — the calls on
+    which the event engine is bit-identical to the closed form.  The single
+    dispatch rule shared by
+    :func:`~repro.engine.core.execute_global_dfg`,
+    :meth:`~repro.core.replayer.Replayer.simulate` and
+    :meth:`~repro.core.replayer.Replayer.compiled_global`, so the compiled
+    kernel, the allocator's batched recovery and the engine can never
+    disagree on which calls take the fast path.
+    """
+    return (
+        not collect_timeline
+        and (perturbation is None or perturbation.is_noop)
+        and type(policy) is DDPOverlapPolicy
+    )
 
 
 #: Name -> policy class, the selection vocabulary for requests/experiments.

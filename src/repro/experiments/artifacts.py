@@ -35,7 +35,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: zero-backward-cost weighted ops to the nearest *preceding* backward node
 #: (the Cost Mapper rule) instead of the end of the stream, which can move
 #: Table III-family numbers.
-ARTIFACT_FORMAT = 3
+#: 4: one Eq. (6) dispatch rule — under a perturbation (churn ``degrade``
+#: replans) recovery now runs sequentially on the engine instead of
+#: batching on the unperturbed kernel, which moves perturbed qsync plans
+#: (full-mode churn ``rolling_degrade``).
+ARTIFACT_FORMAT = 4
 
 
 class ArtifactStore:

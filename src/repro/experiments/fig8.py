@@ -72,16 +72,37 @@ def _rank_trace(model_name: str, iterations: int, precision: Precision,
     return ops, traces
 
 
+def _average_ranks(x) -> np.ndarray:
+    """1-based ranks of ``x``; tied values share their mean rank."""
+    x = np.asarray(x, dtype=np.float64)
+    order = np.argsort(x, kind="mergesort")
+    fresh = np.r_[True, x[order][1:] != x[order][:-1]]
+    starts = np.flatnonzero(fresh)
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = ((starts + ends + 1) / 2.0)[np.cumsum(fresh) - 1]
+    return ranks
+
+
+def spearman(a, b) -> float:
+    """Spearman's rho: Pearson correlation of the average ranks (NaN when
+    either side is constant, like ``scipy.stats.spearmanr``)."""
+    ra = _average_ranks(a)
+    rb = _average_ranks(b)
+    ra -= ra.mean()
+    rb -= rb.mean()
+    denom = np.sqrt((ra @ ra) * (rb @ rb))
+    return float(ra @ rb / denom) if denom else float("nan")
+
+
 def _stability(traces: list[dict[str, int]]) -> float:
     """Mean Spearman correlation between consecutive iterations' rankings."""
-    from scipy.stats import spearmanr
-
     ops = sorted(traces[0])
     corrs = []
     for a, b in zip(traces, traces[1:]):
         ra = [a[o] for o in ops]
         rb = [b[o] for o in ops]
-        corrs.append(spearmanr(ra, rb).statistic)
+        corrs.append(spearman(ra, rb))
     return float(np.mean(corrs))
 
 
@@ -94,11 +115,7 @@ def run(quick: bool = True) -> ExperimentResult:
         stability = _stability(traces)
         first = traces[0]
         last = traces[-1]
-        from scipy.stats import spearmanr
-
-        first_last = float(
-            spearmanr([first[o] for o in ops], [last[o] for o in ops]).statistic
-        )
+        first_last = spearman([first[o] for o in ops], [last[o] for o in ops])
         rows.append([
             display, len(ops), iterations, f"{stability:.3f}", f"{first_last:.3f}",
         ])

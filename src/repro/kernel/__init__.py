@@ -16,9 +16,9 @@ Contracts (the PR 5 oracle discipline, extended):
   the equality oracle on every tier.
 * **Frozen buffers.**  Published arrays are ``writeable=False``; consumers
   copy before mutating (linter rule RPR007).
-* **Graceful degradation.**  numpy is an optional extra — every entry
-  point returns ``None`` without it and callers fall back to the object
-  path.
+* **Declining, not guessing.**  A DFG the lowering cannot honour yields
+  ``None`` (or an eval-only compilation) and callers fall back to the
+  object path.
 
 Layer 1 on the import ladder: the kernel knows nothing about DAGs, cost
 mappers or clusters — it consumes plain layouts and duck-typed DFGs.
@@ -26,7 +26,6 @@ mappers or clusters — it consumes plain layouts and duck-typed DFGs.
 
 from repro.kernel.batch import candidate_row, simulate_batch
 from repro.kernel.compiled import (
-    HAVE_NUMPY,
     CompiledGlobal,
     CompiledLocal,
     LocalLayout,
@@ -36,7 +35,6 @@ from repro.kernel.compiled import (
 )
 
 __all__ = [
-    "HAVE_NUMPY",
     "CompiledGlobal",
     "CompiledLocal",
     "LocalLayout",

@@ -16,7 +16,9 @@ Candidate data is expressed as replacement values, never additive deltas:
 
 from __future__ import annotations
 
-from repro.kernel.compiled import CompiledGlobal, CompiledLocal, np
+import numpy as np
+
+from repro.kernel.compiled import CompiledGlobal, CompiledLocal
 
 
 def candidate_row(cl: CompiledLocal, change):
@@ -35,7 +37,7 @@ def candidate_row(cl: CompiledLocal, change):
     and the node prefix re-accumulates over the spliced backward stream
     exactly as ``LocalDFG.bucket_ready_times`` does.
     """
-    if np is None or cl.op_pos is None:
+    if cl.op_pos is None:
         return None
     names = list(change.bwd_durs)
     pos = []
@@ -115,8 +117,6 @@ def simulate_batch(cg: CompiledGlobal, rows, local_indices, compute_ends):
     sequential apply + simulate + revert of candidate ``i`` bit-for-bit
     (vectorized across candidates; the bucket loop stays sequential).
     """
-    if np is None:
-        return None
     n_cands = len(rows)
     if n_cands == 0:
         return np.zeros(0, dtype=np.float64)

@@ -19,12 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 
-try:  # numpy is the optional "kernel" extra; see pyproject.toml
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via the fallback tests
-    np = None  # type: ignore[assignment]
-
-HAVE_NUMPY = np is not None
+import numpy as np
 
 
 def _frozen(arr):
@@ -101,14 +96,12 @@ class CompiledLocal:
 def compile_local(ldfg, layout: LocalLayout | None = None):
     """Lower ``ldfg`` to a :class:`CompiledLocal`, or ``None``.
 
-    Returns ``None`` when numpy is unavailable or bucket indices are not
-    positional (callers fall back to the object path).  A ``layout`` that
+    Returns ``None`` when bucket indices are not positional (callers fall
+    back to the object path).  A ``layout`` that
     fails its consistency checks against the streams yields an *eval-only*
     compilation — :func:`evaluate` still works, candidate batching
     degrades to sequential simulate.
     """
-    if np is None:
-        return None
     buckets = ldfg.buckets
     for n, bucket in enumerate(buckets):
         if bucket.index != n:
@@ -187,9 +180,9 @@ def compile_global(rank_locals, durations):
     equality, because shared views are how the Replayer expresses "same
     plan".  ``durations`` must be priced by the caller through the same
     ``bucket_comm_durations`` the analytic path uses, so pricing cannot
-    drift between tiers.  Returns ``None`` without numpy.
+    drift between tiers.  Returns ``None`` for an empty ``rank_locals``.
     """
-    if np is None or not rank_locals:
+    if not rank_locals:
         return None
     distinct: list[CompiledLocal] = []
     local_of_rank: dict[int, int] = {}

@@ -15,6 +15,12 @@ Implements the arithmetic QSync's theory is built on:
   the joint precision + compression axis.
 """
 
+from repro.quant.fixed_point import (
+    FixedPointQuantizer,
+    Granularity,
+    QuantizedTensor,
+)
+from repro.quant.floating_point import FloatingPointQuantizer, simulate_cast
 from repro.quant.qsgd import (
     COMPRESSION_LEVELS,
     CompressionConfig,
@@ -25,24 +31,13 @@ from repro.quant.qsgd import (
     qsgd_quantize,
     qsgd_variance_factor,
 )
-
-try:  # tensor-codec modules need numpy (the optional "kernel" extra);
-    # the planning-side qsgd API above must stay importable without it.
-    from repro.quant.fixed_point import (
-        FixedPointQuantizer,
-        Granularity,
-        QuantizedTensor,
-    )
-    from repro.quant.floating_point import FloatingPointQuantizer, simulate_cast
-    from repro.quant.stochastic import floor_round, nearest_round, stochastic_round
-    from repro.quant.variance import (
-        effective_exponent,
-        fixed_point_variance,
-        floating_point_variance,
-        quantization_mse,
-    )
-except ImportError:  # pragma: no cover - exercised via the fallback tests
-    pass
+from repro.quant.stochastic import floor_round, nearest_round, stochastic_round
+from repro.quant.variance import (
+    effective_exponent,
+    fixed_point_variance,
+    floating_point_variance,
+    quantization_mse,
+)
 
 __all__ = [
     "stochastic_round",

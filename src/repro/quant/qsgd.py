@@ -22,28 +22,20 @@ This module carries the three planning-side ingredients:
   per-bucket variance multiplier consumed by
   :meth:`repro.core.indicator.VarianceIndicator.gradient_sync_variance`.
 
-Everything the planner touches is pure Python — numpy is only needed by
-the actual :func:`qsgd_quantize`/:func:`qsgd_dequantize` tensor codec, and
-its absence degrades exactly like :mod:`repro.kernel` (``HAVE_NUMPY``
-discipline): planning still works, the codec raises cleanly.  All codec
-randomness is derived through :func:`repro.common.rng.derive_seed`.
+The planning models are pure Python; only the
+:func:`qsgd_quantize`/:func:`qsgd_dequantize` tensor codec touches numpy.
+All codec randomness is derived through
+:func:`repro.common.rng.derive_seed`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-try:  # numpy is the optional "kernel" extra; planning never needs it
-    import numpy as np
-
-    from repro.quant.stochastic import stochastic_round
-except ImportError:  # pragma: no cover - exercised via the fallback tests
-    np = None  # type: ignore[assignment]
-    stochastic_round = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.common.rng import derive_seed
-
-HAVE_NUMPY = np is not None
+from repro.quant.stochastic import stochastic_round
 
 #: Compression ladder (append-only vocabulary, like precision ladders):
 #: level 0 is *uncompressed* — bit-identical to the pre-compression paths —
@@ -154,14 +146,6 @@ class CompressionConfig:
             )
 
 
-def _require_numpy():
-    if np is None:
-        raise RuntimeError(
-            "qsgd_quantize/qsgd_dequantize need numpy (the optional "
-            "'kernel' extra); planning-side compression works without it"
-        )
-
-
 def qsgd_quantize(x, bits: int, seed: int, *keys):
     """QSGD-quantize a gradient tensor to ``bits`` stochastic levels.
 
@@ -174,7 +158,6 @@ def qsgd_quantize(x, bits: int, seed: int, *keys):
     Returns ``(levels, signs, norm)`` — the integer level indices, the
     sign array, and the FP32 scale (what travels on the wire).
     """
-    _require_numpy()
     if bits >= 32 or bits <= 0:
         raise ValueError(f"qsgd_quantize needs 0 < bits < 32, got {bits}")
     x = np.asarray(x, dtype=np.float64)
@@ -190,7 +173,6 @@ def qsgd_quantize(x, bits: int, seed: int, *keys):
 
 def qsgd_dequantize(levels, signs, norm: float, bits: int):
     """Invert :func:`qsgd_quantize`: ``norm * sign * level / s``."""
-    _require_numpy()
     if bits >= 32 or bits <= 0:
         raise ValueError(f"qsgd_dequantize needs 0 < bits < 32, got {bits}")
     s = float(2**bits - 1)

@@ -130,7 +130,6 @@ def request_token(request: "PlanRequest") -> tuple:
         int(request.profile_repeats),
         backends,
         request.stats,
-        request.use_kernel,
         compression,
     )
 

@@ -100,16 +100,19 @@ class PlanRequest:
         device than its rank's worker is a :class:`ValueError`.
     stats:
         Indicator statistics; synthesized from the graph when omitted.
-    use_kernel:
-        Compiled-array fast path (:mod:`repro.kernel`) for Eq. (6)
-        evaluations.  ``None`` (default) enables it whenever numpy is
-        importable; ``False`` forces the analytic object path (bit-identical
-        results either way — the kernel is an equality-preserving cache).
     compression:
         Gradient-compression knobs (:class:`repro.quant.qsgd.
         CompressionConfig`) consumed by the compression-aware strategies
         (``qsync+qsgd``); ``None`` means their defaults.  Other strategies
         ignore it (gradients sync uncompressed there).
+
+    There is deliberately no knob selecting how Eq. (6) is evaluated: the
+    compiled kernel, the analytic recurrence and the event engine are
+    bit-identical where they overlap, and
+    :func:`repro.engine.policy.eq6_fast_path` alone routes each evaluation
+    from ``schedule_policy`` and ``perturbation``.  Every field here feeds
+    :func:`repro.service.fingerprint.request_token`, so a new field must be
+    encoded there too.
     """
 
     model: Union[str, Callable[[], PrecisionDAG], PrecisionDAG]
@@ -128,7 +131,6 @@ class PlanRequest:
     profile_repeats: int = 3
     backends: Mapping[int, LPBackend] | None = None
     stats: Mapping[str, OperatorStats] | None = None
-    use_kernel: bool | None = None
     compression: CompressionConfig | None = None
 
     def __post_init__(self) -> None:

@@ -161,7 +161,6 @@ class PlanSession:
             collective_model=request.collective_model,
             schedule_policy=request.schedule_policy,
             perturbation=request.perturbation,
-            use_kernel=request.use_kernel,
         )
 
         if request.batch_size is not None:

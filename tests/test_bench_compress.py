@@ -38,9 +38,7 @@ def test_bench_smoke(tmp_path):
     # service): plan dicts and iteration_time bits identical to plain qsync.
     assert payload["level0_parity_everywhere"]
     tiers = {t["tier"] for t in payload["level0_parity"]}
-    assert {"object", "engine", "service"} <= tiers
-    if payload["setup"]["have_numpy"]:
-        assert "kernel" in tiers
+    assert {"object", "kernel", "engine", "service"} <= tiers
     for tier in payload["level0_parity"]:
         assert tier["plan_equal"], tier["tier"]
         assert tier["iteration_bits_equal"], tier["tier"]

@@ -5,19 +5,15 @@ regressions (parity drift, the compiled fast path silently falling back to
 the object path, the batched sweep losing its edge) fail loudly in the
 normal test run.  The full-size benchmark (``python -m
 benchmarks.bench_kernel``) is the one that reports the headline speedups
-to ``BENCH_kernel.json``; its acceptance floors (>= 10x single-eval) only
-hold at full scale, so the smoke gates parity strictly and speed loosely.
+to ``BENCH_kernel.json``; the smoke gates parity strictly and speed
+loosely.
 """
 
 import json
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-
-pytest.importorskip("numpy")
 
 from benchmarks.bench_kernel import run_bench
 
@@ -31,8 +27,7 @@ def test_bench_smoke(tmp_path):
     assert payload["parity_single"]
     assert payload["parity_batched"]
 
-    # Speed floors stay modest at smoke scale (timer noise); the full run
-    # is the one gated at >= 10x.
+    # Speed floors stay modest at smoke scale (timer noise).
     assert payload["single_eval"]["speedup"] > 1.5
     assert payload["batched_whatif"]["speedup"] > 1.2
     assert payload["batched_whatif"]["candidates"] > 0

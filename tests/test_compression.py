@@ -7,10 +7,9 @@ Pins the PR's three contracts:
   pre-compression paths on every tier (object, kernel, engine, service);
 * **compression-aware pricing** — per-bucket bit widths flow through
   :func:`bucket_comm_durations`, the collective models, and the kernel
-  tier's comm-price cache, and batched recovery stays equivalent to
+  tier's compiled-global key, and batched recovery stays equivalent to
   sequential recovery with the axis engaged;
-* **HAVE_NUMPY degradation** — planning-side compression is pure Python;
-  only the tensor codec needs numpy and it fails with a clean error.
+* **budgeted allocation** — the greedy ascent over compression levels.
 """
 
 import sys
@@ -22,11 +21,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.bench_allocator_speed import SMALL_SETUP, _build_allocator
 from repro.common.dtypes import Precision
-from repro.core.allocator import AllocatorConfig
 from repro.core.compression import CompressionReport, allocate_compression
 from repro.core.plan import COMPRESSION_KEY, PrecisionPlan
 from repro.core.qsync import build_replayer
-from repro.core.replayer import bucket_comm_durations
+from repro.core.replayer import bucket_comm_durations, simulate_global_dfg
 from repro.hardware.cluster import make_cluster_a, make_cluster_a_multinode
 from repro.models.trainable import mini_model_graph
 from repro.parallel.comm_model import (
@@ -36,7 +34,6 @@ from repro.parallel.comm_model import (
     HierarchicalModel,
     resolve_collective_model,
 )
-from repro.quant import qsgd
 from repro.quant.qsgd import CompressionConfig, level_bits
 from repro.service.fingerprint import request_token
 from repro.session import PlanRequest, PlanSession
@@ -147,20 +144,24 @@ class TestReplayerCompression:
         assert again == base
 
     def test_kernel_and_object_tiers_agree_under_compression(self):
-        pytest.importorskip("numpy")
         replayer = _replayer(collective_model=CompressedMultiHopModel())
         n = len(replayer.local_dfg(min(replayer.dags)).buckets)
         replayer.set_bucket_compression((2,) * n)
-        replayer.use_kernel = True
         kernel = replayer.simulate()
-        replayer.use_kernel = False
-        obj = replayer.simulate()
+        assert replayer.stats.kernel_sims == 1
+        obj = simulate_global_dfg(
+            replayer.build_global_dfg(),
+            replayer.cluster,
+            collective_model=replayer.collective_model,
+            bucket_bits=(level_bits(2),) * n,
+        )
         assert kernel.iteration_time.hex() == obj.iteration_time.hex()
 
     def test_batched_recovery_matches_sequential_with_compression(self):
+        # incremental=False has no kernel tier, so recovery runs the
+        # sequential trial loop — the reference the batched sweep matches.
         def build(batched):
-            allocator = _build_allocator(incremental=True, **SMALL_SETUP)
-            allocator.config = AllocatorConfig(batched_recovery=batched)
+            allocator = _build_allocator(incremental=batched, **SMALL_SETUP)
             replayer = allocator.replayer
             n = len(replayer.local_dfg(min(replayer.dags)).buckets)
             replayer.set_bucket_compression((1,) * n)
@@ -171,6 +172,8 @@ class TestReplayerCompression:
         assert plan_b.to_dict() == plan_s.to_dict()
         assert report_b.final_throughput == report_s.final_throughput
         assert report_b.recovery_attempts == report_s.recovery_attempts
+        assert report_b.recovery_whatif_evals > 0
+        assert report_s.recovery_whatif_evals == 0
 
 
 class TestAllocateCompression:
@@ -275,7 +278,6 @@ class TestStrategyParity:
             cluster="cluster_a_4+4",
             collective_model="compressed_multihop",
             profile_repeats=1,
-            use_kernel=False,
         )
         a = session.plan(PlanRequest(strategy="qsync", **base))
         b = session.plan(
@@ -293,40 +295,3 @@ class TestStrategyParity:
         assert b.plan.bucket_compression is None
         assert b.compression is not None
         assert b.compression.levels and set(b.compression.levels) == {0}
-
-
-class TestNoNumpyDegradation:
-    def test_planning_side_is_pure_python(self, monkeypatch):
-        monkeypatch.setattr(qsgd, "np", None)
-        monkeypatch.setattr(qsgd, "stochastic_round", None)
-        # Every planning-side function keeps working...
-        assert qsgd.level_bits(2) == 4
-        assert qsgd.compressed_nbytes(1000, 8) == 258
-        assert qsgd.codec_seconds(1000, 8) > 0.0
-        assert qsgd.qsgd_variance_factor(8) > 0.0
-        CompressionConfig(levels=(0, 1))
-        # ...and the tensor codec fails with the kernel-extra guidance.
-        with pytest.raises(RuntimeError, match="kernel"):
-            qsgd.qsgd_quantize([1.0], 8, 0)
-        with pytest.raises(RuntimeError, match="kernel"):
-            qsgd.qsgd_dequantize([1.0], [1.0], 1.0, 8)
-
-    def test_object_path_plans_compression_without_kernel(self, monkeypatch):
-        # The axis degrades to the object path cleanly: with the codec's
-        # numpy gone and the kernel tier disabled, qsync+qsgd still plans
-        # (all its math is collective-model floats + indicator sums).
-        monkeypatch.setattr(qsgd, "np", None)
-        monkeypatch.setattr(qsgd, "stochastic_round", None)
-        replayer = _replayer(
-            make_cluster_a_multinode(gpus_per_node=2), CompressedMultiHopModel()
-        )
-        replayer.use_kernel = False
-        n = len(replayer.local_dfg(min(replayer.dags)).buckets)
-        variances = [
-            {lvl: 0.0 for lvl in (0, 1, 2, 3)} for _ in range(n)
-        ]
-        levels, report = allocate_compression(replayer, variances, 1.0)
-        replayer.set_bucket_compression(levels)
-        sim = replayer.simulate()
-        assert sim.iteration_time > 0.0
-        assert report.compressed_allreduce_seconds < report.base_allreduce_seconds

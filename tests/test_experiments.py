@@ -65,6 +65,33 @@ class TestBase:
         assert out.endswith("%")
 
 
+class TestSpearman:
+    """fig8's in-repo Spearman rho against the scipy reference."""
+
+    @pytest.mark.parametrize("a, b", [
+        ([1, 2, 3, 4, 5], [5, 6, 7, 8, 7]),
+        ([3.0, 1.0, 2.0, 5.0], [1.0, 2.0, 3.0, 4.0]),
+        ([1, 1, 2, 2, 3, 7], [4, 4, 4, 1, 2, 3]),  # ties on both sides
+        ([0, 3, 3, 3, 1], [2, 2, 1, 0, 0]),
+    ])
+    def test_matches_scipy(self, a, b):
+        stats = pytest.importorskip("scipy.stats")
+        from repro.experiments.fig8 import spearman
+
+        assert spearman(a, b) == pytest.approx(
+            stats.spearmanr(a, b).statistic, abs=1e-12
+        )
+
+    def test_perfect_and_constant(self):
+        import math
+
+        from repro.experiments.fig8 import spearman
+
+        assert spearman([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0)
+        assert spearman([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
+        assert math.isnan(spearman([1, 1, 1], [1, 2, 3]))
+
+
 class TestRegistry:
     def test_all_artifacts_registered(self):
         # The paper's ten tables/figures plus the repo's own comm,

@@ -1,6 +1,8 @@
 """Compiled array kernel (``repro.kernel``): bit parity with the analytic
 Eq. (6) oracle, batched what-if parity, dispatch and caching, frozen
-buffers, and hash-seed stability.
+buffers, hash-seed stability, and the one dispatch rule
+(:func:`repro.engine.policy.eq6_fast_path`) that keeps perturbed plans on
+their throughput floor.
 
 The contract under test (the PR 8 discipline): the kernel is an
 equality-preserving cache — every number it produces must equal the
@@ -10,6 +12,7 @@ sequential apply → simulate → revert trial of the same candidate, row for
 row, and reverting must restore the base bitwise.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -20,22 +23,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy")
-
 from repro.common.dtypes import higher_precision
 from repro.common.rng import new_rng
-from repro.core.allocator import Allocator, AllocatorConfig
+from repro.core.allocator import AllocatorConfig
 from repro.core.qsync import build_replayer
-from repro.core.replayer import bucket_comm_durations, simulate_global_dfg
+from repro.core.replayer import (
+    Replayer,
+    bucket_comm_durations,
+    simulate_global_dfg,
+)
+from repro.engine import (
+    BlockingSyncPolicy,
+    DDPOverlapPolicy,
+    Perturbation,
+    eq6_fast_path,
+)
 from repro.hardware import make_cluster_a
 from repro.kernel import (
-    HAVE_NUMPY,
     compile_global,
     compile_local,
     evaluate,
 )
 from repro.models import mini_model_graph
 from repro.parallel.comm_model import resolve_collective_model
+from repro.session import PlanRequest, PlanSession
+from repro.session.planners import get_planner
 from tests.test_engine import _cluster, _random_gdfg
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -65,6 +77,26 @@ def _small_replayer():
 
     replayer, _ = build_replayer(builder, cluster, profile_repeats=1)
     return replayer
+
+
+def _reference_replayer(replayer, **overrides):
+    """A replayer over the same DAGs and profiles in ``incremental=False``
+    mode — the object-path reference the kernel tier must match."""
+    kwargs = dict(
+        optimizer_slots=replayer.memory_model.optimizer_slots,
+        incremental=False,
+        collective_model=replayer.collective_model,
+        schedule_policy=replayer.schedule_policy,
+        perturbation=replayer.perturbation,
+    )
+    kwargs.update(overrides)
+    return Replayer(
+        replayer.cluster,
+        replayer.dags,
+        {r: m.catalog for r, m in replayer.mappers.items()},
+        {r: m.cast_calc for r, m in replayer.mappers.items()},
+        **kwargs,
+    )
 
 
 def _candidates(replayer, limit=8):
@@ -125,17 +157,23 @@ class TestKernelAnalyticParity:
             )
 
     def test_replayer_kernel_toggle_is_invisible(self):
-        """Replayer.simulate() is bit-identical with the kernel tier on
-        and off — timeline, memory, every per-rank dict entry."""
-        assert HAVE_NUMPY
+        """Replayer.simulate() served by the kernel tier is bit-identical to
+        the analytic recurrence on the same global DFG and to the
+        ``incremental=False`` object path — timeline, memory, every
+        per-rank dict entry."""
         replayer = _small_replayer()
-        assert replayer.use_kernel
         sim_kernel = replayer.simulate()
         assert replayer.stats.kernel_sims == 1
-        replayer.use_kernel = False
-        sim_object = replayer.simulate()
-        assert replayer.stats.kernel_sims == 1
-        assert sim_kernel == sim_object
+        analytic = simulate_global_dfg(
+            replayer.build_global_dfg(),
+            replayer.cluster,
+            memory=sim_kernel.memory,
+            collective_model=replayer.collective_model,
+        )
+        assert sim_kernel == analytic
+        reference = _reference_replayer(replayer)
+        assert reference.simulate() == sim_kernel
+        assert reference.stats.kernel_sims == 0
 
     def test_kernel_cache_keyed_on_precision_signature(self):
         """A precision change invalidates the compiled plan; reverting it
@@ -213,8 +251,12 @@ class TestBatchedWhatIf:
     def test_empty_batch_and_kernel_off(self):
         replayer = _small_replayer()
         assert replayer.whatif_candidates([]) == []
-        replayer.use_kernel = False
-        assert replayer.whatif_candidates(_candidates(replayer, 2)) is None
+        for off in (
+            _reference_replayer(replayer),
+            _reference_replayer(replayer, incremental=True,
+                                schedule_policy="blocking_sync"),
+        ):
+            assert off.whatif_candidates(_candidates(off, 2)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +265,12 @@ class TestBatchedWhatIf:
 
 
 def test_allocator_batched_recovery_matches_sequential():
+    """The kernel-served replayer batches recovery; the ``incremental=False``
+    reference runs the sequential trial loop — same plan, same counts."""
     batched = _build_allocator(incremental=True, **SMALL_SETUP)
-    assert batched.config.batched_recovery
     plan_b, report_b = batched.allocate()
 
-    sequential = _build_allocator(incremental=True, **SMALL_SETUP)
-    sequential.config = AllocatorConfig(batched_recovery=False)
+    sequential = _build_allocator(incremental=False, **SMALL_SETUP)
     plan_s, report_s = sequential.allocate()
 
     assert plan_b.to_dict() == plan_s.to_dict()
@@ -239,6 +281,77 @@ def test_allocator_batched_recovery_matches_sequential():
     assert report_b.recovery_whatif_evals > 0
     # ...and the sequential run never touched it.
     assert report_s.recovery_whatif_evals == 0
+
+
+# ---------------------------------------------------------------------------
+# the one dispatch rule: perturbed plans hold their throughput floor
+# ---------------------------------------------------------------------------
+
+
+class TestDispatchRule:
+    def test_predicate(self):
+        class Subclassed(DDPOverlapPolicy):
+            pass
+
+        ddp = DDPOverlapPolicy()
+        assert eq6_fast_path(ddp)
+        assert eq6_fast_path(ddp, Perturbation())  # no-op perturbation
+        assert not eq6_fast_path(ddp, collect_timeline=True)
+        assert not eq6_fast_path(ddp, Perturbation(bandwidth_drift=0.3))
+        assert not eq6_fast_path(BlockingSyncPolicy())
+        assert not eq6_fast_path(Subclassed())
+
+    @pytest.mark.parametrize("off", [
+        {"perturbation": Perturbation(stragglers={1: 1.3})},
+        {"perturbation": Perturbation(bandwidth_drift=0.3)},
+        {"schedule_policy": "blocking_sync"},
+    ])
+    def test_compiled_global_follows_the_replayer_rule(self, off):
+        """The batched recovery path asks compiled_global(); it must decline
+        whenever the replayer's own policy or perturbation would send
+        simulate() to the engine."""
+        replayer = _small_replayer()
+        assert replayer.compiled_global() is not None
+        kernel_off = _reference_replayer(replayer, incremental=True, **off)
+        assert kernel_off.compiled_global() is None
+        kernel_off.simulate()
+        assert kernel_off.stats.kernel_sims == 0
+
+
+_FLOOR_MODEL = dict(batch_size=8, width_scale=16, spatial_scale=8)
+
+
+@pytest.fixture(scope="module")
+def floor_session():
+    return PlanSession()
+
+
+@pytest.mark.parametrize("cluster", ["cluster_a_4+4", "cloud_edge_4+2x2"])
+@pytest.mark.parametrize("perturbation", [
+    Perturbation(stragglers={4: 1.3}),  # rank 4 is an inference T4
+    Perturbation(bandwidth_drift=0.3),
+], ids=["straggler", "drift"])
+def test_perturbed_plan_holds_throughput_floor(
+    floor_session, cluster, perturbation
+):
+    """A perturbed qsync plan equals the sequential reference plan and
+    keeps problem (1)'s constraint E >= (1 - slack) * T_min.  Batched
+    recovery used to score candidates on the unperturbed kernel while
+    T_min came from the perturbed engine, ending below the floor."""
+    request = PlanRequest(
+        model="mini_bert", model_kwargs=_FLOOR_MODEL, cluster=cluster,
+        strategy="qsync", profile_repeats=2, perturbation=perturbation,
+    )
+    outcome = floor_session.plan(request)
+    ctx = floor_session.prepare(request)
+    reference = get_planner("qsync").plan(
+        dataclasses.replace(ctx, replayer=_reference_replayer(ctx.replayer))
+    )
+    assert outcome.plan.to_dict() == reference.plan.to_dict()
+    allocation = outcome.report.allocation
+    assert allocation.final_throughput == reference.report.allocation.final_throughput
+    slack = AllocatorConfig().throughput_slack
+    assert allocation.final_throughput >= (1.0 - slack) * allocation.t_min
 
 
 # ---------------------------------------------------------------------------

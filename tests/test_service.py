@@ -128,6 +128,56 @@ def test_identical_requests_have_equal_fingerprints():
     assert request_fingerprint(small_request(strategy="uniform")) != fp
 
 
+#: Fields of PlanRequest that request_token deliberately leaves out, with
+#: the reason.  Empty: every field changes what a request plans.
+TOKEN_EXCLUDED: dict[str, str] = {}
+
+
+def _token_alternatives() -> dict:
+    """One valid non-default value per PlanRequest field."""
+    from repro.backend.lp_backend import LPBackend
+    from repro.core.allocator import AllocatorConfig
+    from repro.engine import Perturbation
+    from repro.quant.qsgd import CompressionConfig
+
+    return {
+        "model": "mini_bert",
+        "model_kwargs": {"batch_size": 8},
+        "cluster": "cluster_a_4+4",
+        "strategy": "uniform",
+        "loss": "mse",
+        "batch_size": 8,
+        "optimizer_slots": 2,
+        "collective_model": "hierarchical",
+        "schedule_policy": "blocking_sync",
+        "perturbation": Perturbation(bandwidth_drift=0.1),
+        "indicator": "hessian",
+        "config": AllocatorConfig(amp_mode=True),
+        "seed": 1,
+        "profile_repeats": 2,
+        "backends": {0: LPBackend(CLUSTER.workers[0].device, seed=3)},
+        "stats": {},
+        "compression": CompressionConfig(levels=(0, 1)),
+    }
+
+
+def test_request_token_covers_every_field():
+    """Every PlanRequest field is encoded by request_token or named in
+    TOKEN_EXCLUDED, so adding or removing a field cannot silently desync
+    the coalescing identity from the request."""
+    import dataclasses
+
+    from repro.service.fingerprint import request_token
+
+    names = {f.name for f in dataclasses.fields(PlanRequest)}
+    alternatives = _token_alternatives()
+    assert set(alternatives) | set(TOKEN_EXCLUDED) == names
+    assert not set(alternatives) & set(TOKEN_EXCLUDED)
+    base = request_token(small_request())
+    for name, value in alternatives.items():
+        assert request_token(small_request(**{name: value})) != base, name
+
+
 def test_opaque_requests_do_not_coalesce():
     from repro.models import mini_model_graph
 
