@@ -43,15 +43,18 @@ SMALL_GRAPH_KW = {**GRAPH_KW, "width_scale": 8, "spatial_scale": 4}
 CLUSTER_PRESET = "cluster_a_4+4"
 
 
-def _time_calls(fn, calls: int, repeats: int = 5) -> float:
-    """Best-of-``repeats`` wall time for ``calls`` invocations of ``fn``."""
-    best = float("inf")
+def _time_pair(fn_a, fn_b, calls: int, repeats: int = 5) -> tuple[float, float]:
+    """Best-of-``repeats`` wall times for ``calls`` invocations of each of
+    ``fn_a`` and ``fn_b``.  The repeats alternate between the two sides, so
+    a burst of host load lands on both instead of skewing their ratio."""
+    best = [float("inf"), float("inf")]
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(calls):
-            fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        for side, fn in enumerate((fn_a, fn_b)):
+            t0 = time.perf_counter()
+            for _ in range(calls):
+                fn()
+            best[side] = min(best[side], time.perf_counter() - t0)
+    return best[0], best[1]
 
 
 def _candidate_list(replayer, limit):
@@ -132,8 +135,9 @@ def run_bench(small: bool = False, path: str | Path = "BENCH_kernel.json") -> di
     sim_object = _object_simulate(replayer)
     parity_single = sim_kernel == sim_object and kernel_sims > 0
 
-    t_kernel = _time_calls(replayer.simulate, calls)
-    t_object = _time_calls(lambda: _object_simulate(replayer), calls)
+    t_kernel, t_object = _time_pair(
+        replayer.simulate, lambda: _object_simulate(replayer), calls
+    )
     single_speedup = t_object / t_kernel if t_kernel > 0 else float("inf")
 
     # ---- batched what-if sweep vs sequential trials ---------------------
@@ -144,11 +148,10 @@ def run_bench(small: bool = False, path: str | Path = "BENCH_kernel.json") -> di
         b[0] == s[0] and b[1] == s[1] for b, s in zip(batched, sequential)
     ) and len(batched) == len(sequential)
 
-    t_batched = _time_calls(
-        lambda: replayer.whatif_candidates(candidates), 1, repeats=5
-    )
-    t_sequential = _time_calls(
-        lambda: _sequential_sweep(replayer, candidates), 1, repeats=5
+    t_batched, t_sequential = _time_pair(
+        lambda: replayer.whatif_candidates(candidates),
+        lambda: _sequential_sweep(replayer, candidates),
+        1,
     )
     batch_speedup = (
         t_sequential / t_batched if t_batched > 0 else float("inf")

@@ -404,18 +404,15 @@ class Replayer:
     def _kernel_result(self, cg, memory) -> SimulationResult:
         """One Eq. (6) evaluation on the compiled arrays."""
         iteration, comm_end = kernel_evaluate(cg)
-        per_device_compute = {}
-        comm_wait = {}
-        for w in self.cluster.workers:
-            cl = cg.locals[cg.local_of_rank[w.rank]]
-            # compute_end + opt is the object path's compute_time addition
-            # order ((fwd + bwd) + opt) — bit-identical by construction.
-            per_device_compute[w.rank] = cl.compute_end + cl.opt
-            comm_wait[w.rank] = max(0.0, comm_end - cl.compute_end)
         return SimulationResult(
             iteration_time=iteration,
-            per_device_compute=per_device_compute,
-            comm_wait_time=comm_wait,
+            per_device_compute={rank: total for rank, total, _ in cg.rank_ends},
+            # ``a - b if a > b else 0.0`` is ``max(0.0, a - b)`` bit for bit
+            # (NaN and -0.0 included), minus a builtin call per rank.
+            comm_wait_time={
+                rank: comm_end - end if comm_end > end else 0.0
+                for rank, _, end in cg.rank_ends
+            },
             memory=memory,
             timeline=[],
         )

@@ -169,6 +169,7 @@ class CompiledGlobal:
         "compute_ends_list",
         "opts",
         "opts_list",
+        "rank_ends",
     )
 
 
@@ -227,6 +228,12 @@ def compile_global(rank_locals, durations):
     cg.compute_ends_list = compute_ends.tolist()
     cg.opts = _frozen(opts)
     cg.opts_list = opts.tolist()
+    # Per rank, in worker order: (rank, compute_end + opt, compute_end) —
+    # the object path's compute_time addition order ((fwd + bwd) + opt).
+    cg.rank_ends = tuple(
+        (rank, cl.compute_end + cl.opt, cl.compute_end)
+        for rank, cl in rank_locals
+    )
     return cg
 
 
