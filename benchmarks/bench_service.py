@@ -91,19 +91,11 @@ def _base_request(setup: dict) -> PlanRequest:
 
 def _serve_concurrently(service, requests):
     """Serve every request on its own thread; returns (wall_seconds,
-    per-request latencies, outcomes).
-
-    Every client thread is started first and then released at once, so
-    the requests arrive together and the wall clock covers serving only:
-    starting a thread hands the GIL back and forth with a leader that is
-    already planning, which would bill thread start-up to the service.
-    """
+    per-request latencies, outcomes)."""
     latencies = [0.0] * len(requests)
     outcomes = [None] * len(requests)
-    release = threading.Event()
 
     def client(i):
-        release.wait()
         t0 = time.perf_counter()
         outcomes[i] = service.plan(requests[i])
         latencies[i] = time.perf_counter() - t0
@@ -112,10 +104,9 @@ def _serve_concurrently(service, requests):
         threading.Thread(target=client, args=(i,))
         for i in range(len(requests))
     ]
+    t0 = time.perf_counter()
     for t in threads:
         t.start()
-    t0 = time.perf_counter()
-    release.set()
     for t in threads:
         t.join()
     return time.perf_counter() - t0, latencies, outcomes

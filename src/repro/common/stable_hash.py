@@ -49,26 +49,6 @@ def canonical_encode(obj: Any) -> bytes:
 
 
 def _encode(obj: Any, out: bytearray) -> None:
-    # Exact-type fast path for the bulk of a fingerprint tree; subclasses
-    # (bools, str/int-valued enums, numpy scalars) take the ABC chain below,
-    # which encodes the same builtin values identically.
-    kind = type(obj)
-    if kind is str:
-        token = obj.encode()
-        out += b"S" + len(token).to_bytes(4, "big") + token
-        return
-    if kind is tuple or kind is list:
-        out += b"L" + len(obj).to_bytes(4, "big")
-        for item in obj:
-            _encode(item, out)
-        return
-    if kind is int:
-        token = str(obj).encode()
-        out += b"I" + len(token).to_bytes(4, "big") + token
-        return
-    if kind is float:
-        out += b"D" + struct.pack(">d", obj)
-        return
     if obj is None:
         out += b"N"
     elif isinstance(obj, bool):

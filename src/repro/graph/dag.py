@@ -90,11 +90,6 @@ class PrecisionDAG:
     def copy(self) -> "PrecisionDAG":
         out = PrecisionDAG()
         out._g = self._g.copy()
-        # Same structure, so the same structure fingerprint: a per-request
-        # copy of a cached template need not re-hash the graph.
-        fp = self._fingerprint_cache
-        if fp is not None and fp[0] == self._structure_version:
-            out._fingerprint_cache = (out._structure_version, fp[1])
         return out
 
     # ------------------------------------------------------------------
