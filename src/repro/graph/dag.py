@@ -1,16 +1,18 @@
 """The Precision DAG.
 
 "For each GPU, QSync maintains a precision DAG that keeps the training model
-with operators' precision and its dependencies" (Sec. IV-B).  Built on
-networkx for its solid topological algorithms; all QSync-specific state
-(precision assignments, depth cache) lives here.
+with operators' precision and its dependencies" (Sec. IV-B).  The graph is
+stored here as insertion-ordered dicts (op -> spec, op -> precision) plus
+per-op predecessor and successor lists, and sorted with an in-repo Kahn
+sort.  Those orders feed :meth:`PrecisionDAG.structure_fingerprint`, so
+they are a contract: ops in insertion order, predecessors in ``inputs``
+order (a repeated input is one edge), successors in edge-insertion order,
+and topological order generation by generation (:meth:`_kahn_order`).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
-
-import networkx as nx
 
 from repro.common.dtypes import Precision, parse_precision
 from repro.common.errors import GraphConsistencyError
@@ -35,7 +37,10 @@ class PrecisionDAG:
     """
 
     def __init__(self) -> None:
-        self._g = nx.DiGraph()
+        self._specs: dict[str, OperatorSpec] = {}
+        self._prec: dict[str, Precision] = {}
+        self._preds: dict[str, list[str]] = {}
+        self._succs: dict[str, list[str]] = {}
         self._depth_cache: dict[str, int] | None = None
         self._version = 0
         self._structure_version = 0
@@ -73,15 +78,21 @@ class PrecisionDAG:
         precision: Precision = Precision.FP32,
     ) -> str:
         """Insert an operator, wiring edges from its input ops."""
-        if spec.name in self._g:
-            raise GraphConsistencyError(f"duplicate operator name {spec.name!r}")
-        self._g.add_node(spec.name, spec=spec, precision=precision)
-        for src in inputs:
-            if src not in self._g:
+        name = spec.name
+        if name in self._specs:
+            raise GraphConsistencyError(f"duplicate operator name {name!r}")
+        preds = list(dict.fromkeys(inputs))  # a repeated input is one edge
+        for src in preds:
+            if src not in self._specs:
                 raise GraphConsistencyError(
-                    f"operator {spec.name!r} references unknown input {src!r}"
+                    f"operator {name!r} references unknown input {src!r}"
                 )
-            self._g.add_edge(src, spec.name)
+        self._specs[name] = spec
+        self._prec[name] = precision
+        self._preds[name] = preds
+        self._succs[name] = []
+        for src in preds:
+            self._succs[src].append(name)
         self._version += 1
         self._structure_version += 1
         self._invalidate_structure()
@@ -89,34 +100,38 @@ class PrecisionDAG:
 
     def copy(self) -> "PrecisionDAG":
         out = PrecisionDAG()
-        out._g = self._g.copy()
+        out._specs = dict(self._specs)
+        out._prec = dict(self._prec)
+        out._succs = {n: list(s) for n, s in self._succs.items()}
+        # Predecessors are rebuilt source by source, so a copy lists them in
+        # insertion order rather than ``inputs`` order.  Per-rank DAGs are
+        # copies, and their fingerprints key the profile and artifact stores.
+        out._preds = {n: [] for n in self._specs}
+        for src, dsts in self._succs.items():
+            for dst in dsts:
+                out._preds[dst].append(src)
         return out
 
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
     def __contains__(self, name: str) -> bool:
-        return name in self._g
+        return name in self._specs
 
     def __len__(self) -> int:
-        return len(self._g)
-
-    @property
-    def nx_graph(self) -> nx.DiGraph:
-        return self._g
+        return len(self._specs)
 
     def spec(self, name: str) -> OperatorSpec:
-        return self._g.nodes[name]["spec"]
+        return self._specs[name]
 
     def precision(self, name: str) -> Precision:
-        return self._g.nodes[name]["precision"]
+        return self._prec[name]
 
     def set_precision(self, name: str, precision) -> None:
         prec = parse_precision(precision)
-        node = self._g.nodes[name]
-        if node["precision"] is prec:
+        if self._prec[name] is prec:
             return  # no-op writes must not dirty downstream caches
-        node["precision"] = prec
+        self._prec[name] = prec
         self._version += 1
         self._dirty_log[name] = self._version
         self._sig_cache = None
@@ -189,7 +204,7 @@ class PrecisionDAG:
                     self.spec(n).kind.value,
                     self.spec(n).output_shape,
                     self.spec(n).weight_shape,
-                    tuple(self._g.predecessors(n)),
+                    tuple(self._preds[n]),
                 )
                 for n in self.topo_order()
             )
@@ -198,13 +213,27 @@ class PrecisionDAG:
         return fp
 
     def nodes(self) -> Iterator[str]:
-        return iter(self._g.nodes)
+        return iter(self._specs)
 
     def predecessors(self, name: str) -> list[str]:
-        return list(self._g.predecessors(name))
+        return list(self._preds[name])
 
     def successors(self, name: str) -> list[str]:
-        return list(self._g.successors(name))
+        return list(self._succs[name])
+
+    def _kahn_order(self) -> list[str]:
+        """Kahn sort, generation by generation: the zero-in-degree ops in
+        insertion order, then each successor once its in-degree reaches 0."""
+        indegree = {n: len(p) for n, p in self._preds.items()}
+        order = [n for n, d in indegree.items() if d == 0]
+        for n in order:  # walks the list while it grows
+            for succ in self._succs[n]:
+                indegree[succ] -= 1
+                if indegree[succ] == 0:
+                    order.append(succ)
+        if len(order) != len(indegree):
+            raise GraphConsistencyError("graph contains a cycle")
+        return order
 
     def topo_order(self) -> list[str]:
         """Topological order, cached until the structure changes.
@@ -212,7 +241,7 @@ class PrecisionDAG:
         The returned list is shared — treat it as read-only.
         """
         if self._topo_cache is None:
-            self._topo_cache = list(nx.topological_sort(self._g))
+            self._topo_cache = self._kahn_order()
         return self._topo_cache
 
     def topo_index(self) -> dict[str, int]:
@@ -250,7 +279,7 @@ class PrecisionDAG:
 
     def precision_plan(self) -> dict[str, Precision]:
         """Snapshot of current per-op precisions."""
-        return {n: self.precision(n) for n in self._g.nodes}
+        return dict(self._prec)
 
     def apply_plan(self, plan: dict[str, Precision]) -> None:
         for name, prec in plan.items():
@@ -261,7 +290,7 @@ class PrecisionDAG:
     # ------------------------------------------------------------------
     def root(self) -> str:
         """The unique zero-in-degree node (the model input)."""
-        roots = [n for n in self._g.nodes if self._g.in_degree(n) == 0]
+        roots = [n for n, preds in self._preds.items() if not preds]
         if len(roots) != 1:
             raise GraphConsistencyError(f"expected 1 root, found {roots}")
         return roots[0]
@@ -279,39 +308,36 @@ class PrecisionDAG:
             for node in self.topo_order():
                 if node == root:
                     continue
-                preds = list(self._g.predecessors(node))
-                depths[node] = 1 + max(depths[p] for p in preds)
+                depths[node] = 1 + max(depths[p] for p in self._preds[node])
             self._depth_cache = depths
         return self._depth_cache[name]
 
     def max_depth(self) -> int:
         """``d_L``: depth of the deepest operator."""
-        return max(self.depth(n) for n in self._g.nodes)
+        return max(self.depth(n) for n in self._specs)
 
     def validate(self) -> None:
-        """Raise :class:`GraphConsistencyError` on structural problems."""
-        if not nx.is_directed_acyclic_graph(self._g):
-            raise GraphConsistencyError("graph contains a cycle")
-        self.root()  # raises if not unique
-        sinks = [n for n in self._g.nodes if self._g.out_degree(n) == 0]
-        if not sinks:
-            raise GraphConsistencyError("graph has no sink")
-        # Dependent ops must trace back to at least one input.
-        if not nx.is_weakly_connected(self._g):
-            raise GraphConsistencyError("graph is not connected")
+        """Raise :class:`GraphConsistencyError` on a cycle or a root count
+        other than one.
+
+        Nothing else needs checking: in an acyclic graph with a single
+        zero-in-degree op, walking predecessors from any op ends at that
+        root, so the graph is connected and has a sink, and a disconnected
+        graph fails the root check with a second root.
+        """
+        self._kahn_order()
+        self.root()
 
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
     def total_flops(self) -> float:
-        return float(
-            sum(self.spec(n).flops for n in self._g.nodes)
-        )
+        return float(sum(s.flops for s in self._specs.values()))
 
     def total_weight_elems(self) -> int:
         if self._weight_elems_cache is None:
             self._weight_elems_cache = int(
-                sum(self.spec(n).weight_elems for n in self._g.nodes)
+                sum(s.weight_elems for s in self._specs.values())
             )
         return self._weight_elems_cache
 
@@ -319,6 +345,6 @@ class PrecisionDAG:
         """One-line description used in reports."""
         n_adj = len(self.adjustable_ops())
         return (
-            f"PrecisionDAG({len(self._g)} ops, {n_adj} adjustable, "
+            f"PrecisionDAG({len(self)} ops, {n_adj} adjustable, "
             f"depth {self.max_depth()}, {self.total_flops()/1e9:.1f} GFLOPs/iter fwd)"
         )

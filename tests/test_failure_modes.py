@@ -30,7 +30,17 @@ class TestGraphFailures:
         dag = PrecisionDAG()
         dag.add_op(OperatorSpec("a", OpKind.INPUT, (1,)))
         dag.add_op(OperatorSpec("b", OpKind.RELU, (1,)), inputs=["a"])
-        dag.nx_graph.add_edge("b", "a")  # sabotage
+        dag._succs["b"].append("a")  # sabotage: a back edge b -> a
+        dag._preds["a"].append("b")
+        with pytest.raises(GraphConsistencyError, match="cycle"):
+            dag.validate()
+
+    def test_two_components_rejected(self):
+        dag = PrecisionDAG()
+        dag.add_op(OperatorSpec("a", OpKind.INPUT, (1,)))
+        dag.add_op(OperatorSpec("b", OpKind.RELU, (1,)), inputs=["a"])
+        dag.add_op(OperatorSpec("x", OpKind.INPUT, (1,)))
+        dag.add_op(OperatorSpec("y", OpKind.RELU, (1,)), inputs=["x"])
         with pytest.raises(GraphConsistencyError):
             dag.validate()
 

@@ -1,5 +1,7 @@
 """Tests for repro.graph: operator taxonomy, Precision DAG, subgraphs."""
 
+import random
+
 import pytest
 
 from repro.common import Precision
@@ -14,6 +16,7 @@ from repro.graph import (
 )
 from repro.graph.ops import conv2d_flops, linear_flops
 from repro.graph.subgraph import isomorphism_classes
+from repro.models import MODEL_GRAPHS, mini_model_graph
 
 
 def chain_dag() -> PrecisionDAG:
@@ -137,6 +140,86 @@ class TestPrecisionDAG:
     def test_summary_contains_counts(self):
         text = chain_dag().summary()
         assert "2 adjustable" in text
+
+
+def random_dag(seed: int) -> tuple[PrecisionDAG, list[tuple[str, list[str]]]]:
+    """A random DAG plus the ``(name, inputs)`` calls that built it.
+
+    Names are shuffled so insertion order differs from name order, some
+    ops have no inputs (extra roots), and inputs may repeat a name.
+    """
+    rng = random.Random(seed)
+    names = [f"op{i:02d}" for i in range(rng.randint(12, 30))]
+    rng.shuffle(names)
+    dag, calls = PrecisionDAG(), []
+    for i, name in enumerate(names):
+        inputs = []
+        if i and rng.random() > 0.15:
+            inputs = [rng.choice(names[:i]) for _ in range(rng.randint(1, 4))]
+        dag.add_op(OperatorSpec(name, OpKind.RELU, (1,)), inputs=inputs)
+        calls.append((name, inputs))
+    return dag, calls
+
+
+class TestOrderParityWithNetworkx:
+    """Ops, predecessors, successors and the topological order must come
+    out exactly as networkx orders them: structure fingerprints, and so
+    profile and artifact keys, are built from these orders."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_dag_orders(self, seed):
+        nx = pytest.importorskip("networkx")
+        dag, calls = random_dag(seed)
+        ref = nx.DiGraph()
+        for name, inputs in calls:
+            ref.add_node(name)
+            ref.add_edges_from((src, name) for src in inputs)
+        for got, want in ((dag, ref), (dag.copy(), ref.copy())):
+            assert list(got.nodes()) == list(want.nodes)
+            assert got.topo_order() == list(nx.topological_sort(want))
+            for n in want.nodes:
+                assert got.predecessors(n) == list(want.predecessors(n))
+                assert got.successors(n) == list(want.successors(n))
+
+    def test_repeated_input_is_one_edge(self):
+        dag = PrecisionDAG()
+        dag.add_op(OperatorSpec("a", OpKind.INPUT, (1,)))
+        dag.add_op(OperatorSpec("b", OpKind.RELU, (1,)), inputs=["a"])
+        dag.add_op(OperatorSpec("c", OpKind.ADD, (1,)), inputs=["b", "a", "b"])
+        assert dag.predecessors("c") == ["b", "a"]
+        assert dag.successors("a") == ["b", "c"]
+        assert dag.copy().predecessors("c") == ["a", "b"]  # insertion order
+        assert dag.topo_order() == ["a", "b", "c"]
+
+
+#: ``structure_fingerprint()`` of each catalog graph and of its copy (the
+#: per-rank DAGs are copies).  These values key the profile and artifact
+#: stores, so any change to them must be deliberate.
+GOLDEN_FINGERPRINTS = {
+    "vgg16": (13259957133630476148, 13259957133630476148),
+    "vgg16bn": (1017217658219349073, 1017217658219349073),
+    "resnet50": (16403967156115037980, 4849187652308703690),
+    "bert": (1500570273234788534, 18289626766870251011),
+    "roberta": (16892041741057170324, 16616973709953252604),
+    "mini_bert": (15848744393251754990, 3838951999930511147),
+    "mini_vgg": (10164125914609766071, 10164125914609766071),
+    "mini_resnet": (8313163642154358712, 1500305228502047164),
+}
+
+
+@pytest.mark.parametrize("model", sorted(GOLDEN_FINGERPRINTS))
+def test_golden_structure_fingerprints(model):
+    if model in MODEL_GRAPHS:
+        dag = MODEL_GRAPHS[model]()
+    else:
+        dag = mini_model_graph(model, batch_size=8, width_scale=16,
+                               spatial_scale=8)
+    fp = (dag.structure_fingerprint(), dag.copy().structure_fingerprint())
+    assert fp == GOLDEN_FINGERPRINTS[model]
+
+
+def test_golden_fingerprints_cover_every_catalog_graph():
+    assert set(MODEL_GRAPHS) <= set(GOLDEN_FINGERPRINTS)
 
 
 class TestSubgraph:

@@ -173,9 +173,9 @@ def test_structure_fingerprint_distinguishes_graphs():
     assert a.structure_fingerprint() != b.structure_fingerprint()
     # Sibling copies (how qsync_plan builds per-rank DAGs) share a
     # fingerprint, enabling cross-rank sharing.  NB: a copy need not match
-    # its *source* — nx.DiGraph.copy() does not preserve predecessor
-    # order, which the fingerprint observes because cast-node emission
-    # iterates predecessors in order.
+    # its *source* — PrecisionDAG.copy() lists predecessors in insertion
+    # order rather than ``inputs`` order, which the fingerprint observes
+    # because cast-node emission iterates predecessors in order.
     assert a.copy().structure_fingerprint() == a.copy().structure_fingerprint()
     # Precision changes leave the fingerprint untouched.
     fp = a.structure_fingerprint()

@@ -1,0 +1,69 @@
+"""Packaging declares what the code imports, and the planner's import
+graph stays free of heavyweight libraries it does not use."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+def third_party_imports() -> dict[str, set[str]]:
+    """Top-level modules imported anywhere under ``src/repro`` that are
+    neither stdlib nor ``repro``, each with the files importing it."""
+    found: dict[str, set[str]] = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                if top != "repro" and top not in sys.stdlib_module_names:
+                    found.setdefault(top, set()).add(
+                        str(path.relative_to(ROOT))
+                    )
+    return found
+
+
+def declared_dependencies() -> set[str]:
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    names = set()
+    for req in deps:
+        for sep in "<>=!~;[ ":
+            req = req.split(sep)[0]
+        names.add(req.strip().lower())
+    return names
+
+
+def test_every_third_party_import_is_declared():
+    declared = declared_dependencies()
+    imported = third_party_imports()
+    assert "numpy" in imported  # the walk sees real imports
+    missing = {m: sorted(files) for m, files in imported.items()
+               if m.lower() not in declared}
+    assert not missing, f"imported but not in [project].dependencies: {missing}"
+
+
+def test_planner_imports_leave_networkx_unloaded():
+    env = os.environ.copy()
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    probe = (
+        "import sys, repro.session, repro.service, repro.experiments.registry\n"
+        "print('networkx' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.strip() == "False"
