@@ -13,10 +13,10 @@ from repro.common import Precision
 from repro.common.dtypes import lower_precision
 from repro.core.allocator import Allocator
 from repro.core.indicator import VarianceIndicator, gamma_for_loss
-from repro.core.qsync import build_replayer
 from repro.hardware import make_cluster_a
 from repro.models import mini_model_graph
 from repro.profiling import synthesize_stats
+from repro.session import PlanRequest, PlanSession
 
 
 def _builder():
@@ -58,7 +58,9 @@ def greedy_demotion(replayer, rank: int) -> dict[str, Precision]:
 def test_fastest_init_beats_greedy_demotion(once):
     def run():
         cluster = make_cluster_a(1, 1)
-        replayer, _ = build_replayer(_builder, cluster, profile_repeats=2)
+        replayer = PlanSession().prepare(
+            PlanRequest(model=_builder, cluster=cluster, profile_repeats=2)
+        ).replayer
         demotion_plan = greedy_demotion(replayer, 1)
         demotion_time = replayer.mappers[1].build_local_dfg("T4", 1).compute_time
 

@@ -30,10 +30,10 @@ except ImportError:  # standalone invocation without PYTHONPATH=src
 
 from repro.core.allocator import Allocator
 from repro.core.indicator import VarianceIndicator, gamma_for_loss
-from repro.core.qsync import build_replayer
 from repro.hardware import make_cluster_a
 from repro.models import mini_model_graph
 from repro.profiling import synthesize_stats
+from repro.session import PlanRequest, PlanSession
 
 #: The ``bench_ablation_allocator`` mini-BERT model on ClusterA's default
 #: 4+4 slice (the paper's testbed is 16+16; full-rebuild cost scales
@@ -67,7 +67,9 @@ def _build_allocator(
             width_scale=width_scale, spatial_scale=spatial_scale,
         )
 
-    replayer, _ = build_replayer(builder, cluster, profile_repeats=profile_repeats)
+    replayer = PlanSession().prepare(
+        PlanRequest(model=builder, cluster=cluster, profile_repeats=profile_repeats)
+    ).replayer
     replayer.incremental = incremental
     indicators = {}
     for w in cluster.inference_workers:

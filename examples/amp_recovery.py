@@ -13,13 +13,13 @@ which operators the indicator chose to protect.
 Run:  python examples/amp_recovery.py
 """
 
-from repro import qsync_plan
 from repro.common import Precision
 from repro.common.units import GBPS
 from repro.core import AllocatorConfig
 from repro.hardware import V100
 from repro.hardware.cluster import Cluster, Worker
 from repro.models import mini_model_graph
+from repro.session import PlanRequest, PlanSession
 
 
 def main() -> None:
@@ -36,10 +36,18 @@ def main() -> None:
             "mini_bert", batch_size=8, width_scale=24, spatial_scale=8
         )
 
-    _, fp32_report = qsync_plan(builder, cluster, loss="ce")
-    plan, amp_report = qsync_plan(
-        builder, cluster, loss="ce", config=AllocatorConfig(amp_mode=True)
+    fp32_report = PlanSession().plan(
+        PlanRequest(model=builder, cluster=cluster, loss="ce")
+    ).report
+    outcome = PlanSession().plan(
+        PlanRequest(
+            model=builder,
+            cluster=cluster,
+            loss="ce",
+            config=AllocatorConfig(amp_mode=True),
+        )
     )
+    plan, amp_report = outcome.plan, outcome.report
 
     fp32_tp = fp32_report.final_simulation.throughput
     amp_tp = amp_report.final_simulation.throughput

@@ -8,7 +8,6 @@ job that mixes it with V100 trainers.
 Run:  python examples/custom_device.py
 """
 
-from repro import qsync_plan
 from repro.backend import AutoTuner
 from repro.common import Precision
 from repro.common.units import GB, GBPS, TFLOPS
@@ -16,6 +15,7 @@ from repro.graph.ops import OpKind
 from repro.hardware import V100, DeviceSpec
 from repro.hardware.cluster import Cluster, Worker
 from repro.models import mini_model_graph
+from repro.session import PlanRequest, PlanSession
 
 
 def main() -> None:
@@ -56,7 +56,10 @@ def main() -> None:
             "mini_resnet", batch_size=128, width_scale=24, spatial_scale=4
         )
 
-    plan, report = qsync_plan(builder, cluster, loss="ce")
+    outcome = PlanSession().plan(
+        PlanRequest(model=builder, cluster=cluster, loss="ce")
+    )
+    plan, report = outcome.plan, outcome.report
     print()
     print(report.summary())
     print(f"plan: {plan.summary()}")

@@ -11,11 +11,11 @@ Run:  python examples/replayer_vs_ground_truth.py
 from repro.baselines import DproReplayer
 from repro.common import Precision
 from repro.common.units import GBPS
-from repro.core.qsync import build_replayer
 from repro.core.simulator import GroundTruthSimulator
 from repro.hardware import T4
 from repro.hardware.cluster import Cluster, Worker
 from repro.models import mini_model_graph
+from repro.session import PlanRequest, PlanSession
 
 
 def main() -> None:
@@ -31,7 +31,10 @@ def main() -> None:
             "mini_bert6", batch_size=12, width_scale=24, spatial_scale=8
         )
 
-    replayer, backends = build_replayer(builder, cluster, profile_repeats=3)
+    ctx = PlanSession().prepare(
+        PlanRequest(model=builder, cluster=cluster, profile_repeats=3)
+    )
+    replayer, backends = ctx.replayer, ctx.backends
     # replayer.dags is keyed by rank identity; ranks may be non-contiguous
     # on churned clusters, so pick the lowest rank rather than literal 0.
     dag = replayer.dags[min(replayer.dags)]

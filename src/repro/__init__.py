@@ -55,11 +55,6 @@ Serving — many concurrent callers, persistence across restarts::
 
     service = PlanService(root="~/.cache/repro")   # warm-starts from disk
     outcome = service.plan(request)                # thread-safe, coalescing
-
-The legacy one-shot facade is still exported::
-
-    from repro import qsync_plan
-    plan, report = qsync_plan(vgg16_graph(batch_size=128), make_cluster_a())
 """
 
 from repro.common import Precision
@@ -74,24 +69,13 @@ __all__ = [
     "PlanService",
     "PlanSession",
     "plan_many",
-    "qsync_plan",
     "__version__",
 ]
 
 
-def qsync_plan(*args, **kwargs):
-    """Late-bound convenience wrapper around :func:`repro.core.qsync.qsync_plan`.
-
-    Imported lazily so ``import repro`` stays cheap for users who only need
-    the substrate layers.
-    """
-    from repro.core.qsync import qsync_plan as _impl
-
-    return _impl(*args, **kwargs)
-
-
 def __getattr__(name: str):
-    """Lazy session API exports (PEP 562) — same cheap-import rationale."""
+    """Lazy session API exports (PEP 562), so ``import repro`` stays cheap
+    for users who only need the substrate layers."""
     if name in ("PlanSession", "PlanRequest", "PlanOutcome", "Perturbation"):
         import repro.session as _session
 

@@ -296,12 +296,13 @@ class LayeringRule(Rule):
     → profiling → core → baselines/engine → session → service →
     experiments``.  ``TYPE_CHECKING``-guarded imports always pass;
     function-local deferred imports pass the *ladder* (the sanctioned
-    thin-wrapper idiom, e.g. ``core.qsync`` delegating to an ephemeral
-    session) — but the :data:`BANNED_PAIRS` edges are violations at *any*
-    runtime scope: nothing in ``repro.engine`` may import ``repro.session``
-    (the engine stays embeddable without the session layer), and nothing in
-    ``repro.session`` may import ``repro.service`` (the session must not
-    grow a dependency on its own serving wrapper — PR 9).
+    deferral idiom, e.g. ``core.replayer`` importing ``repro.engine.core``
+    inside ``simulate``) — but the :data:`BANNED_PAIRS` edges are
+    violations at *any* runtime scope: nothing in ``repro.engine`` may
+    import ``repro.session`` (the engine stays embeddable without the
+    session layer), and nothing in ``repro.session`` may import
+    ``repro.service`` (the session must not grow a dependency on its own
+    serving wrapper).
     """
 
     id = "RPR004"

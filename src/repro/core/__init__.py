@@ -12,7 +12,9 @@
   that replaces the paper's hardware measurements (DESIGN.md §4.1).
 * :mod:`repro.core.allocator` — quantization-minimized precision allocation:
   fastest-feasible initialization + max-heap recovery (Sec. V).
-* :mod:`repro.core.qsync` — the end-to-end 7-step workflow (Fig. 3).
+
+The end-to-end 7-step workflow (Fig. 3) that wires these together is
+:class:`repro.session.PlanSession`.
 """
 
 from repro.core.allocator import Allocator, AllocatorConfig
@@ -25,7 +27,6 @@ from repro.core.cost_mapper import (
 from repro.core.dfg import DFGNode, GlobalDFG, LocalDFG, NodeKind, Stream
 from repro.core.indicator import IndicatorProtocol, VarianceIndicator
 from repro.core.plan import PrecisionPlan
-from repro.core.qsync import QSyncReport, qsync_plan
 from repro.core.replayer import Replayer, ReplayerStats, SimulationResult
 from repro.core.simulator import GroundTruthSimulator
 
@@ -48,6 +49,4 @@ __all__ = [
     "Allocator",
     "AllocatorConfig",
     "PrecisionPlan",
-    "qsync_plan",
-    "QSyncReport",
 ]

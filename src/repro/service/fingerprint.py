@@ -10,8 +10,8 @@ the profiling cache keys underneath.
 
 The content-vs-identity boundary is explicit: a request carrying an
 *opaque* member — a prebuilt :class:`PrecisionDAG`, a model-builder
-callable, a custom collective-model/schedule-policy instance, an
-indicator factory, pre-collected stats — has no content address, and
+callable, a custom collective-model/schedule-policy instance,
+pre-collected stats — has no content address, and
 :func:`request_fingerprint` returns ``None``.  Opaque requests are still
 served (under the service lock), they just never coalesce: inventing an
 identity-derived key there would alias distinct queries.

@@ -234,6 +234,6 @@ def plan_many(
     profile_seed: int = 0,
 ) -> list[PlanOutcome]:
     """One-shot batched planning over an ephemeral :class:`PlanService`
-    (grouped amortization and deduplication included) — the serving-layer
-    analogue of the legacy ``qsync_plan`` convenience wrapper."""
+    (grouped amortization and deduplication included) — for callers that
+    plan one batch and need no service afterwards."""
     return PlanService(root=root, profile_seed=profile_seed).plan_many(requests)

@@ -8,13 +8,18 @@ Baselines are first-class :class:`Planner` strategies behind a registry,
 all returning the common :class:`PlanOutcome`, so
 ``session.compare(request)`` produces a full baseline table in one call.
 
-The legacy entry points (``repro.core.qsync.qsync_plan`` /
-``build_replayer``) remain as thin compatibility wrappers over an
-ephemeral session.
+This is the only entry point: ``session.plan(request)`` returns a
+:class:`PlanOutcome` (plan, simulation, :class:`QSyncReport`), and
+``session.prepare(request)`` returns the :class:`PlanContext` (replayer,
+backends, stats) for callers that drive the replayer directly.
 """
 
 from repro.engine import Perturbation
-from repro.session.outcome import PlanOutcome, passive_allocation_report
+from repro.session.outcome import (
+    PlanOutcome,
+    QSyncReport,
+    passive_allocation_report,
+)
 from repro.session.planners import (
     Planner,
     available_strategies,
@@ -36,6 +41,7 @@ __all__ = [
     "PlanRequest",
     "PlanSession",
     "Planner",
+    "QSyncReport",
     "ReplanOutcome",
     "ProfileStore",
     "SessionStats",

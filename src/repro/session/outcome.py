@@ -15,8 +15,26 @@ import dataclasses
 from repro.core.allocator import AllocationReport, precision_counts
 from repro.core.compression import CompressionReport
 from repro.core.plan import PrecisionPlan
-from repro.core.qsync import QSyncReport
 from repro.core.replayer import SimulationResult
+
+
+@dataclasses.dataclass
+class QSyncReport:
+    """Everything an operator of the system wants to know post-allocation."""
+
+    cluster: str
+    model_summary: str
+    allocation: AllocationReport
+    final_simulation: SimulationResult
+
+    def summary(self) -> str:
+        sim = self.final_simulation
+        return (
+            f"[{self.cluster}] {self.model_summary}\n"
+            f"  allocation: {self.allocation.summary()}\n"
+            f"  predicted iteration: {sim.iteration_time * 1e3:.1f} ms "
+            f"({sim.throughput:.3f} it/s)"
+        )
 
 
 @dataclasses.dataclass

@@ -44,9 +44,12 @@ from repro.core.allocator import Allocator
 from repro.core.compression import allocate_compression
 from repro.core.indicator import VarianceIndicator
 from repro.core.plan import PrecisionPlan
-from repro.core.qsync import QSyncReport
 from repro.quant.qsgd import CompressionConfig, level_bits
-from repro.session.outcome import PlanOutcome, passive_allocation_report
+from repro.session.outcome import (
+    PlanOutcome,
+    QSyncReport,
+    passive_allocation_report,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.session.session import PlanContext
@@ -106,10 +109,8 @@ def _report(ctx: "PlanContext", allocation, simulation) -> QSyncReport:
 
 
 def _make_indicator(ctx: "PlanContext", dag, choice):
-    """Build one device type's indicator from a name, a legacy factory, or
-    ``None`` (the variance default)."""
-    if callable(choice) and not isinstance(choice, str):
-        return choice(dag, ctx.stats, ctx.gamma)
+    """Build one device type's indicator from a name or ``None`` (the
+    variance default)."""
     if choice in (None, "variance"):
         return VarianceIndicator(dag, ctx.stats, ctx.gamma)
     if choice == "random":
@@ -117,8 +118,7 @@ def _make_indicator(ctx: "PlanContext", dag, choice):
     if choice == "hessian":
         return HessianIndicator(structural_eigenvalues(dag, ctx.stats), ctx.stats)
     raise ValueError(
-        f"unknown indicator {choice!r}; available: variance, hessian, random "
-        f"(or a (dag, stats, gamma) factory)"
+        f"unknown indicator {choice!r}; available: variance, hessian, random"
     )
 
 

@@ -129,7 +129,7 @@ def profiling_fingerprint(dag: PrecisionDAG) -> str:
 
 
 # ---------------------------------------------------------------------------
-# backend resolution (shared with the legacy ``build_replayer`` wrapper)
+# backend resolution (per-rank defaults plus validated partial overrides)
 # ---------------------------------------------------------------------------
 
 

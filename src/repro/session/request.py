@@ -3,9 +3,9 @@
 A :class:`PlanRequest` names everything one what-if query needs: the model
 (a graph-catalog name, a mini-model name, a zero-arg builder, or a built
 :class:`PrecisionDAG`), the cluster (a :data:`CLUSTER_PRESETS` name or a
-:class:`Cluster`), the planner strategy, and the knobs the legacy
-``qsync_plan`` took positionally (loss, batch size, collective model,
-indicator, allocator config, seed, ``profile_repeats``, explicit backends).
+:class:`Cluster`), the planner strategy, and the planning knobs (loss,
+batch size, collective model, indicator name, allocator config, seed,
+``profile_repeats``, explicit backends).
 
 Requests are plain frozen dataclasses: building one performs no profiling
 and touches no hardware model.  All the expensive work happens when a
@@ -31,8 +31,7 @@ from repro.quant.qsgd import CompressionConfig
 
 #: Indicator names the allocator-backed strategies understand.  ``None``
 #: (the default) means the strategy's own choice — QSync's variance
-#: indicator.  A callable is the legacy ``indicator_factory`` escape hatch:
-#: ``(dag, stats, gamma) -> IndicatorProtocol``.
+#: indicator.
 INDICATOR_NAMES = ("variance", "hessian", "random")
 
 
@@ -57,7 +56,8 @@ class PlanRequest:
         built DAG (copied per rank; never mutated).
     model_kwargs:
         Builder kwargs when ``model`` is a name (``batch_size``,
-        ``width_scale``, ...).  Ignored for callables and DAG instances.
+        ``width_scale``, ...).  Must be empty for callables and DAG
+        instances, which take no kwargs.
     cluster:
         :data:`CLUSTER_PRESETS` name or a :class:`Cluster` instance.
     strategy:
@@ -84,8 +84,7 @@ class PlanRequest:
         simulation of this request.
     indicator:
         Indicator override for the allocator strategies: a name from
-        :data:`INDICATOR_NAMES`, a legacy ``(dag, stats, gamma)`` factory,
-        or ``None`` for the strategy default.
+        :data:`INDICATOR_NAMES`, or ``None`` for the strategy default.
     config:
         Allocator tunables (also carries §VIII ``amp_mode``).
     seed:
@@ -93,7 +92,7 @@ class PlanRequest:
         draws.  Profiling noise is seeded by the backends, not by this.
     profile_repeats:
         Measurements averaged per (op, precision) catalog entry — the
-        experiments use 2/3; the legacy default is 3.
+        experiments use 2/3; the default is 3.
     backends:
         Optional per-rank :class:`LPBackend` overrides.  May be *partial*:
         missing ranks get default backends; a backend modelling a different
@@ -125,7 +124,7 @@ class PlanRequest:
     collective_model: Union[CollectiveModel, str, None] = None
     schedule_policy: Union[SchedulePolicy, str, None] = None
     perturbation: Perturbation | None = None
-    indicator: Union[str, Callable, None] = None
+    indicator: str | None = None
     config: AllocatorConfig | None = None
     seed: int = 0
     profile_repeats: int = 3
@@ -139,6 +138,11 @@ class PlanRequest:
         if self.profile_repeats < 1:
             raise ValueError(
                 f"profile_repeats must be >= 1, got {self.profile_repeats}"
+            )
+        if self.model_kwargs and not isinstance(self.model, str):
+            raise ValueError(
+                "model_kwargs applies only to a named model; a builder or "
+                f"DAG takes none, got {sorted(self.model_kwargs)}"
             )
         gamma_for_loss(self.loss, 1)  # raises ValueError on unknown losses
         if (
@@ -167,10 +171,10 @@ class PlanRequest:
                 f"perturbation must be a repro.engine.Perturbation or None, "
                 f"got {type(self.perturbation).__name__}"
             )
-        if isinstance(self.indicator, str) and self.indicator not in INDICATOR_NAMES:
+        if self.indicator is not None and self.indicator not in INDICATOR_NAMES:
             raise ValueError(
                 f"unknown indicator {self.indicator!r}; available: "
-                f"{', '.join(INDICATOR_NAMES)} (or a (dag, stats, gamma) factory)"
+                f"{', '.join(INDICATOR_NAMES)} (or None for the strategy default)"
             )
         if self.compression is not None and not isinstance(
             self.compression, CompressionConfig

@@ -93,8 +93,9 @@ class PlanSession:
     ----------
     profile_seed:
         Seed of the default per-rank :class:`LPBackend` measurement noise
-        (``0`` matches the legacy ``build_replayer`` default — keep it to
-        stay bit-identical with the historical entry points).
+        (``0`` is the seed of the pre-session pipeline that
+        ``tests/test_session_parity.py`` keeps as its oracle — keep it to
+        stay bit-identical with that pipeline).
     profiles:
         The artifact store to plan against.  ``None`` builds a private
         in-memory :class:`ProfileStore`; the serving layer passes a

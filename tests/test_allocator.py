@@ -1,16 +1,16 @@
-"""Tests for the Allocator and the qsync_plan facade."""
+"""Tests for the Allocator and the ``qsync`` planning strategy."""
 
 import pytest
 
 from repro.common import Precision
 from repro.common.errors import InfeasiblePlanError
-from repro.core import AllocatorConfig, qsync_plan
+from repro.core import AllocatorConfig
 from repro.core.allocator import Allocator
 from repro.core.indicator import VarianceIndicator, gamma_for_loss
-from repro.core.qsync import build_replayer
 from repro.hardware import make_cluster_a, make_cluster_b
 from repro.models import mini_model_graph
 from repro.profiling import synthesize_stats
+from repro.session import PlanRequest, PlanSession
 
 
 def scaled_bert(batch=8):
@@ -26,8 +26,10 @@ def scaled_vggbn(batch=384):
 @pytest.fixture(scope="module")
 def cluster_a_plan():
     cluster = make_cluster_a(1, 1)
-    plan, report = qsync_plan(scaled_bert, cluster, loss="ce")
-    return plan, report
+    outcome = PlanSession().plan(
+        PlanRequest(model=scaled_bert, cluster=cluster, loss="ce")
+    )
+    return outcome.plan, outcome.report
 
 
 class TestAllocatorClusterA:
@@ -83,10 +85,16 @@ class TestAllocatorClusterB:
         """ClusterB (30% T4 memory) must quantize more than ClusterA."""
         cluster_b = make_cluster_b(1, 1, memory_ratio=0.3)
         dag_builder = scaled_vggbn
-        plan_b, report_b = qsync_plan(dag_builder, cluster_b, loss="ce")
+        outcome = PlanSession().plan(
+            PlanRequest(model=dag_builder, cluster=cluster_b, loss="ce")
+        )
+        plan_b, report_b = outcome.plan, outcome.report
 
         cluster_a = make_cluster_a(1, 1)
-        plan_a, report_a = qsync_plan(dag_builder, cluster_a, loss="ce")
+        outcome = PlanSession().plan(
+            PlanRequest(model=dag_builder, cluster=cluster_a, loss="ce")
+        )
+        plan_a, report_a = outcome.plan, outcome.report
 
         quantized_b = len(plan_b.quantized_ops("T4"))
         quantized_a = len(plan_a.quantized_ops("T4"))
@@ -95,7 +103,9 @@ class TestAllocatorClusterB:
     def test_memory_constraint_satisfied(self):
         cluster = make_cluster_b(1, 1, memory_ratio=0.3)
         builder = scaled_vggbn
-        plan, report = qsync_plan(builder, cluster, loss="ce")
+        report = PlanSession().plan(
+            PlanRequest(model=builder, cluster=cluster, loss="ce")
+        ).report
         mem = report.final_simulation.memory
         t4_available = cluster.inference_workers[0].device.available_memory
         t4_rank = cluster.inference_workers[0].rank
@@ -105,7 +115,9 @@ class TestAllocatorClusterB:
         cluster = make_cluster_b(1, 1, memory_ratio=0.02)  # 320 MB
         builder = lambda: scaled_vggbn(batch=512)
         with pytest.raises(InfeasiblePlanError):
-            qsync_plan(builder, cluster, loss="ce")
+            PlanSession().plan(
+                PlanRequest(model=builder, cluster=cluster, loss="ce")
+            )
 
 
 class TestAllocatorMechanics:
@@ -113,7 +125,9 @@ class TestAllocatorMechanics:
         """With headroom for only some promotions, the *least* sensitive ops
         must be the ones recovered last (highest omega recovered first)."""
         cluster = make_cluster_a(1, 1)
-        replayer, _ = build_replayer(scaled_bert, cluster, profile_repeats=1)
+        replayer = PlanSession().prepare(
+            PlanRequest(model=scaled_bert, cluster=cluster, profile_repeats=1)
+        ).replayer
         dag = replayer.dags[1]
         stats = synthesize_stats(dag, seed=0)
         indicator = VarianceIndicator(dag, stats, gamma_for_loss("ce", 8))
@@ -137,23 +151,33 @@ class TestAllocatorMechanics:
                 Worker(rank=i, device=V100, link_bandwidth=300 * GBPS) for i in range(2)
             ),
         )
-        plan, report = qsync_plan(scaled_bert, cluster, loss="ce")
+        outcome = PlanSession().plan(
+            PlanRequest(model=scaled_bert, cluster=cluster, loss="ce")
+        )
+        plan, report = outcome.plan, outcome.report
         assert plan.assignments == {}
         assert report.allocation.recovery_attempts == 0
 
     def test_throughput_at_least_t_min(self):
         cluster = make_cluster_b(1, 1, memory_ratio=0.3)
-        plan, report = qsync_plan(
-            scaled_vggbn, cluster, loss="ce",
-            config=AllocatorConfig(throughput_slack=0.005),
-        )
+        report = PlanSession().plan(
+            PlanRequest(
+                model=scaled_vggbn,
+                cluster=cluster,
+                loss="ce",
+                config=AllocatorConfig(throughput_slack=0.005),
+            )
+        ).report
         alloc = report.allocation
         assert alloc.final_throughput >= (1 - 0.006) * alloc.t_min
 
     def test_config_limits_recovery_steps(self):
         cluster = make_cluster_a(1, 1)
-        plan, report = qsync_plan(
-            scaled_bert, cluster,
-            config=AllocatorConfig(max_recovery_steps=3),
-        )
+        report = PlanSession().plan(
+            PlanRequest(
+                model=scaled_bert,
+                cluster=cluster,
+                config=AllocatorConfig(max_recovery_steps=3),
+            )
+        ).report
         assert report.allocation.recovery_attempts <= 3

@@ -8,10 +8,11 @@ the inference GPU to the training GPU" — the throughput-maximum case.
 
 from repro.common import Precision
 from repro.common.units import GBPS
-from repro.core import AllocatorConfig, qsync_plan
+from repro.core import AllocatorConfig
 from repro.hardware import V100, make_cluster_a
 from repro.hardware.cluster import Cluster, Worker
 from repro.models import mini_model_graph
+from repro.session import PlanRequest, PlanSession
 
 
 def scaled_bert():
@@ -31,14 +32,21 @@ def training_only_cluster(n: int = 2) -> Cluster:
 
 class TestAmpMode:
     def test_default_mode_leaves_training_gpus_alone(self):
-        plan, _ = qsync_plan(scaled_bert, training_only_cluster(), loss="ce")
+        plan = PlanSession().plan(
+            PlanRequest(model=scaled_bert, cluster=training_only_cluster(), loss="ce")
+        ).plan
         assert plan.assignments == {}
 
     def test_amp_mode_plans_training_gpus(self):
-        plan, report = qsync_plan(
-            scaled_bert, training_only_cluster(), loss="ce",
-            config=AllocatorConfig(amp_mode=True),
+        outcome = PlanSession().plan(
+            PlanRequest(
+                model=scaled_bert,
+                cluster=training_only_cluster(),
+                loss="ce",
+                config=AllocatorConfig(amp_mode=True),
+            )
         )
+        plan, report = outcome.plan, outcome.report
         v100_plan = plan.for_device("V100")
         assert v100_plan  # training GPUs now carry a plan
         # V100 has no INT8 path: the plan must be FP16/FP32 only.
@@ -50,37 +58,55 @@ class TestAmpMode:
     def test_amp_mode_recovers_toward_fp32(self):
         """The recovery target shifts to the training GPU: at least some
         promotions should be attempted there."""
-        _, report = qsync_plan(
-            scaled_bert, training_only_cluster(), loss="ce",
-            config=AllocatorConfig(amp_mode=True),
-        )
+        report = PlanSession().plan(
+            PlanRequest(
+                model=scaled_bert,
+                cluster=training_only_cluster(),
+                loss="ce",
+                config=AllocatorConfig(amp_mode=True),
+            )
+        ).report
         assert report.allocation.recovery_attempts > 0
 
     def test_amp_mode_throughput_constraint_still_holds(self):
-        _, report = qsync_plan(
-            scaled_bert, training_only_cluster(), loss="ce",
-            config=AllocatorConfig(amp_mode=True),
-        )
+        report = PlanSession().plan(
+            PlanRequest(
+                model=scaled_bert,
+                cluster=training_only_cluster(),
+                loss="ce",
+                config=AllocatorConfig(amp_mode=True),
+            )
+        ).report
         alloc = report.allocation
         assert alloc.final_throughput >= 0.99 * alloc.t_min
 
     def test_amp_mode_on_hybrid_cluster_plans_both_types(self):
         cluster = make_cluster_a(1, 1)
-        plan, _ = qsync_plan(
-            scaled_bert, cluster, loss="ce",
-            config=AllocatorConfig(amp_mode=True),
-        )
+        plan = PlanSession().plan(
+            PlanRequest(
+                model=scaled_bert,
+                cluster=cluster,
+                loss="ce",
+                config=AllocatorConfig(amp_mode=True),
+            )
+        ).plan
         assert plan.for_device("V100")
         assert plan.for_device("T4")
 
     def test_amp_faster_than_fp32_baseline(self):
         """AMP mode's whole point: the plan beats the pinned-FP32 cluster."""
         cluster = training_only_cluster()
-        _, fp32_report = qsync_plan(scaled_bert, cluster, loss="ce")
-        _, amp_report = qsync_plan(
-            scaled_bert, cluster, loss="ce",
-            config=AllocatorConfig(amp_mode=True),
-        )
+        fp32_report = PlanSession().plan(
+            PlanRequest(model=scaled_bert, cluster=cluster, loss="ce")
+        ).report
+        amp_report = PlanSession().plan(
+            PlanRequest(
+                model=scaled_bert,
+                cluster=cluster,
+                loss="ce",
+                config=AllocatorConfig(amp_mode=True),
+            )
+        ).report
         assert (
             amp_report.final_simulation.throughput
             > fp32_report.final_simulation.throughput

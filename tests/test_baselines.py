@@ -13,10 +13,10 @@ from repro.baselines import (
 )
 from repro.common import GB, Precision, new_rng
 from repro.common.errors import InfeasiblePlanError
-from repro.core.qsync import build_replayer
 from repro.hardware import T4, make_cluster_a
 from repro.models import make_mini_model, mini_model_graph
 from repro.profiling import collect_model_stats
+from repro.session import PlanRequest, PlanSession
 from repro.tensor import Tensor, functional as F
 
 
@@ -151,7 +151,10 @@ class TestDpro:
         builder = lambda: mini_model_graph(
             "mini_bert", batch_size=12, width_scale=24, spatial_scale=8
         )
-        replayer, backends = build_replayer(builder, cluster, profile_repeats=2)
+        ctx = PlanSession().prepare(
+            PlanRequest(model=builder, cluster=cluster, profile_repeats=2)
+        )
+        replayer, backends = ctx.replayer, ctx.backends
         dag = replayer.dags[1]
         plan = {
             op: Precision.INT8
@@ -178,7 +181,9 @@ class TestDpro:
         builder = lambda: mini_model_graph(
             "mini_vgg", batch_size=32, width_scale=8, spatial_scale=4
         )
-        replayer, _ = build_replayer(builder, cluster, profile_repeats=2)
+        replayer = PlanSession().prepare(
+            PlanRequest(model=builder, cluster=cluster, profile_repeats=2)
+        ).replayer
         qsync_pred = replayer.simulate().iteration_time
         dpro = DproReplayer(
             cluster,

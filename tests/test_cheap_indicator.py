@@ -48,14 +48,16 @@ class TestStructuralIndicator:
 
     def test_usable_by_allocator(self):
         from repro.core.allocator import Allocator, AllocatorConfig
-        from repro.core.qsync import build_replayer
         from repro.hardware import make_cluster_a
+        from repro.session import PlanRequest, PlanSession
 
         cluster = make_cluster_a(1, 1)
         builder = lambda: mini_model_graph(
             "mini_bert", batch_size=8, width_scale=24, spatial_scale=8
         )
-        replayer, _ = build_replayer(builder, cluster, profile_repeats=1)
+        replayer = PlanSession().prepare(
+            PlanRequest(model=builder, cluster=cluster, profile_repeats=1)
+        ).replayer
         ind = StructuralIndicator(replayer.dags[1], gamma_for_loss("ce", 8))
         allocator = Allocator(
             replayer, {"T4": ind},

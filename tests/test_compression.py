@@ -23,7 +23,6 @@ from benchmarks.bench_allocator_speed import SMALL_SETUP, _build_allocator
 from repro.common.dtypes import Precision
 from repro.core.compression import CompressionReport, allocate_compression
 from repro.core.plan import COMPRESSION_KEY, PrecisionPlan
-from repro.core.qsync import build_replayer
 from repro.core.replayer import bucket_comm_durations, simulate_global_dfg
 from repro.hardware.cluster import make_cluster_a, make_cluster_a_multinode
 from repro.models.trainable import mini_model_graph
@@ -47,10 +46,11 @@ def _replayer(cluster=None, collective_model=None):
             "mini_bert", batch_size=4, width_scale=8, spatial_scale=4
         )
 
-    replayer, _ = build_replayer(
-        builder, cluster, profile_repeats=1, collective_model=collective_model
+    request = PlanRequest(
+        model=builder, cluster=cluster, profile_repeats=1,
+        collective_model=collective_model,
     )
-    return replayer
+    return PlanSession().prepare(request).replayer
 
 
 class TestCompressedPricing:

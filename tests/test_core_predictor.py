@@ -16,11 +16,11 @@ from repro.core import (
 )
 from repro.core.dfg import CommBucket, DFGNode, NodeKind, assign_buckets
 from repro.core.indicator import gamma_for_loss
-from repro.core.qsync import build_replayer
 from repro.graph.dag import PrecisionDAG
 from repro.hardware import T4, make_cluster_a
 from repro.models import mini_model_graph
 from repro.profiling import CastCostCalculator, profile_operator_costs, synthesize_stats
+from repro.session import PlanRequest, PlanSession
 
 
 @pytest.fixture(scope="module")
@@ -244,14 +244,12 @@ class TestReplayer:
     @pytest.fixture(scope="class")
     def replayer(self):
         cluster = make_cluster_a(2, 2)
-        rep, _ = build_replayer(
-            lambda: mini_model_graph(
-                "mini_bert", batch_size=8, width_scale=24, spatial_scale=8
-            ),
-            cluster,
-            profile_repeats=2,
+        builder = lambda: mini_model_graph(
+            "mini_bert", batch_size=8, width_scale=24, spatial_scale=8
         )
-        return rep
+        return PlanSession().prepare(
+            PlanRequest(model=builder, cluster=cluster, profile_repeats=2)
+        ).replayer
 
     def test_fp32_simulation_baseline(self, replayer):
         sim = replayer.simulate()
@@ -307,7 +305,10 @@ class TestGroundTruthSimulator:
         builder = lambda: mini_model_graph(
             "mini_bert", batch_size=8, width_scale=24, spatial_scale=8
         )
-        replayer, backends = build_replayer(builder, cluster, profile_repeats=3)
+        ctx = PlanSession().prepare(
+            PlanRequest(model=builder, cluster=cluster, profile_repeats=3)
+        )
+        replayer, backends = ctx.replayer, ctx.backends
         # Half-linears configuration (Table III flavor).
         dag_t4 = replayer.dags[1]
         plan = {
@@ -328,7 +329,10 @@ class TestGroundTruthSimulator:
         builder = lambda: mini_model_graph(
             "mini_vgg", batch_size=8, width_scale=8, spatial_scale=4
         )
-        replayer, backends = build_replayer(builder, cluster, profile_repeats=1)
+        ctx = PlanSession().prepare(
+            PlanRequest(model=builder, cluster=cluster, profile_repeats=1)
+        )
+        replayer, backends = ctx.replayer, ctx.backends
         gt1 = GroundTruthSimulator(cluster, replayer.dags, backends, seed=3)
         gt2 = GroundTruthSimulator(cluster, replayer.dags, backends, seed=3)
         assert gt1.run(2).iteration_time == gt2.run(2).iteration_time
@@ -338,7 +342,10 @@ class TestGroundTruthSimulator:
         builder = lambda: mini_model_graph(
             "mini_vgg", batch_size=8, width_scale=8, spatial_scale=4
         )
-        replayer, backends = build_replayer(builder, cluster, profile_repeats=1)
+        ctx = PlanSession().prepare(
+            PlanRequest(model=builder, cluster=cluster, profile_repeats=1)
+        )
+        replayer, backends = ctx.replayer, ctx.backends
         lo = GroundTruthSimulator(
             cluster, replayer.dags, backends, comm_contention=0.0, seed=0
         ).run(2)

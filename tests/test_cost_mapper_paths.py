@@ -8,12 +8,12 @@ from repro.backend import LPBackend
 from repro.common import Precision
 from repro.core import CostMapper
 from repro.core.dfg import NodeKind
-from repro.core.qsync import build_replayer
 from repro.graph.dag import PrecisionDAG
 from repro.graph.ops import OperatorSpec, OpKind
 from repro.hardware import T4, make_cluster_a
 from repro.models import mini_model_graph
 from repro.profiling import CastCostCalculator, profile_operator_costs
+from repro.session import PlanRequest, PlanSession
 
 
 def _chain_dag() -> PrecisionDAG:
@@ -111,10 +111,13 @@ class TestDependentKernelFallback:
 class TestProfilingArtifactSharing:
     def test_same_type_workers_share_catalogs(self):
         cluster = make_cluster_a(2, 2)
-        replayer, _ = build_replayer(
-            lambda: mini_model_graph("mini_vgg", batch_size=8),
-            cluster, profile_repeats=1,
-        )
+        replayer = PlanSession().prepare(
+            PlanRequest(
+                model=lambda: mini_model_graph("mini_vgg", batch_size=8),
+                cluster=cluster,
+                profile_repeats=1,
+            )
+        ).replayer
         # Ranks 0/1 are V100, 2/3 are T4: catalog objects shared per type.
         assert replayer.mappers[0].catalog is replayer.mappers[1].catalog
         assert replayer.mappers[2].catalog is replayer.mappers[3].catalog
@@ -122,10 +125,13 @@ class TestProfilingArtifactSharing:
 
     def test_each_rank_owns_its_dag(self):
         cluster = make_cluster_a(1, 1)
-        replayer, _ = build_replayer(
-            lambda: mini_model_graph("mini_vgg", batch_size=8),
-            cluster, profile_repeats=1,
-        )
+        replayer = PlanSession().prepare(
+            PlanRequest(
+                model=lambda: mini_model_graph("mini_vgg", batch_size=8),
+                cluster=cluster,
+                profile_repeats=1,
+            )
+        ).replayer
         replayer.dags[1].set_precision(
             replayer.dags[1].adjustable_ops()[0], Precision.FP16
         )

@@ -20,11 +20,11 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 #: Probe script: emits every value that must survive the process boundary.
 _PROBE = r"""
 import json
-from repro.core.qsync import build_replayer
 from repro.core.simulator import GroundTruthSimulator
 from repro.experiments.sweep import ScenarioGrid
 from repro.hardware import make_cluster_a
 from repro.models import mini_model_graph
+from repro.session import PlanRequest, PlanSession
 
 dag = mini_model_graph("mini_vggbn", batch_size=4)
 fingerprint = dag.structure_fingerprint()
@@ -33,7 +33,10 @@ cluster = make_cluster_a(1, 1)
 builder = lambda: mini_model_graph(
     "mini_bert", batch_size=2, width_scale=2, spatial_scale=2
 )
-replayer, backends = build_replayer(builder, cluster, profile_repeats=1)
+ctx = PlanSession().prepare(
+    PlanRequest(model=builder, cluster=cluster, profile_repeats=1)
+)
+replayer, backends = ctx.replayer, ctx.backends
 sim = GroundTruthSimulator(cluster, replayer.dags, backends, seed=3).run(
     iterations=2
 )

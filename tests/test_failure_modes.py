@@ -14,12 +14,12 @@ from repro.common.errors import (
     UnsupportedPrecisionError,
 )
 from repro.core.dfg import CommBucket, LocalDFG
-from repro.core.qsync import qsync_plan
 from repro.graph.dag import PrecisionDAG
 from repro.graph.ops import OperatorSpec, OpKind
 from repro.hardware import V100, make_cluster_b
 from repro.models import make_mini_model, mini_model_graph
 from repro.parallel import DataParallelTrainer, WorkerConfig
+from repro.session import PlanRequest, PlanSession
 from repro.tensor import Tensor
 from repro.tensor.modules import Linear
 from repro.train import SGD
@@ -89,7 +89,9 @@ class TestAllocatorFailures:
             "mini_vggbn", batch_size=512, width_scale=16, spatial_scale=4
         )
         with pytest.raises(InfeasiblePlanError):
-            qsync_plan(builder, cluster, loss="ce")
+            PlanSession().plan(
+                PlanRequest(model=builder, cluster=cluster, loss="ce")
+            )
 
 
 class TestTrainerFailures:

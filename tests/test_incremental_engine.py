@@ -15,11 +15,11 @@ from repro.common import Precision, new_rng
 from repro.core import CostMapper
 from repro.core.allocator import Allocator
 from repro.core.indicator import VarianceIndicator, gamma_for_loss
-from repro.core.qsync import build_replayer
 from repro.graph.propagation import effective_precisions, propagate_dirty
 from repro.hardware import make_cluster_a, make_cluster_b
 from repro.models import mini_model_graph
 from repro.profiling import MemoryModel, synthesize_stats
+from repro.session import PlanRequest, PlanSession
 
 CLUSTERS = {
     "cluster_a": lambda: make_cluster_a(1, 1),
@@ -70,7 +70,9 @@ def test_apply_change_walk_matches_fresh_rebuild(cluster_name, model):
     cluster = CLUSTERS[cluster_name]()
     builder = lambda: mini_model_graph(model, batch_size=4, width_scale=8,
                                        spatial_scale=4)
-    replayer, _ = build_replayer(builder, cluster, profile_repeats=1)
+    replayer = PlanSession().prepare(
+        PlanRequest(model=builder, cluster=cluster, profile_repeats=1)
+    ).replayer
     worker = cluster.inference_workers[0]
     rank = worker.rank
     mapper = replayer.mappers[rank]
@@ -171,7 +173,7 @@ def test_structure_fingerprint_distinguishes_graphs():
                          spatial_scale=4)
     assert a.structure_version == b.structure_version
     assert a.structure_fingerprint() != b.structure_fingerprint()
-    # Sibling copies (how qsync_plan builds per-rank DAGs) share a
+    # Sibling copies (how PlanSession.prepare builds per-rank DAGs) share a
     # fingerprint, enabling cross-rank sharing.  NB: a copy need not match
     # its *source* — PrecisionDAG.copy() lists predecessors in insertion
     # order rather than ``inputs`` order, which the fingerprint observes
@@ -186,11 +188,12 @@ def test_structure_fingerprint_distinguishes_graphs():
 def test_replayer_type_cache_shares_across_ranks():
     """Same-type ranks under identical plans must share one built DFG."""
     cluster = make_cluster_a(2, 2)
-    replayer, _ = build_replayer(
-        lambda: mini_model_graph("mini_bert", batch_size=4, width_scale=8,
-                                 spatial_scale=4),
-        cluster, profile_repeats=1,
+    builder = lambda: mini_model_graph(
+        "mini_bert", batch_size=4, width_scale=8, spatial_scale=4
     )
+    replayer = PlanSession().prepare(
+        PlanRequest(model=builder, cluster=cluster, profile_repeats=1)
+    ).replayer
     t4_ranks = [w.rank for w in cluster.inference_workers]
     plan = {
         op: Precision.FP16
@@ -218,7 +221,9 @@ def test_allocator_identical_with_and_without_caches(cluster_name):
         cluster = CLUSTERS[cluster_name]()
         builder = lambda: mini_model_graph("mini_bert", batch_size=4,
                                            width_scale=8, spatial_scale=4)
-        replayer, _ = build_replayer(builder, cluster, profile_repeats=1)
+        replayer = PlanSession().prepare(
+            PlanRequest(model=builder, cluster=cluster, profile_repeats=1)
+        ).replayer
         replayer.incremental = incremental
         indicators = {}
         for w in cluster.inference_workers:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.common import Precision, new_rng
 from repro.common.units import GBPS
-from repro.core import AllocatorConfig, qsync_plan
+from repro.core import AllocatorConfig
 from repro.core.dfg import CommBucket, DFGNode, GlobalDFG, LocalDFG, NodeKind, assign_buckets
 from repro.core.replayer import simulate_global_dfg
 from repro.graph.propagation import effective_precisions, output_precision
@@ -25,6 +25,7 @@ from repro.models import (
 )
 from repro.models.trainable import MINI_MODELS
 from repro.profiling import MemoryModel
+from repro.session import PlanRequest, PlanSession
 from repro.tensor import Tensor, functional as F
 from repro.tensor.qmodules import QuantizedOp
 
@@ -179,7 +180,9 @@ class TestPlanValidity:
         builder = lambda: mini_model_graph(
             "mini_bert", batch_size=8, width_scale=24, spatial_scale=8
         )
-        plan, _ = qsync_plan(builder, cluster, loss="ce")
+        plan = PlanSession().plan(
+            PlanRequest(model=builder, cluster=cluster, loss="ce")
+        ).plan
         dag = builder()
         device = cluster.inference_workers[0].device
         for op, prec in plan.for_device("T4").items():
@@ -189,16 +192,20 @@ class TestPlanValidity:
 
 class TestEndToEndPlanInstall:
     @pytest.mark.parametrize("name", ["mini_vggbn", "mini_resnet", "mini_bert"])
-    def test_qsync_plan_installs_and_trains_one_step(self, name):
+    def test_session_plan_installs_and_trains_a_step(self, name):
         """Full pipeline: allocate on the scaled graph, install on the
         executable twin by name, run a real quantized training step."""
         cluster = make_cluster_a(1, 1)
         scale = dict(width_scale=8, spatial_scale=2)
         builder = lambda: mini_model_graph(name, batch_size=8, **scale)
-        plan, _ = qsync_plan(
-            builder, cluster, loss="ce",
-            config=AllocatorConfig(max_recovery_steps=30),
-        )
+        plan = PlanSession().plan(
+            PlanRequest(
+                model=builder,
+                cluster=cluster,
+                loss="ce",
+                config=AllocatorConfig(max_recovery_steps=30),
+            )
+        ).plan
         model = make_mini_model(name, seed=0)
         dag = builder()
         exec_plan = {

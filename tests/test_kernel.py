@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from repro.common.dtypes import higher_precision
 from repro.common.rng import new_rng
 from repro.core.allocator import AllocatorConfig
-from repro.core.qsync import build_replayer
 from repro.core.replayer import (
     Replayer,
     bucket_comm_durations,
@@ -75,8 +74,9 @@ def _small_replayer():
             "mini_bert", batch_size=4, width_scale=8, spatial_scale=4
         )
 
-    replayer, _ = build_replayer(builder, cluster, profile_repeats=1)
-    return replayer
+    return PlanSession().prepare(
+        PlanRequest(model=builder, cluster=cluster, profile_repeats=1)
+    ).replayer
 
 
 def _reference_replayer(replayer, **overrides):

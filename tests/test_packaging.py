@@ -1,7 +1,9 @@
-"""Packaging declares what the code imports, and the planner's import
-graph stays free of heavyweight libraries it does not use."""
+"""Packaging declares what the code imports and takes its version from
+``repro.__version__``; the planner's import graph stays free of heavyweight
+libraries it does not use, and every exported name resolves."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -67,3 +69,20 @@ def test_planner_imports_leave_networkx_unloaded():
         capture_output=True, text=True, env=env, check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_version_has_one_source():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        meta = tomllib.load(fh)
+    assert "version" not in meta["project"]
+    assert "version" in meta["project"]["dynamic"]
+    dynamic = meta["tool"]["setuptools"]["dynamic"]
+    assert dynamic["version"] == {"attr": "repro.__version__"}
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.session"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names that do not resolve: {missing}"

@@ -188,17 +188,18 @@ class TestDDPTrainer:
 
 class TestTimeline:
     def test_render_and_summary(self):
-        from repro.core.qsync import build_replayer
         from repro.hardware import make_cluster_a
         from repro.models import mini_model_graph
         from repro.parallel import render_timeline, timeline_summary
+        from repro.session import PlanRequest, PlanSession
 
         cluster = make_cluster_a(1, 1)
-        rep, _ = build_replayer(
-            lambda: mini_model_graph("mini_vgg", batch_size=32, width_scale=8,
-                                     spatial_scale=4),
-            cluster, profile_repeats=1,
+        builder = lambda: mini_model_graph(
+            "mini_vgg", batch_size=32, width_scale=8, spatial_scale=4
         )
+        rep = PlanSession().prepare(
+            PlanRequest(model=builder, cluster=cluster, profile_repeats=1)
+        ).replayer
         sim = rep.simulate(collect_timeline=True)
         text = render_timeline(sim.timeline)
         assert "V100" in text and "T4" in text and "#" in text

@@ -182,7 +182,7 @@ def test_opaque_requests_do_not_coalesce():
     from repro.models import mini_model_graph
 
     opaque = small_request(
-        model=lambda: mini_model_graph("mini_vgg", batch_size=4)
+        model=lambda: mini_model_graph("mini_vgg", batch_size=4), model_kwargs={}
     )
     assert request_fingerprint(opaque) is None
     # ... but they are still served correctly.

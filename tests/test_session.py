@@ -4,7 +4,6 @@ import pytest
 
 from repro.backend import LPBackend
 from repro.core.plan import PrecisionPlan
-from repro.core.qsync import QSyncReport, build_replayer
 from repro.core.replayer import SimulationResult
 from repro.hardware import T4, V100, make_cluster_a
 from repro.models import mini_model_graph
@@ -12,6 +11,7 @@ from repro.session import (
     PlanOutcome,
     PlanRequest,
     PlanSession,
+    QSyncReport,
     available_model_names,
     available_strategies,
     get_planner,
@@ -64,6 +64,20 @@ class TestRequestValidation:
     def test_unknown_indicator_name(self):
         with pytest.raises(ValueError, match="variance"):
             tiny_request(indicator="entropy")
+
+    def test_non_name_indicator_rejected_before_profiling(self):
+        session = PlanSession()
+        for bad in (5, lambda dag, stats, gamma: None):
+            with pytest.raises(ValueError, match="indicator"):
+                session.plan(tiny_request(strategy="qsync", indicator=bad))
+        assert session.stats.profile_events == 0
+
+    def test_model_kwargs_rejected_for_builders_and_dags(self):
+        builder = lambda: mini_model_graph("mini_vgg", batch_size=4)
+        for model in (builder, builder()):
+            with pytest.raises(ValueError, match="model_kwargs"):
+                tiny_request(model=model, model_kwargs={"batch_size": 4})
+            tiny_request(model=model, model_kwargs={})  # empty is fine
 
     def test_profile_repeats_must_be_positive(self):
         with pytest.raises(ValueError, match="profile_repeats"):
@@ -122,16 +136,18 @@ class TestRequestValidation:
                 tiny_request(cluster=cluster, backends={7: LPBackend(T4, seed=0)})
             )
 
-    def test_legacy_build_replayer_accepts_partial_backends(self):
+    def test_builder_model_accepts_partial_backends(self):
         cluster = make_cluster_a(1, 1)
         builder = lambda: mini_model_graph("mini_vgg", batch_size=4)
-        replayer, backends = build_replayer(
-            builder, cluster, backends={0: LPBackend(V100, seed=0)},
-            profile_repeats=1,
+        ctx = PlanSession().prepare(
+            tiny_request(
+                model=builder, model_kwargs={}, cluster=cluster,
+                backends={0: LPBackend(V100, seed=0)},
+            )
         )
-        assert sorted(backends) == [0, 1]
-        assert backends[1].device.name == "T4"
-        assert replayer.simulate().iteration_time > 0
+        assert sorted(ctx.backends) == [0, 1]
+        assert ctx.backends[1].device.name == "T4"
+        assert ctx.replayer.simulate().iteration_time > 0
 
 
 class TestProfilingReuse:

@@ -2,10 +2,9 @@
 
 The regression oracle of this API redesign (the PR 3 discipline): the
 legacy workflow is re-implemented here *verbatim* — the pre-session
-``build_replayer``/``qsync_plan`` bodies, inlined — and every planner
-strategy must reproduce it bit-for-bit on ClusterA and ClusterB presets.
-The public wrappers (``repro.core.qsync``) are then required to match the
-session too, so compatibility cannot drift from either side.
+pipeline bodies, inlined as ``legacy_build_replayer``/``legacy_qsync_plan``
+— and every planner strategy, plus ``PlanSession.prepare``'s replayer,
+must reproduce it bit-for-bit on ClusterA and ClusterB presets.
 """
 
 import pytest
@@ -16,14 +15,13 @@ from repro.baselines.hessian import structural_eigenvalues
 from repro.baselines.uniform import uniform_precision_plan
 from repro.core.allocator import Allocator
 from repro.core.indicator import VarianceIndicator, gamma_for_loss
-from repro.core.qsync import QSyncReport, build_replayer, qsync_plan
 from repro.core.replayer import Replayer
 from repro.hardware import make_cluster_a, make_cluster_b
 from repro.models import mini_model_graph
 from repro.profiling.casting import CastCostCalculator
 from repro.profiling.profiler import profile_operator_costs
 from repro.profiling.stats import synthesize_stats
-from repro.session import PlanRequest, PlanSession
+from repro.session import PlanRequest, PlanSession, QSyncReport
 
 
 def _builder():
@@ -101,7 +99,7 @@ def _request(cluster, **overrides):
 
 
 # ---------------------------------------------------------------------------
-# qsync: legacy pipeline == session == wrapper
+# qsync: legacy pipeline == session
 # ---------------------------------------------------------------------------
 
 
@@ -117,32 +115,22 @@ class TestQSyncParity:
         assert outcome.report == report_old
         assert outcome.simulation == report_old.final_simulation
 
-    def test_wrapper_matches_legacy_pipeline(self, cluster, legacy):
-        plan_old, report_old = legacy
-        plan_new, report_new = qsync_plan(_builder, cluster, loss="ce")
-        assert plan_new == plan_old
-        assert report_new == report_old
-
 
 class TestBuildReplayerParity:
-    def test_wrapper_matches_legacy_pipeline(self, cluster):
+    def test_session_context_matches_legacy_pipeline(self, cluster):
         rep_old, backends_old = legacy_build_replayer(
             _builder, cluster, profile_repeats=2
         )
-        rep_new, backends_new = build_replayer(
-            _builder, cluster, profile_repeats=2
-        )
-        assert sorted(backends_old) == sorted(backends_new)
-        sim_old = rep_old.simulate(collect_timeline=True)
-        sim_new = rep_new.simulate(collect_timeline=True)
-        assert sim_old == sim_new
-        for w in cluster.workers:
-            assert rep_old.memory_estimate(w.rank) == rep_new.memory_estimate(w.rank)
-
-    def test_session_context_matches_legacy_pipeline(self, cluster):
-        rep_old, _ = legacy_build_replayer(_builder, cluster, profile_repeats=2)
         ctx = PlanSession().prepare(_request(cluster, profile_repeats=2))
+        assert sorted(backends_old) == sorted(ctx.backends)
         assert rep_old.simulate() == ctx.replayer.simulate()
+        assert rep_old.simulate(collect_timeline=True) == ctx.replayer.simulate(
+            collect_timeline=True
+        )
+        for w in cluster.workers:
+            assert rep_old.memory_estimate(w.rank) == ctx.replayer.memory_estimate(
+                w.rank
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -209,18 +209,15 @@ class TestMultinodePresets:
 
 class TestReplayerIntegration:
     def _replayer(self, cluster, **kwargs):
-        from repro.core.qsync import build_replayer
         from repro.models import mini_model_graph
+        from repro.session import PlanRequest, PlanSession
 
-        rep, _ = build_replayer(
-            lambda: mini_model_graph(
-                "mini_vgg", batch_size=8, width_scale=4, spatial_scale=2
-            ),
-            cluster,
-            profile_repeats=1,
-            **kwargs,
+        builder = lambda: mini_model_graph(
+            "mini_vgg", batch_size=8, width_scale=4, spatial_scale=2
         )
-        return rep
+        return PlanSession().prepare(
+            PlanRequest(model=builder, cluster=cluster, profile_repeats=1, **kwargs)
+        ).replayer
 
     def test_default_replayer_matches_explicit_flat(self):
         """PR 3 parity: a Replayer without a model and one with the explicit
