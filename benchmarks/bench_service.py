@@ -6,9 +6,7 @@ directly:
 * **coalescing** — N concurrent identical requests cost ~one plan: the
   service's plans/sec under identical concurrent traffic is >= 5x the
   per-request cold-session rate (the deterministic mechanism — one
-  computation, shared outcome — is pinned by counters, not just timing).
-  Cold plans and coalesced bursts are timed alternately, ``TRIALS`` of
-  each, and the ratio is taken between the two medians;
+  computation, shared outcome — is pinned by counters, not just timing);
 * **tail latency** — mixed warm traffic (what-if strategies, seeds,
   replans) reports p50/p99 per-request latency, with p99 still below one
   cold plan;
@@ -29,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import statistics
 import sys
 import tempfile
 import threading
@@ -56,8 +53,6 @@ SMALL_SETUP = dict(
     n_training=1, n_inference=1, profile_repeats=1,
     identical_clients=8, mixed_rounds=3,
 )
-#: Timed samples on each side of the coalescing ratio.
-TRIALS = 5
 
 #: Warm mixed-traffic axes: same hardware, different question each time.
 MIXED_OVERRIDES = (
@@ -96,21 +91,11 @@ def _base_request(setup: dict) -> PlanRequest:
 
 def _serve_concurrently(service, requests):
     """Serve every request on its own thread; returns (wall_seconds,
-    per-request latencies, outcomes).
-
-    Every client thread is started first and then released at once, so
-    the requests arrive together and the wall clock covers serving only.
-    Starting a thread needs the GIL, which a leader that is already
-    planning holds for a whole switch interval at a time; under host load
-    that hand-off alone outlasted the plan and billed the test harness's
-    thread start-up to the service.
-    """
+    per-request latencies, outcomes)."""
     latencies = [0.0] * len(requests)
     outcomes = [None] * len(requests)
-    release = threading.Event()
 
     def client(i):
-        release.wait()
         t0 = time.perf_counter()
         outcomes[i] = service.plan(requests[i])
         latencies[i] = time.perf_counter() - t0
@@ -119,10 +104,9 @@ def _serve_concurrently(service, requests):
         threading.Thread(target=client, args=(i,))
         for i in range(len(requests))
     ]
+    t0 = time.perf_counter()
     for t in threads:
         t.start()
-    t0 = time.perf_counter()
-    release.set()
     for t in threads:
         t.join()
     return time.perf_counter() - t0, latencies, outcomes
@@ -132,32 +116,23 @@ def run_bench(small: bool = False, path: str | Path = "BENCH_service.json") -> d
     setup = SMALL_SETUP if small else FULL_SETUP
     base = _base_request(setup)
 
-    # Cold plans and coalesced bursts alternate, TRIALS of each, and each
-    # side reports its median, so a burst of host load lands on both sides
-    # instead of skewing their ratio.  A cold plan is a fresh session
-    # paying full profiling: the per-request rate naive per-client serving
-    # gets.  A burst is N identical concurrent clients on a fresh
-    # (cold-disk) service; the last burst's service serves the rest.
-    n = setup["identical_clients"]
-    cold_samples, walls = [], []
-    parity = True
-    with tempfile.TemporaryDirectory() as scratch:
-        for trial in range(TRIALS):
-            t0 = time.perf_counter()
-            cold_outcome = PlanSession().plan(base)
-            cold_samples.append(time.perf_counter() - t0)
+    # Cold baseline: a fresh session pays full profiling per request.  Two
+    # samples; the per-request rate is what naive per-client serving gets.
+    cold_samples = []
+    for _ in range(2):
+        t0 = time.perf_counter()
+        cold_outcome = PlanSession().plan(base)
+        cold_samples.append(time.perf_counter() - t0)
+    cold_probe_seconds = sum(cold_samples) / len(cold_samples)
+    cold_rate = 1.0 / cold_probe_seconds
 
-            root = str(Path(scratch) / str(trial))
-            service = PlanService(root=root)
-            wall, _, outcomes = _serve_concurrently(service, [base] * n)
-            walls.append(wall)
-            parity = parity and all(
-                _canon(o) == _canon(cold_outcome) for o in outcomes
-            )
-        cold_probe_seconds = statistics.median(cold_samples)
-        cold_rate = 1.0 / cold_probe_seconds
-        wall = statistics.median(walls)
+    with tempfile.TemporaryDirectory() as root:
+        # --- coalesced identical traffic on a fresh (cold-disk) service.
+        service = PlanService(root=root)
+        n = setup["identical_clients"]
+        wall, latencies, outcomes = _serve_concurrently(service, [base] * n)
         coalesced_rate = n / wall
+        parity = all(_canon(o) == _canon(cold_outcome) for o in outcomes)
         coalesced = service.stats.coalesced_requests
         profile_events_identical = service.stats.profile_events
 

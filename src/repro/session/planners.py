@@ -109,17 +109,14 @@ def _report(ctx: "PlanContext", allocation, simulation) -> QSyncReport:
 
 
 def _make_indicator(ctx: "PlanContext", dag, choice):
-    """Build one device type's indicator from a name or ``None`` (the
-    variance default)."""
+    """Build one device type's indicator from ``None`` (the variance
+    default) or a name that ``PlanRequest`` already checked against
+    ``INDICATOR_NAMES``."""
     if choice in (None, "variance"):
         return VarianceIndicator(dag, ctx.stats, ctx.gamma)
-    if choice == "random":
-        return RandomIndicator(list(dag.adjustable_ops()), seed=ctx.request.seed)
     if choice == "hessian":
         return HessianIndicator(structural_eigenvalues(dag, ctx.stats), ctx.stats)
-    raise ValueError(
-        f"unknown indicator {choice!r}; available: variance, hessian, random"
-    )
+    return RandomIndicator(list(dag.adjustable_ops()), seed=ctx.request.seed)
 
 
 # ---------------------------------------------------------------------------
