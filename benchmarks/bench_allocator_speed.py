@@ -2,7 +2,7 @@
 
 The Allocator's recovery loop re-simulates the cluster after every tentative
 one-op promotion.  The incremental replay engine (dirty-tracked Precision
-DAGs, delta Algorithm-1 cost mapping, per-device-type DFG caching, memoized
+DAGs, delta Algorithm-1 cost mapping, one DFG per device type, memoized
 memory estimates) makes each trial O(affected subgraph); this benchmark runs
 the same allocation twice — once with the engine disabled (every simulate
 rebuilds every rank's LocalDFG from scratch, the pre-engine behaviour) and
@@ -37,8 +37,8 @@ from repro.session import PlanRequest, PlanSession
 
 #: The ``bench_ablation_allocator`` mini-BERT model on ClusterA's default
 #: 4+4 slice (the paper's testbed is 16+16; full-rebuild cost scales
-#: linearly with ranks, the incremental engine builds one DFG per device
-#: *type* and is nearly flat).
+#: linearly with ranks, while the incremental engine keeps one DAG, cost
+#: mapper and DFG per device type and is nearly flat).
 FULL_SETUP = dict(
     width_scale=24, spatial_scale=8, batch=8,
     n_training=4, n_inference=4, profile_repeats=2,
@@ -99,9 +99,6 @@ def _run_mode(setup: dict, incremental: bool) -> dict:
         "simulate_calls": replayer.stats.simulate_calls,
         "full_rebuilds": replayer.full_rebuilds(),
         "incremental_updates": replayer.incremental_updates(),
-        "dfg_cache_hits": replayer.stats.local_cache_hits,
-        "dfg_shared_hits": replayer.stats.local_shared_hits,
-        "memory_cache_hits": replayer.stats.memory_cache_hits,
         "memory_evals": replayer.stats.memory_evals,
     }
 

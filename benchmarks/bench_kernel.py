@@ -6,8 +6,8 @@ Two headline numbers guard the PR 8 kernel tier:
    (one ``repro.kernel.evaluate`` over frozen arrays) vs the analytic
    object-path replay of the same state (``simulate_global_dfg`` over
    ``Replayer.build_global_dfg()``), on the mini-BERT ClusterA setup
-   ``bench_engine`` uses.  Both sides revalidate the same per-rank DFG and
-   memory caches on every call; the kernel saves the recurrence.
+   ``bench_engine`` uses.  Both sides revalidate the same DFG and memory
+   caches on every call; the kernel saves the recurrence.
 2. **Batched what-if sweep** — ``Replayer.whatif_candidates`` evaluating a
    window of single-op precision changes in one vectorized pass vs the
    sequential apply -> simulate -> revert trial loop the allocator's

@@ -36,7 +36,7 @@ from repro.common.dtypes import Precision, higher_precision
 from repro.common.errors import InfeasiblePlanError
 from repro.core.indicator import IndicatorProtocol
 from repro.core.plan import PrecisionPlan
-from repro.core.replayer import Replayer
+from repro.core.replayer import RankGroup, Replayer
 from repro.graph.dag import PrecisionDAG
 from repro.graph.subgraph import group_blocks, isomorphism_classes
 
@@ -103,8 +103,8 @@ class Allocator:
     Parameters
     ----------
     replayer:
-        Configured with per-rank DAGs/catalogs; training-GPU DAGs are left
-        at FP32 throughout.
+        Configured with per-rank DAGs/catalogs (aliased per device type by
+        the session); training-GPU DAGs are left at FP32 throughout.
     indicators:
         Device-type name -> sensitivity indicator (QSync's variance
         indicator, or a baseline implementing the same protocol).
@@ -121,9 +121,6 @@ class Allocator:
         self.replayer = replayer
         self.indicators = indicators
         self.config = config or AllocatorConfig()
-        self._device_by_type = {
-            w.device.name: w.device for w in replayer.cluster.workers
-        }
         # (device type, op) -> candidate precisions sorted low-to-high by
         # bit width.  Device support tables and kernel sets are static, so
         # this is computed once instead of per recovery trial.
@@ -132,25 +129,20 @@ class Allocator:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _inference_ranks_by_type(self) -> dict[str, list[int]]:
-        """Device types whose operators the allocator may quantize.
+    def _planned_groups(self) -> dict[str, list[RankGroup]]:
+        """Device type -> its rank groups (one, unless the replayer was
+        handed distinct same-type DAGs), for the types the allocator may
+        quantize.
 
         Default: inference GPUs only (training GPUs pinned FP32 per problem
         (1)).  Under :attr:`AllocatorConfig.amp_mode` every device type
         participates — the paper's §VIII throughput-maximum scenario.
         """
-        workers = (
-            self.replayer.cluster.workers
-            if self.config.amp_mode
-            else self.replayer.cluster.inference_workers
-        )
-        groups: dict[str, list[int]] = {}
-        for w in workers:
-            groups.setdefault(w.device.name, []).append(w.rank)
-        return groups
-
-    def _device_for_type(self, name: str):
-        return self._device_by_type[name]
+        types: dict[str, list[RankGroup]] = {}
+        for group in self.replayer.groups:
+            if self.config.amp_mode or not group.device.is_training_gpu:
+                types.setdefault(group.device.name, []).append(group)
+        return types
 
     def _candidates_for(self, dag: PrecisionDAG, op: str, device) -> list[Precision]:
         """Precisions both the op's kernels and the device support, sorted
@@ -169,29 +161,31 @@ class Allocator:
             self._cand_cache[key] = cands
         return cands
 
-    def _apply_to_type(self, ranks: list[int], plan: dict[str, Precision]) -> None:
-        for rank in ranks:
-            self.replayer.apply_plan(rank, plan)
+    def _apply_to_type(
+        self, groups: list[RankGroup], plan: dict[str, Precision]
+    ) -> None:
+        for group in groups:
+            group.dag.apply_plan(plan)
 
-    def _set_op(self, ranks: list[int], op: str, prec: Precision) -> None:
-        """Single-op delta applied to every same-type rank — the recovery
-        loop's apply/revert primitive (dirties one op instead of re-writing
-        the whole plan)."""
-        for rank in ranks:
-            self.replayer.dags[rank].set_precision(op, prec)
+    def _set_op(self, groups: list[RankGroup], op: str, prec: Precision) -> None:
+        """Single-op delta applied to the type's DAGs — the recovery loop's
+        apply/revert primitive (dirties one op instead of re-writing the
+        whole plan)."""
+        for group in groups:
+            group.dag.set_precision(op, prec)
 
     def _memory_ok(self) -> bool:
-        for w in self.replayer.cluster.workers:
-            est = self.replayer.memory_estimate(w.rank)
-            if est.total > w.device.available_memory:
-                return False
-        return True
+        return all(
+            self.replayer.memory_estimate(group.ranks[0]).total
+            <= group.device.available_memory
+            for group in self.replayer.groups
+        )
 
     # ------------------------------------------------------------------
     # step 1: uniform lowest-feasible plan -> T_min
     # ------------------------------------------------------------------
     def _uniform_lowest_plan(
-        self, dag: PrecisionDAG, ranks: list[int], device
+        self, groups: list[RankGroup]
     ) -> dict[str, Precision]:
         """Uniform *lowest* supported precision meeting memory — the T_min
         reference of problem (1): "converting all operators to int8 or fp16
@@ -201,6 +195,7 @@ class Allocator:
         memory-feasible uniform plan (the lowest format is also the smallest,
         so later rungs only matter for devices with odd memory anatomies).
         """
+        dag, device = groups[0].dag, groups[0].device
         ladder = sorted(device.supported_precisions(), key=lambda p: p.bits)
         for target in ladder:
             plan: dict[str, Precision] = {}
@@ -215,7 +210,7 @@ class Allocator:
                     if usable
                     else max(cands, key=lambda p: p.bits)
                 )
-            self._apply_to_type(ranks, plan)
+            self._apply_to_type(groups, plan)
             if self._memory_ok():
                 return plan
         raise InfeasiblePlanError(
@@ -225,15 +220,14 @@ class Allocator:
     # ------------------------------------------------------------------
     # step 2: fastest feasible initialization (subgraph brute force)
     # ------------------------------------------------------------------
-    def _initial_plan(
-        self, dag: PrecisionDAG, ranks: list[int], device
-    ) -> dict[str, Precision]:
+    def _initial_plan(self, groups: list[RankGroup]) -> dict[str, Precision]:
+        dag, device = groups[0].dag, groups[0].device
         # Start from uniform-lowest (always memory-feasible per T_min step).
         plan = {
             op: min(self._candidates_for(dag, op, device), key=lambda p: p.bits)
             for op in dag.adjustable_ops()
         }
-        self._apply_to_type(ranks, plan)
+        self._apply_to_type(groups, plan)
         if not self._memory_ok():
             raise InfeasiblePlanError(f"lowest precisions exceed {device.name} memory")
 
@@ -300,18 +294,18 @@ class Allocator:
                     for op, prec in zip(ops, assignment):
                         if prec in self._candidates_for(dag, op, device):
                             trial[op] = prec
-                self._apply_to_type(ranks, trial)
+                self._apply_to_type(groups, trial)
                 if not self._memory_ok():
                     continue
                 # Local execution latency (no comm): the device's own DFG,
-                # delta-updated through the Replayer's cache layers.
-                dfg = self.replayer.local_dfg(ranks[0])
+                # delta-updated through the Replayer's group cache.
+                dfg = self.replayer.local_dfg(groups[0].ranks[0])
                 t = dfg.compute_time
                 if best is None or t < best[0]:
                     best = (t, trial)
             if best is not None:
                 plan = best[1]
-                self._apply_to_type(ranks, plan)
+                self._apply_to_type(groups, plan)
         return plan
 
     # ------------------------------------------------------------------
@@ -319,8 +313,8 @@ class Allocator:
     # ------------------------------------------------------------------
     def allocate(self) -> tuple[PrecisionPlan, AllocationReport]:
         """Run the full allocation; returns the plan and diagnostics."""
-        type_ranks = self._inference_ranks_by_type()
-        if not type_ranks:
+        type_groups = self._planned_groups()
+        if not type_groups:
             # Pure training cluster: everything FP32, nothing to do.
             sim = self.replayer.simulate()
             report = AllocationReport(
@@ -337,33 +331,30 @@ class Allocator:
         plans: dict[str, dict[str, Precision]] = {}
 
         # T_min: uniform lowest-feasible on every inference type at once.
-        for name, ranks in type_ranks.items():
-            dag = self.replayer.dags[ranks[0]]
-            device = self._device_for_type(name)
-            plans[name] = self._uniform_lowest_plan(dag, ranks, device)
+        for name, groups in type_groups.items():
+            plans[name] = self._uniform_lowest_plan(groups)
         t_min = self.replayer.simulate().throughput
 
         # Fastest-feasible initialization.
-        for name, ranks in type_ranks.items():
-            dag = self.replayer.dags[ranks[0]]
-            device = self._device_for_type(name)
-            plans[name] = self._initial_plan(dag, ranks, device)
+        for name, groups in type_groups.items():
+            plans[name] = self._initial_plan(groups)
         initial_sim = self.replayer.simulate()
         initial_counts = precision_counts(plans)
 
         # Recovery heaps: one per device type (all same-type workers share
         # the plan — identical devices, identical local batches).
+        type_rep = {name: groups[0] for name, groups in type_groups.items()}
         threshold = (1.0 - self.config.throughput_slack) * t_min
         attempts = 0
         accepted = 0
         heap: list[tuple[float, int, str, str]] = []
         tiebreak = itertools.count()
-        for name, ranks in type_ranks.items():
+        for name, rep in type_rep.items():
             indicator = self.indicators[name]
-            dag = self.replayer.dags[ranks[0]]
-            device = self._device_for_type(name)
             for op, prec in plans[name].items():
-                entry = self._heap_entry(dag, device, indicator, op, prec, tiebreak)
+                entry = self._heap_entry(
+                    rep.dag, rep.device, indicator, op, prec, tiebreak
+                )
                 if entry is not None:
                     heap.append((*entry[:2], name, entry[2]))
         heapq.heapify(heap)
@@ -382,9 +373,14 @@ class Allocator:
         # either way (the sequential trial restores the state it mutated),
         # while the first accept in a window invalidates the remaining
         # verdicts, so those candidates return to the heap before the next
-        # window is drawn.
+        # window is drawn.  A what-if re-prices one compiled local and a step
+        # changes a whole type, so each type's groups must share one local.
         batch_width = 1
-        if self.replayer.compiled_global() is not None:
+        cg = self.replayer.compiled_global()
+        if cg is not None and all(
+            len({cg.local_of_rank[group.ranks[0]] for group in groups}) == 1
+            for groups in type_groups.values()
+        ):
             batch_width = RECOVERY_WINDOW
 
         while heap and attempts < self.config.max_recovery_steps:
@@ -394,11 +390,9 @@ class Allocator:
             while heap and len(window) < batch_width:
                 entry = heapq.heappop(heap)
                 _, _, name, op = entry
-                ranks = type_ranks[name]
-                dag = self.replayer.dags[ranks[0]]
-                device = self._device_for_type(name)
+                rep = type_rep[name]
                 current = plans[name][op]
-                target = self._next_supported(dag, device, op, current)
+                target = self._next_supported(rep.dag, rep.device, op, current)
                 if target is None:
                     continue
                 window.append((entry, current, target))
@@ -408,15 +402,14 @@ class Allocator:
             if batch_width > 1:
                 results = self.replayer.whatif_candidates(
                     [
-                        (type_ranks[entry[2]][0], entry[3], target)
+                        (type_rep[entry[2]].ranks[0], entry[3], target)
                         for entry, _, target in window
                     ]
                 )
                 if results is not None:
                     verdicts = [
                         throughput >= threshold
-                        and mem
-                        <= self._device_for_type(entry[2]).available_memory
+                        and mem <= type_rep[entry[2]].device.available_memory
                         for (throughput, mem), (entry, _, _) in zip(
                             results, window
                         )
@@ -427,30 +420,29 @@ class Allocator:
                         heapq.heappush(heap, later)
                     break
                 _, _, name, op = entry
-                ranks = type_ranks[name]
+                groups = type_groups[name]
                 attempts += 1
                 if verdicts is None:
                     # One-op delta instead of re-applying the whole plan:
                     # the DAGs' dirty logs then carry exactly this op into
                     # the replay engine.
-                    self._set_op(ranks, op, target)
+                    self._set_op(groups, op, target)
                     sim = self.replayer.simulate()
                     ok = self._memory_ok() and sim.throughput >= threshold
                     if not ok:
                         # Revert the single op.
-                        self._set_op(ranks, op, current)
+                        self._set_op(groups, op, current)
                 else:
                     ok = verdicts[i]
                     if ok:
-                        self._set_op(ranks, op, target)
+                        self._set_op(groups, op, target)
                 if ok:
                     plans[name][op] = target
                     accepted += 1
-                    dag = self.replayer.dags[ranks[0]]
-                    device = self._device_for_type(name)
-                    indicator = self.indicators[name]
+                    rep = type_rep[name]
                     fresh = self._heap_entry(
-                        dag, device, indicator, op, target, tiebreak
+                        rep.dag, rep.device, self.indicators[name], op,
+                        target, tiebreak,
                     )
                     if fresh is not None:
                         heapq.heappush(heap, (*fresh[:2], name, fresh[2]))

@@ -129,10 +129,11 @@ class LocalDFG:
     def view_for_rank(self, rank: int) -> "LocalDFG":
         """A lightweight alias of this DFG under another rank.
 
-        Same-type workers run identical plans, so the Replayer builds one
-        DFG per device *type* and hands each rank a view that shares every
-        node list (read-only by convention; the cost mapper never mutates a
-        published DFG — incremental updates assemble a fresh one).
+        The ranks of one Replayer rank group share a DAG and so a plan: the
+        Replayer builds one DFG per group and hands each other rank a view
+        that shares every node list (read-only by convention; the cost
+        mapper never mutates a published DFG — incremental updates assemble
+        a fresh one).
         """
         view = LocalDFG(self.device_name, rank)
         view.forward = self.forward

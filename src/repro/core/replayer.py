@@ -26,6 +26,7 @@ from repro.engine.perturbation import Perturbation  # repro: allow RPR004 dispat
 from repro.engine.policy import SchedulePolicy, eq6_fast_path, resolve_schedule_policy  # repro: allow RPR004 dispatch tiers (PR 5): non-default policies route through the engine; the engine itself never imports core's Replayer
 from repro.graph.dag import PrecisionDAG
 from repro.hardware.cluster import Cluster
+from repro.hardware.device import DeviceSpec
 from repro.kernel import (
     compile_global,
     compile_local,
@@ -57,12 +58,8 @@ class ReplayerStats:
     """Counters for the incremental replay engine (diagnostics/benchmarks)."""
 
     simulate_calls: int = 0
-    #: Per-rank DFG served untouched (DAG version unchanged since last use).
-    local_cache_hits: int = 0
-    #: Per-rank DFG served as a view of another same-type rank's DFG.
-    local_shared_hits: int = 0
+    #: Memory estimates derived from a cost mapper (signature-cache misses).
     memory_evals: int = 0
-    memory_cache_hits: int = 0
     #: simulate() calls served by the compiled array kernel (PR 8).
     kernel_sims: int = 0
     #: Candidates evaluated through the batched what-if kernel sweep.
@@ -85,6 +82,21 @@ class SimulationResult:
         return 1.0 / self.iteration_time if self.iteration_time > 0 else float("inf")
 
 
+@dataclasses.dataclass(eq=False)
+class RankGroup:
+    """Ranks sharing one DAG object, catalog, cast model and device: one
+    plan, so one cost mapper, one LocalDFG and one memory estimate."""
+
+    ranks: list[int]
+    device: DeviceSpec
+    dag: PrecisionDAG
+    mapper: CostMapper
+    #: ``(device name, catalog, cast model, bucket cap)``: the DFG and kernel
+    #: cache key.  Equal keys price equal signatures alike, so such groups
+    #: share entries, also across replayers (``adopt_shared_state``).
+    key: tuple
+
+
 class Replayer:
     """Simulates hybrid mixed-precision distributed training.
 
@@ -93,7 +105,9 @@ class Replayer:
     cluster:
         Worker topology (provides the all-reduce cost model).
     dags:
-        Per-rank Precision DAGs (same structure; independent precisions).
+        Per-rank Precision DAGs (same structure).  Ranks mapped to one DAG
+        object share its precisions; ``PlanSession.prepare`` maps each
+        device type to one DAG.
     catalogs, cast_calcs:
         Per-rank profiled cost catalogs and fitted casting models.
     optimizer_slots:
@@ -110,6 +124,11 @@ class Replayer:
         Optional deterministic straggler/bandwidth-drift injection
         (:class:`repro.engine.Perturbation`); also routed through the
         engine.
+
+    Per-query state lives per :class:`RankGroup`: one :class:`CostMapper`,
+    one DFG cache entry, one memory lookup.  ``dags[rank]`` and
+    ``mappers[rank]`` are read-only aliases of the rank's group; timelines
+    and per-device compute and wait times keep their rank ids.
 
     Which tier serves an evaluation is never a knob: the compiled array
     kernel (:mod:`repro.kernel`) serves every call
@@ -147,37 +166,47 @@ class Replayer:
         #: reference mode for equivalence tests and the speed benchmark.
         self.incremental = incremental
         self.stats = ReplayerStats()
-        self.mappers: dict[int, CostMapper] = {}
-        self._workers_by_rank = {w.rank: w for w in cluster.workers}
-        # rank -> (dag version, structure version, LocalDFG)
-        self._dfg_cache: dict[int, tuple[int, int, LocalDFG]] = {}
-        # device type -> (precision signature, structure fingerprint,
+        #: Rank groups in cluster worker order of their first rank.
+        self.groups: list[RankGroup] = []
+        self._group_of: dict[int, RankGroup] = {}
+        for w in cluster.workers:
+            dag, catalog, cast = dags[w.rank], catalogs[w.rank], cast_calcs[w.rank]
+            key = (w.device.name, catalog, cast, bucket_cap_bytes)
+            group = next(
+                (
+                    g for g in self.groups
+                    if g.dag is dag and g.key == key and g.device == w.device
+                ),
+                None,
+            )
+            if group is None:
+                mapper = CostMapper(
+                    dag, catalog, cast, device=w.device,
+                    bucket_cap_bytes=bucket_cap_bytes,
+                )
+                group = RankGroup([], w.device, dag, mapper, key)
+                self.groups.append(group)
+            group.ranks.append(w.rank)
+            self._group_of[w.rank] = group
+        self.mappers: dict[int, CostMapper] = {
+            rank: group.mapper for rank, group in self._group_of.items()
+        }
+        # group key -> (precision signature, structure fingerprint,
         # LocalDFG) — fingerprints, not per-instance counters, because the
-        # entries are shared across different DAG objects.
-        self._type_dfg_cache: dict[str, tuple[tuple, int, LocalDFG]] = {}
-        # rank -> (dag version, MemoryEstimate)
-        self._mem_cache: dict[int, tuple[int, MemoryEstimate]] = {}
+        # entries are shared across groups and adopted across replayers.
+        self._dfg_cache: dict[tuple, tuple[tuple, int, LocalDFG]] = {}
         # (structure fingerprint, precision signature) -> MemoryEstimate
         # (structurally identical DAGs with equal signatures have identical
         # footprints, device-independent)
         self._mem_sig_cache: dict[tuple, MemoryEstimate] = {}
-        # device type -> (precision signature, structure fingerprint,
-        # CompiledLocal | None) — keyed exactly like _type_dfg_cache; None
-        # is a cached "not lowerable" verdict so failures don't retry.
-        self._kernel_local_cache: dict[str, tuple[tuple, int, object]] = {}
-        # (cluster, collective model, per-type (name, sig, fingerprint),
-        # bucket bits) -> CompiledGlobal; the priced durations are baked in,
-        # so the cluster and collective model ride in the key.
+        # group key -> (precision signature, structure fingerprint,
+        # CompiledLocal | None) — keyed exactly like _dfg_cache; None is a
+        # cached "not lowerable" verdict so failures don't retry.
+        self._kernel_local_cache: dict[tuple, tuple[tuple, int, object]] = {}
+        # (cluster, collective model, per-group CompiledLocal, bucket bits)
+        # -> CompiledGlobal; the priced durations are baked in, so the
+        # cluster and collective model ride in the key.
         self._kernel_global_cache: tuple[tuple, object] | None = None
-        for worker in cluster.workers:
-            rank = worker.rank
-            self.mappers[rank] = CostMapper(
-                dags[rank],
-                catalogs[rank],
-                cast_calcs[rank],
-                device=worker.device,
-                bucket_cap_bytes=bucket_cap_bytes,
-            )
 
     # ------------------------------------------------------------------
     def apply_plan(self, rank: int, plan: dict[str, Precision]) -> None:
@@ -214,50 +243,37 @@ class Replayer:
 
     def full_rebuilds(self) -> int:
         """Total from-scratch LocalDFG constructions across all mappers."""
-        return sum(m.full_rebuilds for m in self.mappers.values())
+        return sum(g.mapper.full_rebuilds for g in self.groups)
 
     def incremental_updates(self) -> int:
         """Total delta DFG updates across all mappers."""
-        return sum(m.incremental_updates for m in self.mappers.values())
+        return sum(g.mapper.incremental_updates for g in self.groups)
 
     def adopt_shared_state(self, other: "Replayer") -> int:
-        """Adopt another replayer's device-type-keyed caches where sound.
+        """Adopt another replayer's group-keyed caches where sound.
 
         The elastic re-planning entry point: after a membership change, the
         surviving ranks' device types have already built (and signed) their
         DFGs in the pre-churn replayer — a fresh replayer over the new
-        cluster can serve those straight from ``other``'s per-type cache
-        instead of re-deriving them, making re-plan cost O(changed ranks).
+        cluster can serve those straight from ``other``'s DFG cache instead
+        of re-deriving them, making re-plan cost O(changed ranks).
 
-        Adoption is per device type and guarded on shared provenance: the
-        two replayers must map the type with the *same* catalog and cast
-        calculator objects and equal bucket caps, both in incremental mode.
+        An entry is adopted when one of this replayer's groups has the same
+        key — device name, catalog and cast calculator objects, bucket cap —
+        so shared provenance is the guard; both must be in incremental mode.
         A stale adopted entry is harmless — :meth:`local_dfg` only serves
         it on an exact precision-signature + structure-fingerprint match,
         and misses fall through to the cost mapper as usual.
 
-        Returns the number of device-type DFG entries adopted.
+        Returns the number of DFG entries adopted.
         """
         if not (self.incremental and other.incremental):
             return 0
-        mine_by_type: dict[str, CostMapper] = {}
-        for mapper in self.mappers.values():
-            mine_by_type.setdefault(mapper.device.name, mapper)
-        theirs_by_type: dict[str, CostMapper] = {}
-        for mapper in other.mappers.values():
-            theirs_by_type.setdefault(mapper.device.name, mapper)
+        keys = {group.key for group in self.groups}
         adopted = 0
-        for tname, entry in other._type_dfg_cache.items():
-            mine = mine_by_type.get(tname)
-            theirs = theirs_by_type.get(tname)
-            if mine is None or theirs is None:
-                continue
-            if (
-                mine.catalog is theirs.catalog
-                and mine.cast_calc is theirs.cast_calc
-                and mine.bucket_cap_bytes == theirs.bucket_cap_bytes
-            ):
-                self._type_dfg_cache[tname] = entry
+        for key, entry in other._dfg_cache.items():
+            if key in keys:
+                self._dfg_cache[key] = entry
                 adopted += 1
         # Memory estimates are keyed on (structure fingerprint, precision
         # signature) and device-independent, but scale with optimizer slots.
@@ -275,36 +291,23 @@ class Replayer:
     def local_dfg(self, rank: int) -> LocalDFG:
         """The rank's LocalDFG under its current precisions.
 
-        Incremental mode consults two cache layers before touching the cost
-        mapper: (1) the per-rank cache, valid while the rank's DAG version
-        is unchanged; (2) the per-device-type cache — same-type ranks run
-        identical plans, so a rank whose precision signature matches its
-        type's last-built DFG gets a shared view instead of a rebuild.  Only
-        a genuinely novel assignment reaches the mapper, and there it costs
-        a delta update, not a rebuild.
+        Incremental mode serves the rank's group entry while its precision
+        signature and structure fingerprint match, as a view under ``rank``
+        when the entry was built for another rank; only a genuinely novel
+        assignment reaches the group's cost mapper, and there it costs a
+        delta update, not a rebuild.
         """
-        worker = self._workers_by_rank[rank]
+        group = self._group_of[rank]
         if not self.incremental:
-            return self.mappers[rank].build_local_dfg(worker.device.name, rank)
-        dag = self.dags[rank]
-        version, structure = dag.version, dag.structure_version
-        entry = self._dfg_cache.get(rank)
-        if entry is not None and entry[0] == version and entry[1] == structure:
-            self.stats.local_cache_hits += 1
-            return entry[2]
-        sig = dag.precision_signature()
-        fingerprint = dag.structure_fingerprint()
-        tname = worker.device.name
-        tentry = self._type_dfg_cache.get(tname)
-        if tentry is not None and tentry[0] == sig and tentry[1] == fingerprint:
-            self.stats.local_shared_hits += 1
-            shared = tentry[2]
-            dfg = shared if shared.rank == rank else shared.view_for_rank(rank)
-        else:
-            dfg = self.mappers[rank].current_dfg(tname, rank)
-            self._type_dfg_cache[tname] = (sig, fingerprint, dfg)
-        self._dfg_cache[rank] = (version, structure, dfg)
-        return dfg
+            return group.mapper.build_local_dfg(group.device.name, rank)
+        sig = group.dag.precision_signature()
+        fingerprint = group.dag.structure_fingerprint()
+        entry = self._dfg_cache.get(group.key)
+        if entry is None or entry[0] != sig or entry[1] != fingerprint:
+            dfg = group.mapper.current_dfg(group.device.name, group.ranks[0])
+            entry = self._dfg_cache[group.key] = (sig, fingerprint, dfg)
+        dfg = entry[2]
+        return dfg if dfg.rank == rank else dfg.view_for_rank(rank)
 
     def build_global_dfg(self) -> GlobalDFG:
         return GlobalDFG([self.local_dfg(w.rank) for w in self.cluster.workers])
@@ -312,25 +315,23 @@ class Replayer:
     # ------------------------------------------------------------------
     # compiled array kernel tier (repro.kernel; PR 8)
     # ------------------------------------------------------------------
-    def _compiled_local(self, rank: int):
-        """The rank's type-shared :class:`repro.kernel.CompiledLocal`.
+    def _compiled_local(self, group: RankGroup):
+        """The group's :class:`repro.kernel.CompiledLocal`.
 
-        Keyed exactly like ``_type_dfg_cache`` — precision signature +
-        structure fingerprint per device type — including a cached ``None``
-        verdict for DFGs that refuse to lower, so failures don't retry on
-        every call.
+        Keyed exactly like the DFG cache — precision signature + structure
+        fingerprint per group key — including a cached ``None`` verdict for
+        DFGs that refuse to lower, so failures don't retry on every call.
         """
-        worker = self._workers_by_rank[rank]
-        tname = worker.device.name
-        dag = self.dags[rank]
+        dag = group.dag
         sig = dag.precision_signature()
         fingerprint = dag.structure_fingerprint()
-        entry = self._kernel_local_cache.get(tname)
+        entry = self._kernel_local_cache.get(group.key)
         if entry is not None and entry[0] == sig and entry[1] == fingerprint:
             return entry[2]
-        dfg = self.local_dfg(rank)
-        compiled = compile_local(dfg, self.mappers[rank].kernel_layout())
-        self._kernel_local_cache[tname] = (sig, fingerprint, compiled)
+        compiled = compile_local(
+            self.local_dfg(group.ranks[0]), group.mapper.kernel_layout()
+        )
+        self._kernel_local_cache[group.key] = (sig, fingerprint, compiled)
         return compiled
 
     def compiled_global(self):
@@ -339,10 +340,8 @@ class Replayer:
         ``None`` whenever the kernel tier cannot serve this replayer's
         evaluations bit-identically: its own schedule policy and
         perturbation fail :func:`~repro.engine.policy.eq6_fast_path`,
-        non-incremental mode, a local that refuses to lower, or same-type
-        ranks whose DFGs have diverged (the per-type compilation assumes
-        shared plans, like the type DFG cache).  Callers fall back to the
-        object path.
+        non-incremental mode, or a local that refuses to lower.  Callers
+        fall back to the object path.
         """
         if not eq6_fast_path(self.schedule_policy, self.perturbation):
             return None
@@ -353,49 +352,28 @@ class Replayer:
         applies the rule to its per-call overrides instead)."""
         if not self.incremental:
             return None
-        reps: dict[str, int] = {}
-        order: list[str] = []
-        shared: dict[str, LocalDFG] = {}
-        locals_: list[LocalDFG] = []
-        for w in self.cluster.workers:
-            dfg = self.local_dfg(w.rank)
-            locals_.append(dfg)
-            tname = w.device.name
-            ref = shared.get(tname)
-            if ref is None:
-                reps[tname] = w.rank
-                order.append(tname)
-                shared[tname] = dfg
-            elif ref is not dfg and (
-                ref.forward is not dfg.forward
-                or ref.backward is not dfg.backward
-                or ref.buckets is not dfg.buckets
-            ):
-                return None  # same-type ranks diverged: object path
-        by_type: dict[str, object] = {}
-        key_parts = []
-        for tname in order:
-            cl = self._compiled_local(reps[tname])
-            if cl is None:
-                return None
-            by_type[tname] = cl
-            entry = self._kernel_local_cache[tname]
-            key_parts.append((tname, entry[0], entry[1]))
-        # The compression axis rides in the key: a level change recompiles
-        # the global (durations are baked into the CompiledGlobal), and
-        # level 0 normalizes to None so uncompressed keys are unchanged.
+        locals_ = tuple(self._compiled_local(group) for group in self.groups)
+        if any(cl is None for cl in locals_):
+            return None
+        # Compiled locals are immutable and keyed by content, so their
+        # identities stand for the plan.  The compression axis rides in the
+        # key: a level change recompiles the global (durations are baked
+        # into the CompiledGlobal), and level 0 normalizes to None so
+        # uncompressed keys are unchanged.
         bits = self._bucket_bits()
-        gkey = (self.cluster, self.collective_model, tuple(key_parts), bits)
+        gkey = (self.cluster, self.collective_model, locals_, bits)
         cached = self._kernel_global_cache
         if cached is not None and cached[0] == gkey:
             return cached[1]
         # Priced through the same bucket_comm_durations as the analytic
         # and engine tiers, so no tier can drift on a cost term.
         durs = bucket_comm_durations(
-            locals_, self.cluster, self.collective_model, bits
+            [self.local_dfg(group.ranks[0]) for group in self.groups],
+            self.cluster, self.collective_model, bits,
         )
+        by_group = dict(zip(self.groups, locals_))
         cg = compile_global(
-            [(w.rank, by_type[w.device.name]) for w in self.cluster.workers],
+            [(rank, by_group[group]) for rank, group in self._group_of.items()],
             durs,
         )
         self._kernel_global_cache = (gkey, cg)
@@ -486,9 +464,10 @@ class Replayer:
         bit-identical on the default policy.
         """
         self.stats.simulate_calls += 1
-        memory = {
-            w.rank: self.memory_estimate(w.rank) for w in self.cluster.workers
+        by_group = {
+            group: self.memory_estimate(group.ranks[0]) for group in self.groups
         }
+        memory = {rank: by_group[group] for rank, group in self._group_of.items()}
         policy = (
             self.schedule_policy
             if schedule_policy is None
@@ -512,14 +491,11 @@ class Replayer:
         )
 
     def memory_estimate(self, rank: int) -> MemoryEstimate:
-        dag = self.dags[rank]
+        """The rank's footprint: one lookup per rank group."""
+        group = self._group_of[rank]
+        dag = group.dag
         if not self.incremental:
             return self.memory_model.estimate(dag)
-        version = dag.version
-        entry = self._mem_cache.get(rank)
-        if entry is not None and entry[0] == version:
-            self.stats.memory_cache_hits += 1
-            return entry[1]
         sig_key = (dag.structure_fingerprint(), dag.precision_signature())
         est = self._mem_sig_cache.get(sig_key)
         if est is None:
@@ -527,7 +503,7 @@ class Replayer:
             # maintained per-op contributions (O(affected), not O(graph));
             # the structural terms are precision-independent.
             self.stats.memory_evals += 1
-            wcopies, acts, workspace = self.mappers[rank].memory_components()
+            wcopies, acts, workspace = group.mapper.memory_components()
             weights = dag.total_weight_elems() * Precision.FP32.nbytes
             est = MemoryEstimate(
                 weights=weights,
@@ -540,9 +516,6 @@ class Replayer:
             if len(self._mem_sig_cache) > 8192:
                 self._mem_sig_cache.clear()  # bound growth over long searches
             self._mem_sig_cache[sig_key] = est
-        else:
-            self.stats.memory_cache_hits += 1
-        self._mem_cache[rank] = (version, est)
         return est
 
 
@@ -568,14 +541,10 @@ def bucket_comm_durations(
     the exact historical code path, so uncompressed callers cannot drift
     by a single float operation.
 
-    Two short-circuits, both value-preserving: when every local shares one
-    bucket list object (the ``view_for_rank`` common case) the per-bucket
-    size set collapses to the reference bucket's own size without scanning
-    ranks, and each distinct byte count is priced at most once across the
-    whole call (``allreduce_time`` is a pure function of cluster + size).
+    Each distinct byte count is priced at most once across the whole call
+    (``allreduce_time`` is a pure function of cluster + size).
     """
     ref = locals_[0].buckets
-    all_shared = all(ldfg.buckets is ref for ldfg in locals_)
     if bucket_bits is not None and len(bucket_bits) != len(ref):
         raise ValueError(
             f"bucket_bits has {len(bucket_bits)} entries for "
@@ -584,10 +553,7 @@ def bucket_comm_durations(
     price: dict = {}
     durations: list[float] = []
     for n in range(len(ref)):
-        if all_shared:
-            sizes: tuple[int, ...] | set[int] = (ref[n].nbytes,)
-        else:
-            sizes = {ldfg.buckets[n].nbytes for ldfg in locals_}
+        sizes = {ldfg.buckets[n].nbytes for ldfg in locals_}
         slowest: float | None = None
         for nbytes in sizes:
             if bucket_bits is None:

@@ -183,8 +183,8 @@ class PrecisionDAG:
         """Hash identifying the graph's *structure* (op names, kinds,
         shapes, edges) independent of precision assignments.
 
-        Cross-DAG caches (the Replayer's per-device-type DFG and memory
-        layers) key on this instead of the per-instance
+        Cross-DAG caches (the Replayer's group-keyed DFG and signature-keyed
+        memory caches) key on this instead of the per-instance
         :attr:`structure_version` counter, which says nothing about whether
         two different DAG objects are actually the same graph.  Computed
         with :func:`repro.common.stable_hash.stable_hash` — never builtin

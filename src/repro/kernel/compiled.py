@@ -177,9 +177,9 @@ def compile_global(rank_locals, durations):
     """Compose ``(rank, CompiledLocal)`` pairs with priced bucket durations.
 
     ``rank_locals`` comes in cluster worker order; shared compilations
-    (same-type ranks) are deduplicated by identity — identity, not
-    equality, because shared views are how the Replayer expresses "same
-    plan".  ``durations`` must be priced by the caller through the same
+    (the ranks of one Replayer rank group) are deduplicated by identity —
+    identity, not equality, because a shared compilation is how the
+    Replayer expresses "same plan".  ``durations`` must be priced by the caller through the same
     ``bucket_comm_durations`` the analytic path uses, so pricing cannot
     drift between tiers.  Returns ``None`` for an empty ``rank_locals``.
     """

@@ -1,7 +1,7 @@
 """Planner strategies — pluggable implementations of "produce a plan".
 
 Every strategy consumes the same :class:`~repro.session.session.PlanContext`
-(cluster, per-rank replayer, profiled stats, gamma) and returns the same
+(cluster, replayer, profiled stats, gamma) and returns the same
 :class:`~repro.session.outcome.PlanOutcome`, which is what lets
 ``session.compare`` run the paper's whole baseline table through one code
 path.  The registry is ordered and fixed at import time so comparison

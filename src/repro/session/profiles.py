@@ -21,7 +21,7 @@ from typing import Callable, Mapping
 from repro.backend.lp_backend import LPBackend
 from repro.common.stable_hash import stable_digest
 from repro.graph.dag import PrecisionDAG
-from repro.hardware.cluster import Cluster
+from repro.hardware.cluster import Cluster, Worker
 from repro.hardware.device import DeviceSpec
 from repro.profiling.casting import CastCostCalculator
 from repro.profiling.profiler import OperatorCostCatalog, profile_operator_costs
@@ -143,7 +143,10 @@ def resolve_backends(
     Missing ranks get a default ``LPBackend(worker.device, seed=seed)``;
     a provided backend whose device does not match its rank's worker — or
     a rank the cluster does not have — raises :class:`ValueError` instead
-    of surfacing later as a baffling KeyError or wrong-device catalog.
+    of surfacing later as a baffling KeyError or wrong-device catalog.  So
+    do same-named devices whose :func:`device_fingerprint` or
+    :func:`backend_fingerprint` differ: each device type is profiled and
+    planned once, so they would all be priced like the first.
     """
     provided = dict(backends) if backends else {}
     known_ranks = {w.rank for w in cluster.workers}
@@ -154,6 +157,7 @@ def resolve_backends(
             f"{cluster.name!r} (ranks: {sorted(known_ranks)})"
         )
     resolved: dict[int, LPBackend] = {}
+    first_of_type: dict[str, Worker] = {}
     for w in cluster.workers:
         backend = provided.get(w.rank)
         if backend is None:
@@ -165,6 +169,19 @@ def resolve_backends(
                 f"{w.device.name!r} there"
             )
         resolved[w.rank] = backend
+        # Equal devices on default backends measure alike: no digests then.
+        first = first_of_type.setdefault(w.device.name, w)
+        ranks = {first.rank, w.rank}
+        if (first.device != w.device or ranks & provided.keys()) and (
+            device_fingerprint(first.device),
+            backend_fingerprint(resolved[first.rank]),
+        ) != (device_fingerprint(w.device), backend_fingerprint(backend)):
+            raise ValueError(
+                f"ranks {first.rank} and {w.rank} both run a device named "
+                f"{w.device.name!r} but their devices or backends measure "
+                "differently; each device type is profiled and planned "
+                "once, so give differing devices distinct names"
+            )
     return resolved
 
 

@@ -53,7 +53,7 @@ class PlanRequest:
     model:
         Graph-catalog name (``"vgg16"``), mini-model name (``"mini_bert"``),
         zero-arg callable returning a fresh :class:`PrecisionDAG`, or a
-        built DAG (copied per rank; never mutated).
+        built DAG (copied per device type; never mutated).
     model_kwargs:
         Builder kwargs when ``model`` is a name (``batch_size``,
         ``width_scale``, ...).  Must be empty for callables and DAG
@@ -96,7 +96,8 @@ class PlanRequest:
     backends:
         Optional per-rank :class:`LPBackend` overrides.  May be *partial*:
         missing ranks get default backends; a backend modelling a different
-        device than its rank's worker is a :class:`ValueError`.
+        device than its rank's worker, or unlike another same-type rank's,
+        is a :class:`ValueError`.
     stats:
         Indicator statistics; synthesized from the graph when omitted.
     compression:

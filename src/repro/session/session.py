@@ -22,7 +22,7 @@ experiment harnesses and the ground-truth comparisons.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from repro.backend.lp_backend import LPBackend
 from repro.core.indicator import gamma_for_loss
@@ -42,7 +42,7 @@ from repro.session.request import PlanRequest
 class PlanContext:
     """Everything a planner strategy needs, fully resolved.
 
-    Built fresh per query (per-rank DAGs are mutable search state), but
+    Built fresh per query (per-type DAGs are mutable search state), but
     the expensive members — catalogs, cast models, stats — come from the
     session's :class:`ProfileStore` when the fingerprints match.
     """
@@ -123,35 +123,39 @@ class PlanSession:
     def prepare(self, request: PlanRequest) -> PlanContext:
         """Resolve a request into a ready-to-plan context.
 
-        Fresh per-rank DAGs and a fresh :class:`Replayer` every time (the
-        allocator mutates them); per-device-type catalogs and cast models
-        from the store whenever their fingerprints have been seen.
+        A fresh DAG per device type and a fresh :class:`Replayer` every
+        time (the allocator mutates them); ``replayer.dags`` maps every
+        rank of a type to its type's DAG.  Per-device-type catalogs and
+        cast models come from the store whenever their fingerprints have
+        been seen.
         """
         self.profiles.stats.prepare_calls += 1
         cluster = request.resolve_cluster()
         template = self.profiles.template_for(
             request.model_cache_key(), request.build_template
         )
-        builder: Callable[[], PrecisionDAG] = template.copy
         backends = resolve_backends(
             cluster, request.backends, seed=self.profile_seed
         )
 
-        dags = {w.rank: builder() for w in cluster.workers}
-        by_type_catalog: dict[str, object] = {}
-        by_type_cast: dict[str, object] = {}
-        catalogs = {}
-        cast_calcs = {}
+        # One DAG, catalog and cast model per device type (resolve_backends
+        # guarantees same-named devices measure alike); same-type ranks
+        # alias them, so the replayer plans each type as one group.
+        by_type: dict[str, tuple] = {}
+        dags, catalogs, cast_calcs = {}, {}, {}
         for w in cluster.workers:
-            tname = w.device.name
-            if tname not in by_type_catalog:
+            shared = by_type.get(w.device.name)
+            if shared is None:
+                dag = template.copy()
                 backend = backends[w.rank]
-                by_type_catalog[tname] = self.profiles.catalog_for(
-                    dags[w.rank], w.device, backend, request.profile_repeats
+                shared = by_type[w.device.name] = (
+                    dag,
+                    self.profiles.catalog_for(
+                        dag, w.device, backend, request.profile_repeats
+                    ),
+                    self.profiles.cast_calc_for(backend),
                 )
-                by_type_cast[tname] = self.profiles.cast_calc_for(backend)
-            catalogs[w.rank] = by_type_catalog[tname]
-            cast_calcs[w.rank] = by_type_cast[tname]
+            dags[w.rank], catalogs[w.rank], cast_calcs[w.rank] = shared
 
         replayer = Replayer(
             cluster,

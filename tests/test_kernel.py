@@ -12,6 +12,7 @@ sequential apply → simulate → revert trial of the same candidate, row for
 row, and reverting must restore the base bitwise.
 """
 
+import copy
 import dataclasses
 import json
 import os
@@ -23,9 +24,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.dtypes import higher_precision
+from repro.common.dtypes import Precision, higher_precision
 from repro.common.rng import new_rng
-from repro.core.allocator import AllocatorConfig
+from repro.core.allocator import Allocator, AllocatorConfig
+from repro.core.indicator import VarianceIndicator
 from repro.core.replayer import (
     Replayer,
     bucket_comm_durations,
@@ -37,7 +39,7 @@ from repro.engine import (
     Perturbation,
     eq6_fast_path,
 )
-from repro.hardware import make_cluster_a
+from repro.hardware import T4, make_cluster_a
 from repro.kernel import (
     compile_global,
     compile_local,
@@ -258,6 +260,68 @@ class TestBatchedWhatIf:
         ):
             assert off.whatif_candidates(_candidates(off, 2)) is None
 
+    def test_divergent_same_type_ranks_are_separate_groups(self):
+        """Distinct per-rank DAGs, two same-type ranks on different plans:
+        each rank is its own group and compiles its own local, so the
+        kernel serves simulate() and per-rank what-ifs without falling
+        back, bit-identical to the object path and to apply → simulate →
+        revert on that rank alone."""
+        cluster = make_cluster_a(2, 2)
+        ctx = PlanSession().prepare(
+            PlanRequest(
+                model=lambda: mini_model_graph(
+                    "mini_bert", batch_size=4, width_scale=8, spatial_scale=4
+                ),
+                cluster=cluster,
+                profile_repeats=1,
+            )
+        )
+        shared = ctx.replayer
+        dags = {w.rank: ctx.template.copy() for w in cluster.workers}
+        replayer = Replayer(
+            cluster, dags,
+            {r: m.catalog for r, m in shared.mappers.items()},
+            {r: m.cast_calc for r, m in shared.mappers.items()},
+        )
+        r2, r3 = (w.rank for w in cluster.workers if w.device.name == T4.name)
+        for rank, target in ((r2, Precision.FP16), (r3, Precision.INT8)):
+            dag = dags[rank]
+            dag.apply_plan({
+                op: target
+                for op in dag.adjustable_ops()
+                if target in dag.spec(op).supported_precisions()
+            })
+        assert len(replayer.groups) == len(cluster.workers)
+        sim = replayer.simulate()
+        assert replayer.stats.kernel_sims == 1
+        assert replayer.local_dfg(r2).forward is not replayer.local_dfg(r3).forward
+        assert sim == _reference_replayer(replayer).simulate()
+
+        candidates = []
+        for rank in (r2, r3):
+            dag = dags[rank]
+            for op in dag.adjustable_ops()[:4]:
+                others = [
+                    p for p in dag.spec(op).supported_precisions()
+                    if p is not dag.precision(op) and T4.supports(p)
+                ]
+                if others:
+                    candidates.append((rank, op, others[0]))
+        assert {rank for rank, _, _ in candidates} == {r2, r3}
+        batched = replayer.whatif_candidates(candidates)
+        assert batched is not None
+        for (rank, op, target), (throughput, mem_total) in zip(
+            candidates, batched
+        ):
+            original = dags[rank].precision(op)
+            dags[rank].set_precision(op, target)
+            trial = replayer.simulate()
+            mem = replayer.memory_estimate(rank).total
+            dags[rank].set_precision(op, original)
+            assert throughput == trial.throughput, (rank, op, target)
+            assert mem_total == mem, (rank, op, target)
+        assert replayer.simulate() == sim
+
 
 # ---------------------------------------------------------------------------
 # allocator integration: batched recovery ≡ sequential recovery
@@ -281,6 +345,41 @@ def test_allocator_batched_recovery_matches_sequential():
     assert report_b.recovery_whatif_evals > 0
     # ...and the sequential run never touched it.
     assert report_s.recovery_whatif_evals == 0
+
+
+def test_allocator_steps_types_split_across_groups_sequentially():
+    """Same-type ranks priced by distinct catalog objects are separate rank
+    groups with separate compiled locals.  A what-if would re-price only
+    one of them while the allocator steps the whole type, so recovery runs
+    the sequential loop and lands on the reference plan."""
+    cluster = make_cluster_a(1, 2)
+    ctx = PlanSession().prepare(
+        PlanRequest(
+            model=lambda: mini_model_graph(
+                "mini_bert", batch_size=4, width_scale=8, spatial_scale=4
+            ),
+            cluster=cluster,
+            profile_repeats=1,
+        )
+    )
+
+    def allocate(incremental):
+        dags = {w.rank: ctx.template.copy() for w in cluster.workers}
+        replayer = Replayer(
+            cluster, dags,
+            {r: copy.copy(m.catalog) for r, m in ctx.replayer.mappers.items()},
+            {r: m.cast_calc for r, m in ctx.replayer.mappers.items()},
+            incremental=incremental,
+        )
+        assert len(replayer.groups) == len(cluster.workers)
+        indicator = VarianceIndicator(dags[1], ctx.stats, ctx.gamma)
+        return Allocator(replayer, {T4.name: indicator}).allocate()
+
+    plan, report = allocate(True)
+    plan_ref, report_ref = allocate(False)
+    assert report.recovery_whatif_evals == 0
+    assert plan.to_dict() == plan_ref.to_dict()
+    assert report.final_throughput == report_ref.final_throughput
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +460,7 @@ def test_perturbed_plan_holds_throughput_floor(
 
 _KERNEL_PROBE = r"""
 import json
-from repro.common.dtypes import higher_precision
+from repro.common.dtypes import Precision, higher_precision
 from repro.common.rng import new_rng
 from repro.core.replayer import simulate_global_dfg
 from tests.test_engine import _cluster, _random_gdfg

@@ -5,7 +5,10 @@ import pytest
 from repro.backend import LPBackend
 from repro.core.plan import PrecisionPlan
 from repro.core.replayer import SimulationResult
+from repro.common.units import GBPS
+from repro.graph.dag import PrecisionDAG
 from repro.hardware import T4, V100, make_cluster_a
+from repro.hardware.cluster import Cluster, Worker
 from repro.models import mini_model_graph
 from repro.session import (
     PlanOutcome,
@@ -148,6 +151,52 @@ class TestRequestValidation:
         assert sorted(ctx.backends) == [0, 1]
         assert ctx.backends[1].device.name == "T4"
         assert ctx.replayer.simulate().iteration_time > 0
+
+    def test_same_type_backend_override_must_match_its_type(self):
+        """Rank 3's noisier backend used to be silently ignored: it was
+        priced with rank 2's catalog and the plan did not change."""
+        with pytest.raises(ValueError, match="ranks 2 and 3"):
+            PlanSession().prepare(
+                tiny_request(
+                    cluster=make_cluster_a(2, 2),
+                    backends={3: LPBackend(T4, measurement_noise=0.3)},
+                )
+            )
+
+    def test_same_named_devices_must_measure_alike(self):
+        """A partially loaned T4 is still named "T4": both ranks used to be
+        priced with one catalog and got identical per-device compute."""
+        cluster = Cluster(
+            name="t4_and_shared_t4",
+            workers=(
+                Worker(rank=0, device=V100, link_bandwidth=32 * GBPS),
+                Worker(rank=1, device=T4, link_bandwidth=8 * GBPS),
+                Worker(
+                    rank=2, device=T4.with_sharing(0.3, 0.5),
+                    link_bandwidth=8 * GBPS,
+                ),
+            ),
+        )
+        with pytest.raises(ValueError, match="ranks 1 and 2"):
+            PlanSession().prepare(tiny_request(cluster=cluster))
+
+
+class TestPrepare:
+    def test_one_dag_copy_per_device_type(self, monkeypatch):
+        copies = []
+        original = PrecisionDAG.copy
+
+        def counting_copy(dag):
+            copies.append(dag)
+            return original(dag)
+
+        monkeypatch.setattr(PrecisionDAG, "copy", counting_copy)
+        ctx = PlanSession().prepare(tiny_request(cluster=make_cluster_a(2, 2)))
+        assert len(copies) == 2
+        dags = ctx.replayer.dags
+        assert dags[0] is dags[1] and dags[2] is dags[3]
+        assert dags[0] is not dags[2]
+        assert len(ctx.replayer.groups) == 2
 
 
 class TestProfilingReuse:

@@ -83,6 +83,9 @@ def legacy_qsync_plan(dag_builder, cluster, loss="ce", indicator_factory=None):
 
 CLUSTERS = {
     "ClusterA": lambda: make_cluster_a(1, 1),
+    # Two ranks per type: the session plans each type as one rank group,
+    # the legacy pipeline hands the replayer a DAG per rank.
+    "ClusterA_2+2": lambda: make_cluster_a(2, 2),
     "ClusterB": lambda: make_cluster_b(1, 1),
 }
 
