@@ -74,7 +74,7 @@ def main() -> None:
 
     # Serving: wrap the warm session in a PlanService for thread-safe,
     # coalescing access — identical concurrent requests share one
-    # computation, and batches dedupe + group by template/catalog.
+    # computation, and batches dedupe identical requests.
     # (PlanService(root=...) instead persists profiles to disk, so a fresh
     # process warm-starts with zero profiling events.)
     service = PlanService(session=session)

@@ -48,7 +48,7 @@ from repro.graph.subgraph import group_blocks, isomorphism_classes
 RECOVERY_WINDOW = 16
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class AllocatorConfig:
     """Tunables for the allocation search."""
 

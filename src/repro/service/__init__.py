@@ -11,10 +11,11 @@ concurrent callers'* queries against a store that survives the process.
 * :class:`PersistentProfileStore` — the content-addressed on-disk
   profiling store (``<root>/profiles/<fingerprint>.json``, atomic writes,
   defects degrade to misses); :data:`PROFILE_FORMAT` versions its schema.
-* :func:`plan_many` — batched planning with deduplication and
-  template/catalog-grouped amortization.
+* :func:`plan_many` — batched planning with deduplication; the
+  content-keyed stores amortize profiling across the batch.
 * :func:`request_fingerprint` / :func:`cluster_fingerprint` — the content
-  identities coalescing and batching key on.
+  identities coalescing and batching key on, derived from the fields of
+  the request and cluster dataclasses.
 
 Layering (RPR004): ``service`` sits *above* ``session`` and below the
 experiment harnesses; nothing below it may import it.

@@ -16,8 +16,9 @@ concurrent, and cache-persistent across restarts"):
   against a :class:`~repro.service.store.PersistentProfileStore`, so a
   fresh process warm-starts from disk with zero profiling events;
 * **batching** — :meth:`plan_many` deduplicates identical requests and
-  orders the distinct ones by template/catalog group, so profiling and
-  template resolution are amortized once per distinct model×device-type.
+  plans the distinct ones in order; the session's content-keyed stores
+  already pay profiling and template resolution once per distinct
+  model×device-type, whatever the order.
 
 Lock discipline (also documented in CONTRIBUTING.md):
 
@@ -157,10 +158,9 @@ class PlanService:
 
         Identical requests are planned once (the duplicates count as
         ``coalesced_requests`` and share the one outcome).  Distinct
-        requests are processed grouped by template/catalog — model recipe
-        first, then cluster device types — so the expensive artifacts are
-        resolved once per distinct model×device-type and every later
-        member of the group runs warm, regardless of the input order.
+        requests run in first-appearance order; each profiling artifact is
+        still paid once per batch, because the session's store keys it by
+        content and every later request that needs it hits.
         """
         requests = list(requests)
         outcomes: list[PlanOutcome | None] = [None] * len(requests)
@@ -174,12 +174,7 @@ class PlanService:
             else:
                 groups.setdefault(fingerprint, []).append(index)
 
-        ordered = sorted(
-            groups.items(),
-            key=lambda item: self._group_token(requests[item[1][0]])
-            + (item[0],),
-        )
-        for fingerprint, indices in ordered:
+        for indices in groups.values():
             outcome = self.plan(requests[indices[0]])
             for index in indices:
                 outcomes[index] = outcome
@@ -191,20 +186,6 @@ class PlanService:
         for index in opaque:
             outcomes[index] = self.plan(requests[index])
         return outcomes
-
-    @staticmethod
-    def _group_token(request: PlanRequest) -> tuple:
-        """Amortization group of one request: the template recipe and the
-        catalog-determining axes (device types, repeat count).  Sorting a
-        batch by this token makes group members adjacent, so the first
-        member pays the profiling and the rest run warm."""
-        model = request.model if isinstance(request.model, str) else "~opaque"
-        kwargs = tuple(
-            sorted((str(k), repr(v)) for k, v in request.model_kwargs.items())
-        )
-        cluster = request.resolve_cluster()
-        device_types = tuple(sorted({w.device.name for w in cluster.workers}))
-        return (model, kwargs, device_types, int(request.profile_repeats))
 
     # ------------------------------------------------------------------
     def replan(
@@ -234,6 +215,6 @@ def plan_many(
     profile_seed: int = 0,
 ) -> list[PlanOutcome]:
     """One-shot batched planning over an ephemeral :class:`PlanService`
-    (grouped amortization and deduplication included) — for callers that
-    plan one batch and need no service afterwards."""
+    (deduplication included) — for callers that plan one batch and need no
+    service afterwards."""
     return PlanService(root=root, profile_seed=profile_seed).plan_many(requests)

@@ -1,17 +1,20 @@
 """Persistent, content-addressed profiling store (the serving warm start).
 
 A :class:`PersistentProfileStore` is a :class:`~repro.session.ProfileStore`
-with a filesystem tier underneath the in-memory maps: every catalog, cast
+with a filesystem tier underneath the in-memory map: every catalog, cast
 fit, and synthesized-stats artifact a session pays for is serialized to
 ``<root>/profiles/<fingerprint>.json``, and a *fresh process* pointed at
-the same root warm-starts with zero profiling events.  The layout copies
-the experiment :class:`~repro.experiments.artifacts.ArtifactStore`
+the same root warm-starts with zero profiling events.  It overrides only
+the base store's two extraction points, ``_fetch`` and ``_persist``, and
+picks the codec from the key's kind (``key[0]``).  The layout copies the
+experiment :class:`~repro.experiments.artifacts.ArtifactStore`
 disciplines wholesale:
 
 * **content addresses** — the filename digests the store key, which is
   already built exclusively from :mod:`repro.common.stable_hash`
-  fingerprints (profiling DAG fingerprint, backend measurement config,
-  repeat count), so keys survive ``PYTHONHASHSEED`` and process boundaries;
+  fingerprints (profiling DAG fingerprint, backend measurement config with
+  the device's fields, repeat count), so keys survive ``PYTHONHASHSEED``
+  and process boundaries;
 * **atomic writes** — temp file + ``os.replace``, so concurrent processes
   sharing a root can never expose a torn artifact;
 * **misses, never errors** — unreadable, truncated, stale-format, or
@@ -19,6 +22,7 @@ disciplines wholesale:
   the cache may only ever cost a re-profile;
 * **a format constant** — bump :data:`PROFILE_FORMAT` to invalidate every
   persisted profile at once (serialization or profiling-semantics changes).
+  A key change needs no bump: a file only serves the exact key it records.
 
 Loads are *exact*: floats round-trip through JSON byte-for-byte, so a
 disk-served catalog drives the planner to results bit-identical to a fresh
@@ -30,10 +34,10 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+from typing import Any
 
 from repro.backend.lp_backend import LPBackend
 from repro.common.stable_hash import stable_digest
-from repro.profiling.casting import CastCostCalculator
 from repro.profiling.persistence import (
     cast_calc_from_dict,
     cast_calc_to_dict,
@@ -42,8 +46,6 @@ from repro.profiling.persistence import (
     stats_from_dict,
     stats_to_dict,
 )
-from repro.profiling.profiler import OperatorCostCatalog
-from repro.profiling.stats import OperatorStats
 from repro.session.profiles import ProfileStore
 
 #: On-disk profile schema version; bump to invalidate every persisted
@@ -74,7 +76,7 @@ class PersistentProfileStore(ProfileStore):
         digest is stable across processes by construction)."""
         return self.profile_dir / f"{stable_digest(key)}.json"
 
-    def _read_payload(self, kind: str, key: tuple) -> dict | None:
+    def _read_payload(self, key: tuple) -> dict | None:
         """The artifact payload for ``key``, or ``None`` on any defect."""
         path = self.path_for(key)
         try:
@@ -83,18 +85,18 @@ class PersistentProfileStore(ProfileStore):
             return None
         if not isinstance(doc, dict) or doc.get("format") != PROFILE_FORMAT:
             return None
-        if doc.get("kind") != kind or doc.get("key") != list(key):
+        if doc.get("key") != list(key):
             return None
         payload = doc.get("payload")
         return payload if isinstance(payload, dict) else None
 
-    def _write_payload(self, kind: str, key: tuple, payload: dict) -> None:
+    def _write_payload(self, key: tuple, payload: dict) -> None:
         """Atomically persist one artifact; a failed write is a silent
         no-op (the disk tier is a cache — planning must not die because a
         cache volume filled up)."""
         doc = {
             "format": PROFILE_FORMAT,
-            "kind": kind,
+            "kind": key[0],
             "key": list(key),
             "payload": payload,
         }
@@ -108,55 +110,36 @@ class PersistentProfileStore(ProfileStore):
         except OSError:
             pass
 
-    def _count(self, artifact):
-        """Fold one fetch outcome into the hit/miss counters."""
+    # -- extraction-point overrides ------------------------------------
+    # The codecs are called through their module-global names so that a
+    # tracer patching those globals sees every encode and decode.
+    def _fetch(self, key: tuple, backend: LPBackend | None) -> Any:
+        payload = self._read_payload(key)
+        artifact = None
+        if payload is not None:
+            try:
+                if key[0] == "catalog":
+                    artifact = catalog_from_dict(payload)
+                elif key[0] == "cast":
+                    artifact = cast_calc_from_dict(payload, backend)
+                else:
+                    artifact = stats_from_dict(payload)
+            except (KeyError, TypeError, ValueError):
+                artifact = None
         if artifact is None:
             self.stats.disk_misses += 1
         else:
             self.stats.disk_hits += 1
         return artifact
 
-    # -- extraction-point overrides ------------------------------------
-    def _fetch_catalog(self, key: tuple) -> OperatorCostCatalog | None:
-        payload = self._read_payload("catalog", key)
-        catalog = None
-        if payload is not None:
-            try:
-                catalog = catalog_from_dict(payload)
-            except (KeyError, TypeError, ValueError):
-                catalog = None
-        return self._count(catalog)
-
-    def _persist_catalog(self, key: tuple, catalog: OperatorCostCatalog) -> None:
-        self._write_payload("catalog", key, catalog_to_dict(catalog))
-
-    def _fetch_cast(
-        self, key: tuple, backend: LPBackend
-    ) -> CastCostCalculator | None:
-        payload = self._read_payload("cast", key)
-        calc = None
-        if payload is not None:
-            try:
-                calc = cast_calc_from_dict(payload, backend)
-            except (KeyError, TypeError, ValueError):
-                calc = None
-        return self._count(calc)
-
-    def _persist_cast(self, key: tuple, calc: CastCostCalculator) -> None:
-        self._write_payload("cast", key, cast_calc_to_dict(calc))
-
-    def _fetch_stats(self, key: tuple) -> dict[str, OperatorStats] | None:
-        payload = self._read_payload("stats", key)
-        stats = None
-        if payload is not None:
-            try:
-                stats = stats_from_dict(payload)
-            except (KeyError, TypeError, ValueError):
-                stats = None
-        return self._count(stats)
-
-    def _persist_stats(self, key: tuple, stats: dict[str, OperatorStats]) -> None:
-        self._write_payload("stats", key, stats_to_dict(stats))
+    def _persist(self, key: tuple, artifact: Any) -> None:
+        if key[0] == "catalog":
+            payload = catalog_to_dict(artifact)
+        elif key[0] == "cast":
+            payload = cast_calc_to_dict(artifact)
+        else:
+            payload = stats_to_dict(artifact)
+        self._write_payload(key, payload)
 
     # ------------------------------------------------------------------
     def entries(self) -> list[Path]:

@@ -16,7 +16,8 @@ bit-identical to a fresh profile (backend jitter is keyed per
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Mapping
+from collections import abc
+from typing import Any, Callable, Mapping
 
 from repro.backend.lp_backend import LPBackend
 from repro.common.stable_hash import stable_digest
@@ -70,23 +71,42 @@ class SessionStats:
 # ---------------------------------------------------------------------------
 
 
-def device_fingerprint(device: DeviceSpec) -> str:
-    """Digest of every :class:`DeviceSpec` field a measurement can read —
-    two devices with equal fingerprints produce identical catalogs."""
-    return stable_digest(
-        (
-            device.name,
-            device.arch,
-            {p.value: float(f) for p, f in device.peak_flops.items()},
-            int(device.memory_bytes),
-            float(device.mem_bandwidth),
-            float(device.kernel_launch_overhead),
-            bool(device.is_training_gpu),
-            device.sharing,
-            float(device.memory_fraction),
-            float(device.compute_fraction),
+def content_token(value: Any) -> Any:
+    """The one content-key rule: the :mod:`repro.common.stable_hash` input
+    tree of a value, derived from its type instead of a hand-kept list.
+
+    A frozen dataclass encodes as its type's qualified name plus every
+    :func:`dataclasses.fields` value, recursively, so a subclass or a new
+    field can never alias an old key.  An :class:`LPBackend` encodes as its
+    :func:`backend_fingerprint`; mappings and sequences recurse.  Anything
+    else passes through raw: primitives and enums encode, while opaque
+    members (callables, built DAGs, mutable dataclasses such as provided
+    stats, custom model instances) make
+    :func:`~repro.common.stable_hash.try_stable_digest` return ``None``.
+    """
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, LPBackend):
+        return backend_fingerprint(value)
+    cls = type(value)
+    params = getattr(cls, "__dataclass_params__", None)
+    if params is not None and params.frozen:
+        fields = dataclasses.fields(cls)
+        return (
+            f"{cls.__module__}.{cls.__qualname__}",
+            *(content_token(getattr(value, f.name)) for f in fields),
         )
-    )
+    if isinstance(value, abc.Mapping):
+        return {k: content_token(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [content_token(v) for v in value]
+    return value
+
+
+def device_fingerprint(device: DeviceSpec) -> str:
+    """Digest of every :class:`DeviceSpec` field — two devices with equal
+    fingerprints produce identical catalogs."""
+    return stable_digest(content_token(device))
 
 
 def backend_fingerprint(backend: LPBackend) -> str:
@@ -190,51 +210,60 @@ def resolve_backends(
 # ---------------------------------------------------------------------------
 
 
+#: Store-key kind -> (hit counter, computation counter) in SessionStats.
+_COUNTERS = {
+    "catalog": ("catalog_hits", "catalog_profiles"),
+    "cast": ("cast_hits", "cast_fits"),
+    "stats": ("stats_hits", "stats_syntheses"),
+}
+
+
 class ProfileStore:
     """Fingerprint-keyed cache of profiling artifacts (one per session).
 
     Lookup discipline (the extraction points a persistent subclass hooks):
-    each ``*_for`` method consults the in-memory map, then offers the key to
-    a ``_fetch_*`` hook (a second cache tier — this base class has none and
-    always misses), and only then pays for the computation, handing the
-    fresh artifact to the matching ``_persist_*`` hook.  Keys are built from
-    :mod:`repro.common.stable_hash` fingerprints only, so a subclass may use
-    them verbatim as cross-process content addresses.
+    catalogs, cast fits and stats share one path — the in-memory map, then
+    :meth:`_fetch` (a second cache tier; this base class has none and
+    always misses), and only then the computation, whose fresh artifact
+    goes to :meth:`_persist`.  ``key[0]`` names the artifact kind.  Keys
+    are built from :mod:`repro.common.stable_hash` fingerprints only, so a
+    subclass may use them verbatim as cross-process content addresses.
     """
 
     def __init__(self) -> None:
         self.stats = SessionStats()
-        self._catalogs: dict[tuple, OperatorCostCatalog] = {}
-        self._cast_calcs: dict[tuple, CastCostCalculator] = {}
-        self._op_stats: dict[tuple, dict[str, OperatorStats]] = {}
-        self._templates: dict[tuple, PrecisionDAG] = {}
+        self._memo: dict[tuple, Any] = {}
 
     # -- extraction points (overridden by the persistent store) --------
-    def _fetch_catalog(self, key: tuple) -> OperatorCostCatalog | None:
-        """Second-tier catalog lookup; ``None`` = miss (base: always)."""
+    def _fetch(self, key: tuple, backend: LPBackend | None) -> Any:
+        """Second-tier lookup; ``None`` = miss (base: always).  ``backend``
+        rebinds a fetched cast fit to a live measurement backend."""
         return None
 
-    def _persist_catalog(self, key: tuple, catalog: OperatorCostCatalog) -> None:
-        """Offer a freshly profiled catalog to the second tier (base: drop)."""
+    def _persist(self, key: tuple, artifact: Any) -> None:
+        """Offer a freshly computed artifact to the second tier (base: drop)."""
 
-    def _fetch_cast(
-        self, key: tuple, backend: LPBackend
-    ) -> CastCostCalculator | None:
-        """Second-tier cast-fit lookup (``backend`` rebinds the fitted
-        models to a live measurement backend); ``None`` = miss."""
-        return None
+    def _lookup(
+        self,
+        key: tuple,
+        compute: Callable[[], Any],
+        backend: LPBackend | None = None,
+    ) -> Any:
+        """Memory → :meth:`_fetch` → ``compute`` + :meth:`_persist`, counting
+        a hit or a computation under the key's kind."""
+        hits, computed = _COUNTERS[key[0]]
+        artifact = self._memo.get(key)
+        if artifact is None:
+            artifact = self._fetch(key, backend)
+        if artifact is None:
+            setattr(self.stats, computed, getattr(self.stats, computed) + 1)
+            artifact = compute()
+            self._persist(key, artifact)
+        else:
+            setattr(self.stats, hits, getattr(self.stats, hits) + 1)
+        self._memo[key] = artifact
+        return artifact
 
-    def _persist_cast(self, key: tuple, calc: CastCostCalculator) -> None:
-        """Offer a freshly fitted cast calculator to the second tier."""
-
-    def _fetch_stats(self, key: tuple) -> dict[str, OperatorStats] | None:
-        """Second-tier synthesized-stats lookup; ``None`` = miss."""
-        return None
-
-    def _persist_stats(self, key: tuple, stats: dict[str, OperatorStats]) -> None:
-        """Offer freshly synthesized stats to the second tier."""
-
-    # -- catalogs ------------------------------------------------------
     def catalog_for(
         self,
         dag: PrecisionDAG,
@@ -248,73 +277,34 @@ class ProfileStore:
             backend_fingerprint(backend),
             int(repeats),
         )
-        hit = self._catalogs.get(key)
-        if hit is not None:
-            self.stats.catalog_hits += 1
-            return hit
-        fetched = self._fetch_catalog(key)
-        if fetched is not None:
-            self.stats.catalog_hits += 1
-            self._catalogs[key] = fetched
-            return fetched
-        self.stats.catalog_profiles += 1
-        catalog = profile_operator_costs(dag, backend, repeats=repeats)
-        self._catalogs[key] = catalog
-        self._persist_catalog(key, catalog)
-        return catalog
+        return self._lookup(
+            key, lambda: profile_operator_costs(dag, backend, repeats=repeats)
+        )
 
-    # -- cast-cost fits ------------------------------------------------
     def cast_calc_for(self, backend: LPBackend) -> CastCostCalculator:
         key = ("cast", backend_fingerprint(backend))
-        hit = self._cast_calcs.get(key)
-        if hit is not None:
-            self.stats.cast_hits += 1
-            return hit
-        fetched = self._fetch_cast(key, backend)
-        if fetched is not None:
-            self.stats.cast_hits += 1
-            self._cast_calcs[key] = fetched
-            return fetched
-        self.stats.cast_fits += 1
-        calc = CastCostCalculator(backend)
-        self._cast_calcs[key] = calc
-        self._persist_cast(key, calc)
-        return calc
+        return self._lookup(key, lambda: CastCostCalculator(backend), backend)
 
-    # -- synthesized indicator statistics ------------------------------
     def stats_for(
         self, template: PrecisionDAG, seed: int
     ) -> dict[str, OperatorStats]:
         key = ("stats", template.structure_fingerprint(), int(seed))
-        hit = self._op_stats.get(key)
-        if hit is not None:
-            self.stats.stats_hits += 1
-            return hit
-        fetched = self._fetch_stats(key)
-        if fetched is not None:
-            self.stats.stats_hits += 1
-            self._op_stats[key] = fetched
-            return fetched
-        self.stats.stats_syntheses += 1
-        stats = synthesize_stats(template, seed=seed)
-        self._op_stats[key] = stats
-        self._persist_stats(key, stats)
-        return stats
+        return self._lookup(key, lambda: synthesize_stats(template, seed=seed))
 
-    # -- template DAGs -------------------------------------------------
     def template_for(
         self, key: tuple | None, build: Callable[[], PrecisionDAG]
     ) -> PrecisionDAG:
         """Cached template when ``key`` identifies the recipe (string-named
-        models); opaque builders/DAG instances bypass the cache."""
+        models); opaque builders/DAG instances bypass the cache.  Memory
+        only: templates never reach the second tier."""
         if key is None:
             return build()
         full_key = ("template", key)
-        hit = self._templates.get(full_key)
+        hit = self._memo.get(full_key)
         if hit is not None:
             self.stats.template_hits += 1
             return hit
         self.stats.template_builds += 1
         template = build()
-        self._templates[full_key] = template
+        self._memo[full_key] = template
         return template

@@ -111,8 +111,8 @@ class PlanRequest:
     bit-identical where they overlap, and
     :func:`repro.engine.policy.eq6_fast_path` alone routes each evaluation
     from ``schedule_policy`` and ``perturbation``.  Every field here feeds
-    :func:`repro.service.fingerprint.request_token`, so a new field must be
-    encoded there too.
+    :func:`repro.service.fingerprint.request_token`, which derives the
+    request's content key from these fields.
     """
 
     model: Union[str, Callable[[], PrecisionDAG], PrecisionDAG]

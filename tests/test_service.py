@@ -15,6 +15,7 @@ Pins the service-layer contracts:
   invariant under ``PYTHONHASHSEED`` (subprocess probe).
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -24,7 +25,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.hardware import make_cluster_a
+from repro.engine import Perturbation
+from repro.hardware import DeviceSpec, make_cluster_a
+from repro.hardware.cluster import Cluster, Worker
 from repro.service import (
     PROFILE_FORMAT,
     PersistentProfileStore,
@@ -165,8 +168,6 @@ def test_request_token_covers_every_field():
     """Every PlanRequest field is encoded by request_token or named in
     TOKEN_EXCLUDED, so adding or removing a field cannot silently desync
     the coalescing identity from the request."""
-    import dataclasses
-
     from repro.service.fingerprint import request_token
 
     names = {f.name for f in dataclasses.fields(PlanRequest)}
@@ -175,19 +176,93 @@ def test_request_token_covers_every_field():
     assert not set(alternatives) & set(TOKEN_EXCLUDED)
     base = request_token(small_request())
     for name, value in alternatives.items():
-        assert request_token(small_request(**{name: value})) != base, name
+        request = small_request(**{name: value})
+        assert request_token(request) != base, name
+        # A field of a type the key rule cannot encode would silently turn
+        # every request carrying it opaque (no coalescing, no disk keys).
+        assert request_fingerprint(request) is not None, name
 
 
-def test_opaque_requests_do_not_coalesce():
+def _opaque_overrides(case: str) -> dict:
+    """One request member per kind the key rule must leave opaque."""
+    from repro.engine.policy import BlockingSyncPolicy
     from repro.models import mini_model_graph
+    from repro.parallel.comm_model import HierarchicalModel
+    from repro.profiling.stats import synthesize_stats
 
-    opaque = small_request(
-        model=lambda: mini_model_graph("mini_vgg", batch_size=4), model_kwargs={}
-    )
+    def build():
+        return mini_model_graph("mini_vgg", batch_size=4)
+
+    return {
+        "builder": lambda: {"model": build, "model_kwargs": {}},
+        "dag": lambda: {"model": build(), "model_kwargs": {}},
+        "collective_model": lambda: {"collective_model": HierarchicalModel()},
+        "schedule_policy": lambda: {"schedule_policy": BlockingSyncPolicy()},
+        "stats": lambda: {"stats": synthesize_stats(build(), seed=0)},
+    }[case]()
+
+
+@pytest.mark.parametrize(
+    "case", ["builder", "dag", "collective_model", "schedule_policy", "stats"]
+)
+def test_opaque_requests_do_not_coalesce(case):
+    opaque = small_request(**_opaque_overrides(case))
     assert request_fingerprint(opaque) is None
     # ... but they are still served correctly.
     outcome = PlanService().plan(opaque)
-    assert canon(outcome) == canon(PlanSession().plan(small_request()))
+    assert canon(outcome) == canon(PlanSession().plan(opaque))
+
+
+@dataclasses.dataclass(frozen=True)
+class _TaggedPerturbation(Perturbation):
+    tag: str = "a"
+
+
+@dataclasses.dataclass(frozen=True)
+class _TaggedDevice(DeviceSpec):
+    tag: str = "a"
+
+
+def _tagged_cluster(tag: str) -> Cluster:
+    workers = tuple(
+        Worker(
+            w.rank,
+            _TaggedDevice(
+                **{f.name: getattr(w.device, f.name)
+                   for f in dataclasses.fields(DeviceSpec)},
+                tag=tag,
+            ),
+            w.link_bandwidth,
+        )
+        for w in CLUSTER.workers
+    )
+    return Cluster(CLUSTER.name, workers, CLUSTER.collective_latency)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        lambda tag: {"perturbation": _TaggedPerturbation(tag=tag)},
+        lambda tag: {"cluster": _tagged_cluster(tag)},
+    ],
+    ids=["perturbation_subclass", "device_subclass_in_cluster"],
+)
+def test_subclass_fields_do_not_alias(overrides):
+    """A field added by a frozen subclass is part of the content key: two
+    requests differing only there must never coalesce."""
+    a = request_fingerprint(small_request(**overrides("a")))
+    b = request_fingerprint(small_request(**overrides("b")))
+    assert a is not None and b is not None
+    assert a != b
+
+
+def test_allocator_config_is_frozen():
+    """A config cannot change meaning after its request was fingerprinted."""
+    from repro.core.allocator import AllocatorConfig
+
+    config = AllocatorConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.amp_mode = True
 
 
 def test_coalesced_followers_share_the_leader_outcome():
@@ -291,7 +366,8 @@ def test_plan_many_dedupes_and_preserves_order():
 
 
 def test_plan_many_groups_amortize_profiling():
-    # Interleaved models: grouping must still profile each catalog key once.
+    # Interleaved models: the content-keyed store profiles each catalog
+    # key once, whatever the batch order.
     a, b = small_request(), small_request(model="mini_vggbn")
     service = PlanService()
     outcomes = service.plan_many(
