@@ -99,7 +99,6 @@ def _run_mode(setup: dict, incremental: bool) -> dict:
         "simulate_calls": replayer.stats.simulate_calls,
         "full_rebuilds": replayer.full_rebuilds(),
         "incremental_updates": replayer.incremental_updates(),
-        "memory_evals": replayer.stats.memory_evals,
     }
 
 

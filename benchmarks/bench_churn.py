@@ -1,10 +1,9 @@
 """Elastic re-planning: incremental ``replan`` after churn vs a cold plan.
 
-The elastic-membership subsystem's pitch is that a membership change costs
-O(changed ranks), never a cold restart: ``PlanSession.replan`` re-plans on
-the session's warm :class:`ProfileStore` (zero new profiling for device
-types already seen) and adopts the pre-churn replayer's device-type DFG
-caches.  This benchmark measures exactly that claim on the cloud-edge
+The elastic-membership subsystem's pitch is that a membership change is
+never a cold restart: ``PlanSession.replan`` re-plans on the session's
+warm :class:`ProfileStore` (zero new profiling for device types already
+seen).  This benchmark measures exactly that claim on the cloud-edge
 cluster:
 
 * **cold** — a fresh session's first ``plan()`` on the full cluster;
@@ -148,7 +147,6 @@ def run_bench(small: bool = False, path: str | Path = "BENCH_churn.json") -> dic
         "zero_event_parity": zero_parity,
         "zero_event_profile_events": zero.new_profile_events,
         "replan_profile_events": replanned.new_profile_events,
-        "adopted_dfg_types": replanned.adopted_dfg_types,
         "replan_matches_cold_survivor": survivor_parity,
         "profile_events_cold": cold_events,
         "delta": replanned.delta.describe(),

@@ -54,6 +54,7 @@ from repro.graph.propagation import (  # noqa: F401 - canonical re-export
     output_precision,
     propagate_dirty,
 )
+from repro.hardware.device import DeviceSpec
 from repro.kernel import LocalLayout
 from repro.profiling.casting import CastCostCalculator
 from repro.profiling.memory import op_memory_contribution
@@ -150,8 +151,8 @@ def optimizer_pass_seconds(total_weight_elems: int, device) -> float:
 
 class _MapperState:
     """Retained derivation of the DAG at one version: effective precisions,
-    per-op forward/backward segments, per-op memory contributions, and the
-    last assembled DFG."""
+    per-op forward/backward segments, per-op memory contributions, their
+    top-2 workspace term, and the last assembled DFG."""
 
     __slots__ = (
         "version",
@@ -166,6 +167,7 @@ class _MapperState:
         "mem_act",
         "mem_wcopy_total",
         "mem_act_total",
+        "workspace",
         "dfg",
         "dfg_key",
     )
@@ -193,6 +195,8 @@ class _MapperState:
         self.mem_act = mem_act
         self.mem_wcopy_total = sum(mem_wcopy.values())
         self.mem_act_total = sum(mem_act.values())
+        #: The two largest activations' bytes, or None until first read.
+        self.workspace: int | None = None
         self.dfg: LocalDFG | None = None
         self.dfg_key: tuple[str, int] | None = None
 
@@ -254,8 +258,14 @@ class CostMapper:
         Profiled pure-execution costs ``CC_i``.
     cast_calc:
         Fitted casting-cost models ``CP``.
-    optimizer_flops_per_elem:
-        Optimizer-step work per parameter element (SGD+momentum ~ 4).
+    device:
+        The :class:`~repro.hardware.device.DeviceSpec` whose memory
+        bandwidth prices the optimizer pass.
+    bucket_cap_bytes:
+        Gradient-bucket capacity (DDP's ``bucket_cap_mb``).
+
+    Segments are priced by the module-level ``catalog_*`` functions, the
+    same ones the engine's ``CatalogCostSource`` runs.
     """
 
     def __init__(
@@ -263,7 +273,7 @@ class CostMapper:
         dag: PrecisionDAG,
         catalog: OperatorCostCatalog,
         cast_calc: CastCostCalculator,
-        device=None,
+        device: DeviceSpec,
         bucket_cap_bytes: int = 25 * 1024**2,
     ) -> None:
         self.dag = dag
@@ -279,36 +289,6 @@ class CostMapper:
         #: benchmark asserts zero full rebuilds inside the recovery loop).
         self.full_rebuilds = 0
         self.incremental_updates = 0
-
-    # ------------------------------------------------------------------
-    # catalog lookup with pass-through fallback
-    # ------------------------------------------------------------------
-    def _pure_cost(self, op: str, precision: Precision):
-        """CC_i lookup; dependent ops profiled only at FP16/FP32."""
-        return catalog_pure_cost(self.catalog, op, precision)
-
-    # ------------------------------------------------------------------
-    # per-op segment derivation (shared by the full and delta paths, and
-    # with the engine's CatalogCostSource — one pricing implementation)
-    # ------------------------------------------------------------------
-    def _forward_segment(
-        self, name: str, effective: dict[str, Precision]
-    ) -> list[DFGNode]:
-        """Forward nodes this op contributes: input casts (lines 6-10 of
-        Alg. 1), weight cast (lines 11-13), then the compute node."""
-        return catalog_forward_segment(
-            self.dag, self.catalog, self.cast_calc, name, effective
-        )
-
-    def _backward_segment(
-        self, name: str, effective: dict[str, Precision]
-    ) -> list[DFGNode]:
-        """Backward nodes this op contributes: gradient-format casts from
-        successors (lines 17-24; each successor hands back a gradient in its
-        own backward format), then the compute node."""
-        return catalog_backward_segment(
-            self.dag, self.catalog, self.cast_calc, name, effective
-        )
 
     # ------------------------------------------------------------------
     # structure-only artifacts (independent of precisions)
@@ -341,17 +321,12 @@ class CostMapper:
         parameters (read w, g, momentum; write w, momentum — 5 FP32 each)."""
         structure = self.dag.structure_version
         if self._opt_time_cache is None or self._opt_time_cache[0] != structure:
-            total_weight_elems = self.dag.total_weight_elems()
-            if self.device is not None:
-                opt_time = optimizer_pass_seconds(total_weight_elems, self.device)
-            else:
-                # Fall back to the fitted elementwise-pass slope: an
-                # FP32->FP16 cast streams 6 bytes/elem, the optimizer 20.
-                slope = self.cast_calc.model(
-                    Precision.FP32, Precision.FP16
-                ).slope
-                opt_time = slope * total_weight_elems * (20.0 / 6.0)
-            self._opt_time_cache = (structure, opt_time)
+            self._opt_time_cache = (
+                structure,
+                optimizer_pass_seconds(
+                    self.dag.total_weight_elems(), self.device
+                ),
+            )
         return self._opt_time_cache[1]
 
     # ------------------------------------------------------------------
@@ -427,8 +402,12 @@ class CostMapper:
         for name in topo:
             state.set_segments(
                 name,
-                self._forward_segment(name, effective),
-                self._backward_segment(name, effective),
+                catalog_forward_segment(
+                    self.dag, self.catalog, self.cast_calc, name, effective
+                ),
+                catalog_backward_segment(
+                    self.dag, self.catalog, self.cast_calc, name, effective
+                ),
             )
         self._state = state
         self.full_rebuilds += 1
@@ -447,7 +426,8 @@ class CostMapper:
         if state.version == self.dag.version:
             return
         dirty = self.dag.dirty_since(state.version)
-        changed = propagate_dirty(self.dag, state.effective, dirty)
+        effective = state.effective
+        changed = propagate_dirty(self.dag, effective, dirty)
         affected = set(changed)
         for name in changed:
             affected.update(self.dag.successors(name))
@@ -459,18 +439,22 @@ class CostMapper:
         for name in affected:
             state.set_segments(
                 name,
-                self._forward_segment(name, state.effective),
-                self._backward_segment(name, state.effective),
+                catalog_forward_segment(
+                    self.dag, self.catalog, self.cast_calc, name, effective
+                ),
+                catalog_backward_segment(
+                    self.dag, self.catalog, self.cast_calc, name, effective
+                ),
             )
             wcopy, act = op_memory_contribution(
-                self.dag.spec(name), self.dag.precision(name),
-                state.effective[name],
+                self.dag.spec(name), self.dag.precision(name), effective[name]
             )
             state.mem_wcopy_total += wcopy - state.mem_wcopy[name]
             state.mem_act_total += act - state.mem_act[name]
             state.mem_wcopy[name] = wcopy
             state.mem_act[name] = act
         state.version = self.dag.version
+        state.workspace = None
         state.dfg = None  # stale assembly
         state.dfg_key = None
         self.incremental_updates += 1
@@ -495,8 +479,9 @@ class CostMapper:
         self.refresh()
         state = self._state
         assert state is not None
-        top2 = heapq.nlargest(2, state.mem_act.values())
-        return state.mem_wcopy_total, state.mem_act_total, int(sum(top2))
+        if state.workspace is None:
+            state.workspace = int(sum(heapq.nlargest(2, state.mem_act.values())))
+        return state.mem_wcopy_total, state.mem_act_total, state.workspace
 
     # ------------------------------------------------------------------
     # kernel lowering support (repro.kernel; ROADMAP open item 4)

@@ -58,8 +58,6 @@ class ReplayerStats:
     """Counters for the incremental replay engine (diagnostics/benchmarks)."""
 
     simulate_calls: int = 0
-    #: Memory estimates derived from a cost mapper (signature-cache misses).
-    memory_evals: int = 0
     #: simulate() calls served by the compiled array kernel (PR 8).
     kernel_sims: int = 0
     #: Candidates evaluated through the batched what-if kernel sweep.
@@ -85,16 +83,18 @@ class SimulationResult:
 @dataclasses.dataclass(eq=False)
 class RankGroup:
     """Ranks sharing one DAG object, catalog, cast model and device: one
-    plan, so one cost mapper, one LocalDFG and one memory estimate."""
+    plan, so one cost mapper, which serves the group's LocalDFG and memory
+    estimate."""
 
     ranks: list[int]
     device: DeviceSpec
     dag: PrecisionDAG
     mapper: CostMapper
-    #: ``(device name, catalog, cast model, bucket cap)``: the DFG and kernel
-    #: cache key.  Equal keys price equal signatures alike, so such groups
-    #: share entries, also across replayers (``adopt_shared_state``).
-    key: tuple
+    #: Price class: the index of the replayer's first group with an equal
+    #: device and the same catalog and cast-model objects.  Groups of one
+    #: class price equal DAG contents alike, so they share compiled kernel
+    #: locals.
+    key: int
 
 
 class Replayer:
@@ -125,8 +125,9 @@ class Replayer:
         (:class:`repro.engine.Perturbation`); also routed through the
         engine.
 
-    Per-query state lives per :class:`RankGroup`: one :class:`CostMapper`,
-    one DFG cache entry, one memory lookup.  ``dags[rank]`` and
+    Per-query state lives per :class:`RankGroup`, in its
+    :class:`CostMapper`: the one cache of the group's LocalDFG and memory
+    terms, validated on the DAG's version counters.  ``dags[rank]`` and
     ``mappers[rank]`` are read-only aliases of the rank's group; timelines
     and per-device compute and wait times keep their rank ids.
 
@@ -171,19 +172,19 @@ class Replayer:
         self._group_of: dict[int, RankGroup] = {}
         for w in cluster.workers:
             dag, catalog, cast = dags[w.rank], catalogs[w.rank], cast_calcs[w.rank]
-            key = (w.device.name, catalog, cast, bucket_cap_bytes)
-            group = next(
-                (
-                    g for g in self.groups
-                    if g.dag is dag and g.key == key and g.device == w.device
-                ),
-                None,
-            )
+            priced_alike = [
+                g for g in self.groups
+                if g.device == w.device
+                and g.mapper.catalog is catalog
+                and g.mapper.cast_calc is cast
+            ]
+            group = next((g for g in priced_alike if g.dag is dag), None)
             if group is None:
                 mapper = CostMapper(
                     dag, catalog, cast, device=w.device,
                     bucket_cap_bytes=bucket_cap_bytes,
                 )
+                key = priced_alike[0].key if priced_alike else len(self.groups)
                 group = RankGroup([], w.device, dag, mapper, key)
                 self.groups.append(group)
             group.ranks.append(w.rank)
@@ -191,18 +192,11 @@ class Replayer:
         self.mappers: dict[int, CostMapper] = {
             rank: group.mapper for rank, group in self._group_of.items()
         }
-        # group key -> (precision signature, structure fingerprint,
-        # LocalDFG) — fingerprints, not per-instance counters, because the
-        # entries are shared across groups and adopted across replayers.
-        self._dfg_cache: dict[tuple, tuple[tuple, int, LocalDFG]] = {}
-        # (structure fingerprint, precision signature) -> MemoryEstimate
-        # (structurally identical DAGs with equal signatures have identical
-        # footprints, device-independent)
-        self._mem_sig_cache: dict[tuple, MemoryEstimate] = {}
-        # group key -> (precision signature, structure fingerprint,
-        # CompiledLocal | None) — keyed exactly like _dfg_cache; None is a
-        # cached "not lowerable" verdict so failures don't retry.
-        self._kernel_local_cache: dict[tuple, tuple[tuple, int, object]] = {}
+        # price class -> (precision signature, structure fingerprint,
+        # CompiledLocal | None) — fingerprints, not per-instance counters,
+        # because groups of one class share entries; None is a cached "not
+        # lowerable" verdict so failures don't retry.
+        self._kernel_local_cache: dict[int, tuple[tuple, int, object]] = {}
         # (cluster, collective model, per-group CompiledLocal, bucket bits)
         # -> CompiledGlobal; the priced durations are baked in, so the
         # cluster and collective model ride in the key.
@@ -249,64 +243,18 @@ class Replayer:
         """Total delta DFG updates across all mappers."""
         return sum(g.mapper.incremental_updates for g in self.groups)
 
-    def adopt_shared_state(self, other: "Replayer") -> int:
-        """Adopt another replayer's group-keyed caches where sound.
-
-        The elastic re-planning entry point: after a membership change, the
-        surviving ranks' device types have already built (and signed) their
-        DFGs in the pre-churn replayer — a fresh replayer over the new
-        cluster can serve those straight from ``other``'s DFG cache instead
-        of re-deriving them, making re-plan cost O(changed ranks).
-
-        An entry is adopted when one of this replayer's groups has the same
-        key — device name, catalog and cast calculator objects, bucket cap —
-        so shared provenance is the guard; both must be in incremental mode.
-        A stale adopted entry is harmless — :meth:`local_dfg` only serves
-        it on an exact precision-signature + structure-fingerprint match,
-        and misses fall through to the cost mapper as usual.
-
-        Returns the number of DFG entries adopted.
-        """
-        if not (self.incremental and other.incremental):
-            return 0
-        keys = {group.key for group in self.groups}
-        adopted = 0
-        for key, entry in other._dfg_cache.items():
-            if key in keys:
-                self._dfg_cache[key] = entry
-                adopted += 1
-        # Memory estimates are keyed on (structure fingerprint, precision
-        # signature) and device-independent, but scale with optimizer slots.
-        if (
-            self.memory_model.optimizer_slots
-            == other.memory_model.optimizer_slots
-        ):
-            merged = dict(other._mem_sig_cache)
-            merged.update(self._mem_sig_cache)
-            if len(merged) <= 8192:
-                self._mem_sig_cache = merged
-        return adopted
-
     # ------------------------------------------------------------------
     def local_dfg(self, rank: int) -> LocalDFG:
         """The rank's LocalDFG under its current precisions.
 
-        Incremental mode serves the rank's group entry while its precision
-        signature and structure fingerprint match, as a view under ``rank``
-        when the entry was built for another rank; only a genuinely novel
-        assignment reaches the group's cost mapper, and there it costs a
-        delta update, not a rebuild.
+        Incremental mode serves the group's cost mapper's retained DFG (a
+        delta update when the DAG moved, never a rebuild), as a view under
+        ``rank`` for every rank but the group's first.
         """
         group = self._group_of[rank]
         if not self.incremental:
             return group.mapper.build_local_dfg(group.device.name, rank)
-        sig = group.dag.precision_signature()
-        fingerprint = group.dag.structure_fingerprint()
-        entry = self._dfg_cache.get(group.key)
-        if entry is None or entry[0] != sig or entry[1] != fingerprint:
-            dfg = group.mapper.current_dfg(group.device.name, group.ranks[0])
-            entry = self._dfg_cache[group.key] = (sig, fingerprint, dfg)
-        dfg = entry[2]
+        dfg = group.mapper.current_dfg(group.device.name, group.ranks[0])
         return dfg if dfg.rank == rank else dfg.view_for_rank(rank)
 
     def build_global_dfg(self) -> GlobalDFG:
@@ -318,9 +266,10 @@ class Replayer:
     def _compiled_local(self, group: RankGroup):
         """The group's :class:`repro.kernel.CompiledLocal`.
 
-        Keyed exactly like the DFG cache — precision signature + structure
-        fingerprint per group key — including a cached ``None`` verdict for
-        DFGs that refuse to lower, so failures don't retry on every call.
+        Keyed on the group's price class and validated on precision
+        signature + structure fingerprint, so groups priced alike share one
+        entry; a cached ``None`` verdict for DFGs that refuse to lower keeps
+        failures from retrying on every call.
         """
         dag = group.dag
         sig = dag.precision_signature()
@@ -426,17 +375,11 @@ class Replayer:
             rows.append(row)
             local_indices.append(cg.local_of_rank[rank])
             compute_ends.append(compute_end)
-            # Mirrors memory_estimate()'s MemoryEstimate.total (all-int).
-            weights = (
-                self.dags[rank].total_weight_elems() * Precision.FP32.nbytes
-            )
             mem_totals.append(
-                weights
-                + change.wcopy_total
-                + weights
-                + self.memory_model.optimizer_slots * weights
-                + change.act_total
-                + change.workspace
+                self.memory_model.footprint(
+                    self.dags[rank].total_weight_elems(),
+                    change.wcopy_total, change.act_total, change.workspace,
+                ).total
             )
         iterations = kernel_simulate_batch(cg, rows, local_indices, compute_ends)
         self.stats.whatif_evals += len(rows)
@@ -491,32 +434,15 @@ class Replayer:
         )
 
     def memory_estimate(self, rank: int) -> MemoryEstimate:
-        """The rank's footprint: one lookup per rank group."""
+        """The rank's footprint.  Incremental mode takes the
+        precision-dependent terms from the group's cost mapper, which
+        maintains them per op (O(affected), not O(graph))."""
         group = self._group_of[rank]
-        dag = group.dag
         if not self.incremental:
-            return self.memory_model.estimate(dag)
-        sig_key = (dag.structure_fingerprint(), dag.precision_signature())
-        est = self._mem_sig_cache.get(sig_key)
-        if est is None:
-            # Precision-dependent terms come from the mapper's incrementally
-            # maintained per-op contributions (O(affected), not O(graph));
-            # the structural terms are precision-independent.
-            self.stats.memory_evals += 1
-            wcopies, acts, workspace = group.mapper.memory_components()
-            weights = dag.total_weight_elems() * Precision.FP32.nbytes
-            est = MemoryEstimate(
-                weights=weights,
-                weight_copies=wcopies,
-                gradients=weights,
-                optimizer=self.memory_model.optimizer_slots * weights,
-                activations=acts,
-                workspace=workspace,
-            )
-            if len(self._mem_sig_cache) > 8192:
-                self._mem_sig_cache.clear()  # bound growth over long searches
-            self._mem_sig_cache[sig_key] = est
-        return est
+            return self.memory_model.estimate(group.dag)
+        return self.memory_model.footprint(
+            group.dag.total_weight_elems(), *group.mapper.memory_components()
+        )
 
 
 def bucket_comm_durations(

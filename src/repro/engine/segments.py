@@ -6,8 +6,8 @@ fixed iteration budget while folding
 Each contiguous stretch of iterations on one membership is an
 :class:`EpochSegment` — planned by
 :meth:`~repro.session.session.PlanSession.replan` on its own
-surviving-rank cluster (warm profiles, adopted DFG caches, so each
-boundary costs O(changed ranks)) and priced at that segment's simulated
+surviving-rank cluster (warm profiles, so a boundary profiles only
+device types it has never seen) and priced at that segment's simulated
 iteration time.  State carries over: the plan context chains from segment
 to segment, and ``degrade`` events accumulate into the request's
 :class:`~repro.engine.perturbation.Perturbation` input transform.
@@ -62,8 +62,6 @@ class EpochSegment:
     degraded: tuple[tuple[int, float], ...] = ()
     #: Profiling events the opening re-plan paid for (0 = fully warm).
     new_profile_events: int = 0
-    #: Device-type DFG cache entries adopted across the boundary.
-    adopted_dfg_types: int = 0
 
     @property
     def cluster_size(self) -> int:
@@ -152,7 +150,6 @@ def simulate_with_churn(
     opening: tuple[ClusterEvent, ...] = ()
     delta: MembershipDelta | None = None
     new_profile_events = 0
-    adopted = 0
 
     while remaining > 0:
         # Iterations until the next event falls due (all of them if none
@@ -177,7 +174,6 @@ def simulate_with_churn(
                     delta=delta,
                     degraded=pert.stragglers if pert is not None else (),
                     new_profile_events=new_profile_events,
-                    adopted_dfg_types=adopted,
                 )
             )
             now += n * iter_s
@@ -198,7 +194,6 @@ def simulate_with_churn(
         opening = tuple(batch)
         delta = re.delta
         new_profile_events = re.new_profile_events
-        adopted = re.adopted_dfg_types
 
     return SegmentedRun(
         segments=tuple(segments),

@@ -114,33 +114,42 @@ class MemoryModel:
         self.optimizer_slots = optimizer_slots
 
     def estimate(self, dag: PrecisionDAG) -> MemoryEstimate:
-        fp32 = Precision.FP32.nbytes
+        """Full walk over ``dag`` (the reference the Cost Mapper's
+        incrementally maintained terms must match)."""
         effective = effective_precisions(dag)
-        weights = 0
         weight_copies = 0
-        gradients = 0
         activations = 0
         act_sizes: list[int] = []
         for name in dag.nodes():
-            spec = dag.spec(name)
-            assigned = dag.precision(name)
-            if spec.has_weight:
-                weights += spec.weight_elems * fp32
-                gradients += spec.weight_elems * fp32
             wcopy, act_bytes = op_memory_contribution(
-                spec, assigned, effective[name]
+                dag.spec(name), dag.precision(name), effective[name]
             )
             weight_copies += wcopy
             activations += act_bytes
             act_sizes.append(act_bytes)
-        optimizer = self.optimizer_slots * weights
         act_sizes.sort(reverse=True)
-        workspace = int(sum(act_sizes[:2]))
+        return self.footprint(
+            dag.total_weight_elems(), weight_copies, activations,
+            int(sum(act_sizes[:2])),
+        )
+
+    def footprint(
+        self,
+        weight_elems: int,
+        weight_copies: int,
+        activations: int,
+        workspace: int,
+    ) -> MemoryEstimate:
+        """The estimate from its precision-dependent terms; master weights,
+        gradients and optimizer slots are FP32 tensors of ``weight_elems``
+        elements each.  :meth:`estimate` and the Replayer's incremental
+        and what-if paths all build their estimates here."""
+        weights = weight_elems * Precision.FP32.nbytes
         return MemoryEstimate(
             weights=weights,
             weight_copies=weight_copies,
-            gradients=gradients,
-            optimizer=optimizer,
+            gradients=weights,
+            optimizer=self.optimizer_slots * weights,
             activations=activations,
             workspace=workspace,
         )

@@ -65,9 +65,7 @@ class ReplanOutcome:
     Carries the new plan, the context it was planned in (chain it into the
     next ``replan`` call as membership keeps changing), and the evidence of
     incrementality: how many profiling events the re-plan paid for
-    (``0`` whenever every surviving device type was already profiled) and
-    how many device-type DFG cache entries were adopted from the pre-churn
-    replayer.
+    (``0`` whenever every surviving device type was already profiled).
     """
 
     outcome: PlanOutcome
@@ -75,7 +73,6 @@ class ReplanOutcome:
     delta: MembershipDelta
     events: tuple[ClusterEvent, ...]
     new_profile_events: int
-    adopted_dfg_types: int
 
     @property
     def plan(self):
@@ -217,9 +214,9 @@ class PlanSession:
         events into the request's :class:`Perturbation`, and re-runs the
         request's strategy on the surviving membership — against this
         session's *warm* :class:`ProfileStore`, so already-profiled device
-        types cost zero new profiling events, and (when ``ctx`` is a
-        :class:`PlanContext`) with the pre-churn replayer's device-type DFG
-        caches adopted, so only the changed ranks' DFGs are re-derived.
+        types cost zero new profiling events and reuse their templates.
+        The new replayer derives its DFGs from scratch, one per device
+        type; nothing carries over from ``ctx``'s replayer.
 
         With zero events the returned outcome is bit-identical to the
         original ``plan()`` — the parity oracle pinned by
@@ -235,11 +232,9 @@ class PlanSession:
         if isinstance(ctx, PlanContext):
             request = ctx.request
             cluster = ctx.cluster
-            old_replayer: Replayer | None = ctx.replayer
         elif isinstance(ctx, PlanRequest):
             request = ctx
             cluster = ctx.resolve_cluster()
-            old_replayer = None
         else:
             raise ValueError(
                 f"ctx must be a PlanContext or PlanRequest, got "
@@ -274,9 +269,6 @@ class PlanSession:
             check(new_request)
         profile_before = self.profiles.stats.profile_events
         new_ctx = self.prepare(new_request)
-        adopted = 0
-        if old_replayer is not None:
-            adopted = new_ctx.replayer.adopt_shared_state(old_replayer)
         self.profiles.stats.plan_calls += 1
         self.profiles.stats.replan_calls += 1
         self.last_context = new_ctx
@@ -289,7 +281,6 @@ class PlanSession:
             new_profile_events=(
                 self.profiles.stats.profile_events - profile_before
             ),
-            adopted_dfg_types=adopted,
         )
 
     def compare(

@@ -28,11 +28,9 @@ def test_bench_smoke(tmp_path):
 
     # The deterministic core of the incrementality claim: re-planning
     # after a single-rank leave re-profiles nothing (every surviving
-    # device type is already in the session's ProfileStore) and adopts
-    # the pre-churn replayer's per-device-type DFG cache.
+    # device type is already in the session's ProfileStore).
     assert payload["profile_events_cold"] > 0
     assert payload["replan_profile_events"] == 0
-    assert payload["adopted_dfg_types"] >= 1
 
     # Reuse must not change results: the incremental replan matches a cold
     # plan of the same surviving cluster exactly.

@@ -313,7 +313,6 @@ class TestReplan:
         )
         assert session.stats.profile_events == before
         assert re.new_profile_events == 0
-        assert re.adopted_dfg_types >= 1
 
     def test_join_of_novel_device_type_profiles_once(self):
         session = PlanSession()
@@ -356,12 +355,11 @@ class TestReplan:
 
     def test_replan_from_bare_request(self):
         # A PlanRequest (no warm context) is accepted: profiling reuse
-        # still applies through the session store, DFG adoption does not.
+        # still applies through the session store.
         session = PlanSession()
         request = _request(self._cluster())
         session.plan(request)
         re = session.replan(request, (ClusterEvent(1.0, "leave", 5),))
-        assert re.adopted_dfg_types == 0
         assert re.new_profile_events == 0
         assert {w.rank for w in re.context.cluster.workers} == {0, 2}
 

@@ -1,22 +1,25 @@
 """Equivalence tests for the incremental replay engine.
 
 The engine's contract: dirty-tracked delta updates (DAG version counters,
-`propagate_dirty` cones, Cost Mapper segment patching, the Replayer's
-per-group DFG cache and signature-keyed memory estimates) must be
+`propagate_dirty` cones, Cost Mapper segment patching, the DFG and
+memory terms each rank group's Cost Mapper retains) must be
 *observationally identical* to rebuilding everything from scratch.  These
 tests drive randomized sequences of single-op precision changes on both
 cluster presets and compare node-for-node against fresh rebuilds, and run
 the full Allocator in both modes asserting byte-identical plans.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.common import Precision, new_rng
+from repro.common import GBPS, Precision, new_rng
 from repro.core import CostMapper
 from repro.core.allocator import Allocator
 from repro.core.indicator import VarianceIndicator, gamma_for_loss
 from repro.graph.propagation import effective_precisions, propagate_dirty
-from repro.hardware import make_cluster_a, make_cluster_b
+from repro.core.replayer import Replayer
+from repro.hardware import T4, V100, Cluster, Worker, make_cluster_a, make_cluster_b
 from repro.models import mini_model_graph
 from repro.profiling import MemoryModel, synthesize_stats
 from repro.session import PlanRequest, PlanSession
@@ -212,6 +215,54 @@ def test_replayer_type_cache_shares_across_ranks():
     builds = replayer.full_rebuilds() + replayer.incremental_updates()
     replayer.simulate()
     assert replayer.full_rebuilds() + replayer.incremental_updates() == builds
+
+
+def test_same_named_devices_with_different_specs_price_apart():
+    """Two workers named ``T4`` sharing one catalog and cast model but not
+    one DeviceSpec must not share a DFG, memory or compiled-kernel entry:
+    the slower one's optimizer pass is its own, and incremental simulate()
+    stays bit-identical to the from-scratch reference."""
+    ctx = PlanSession().prepare(
+        PlanRequest(
+            model=lambda: mini_model_graph(
+                "mini_bert", batch_size=4, width_scale=8, spatial_scale=4
+            ),
+            cluster=make_cluster_a(1, 1),
+            profile_repeats=1,
+        )
+    )
+    v100_mapper, t4_mapper = ctx.replayer.mappers[0], ctx.replayer.mappers[1]
+    slow_t4 = dataclasses.replace(T4, mem_bandwidth=T4.mem_bandwidth / 2)
+    cluster = Cluster(
+        name="same-named",
+        workers=(
+            Worker(0, V100, 300 * GBPS),
+            Worker(1, T4, 32 * GBPS),
+            Worker(2, slow_t4, 32 * GBPS),
+        ),
+    )
+    mappers = {0: v100_mapper, 1: t4_mapper, 2: t4_mapper}
+    catalogs = {r: m.catalog for r, m in mappers.items()}
+    casts = {r: m.cast_calc for r, m in mappers.items()}
+
+    def replayer(incremental):
+        dags = {w.rank: ctx.template.copy() for w in cluster.workers}
+        return Replayer(cluster, dags, catalogs, casts, incremental=incremental)
+
+    inc, ref = replayer(True), replayer(False)
+    for rank in (1, 2):
+        assert (
+            inc.local_dfg(rank).optimizer.duration
+            == ref.local_dfg(rank).optimizer.duration
+        )
+    assert (
+        inc.local_dfg(1).optimizer.duration
+        < inc.local_dfg(2).optimizer.duration
+    )
+    assert (
+        inc.simulate().iteration_time.hex()
+        == ref.simulate().iteration_time.hex()
+    )
 
 
 @pytest.mark.parametrize("cluster_name", sorted(CLUSTERS))
