@@ -2,8 +2,9 @@
 
 The Allocator's recovery loop re-simulates the cluster after every tentative
 one-op promotion.  The incremental replay engine (dirty-tracked Precision
-DAGs, delta Algorithm-1 cost mapping, one DFG per device type, memoized
-memory estimates) makes each trial O(affected subgraph); this benchmark runs
+DAGs, delta Algorithm-1 cost mapping, per-op prices memoized on their
+precision context, one cost mapper per device type serving its DFG and
+memory terms) makes each trial O(affected subgraph); this benchmark runs
 the same allocation twice — once with the engine disabled (every simulate
 rebuilds every rank's LocalDFG from scratch, the pre-engine behaviour) and
 once with it enabled — verifies the final plans are byte-identical, and

@@ -297,10 +297,10 @@ class Allocator:
                 self._apply_to_type(groups, trial)
                 if not self._memory_ok():
                     continue
-                # Local execution latency (no comm): the device's own DFG,
-                # delta-updated through the Replayer's group cache.
-                dfg = self.replayer.local_dfg(groups[0].ranks[0])
-                t = dfg.compute_time
+                # Local execution latency (no comm): the group's cost mapper
+                # sums its retained per-op durations, bit-identical to the
+                # assembled DFG's compute_time without assembling one.
+                t = self.replayer.compute_time(groups[0].ranks[0])
                 if best is None or t < best[0]:
                     best = (t, trial)
             if best is not None:

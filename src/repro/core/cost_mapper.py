@@ -14,28 +14,42 @@ Responsibilities:
    profiled catalog (``CC_i``) at the op's effective precision and assembled
    into a :class:`LocalDFG`.
 
-Three entry points: :meth:`CostMapper.build_local_dfg` (full rebuild),
+Entry points: :meth:`CostMapper.build_local_dfg` (full rebuild),
 :meth:`CostMapper.current_dfg` (refresh the retained DFG against the DAG's
-dirty log — the Replayer's fast path), and :meth:`CostMapper.apply_change`
-(the incremental Algorithm 1 used by the Allocator's inner loop).
+dirty log — the Replayer's fast path), :meth:`CostMapper.compute_time`
+(that DFG's compute time, without assembling it — the Allocator's brute
+force), and :meth:`CostMapper.apply_change` (the incremental Algorithm 1).
 
-Incremental engine: the mapper retains per-op *segments* — the slice of
+Incremental engine: the mapper retains per-op *prices* — the slice of
 forward nodes (input casts, weight cast, compute) and backward nodes (grad
-casts, compute) each operator contributes — keyed by the DAG's version
-counter.  A precision change re-resolves only the dirty ops' dependent cone
-(:func:`repro.graph.propagation.propagate_dirty`), re-derives segments only
-for the changed ops and their graph neighbours (casts look one hop in each
-direction), and reassembles the execution line from cached segments.  The
-expensive work (cast-model predictions, catalog lookups, node construction)
-is O(affected); bucket membership and the optimizer pass depend only on the
-graph structure and are computed once.  Equivalence with a from-scratch
+casts, compute) each operator contributes, their duration sums and its
+memory terms — keyed by the DAG's version counter.  A precision change
+re-resolves only the dirty ops' dependent cone
+(:func:`repro.graph.propagation.propagate_dirty`), re-prices only the
+changed ops and their graph neighbours (casts look one hop in each
+direction), and reassembles the execution line from retained prices.
+Bucket membership and the optimizer pass depend only on the graph
+structure and are computed once.  Equivalence with a from-scratch
 :meth:`build_local_dfg` is pinned node-for-node by the test suite.
+
+Price memo: an op's price depends only on its assigned precision and the
+effective precisions of itself and its one-hop neighbours (the
+neighbourhood-aware property of Algorithm 1), so each mapper memoizes
+prices on exactly that context.  The allocator's brute force and what-if
+sweeps revisit the same few neighbourhoods thousands of times; a revisit
+is a dict lookup instead of cast-model predictions, catalog lookups and
+node construction.  The memo empties when the DAG's structure moves, holds
+at most the distinct contexts its requests visit, and dies with the mapper.
+The full derivation never reads it, so ``Replayer(incremental=False)``
+stays an independent from-scratch oracle.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
+import operator
+from typing import NamedTuple
 
 from repro.common.dtypes import Precision
 from repro.core.dfg import (
@@ -149,21 +163,32 @@ def optimizer_pass_seconds(total_weight_elems: int, device) -> float:
     )
 
 
+class _OpPrice(NamedTuple):
+    """Everything one op contributes under one precision context: its
+    forward and backward nodes, their duration sums (Python ``sum`` over
+    the nodes, the order every consumer relies on), the BACKWARD node's
+    offset within the backward segment (``None`` when its backward cost
+    rounded to zero) and its ``op_memory_contribution`` pair."""
+
+    fwd: tuple[DFGNode, ...]
+    bwd: tuple[DFGNode, ...]
+    fwd_dur: float
+    bwd_dur: float
+    bwd_pos: int | None
+    wcopy: int
+    act: int
+
+
 class _MapperState:
     """Retained derivation of the DAG at one version: effective precisions,
-    per-op forward/backward segments, per-op memory contributions, their
-    top-2 workspace term, and the last assembled DFG."""
+    each op's :class:`_OpPrice`, the activation bytes and memory totals
+    over them, the top-2 workspace term, and the last assembled DFG."""
 
     __slots__ = (
         "version",
         "structure",
         "effective",
-        "fwd_segs",
-        "bwd_segs",
-        "fwd_durs",
-        "bwd_durs",
-        "bwd_pos",
-        "mem_wcopy",
+        "prices",
         "mem_act",
         "mem_wcopy_total",
         "mem_act_total",
@@ -177,44 +202,28 @@ class _MapperState:
         version: int,
         structure: int,
         effective: dict[str, Precision],
-        mem_wcopy: dict[str, int],
-        mem_act: dict[str, int],
+        prices: dict[str, _OpPrice],
     ) -> None:
         self.version = version
         self.structure = structure
         self.effective = effective
-        self.fwd_segs: dict[str, list[DFGNode]] = {}
-        self.bwd_segs: dict[str, list[DFGNode]] = {}
-        #: Per-segment duration sums, so assembly is O(ops) float adds.
-        self.fwd_durs: dict[str, float] = {}
-        self.bwd_durs: dict[str, float] = {}
-        #: Offset of the BACKWARD-kind node within the op's backward
-        #: segment, or None when its backward cost rounded to zero.
-        self.bwd_pos: dict[str, int | None] = {}
-        self.mem_wcopy = mem_wcopy
-        self.mem_act = mem_act
-        self.mem_wcopy_total = sum(mem_wcopy.values())
-        self.mem_act_total = sum(mem_act.values())
+        self.prices = prices
+        #: op -> activation bytes: the workspace term's input, kept as
+        #: plain ints because it is re-read after every change.
+        self.mem_act = {name: p.act for name, p in prices.items()}
+        self.mem_wcopy_total = sum(p.wcopy for p in prices.values())
+        self.mem_act_total = sum(self.mem_act.values())
         #: The two largest activations' bytes, or None until first read.
         self.workspace: int | None = None
         self.dfg: LocalDFG | None = None
         self.dfg_key: tuple[str, int] | None = None
 
-    def set_segments(
-        self,
-        name: str,
-        fwd: list[DFGNode],
-        bwd: list[DFGNode],
-    ) -> None:
-        self.fwd_segs[name] = fwd
-        self.bwd_segs[name] = bwd
-        self.fwd_durs[name] = sum(node.duration for node in fwd)
-        self.bwd_durs[name] = sum(node.duration for node in bwd)
-        pos = None
-        for i, node in enumerate(bwd):
-            if node.kind is NodeKind.BACKWARD:
-                pos = i
-        self.bwd_pos[name] = pos
+    def set_price(self, name: str, price: _OpPrice) -> None:
+        old = self.prices[name]
+        self.mem_wcopy_total += price.wcopy - old.wcopy
+        self.mem_act_total += price.act - old.act
+        self.mem_act[name] = price.act
+        self.prices[name] = price
 
 
 @dataclasses.dataclass(frozen=True)
@@ -224,10 +233,10 @@ class WhatIfChange:
 
     ``fwd_sums``/``bwd_sums``/``bwd_durs``/``bwd_pos`` cover exactly the
     affected neighbourhood the sequential path would re-derive (changed
-    cone + one-hop neighbours + the op itself); every float is computed by
-    the same segment functions and Python ``sum`` order as
-    :meth:`_MapperState.set_segments`, so splicing them into a compiled
-    base (:func:`repro.kernel.candidate_row`) is bit-identical to apply +
+    cone + one-hop neighbours + the op itself); every float is read off
+    the same memoized :meth:`CostMapper._price` records the sequential
+    path retains, so splicing them into a compiled base
+    (:func:`repro.kernel.candidate_row`) is bit-identical to apply +
     rebuild + revert.  The memory totals mirror
     :meth:`CostMapper.memory_components` after the change.
     """
@@ -285,6 +294,13 @@ class CostMapper:
         self._buckets_cache: tuple[int, list[CommBucket]] | None = None
         self._opt_time_cache: tuple[int, float] | None = None
         self._weighted_cache: tuple[int, frozenset] | None = None
+        #: The price memo: (op, assigned precision, effective precisions of
+        #: the op, its predecessors and its successors) -> _OpPrice, valid
+        #: for the DAG structure ``_memo_structure``.  ``_contexts`` holds
+        #: each op's getter for the effective part of its key.
+        self._memo_structure = dag.structure_version
+        self._prices: dict[tuple, _OpPrice] = {}
+        self._contexts: dict[str, operator.itemgetter] = {}
         #: Diagnostics: how often the full vs. delta path ran (the allocator
         #: benchmark asserts zero full rebuilds inside the recovery loop).
         self.full_rebuilds = 0
@@ -337,13 +353,14 @@ class CostMapper:
         assert state is not None
         dfg = LocalDFG(device_name, rank)
         topo = self.dag.topo_order()
+        prices = state.prices
         forward: list[DFGNode] = []
         fwd_total = 0.0
         for name in topo:
-            seg = state.fwd_segs[name]
-            if seg:
-                forward.extend(seg)
-                fwd_total += state.fwd_durs[name]
+            price = prices[name]
+            if price.fwd:
+                forward.extend(price.fwd)
+                fwd_total += price.fwd_dur
         # Backward pass in reverse topological order, tracking each weighted
         # op's readiness anchor: its own backward node, or — when its
         # backward cost rounds to zero — the nearest preceding backward-
@@ -354,13 +371,14 @@ class CostMapper:
         anchors: dict[str, int] = {}
         weighted = self._weighted_set()
         for name in reversed(topo):
-            seg = state.bwd_segs[name]
+            price = prices[name]
+            seg = price.bwd
             base = len(backward)
             if seg:
                 backward.extend(seg)
-                bwd_total += state.bwd_durs[name]
+                bwd_total += price.bwd_dur
             if name in weighted:
-                pos = state.bwd_pos[name]
+                pos = price.bwd_pos
                 anchors[name] = (
                     base + pos if pos is not None else base + len(seg) - 1
                 )
@@ -384,33 +402,80 @@ class CostMapper:
         return self._assemble(device_name, rank)
 
     def _full_derive(self) -> None:
-        """Derive the complete retained state from the DAG (full walk)."""
+        """Derive the complete retained state from the DAG (full walk).
+
+        Prices every op fresh, never reading or filling the price memo, so
+        the from-scratch path stays an independent oracle for it."""
         effective = effective_precisions(self.dag)
-        topo = self.dag.topo_order()
-        mem_wcopy: dict[str, int] = {}
-        mem_act: dict[str, int] = {}
-        for name in topo:
-            wcopy, act = op_memory_contribution(
-                self.dag.spec(name), self.dag.precision(name), effective[name]
-            )
-            mem_wcopy[name] = wcopy
-            mem_act[name] = act
-        state = _MapperState(
-            self.dag.version, self.dag.structure_version,
-            effective, mem_wcopy, mem_act,
+        prices = {
+            name: self._price_fresh(name, self.dag.precision(name), effective)
+            for name in self.dag.topo_order()
+        }
+        self._state = _MapperState(
+            self.dag.version, self.dag.structure_version, effective, prices
         )
-        for name in topo:
-            state.set_segments(
-                name,
-                catalog_forward_segment(
-                    self.dag, self.catalog, self.cast_calc, name, effective
-                ),
-                catalog_backward_segment(
-                    self.dag, self.catalog, self.cast_calc, name, effective
-                ),
-            )
-        self._state = state
         self.full_rebuilds += 1
+
+    # ------------------------------------------------------------------
+    # per-op pricing
+    # ------------------------------------------------------------------
+    def _price_fresh(
+        self, name: str, assigned: Precision, effective: dict[str, Precision]
+    ) -> _OpPrice:
+        """Price one op from scratch through the module-level segment
+        functions and the memory policy."""
+        fwd = tuple(
+            catalog_forward_segment(
+                self.dag, self.catalog, self.cast_calc, name, effective
+            )
+        )
+        bwd = tuple(
+            catalog_backward_segment(
+                self.dag, self.catalog, self.cast_calc, name, effective
+            )
+        )
+        pos = None
+        for i, node in enumerate(bwd):
+            if node.kind is NodeKind.BACKWARD:
+                pos = i
+        wcopy, act = op_memory_contribution(
+            self.dag.spec(name), assigned, effective[name]
+        )
+        return _OpPrice(
+            fwd,
+            bwd,
+            sum(node.duration for node in fwd),
+            sum(node.duration for node in bwd),
+            pos,
+            wcopy,
+            act,
+        )
+
+    def _price(
+        self, name: str, assigned: Precision, effective: dict[str, Precision]
+    ) -> _OpPrice:
+        """:meth:`_price_fresh`, memoized on the op's precision context.
+
+        Forward casts read the predecessors' effective precisions, gradient
+        casts the successors', kernels and memory the op's own assigned and
+        effective precisions; the catalog, cast model and device are fixed
+        per mapper.  So ``(op, assigned, effective of the op, of each
+        predecessor, of each successor)`` determines the price, and equal
+        keys return the very record a fresh derivation would rebuild.
+        :meth:`refresh` empties the memo when the DAG's structure moves.
+        """
+        context = self._contexts.get(name)
+        if context is None:
+            context = operator.itemgetter(
+                name, *self.dag.predecessors(name), *self.dag.successors(name)
+            )
+            self._contexts[name] = context
+        key = (name, assigned, context(effective))
+        price = self._prices.get(key)
+        if price is None:
+            price = self._price_fresh(name, assigned, effective)
+            self._prices[key] = price
+        return price
 
     # ------------------------------------------------------------------
     # incremental refresh (the Replayer's fast path)
@@ -418,7 +483,13 @@ class CostMapper:
     def refresh(self) -> None:
         """Bring the retained state up to the DAG's current version,
         re-deriving only the dirty ops' affected neighbourhood (no DFG
-        assembly — :meth:`current_dfg` does that on demand)."""
+        assembly — :meth:`current_dfg` does that on demand).  Prices come
+        from the memo (:meth:`_price`), which is emptied here whenever the
+        DAG's structure has moved."""
+        if self._memo_structure != self.dag.structure_version:
+            self._memo_structure = self.dag.structure_version
+            self._prices = {}
+            self._contexts = {}
         state = self._state
         if state is None or state.structure != self.dag.structure_version:
             self._full_derive()
@@ -434,25 +505,12 @@ class CostMapper:
             affected.update(self.dag.predecessors(name))
         # Memory contributions depend on assigned + effective precisions
         # only, so dirty ∪ changed would suffice; the affected superset is
-        # used for uniformity (recomputing an unchanged op is idempotent).
+        # used for uniformity (re-pricing an unchanged op is idempotent).
         affected.update(dirty)
         for name in affected:
-            state.set_segments(
-                name,
-                catalog_forward_segment(
-                    self.dag, self.catalog, self.cast_calc, name, effective
-                ),
-                catalog_backward_segment(
-                    self.dag, self.catalog, self.cast_calc, name, effective
-                ),
+            state.set_price(
+                name, self._price(name, self.dag.precision(name), effective)
             )
-            wcopy, act = op_memory_contribution(
-                self.dag.spec(name), self.dag.precision(name), effective[name]
-            )
-            state.mem_wcopy_total += wcopy - state.mem_wcopy[name]
-            state.mem_act_total += act - state.mem_act[name]
-            state.mem_wcopy[name] = wcopy
-            state.mem_act[name] = act
         state.version = self.dag.version
         state.workspace = None
         state.dfg = None  # stale assembly
@@ -469,6 +527,28 @@ class CostMapper:
         if state.dfg is not None and state.dfg_key == (device_name, rank):
             return state.dfg
         return self._assemble(device_name, rank)
+
+    def compute_time(self) -> float:
+        """The ``compute_time`` of the DFG :meth:`current_dfg` would
+        assemble, without assembling it: the retained forward sums in
+        topological order, the backward sums in reverse topological order
+        (empty segments skipped, as :meth:`_assemble` skips them), plus the
+        optimizer pass — the same float additions in the same order, so
+        the result is bit-identical."""
+        self.refresh()
+        state = self._state
+        assert state is not None
+        topo = self.dag.topo_order()
+        lookup = state.prices.__getitem__
+        fwd_total = 0.0
+        for price in map(lookup, topo):
+            if price.fwd:
+                fwd_total += price.fwd_dur
+        bwd_total = 0.0
+        for price in map(lookup, reversed(topo)):
+            if price.bwd:
+                bwd_total += price.bwd_dur
+        return fwd_total + bwd_total + self._optimizer_time()
 
     def memory_components(self) -> tuple[int, int, int]:
         """(weight-copy bytes, activation bytes, workspace bytes) under the
@@ -501,15 +581,16 @@ class CostMapper:
         topo = self.dag.topo_order()
         rev_ops = tuple(reversed(topo))
         weighted = self._weighted_set()
+        prices = state.prices
         return LocalLayout(
             rev_ops=rev_ops,
-            seg_lens=tuple(len(state.bwd_segs[n]) for n in rev_ops),
+            seg_lens=tuple(len(prices[n].bwd) for n in rev_ops),
             bwd_pos=tuple(
-                -1 if state.bwd_pos[n] is None else state.bwd_pos[n]
+                -1 if prices[n].bwd_pos is None else prices[n].bwd_pos
                 for n in rev_ops
             ),
-            fwd_sums_topo=tuple(state.fwd_durs[n] for n in topo),
-            bwd_sums=tuple(state.bwd_durs[n] for n in rev_ops),
+            fwd_sums_topo=tuple(prices[n].fwd_dur for n in topo),
+            bwd_sums=tuple(prices[n].bwd_dur for n in rev_ops),
             weighted=tuple(
                 i for i, n in enumerate(rev_ops) if n in weighted
             ),
@@ -521,10 +602,11 @@ class CostMapper:
         The mutation-free twin of :meth:`apply_change`: the hypothetical
         assignment is resolved against a scratch copy of the effective
         precisions (``propagate_dirty`` with an override, the DAG version
-        untouched), and the affected neighbourhood's segments and memory
-        contributions are re-derived through the very same module-level
-        pricing functions the sequential path runs — so a kernel splice of
-        the result is bit-identical to apply + simulate + revert.
+        untouched), and the affected neighbourhood is priced through the
+        same memoized :meth:`_price` the sequential path's :meth:`refresh`
+        uses — so a kernel splice of the result is bit-identical to apply +
+        simulate + revert, and a candidate that is later applied finds its
+        prices already memoized.
         """
         spec = self.dag.spec(op)
         if not spec.is_adjustable:
@@ -551,29 +633,18 @@ class CostMapper:
         act_total = state.mem_act_total
         act_new: dict[str, int] = {}
         for name in sorted(affected):
-            fwd = catalog_forward_segment(
-                self.dag, self.catalog, self.cast_calc, name, effective
-            )
-            bwd = catalog_backward_segment(
-                self.dag, self.catalog, self.cast_calc, name, effective
-            )
-            fwd_sums[name] = sum(node.duration for node in fwd)
-            bwd_sums[name] = sum(node.duration for node in bwd)
-            bwd_durs[name] = tuple(node.duration for node in bwd)
-            pos = -1
-            for i, node in enumerate(bwd):
-                if node.kind is NodeKind.BACKWARD:
-                    pos = i
-            bwd_pos[name] = pos
             assigned = (
                 new_precision if name == op else self.dag.precision(name)
             )
-            wcopy, act = op_memory_contribution(
-                self.dag.spec(name), assigned, effective[name]
-            )
-            wcopy_total += wcopy - state.mem_wcopy[name]
-            act_total += act - state.mem_act[name]
-            act_new[name] = act
+            price = self._price(name, assigned, effective)
+            fwd_sums[name] = price.fwd_dur
+            bwd_sums[name] = price.bwd_dur
+            bwd_durs[name] = tuple(node.duration for node in price.bwd)
+            bwd_pos[name] = -1 if price.bwd_pos is None else price.bwd_pos
+            old = state.prices[name]
+            wcopy_total += price.wcopy - old.wcopy
+            act_total += price.act - old.act
+            act_new[name] = price.act
         merged_act = dict(state.mem_act)
         merged_act.update(act_new)
         workspace = int(sum(heapq.nlargest(2, merged_act.values())))

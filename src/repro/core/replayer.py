@@ -257,6 +257,14 @@ class Replayer:
         dfg = group.mapper.current_dfg(group.device.name, group.ranks[0])
         return dfg if dfg.rank == rank else dfg.view_for_rank(rank)
 
+    def compute_time(self, rank: int) -> float:
+        """``local_dfg(rank).compute_time``, bit for bit, without
+        assembling a DFG in incremental mode (the allocator's brute force
+        reads only this off each trial)."""
+        if not self.incremental:
+            return self.local_dfg(rank).compute_time
+        return self._group_of[rank].mapper.compute_time()
+
     def build_global_dfg(self) -> GlobalDFG:
         return GlobalDFG([self.local_dfg(w.rank) for w in self.cluster.workers])
 

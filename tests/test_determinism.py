@@ -41,6 +41,17 @@ sim = GroundTruthSimulator(cluster, replayer.dags, backends, seed=3).run(
     iterations=2
 )
 
+# A warm qsync plan (mixed fp16/fp32 at this size): the cost mapper fills
+# its price memo in set order, which must never reach a result.
+session = PlanSession()
+request = PlanRequest(
+    model="mini_bert",
+    model_kwargs=dict(batch_size=8, width_scale=16, spatial_scale=8),
+    cluster="cluster_a_2x8+2x8", strategy="qsync", profile_repeats=1,
+)
+session.plan(request)
+warm = session.plan(request)
+
 cells = ScenarioGrid(["table1", "table3", "fig8"]).cells()
 print(json.dumps({
     "structure_fingerprint": fingerprint,
@@ -49,6 +60,8 @@ print(json.dumps({
         str(rank): t.hex() for rank, t in sorted(sim.per_device_compute.items())
     },
     "cache_keys": {c.cell_id: c.fingerprint() for c in cells},
+    "warm_plan": json.dumps(warm.plan.to_dict(), sort_keys=True)
+    + warm.simulation.iteration_time.hex(),
 }))
 """
 
@@ -72,6 +85,7 @@ def test_fingerprints_measurements_and_cache_keys_survive_hash_seed():
     assert a["gt_per_device_compute"] == b["gt_per_device_compute"]
     assert a["cache_keys"] == b["cache_keys"]
     assert len(a["cache_keys"]) == 3
+    assert a["warm_plan"] == b["warm_plan"]
 
 
 def test_allreduce_iterates_in_replica_zero_order(monkeypatch):

@@ -1,8 +1,8 @@
 """Equivalence tests for the incremental replay engine.
 
 The engine's contract: dirty-tracked delta updates (DAG version counters,
-`propagate_dirty` cones, Cost Mapper segment patching, the DFG and
-memory terms each rank group's Cost Mapper retains) must be
+`propagate_dirty` cones, Cost Mapper re-pricing through its per-op price
+memo, the DFG and memory terms each rank group's Cost Mapper retains) must be
 *observationally identical* to rebuilding everything from scratch.  These
 tests drive randomized sequences of single-op precision changes on both
 cluster presets and compare node-for-node against fresh rebuilds, and run
@@ -13,15 +13,23 @@ import dataclasses
 
 import pytest
 
+from repro.backend import LPBackend
 from repro.common import GBPS, Precision, new_rng
 from repro.core import CostMapper
 from repro.core.allocator import Allocator
 from repro.core.indicator import VarianceIndicator, gamma_for_loss
-from repro.graph.propagation import effective_precisions, propagate_dirty
 from repro.core.replayer import Replayer
+from repro.graph.dag import PrecisionDAG
+from repro.graph.ops import OperatorSpec, OpKind
+from repro.graph.propagation import effective_precisions, propagate_dirty
 from repro.hardware import T4, V100, Cluster, Worker, make_cluster_a, make_cluster_b
 from repro.models import mini_model_graph
-from repro.profiling import MemoryModel, synthesize_stats
+from repro.profiling import (
+    CastCostCalculator,
+    MemoryModel,
+    profile_operator_costs,
+    synthesize_stats,
+)
 from repro.session import PlanRequest, PlanSession
 
 CLUSTERS = {
@@ -65,12 +73,55 @@ def _random_walk_ops(dag, device, rng, steps):
     return walk
 
 
+def _assert_mapper_matches_fresh(mapper, dag, device, rank, memory_model):
+    """The mapper's DFG, memory terms and compute time equal a fresh
+    mapper's full derivation over a copy of ``dag``."""
+    fresh = CostMapper(
+        dag.copy(), mapper.catalog, mapper.cast_calc,
+        device=device, bucket_cap_bytes=mapper.bucket_cap_bytes,
+    ).build_local_dfg(device.name, rank)
+    _assert_dfg_equal(mapper.current_dfg(device.name, rank), fresh)
+    est = memory_model.estimate(dag)
+    assert mapper.memory_components() == (
+        est.weight_copies, est.activations, est.workspace
+    )
+    assert mapper.compute_time().hex() == fresh.compute_time.hex()
+
+
+def _assert_whatif_matches_apply(mapper, dag, op, prec):
+    """``whatif_change(op, prec)`` equals apply -> refresh -> revert, field
+    for field; ops outside its neighbourhood keep their prices."""
+    change = mapper.whatif_change(op, prec)
+    before = dict(mapper._state.prices)
+    current = dag.precision(op)
+    dag.set_precision(op, prec)
+    mapper.refresh()
+    after = mapper._state.prices
+    for name, price in after.items():
+        if name not in change.fwd_sums:
+            assert price == before[name]
+            continue
+        assert change.fwd_sums[name] == price.fwd_dur
+        assert change.bwd_sums[name] == price.bwd_dur
+        assert change.bwd_durs[name] == tuple(n.duration for n in price.bwd)
+        assert change.bwd_pos[name] == (
+            -1 if price.bwd_pos is None else price.bwd_pos
+        )
+    assert (
+        change.wcopy_total, change.act_total, change.workspace
+    ) == mapper.memory_components()
+    dag.set_precision(op, current)
+    mapper.refresh()
+
+
 @pytest.mark.parametrize("cluster_name", sorted(CLUSTERS))
 @pytest.mark.parametrize("model", ["mini_bert", "mini_vggbn"])
 def test_apply_change_walk_matches_fresh_rebuild(cluster_name, model):
-    """Randomized single-op walks: incremental apply_change must equal a
-    from-scratch build_local_dfg after every step, and the memoized memory
-    estimate must equal a full MemoryModel walk."""
+    """Randomized single-op walks: after every incremental apply_change the
+    retained DFG, memory terms and compute time must equal a from-scratch
+    derivation, and a what-if probe must equal apply + refresh + revert.
+    The walk then runs again from the same start, every price context a
+    memo hit, under the same checks."""
     cluster = CLUSTERS[cluster_name]()
     builder = lambda: mini_model_graph(model, batch_size=4, width_scale=8,
                                        spatial_scale=4)
@@ -78,24 +129,111 @@ def test_apply_change_walk_matches_fresh_rebuild(cluster_name, model):
         PlanRequest(model=builder, cluster=cluster, profile_repeats=1)
     ).replayer
     worker = cluster.inference_workers[0]
-    rank = worker.rank
+    rank, device = worker.rank, worker.device
     mapper = replayer.mappers[rank]
     dag = replayer.dags[rank]
     rng = new_rng(1234)
     memory_model = MemoryModel(optimizer_slots=1)
+    start = dag.precision_plan()
+    walk = _random_walk_ops(dag, device, rng, steps=25)
+    probes = _random_walk_ops(dag, device, rng, steps=len(walk))
 
     # Prime the retained state so every subsequent change is a delta.
-    mapper.build_local_dfg(worker.device.name, rank)
-    for op, prec in _random_walk_ops(dag, worker.device, rng, steps=25):
-        inc = mapper.apply_change(op, prec, worker.device.name, rank)
-        fresh = CostMapper(
-            dag.copy(), mapper.catalog, mapper.cast_calc,
-            device=worker.device, bucket_cap_bytes=mapper.bucket_cap_bytes,
-        ).build_local_dfg(worker.device.name, rank)
-        _assert_dfg_equal(inc, fresh)
+    mapper.build_local_dfg(device.name, rank)
+    for (op, prec), (probe_op, probe_prec) in zip(walk, probes):
+        mapper.apply_change(op, prec, device.name, rank)
+        _assert_mapper_matches_fresh(mapper, dag, device, rank, memory_model)
         assert replayer.memory_estimate(rank) == memory_model.estimate(dag)
+        _assert_whatif_matches_apply(mapper, dag, probe_op, probe_prec)
+
+    dag.apply_plan(start)
+    _assert_mapper_matches_fresh(mapper, dag, device, rank, memory_model)
+    size = len(mapper._prices)
+    assert size > 0
+    for op, prec in walk:
+        mapper.apply_change(op, prec, device.name, rank)
+        _assert_mapper_matches_fresh(mapper, dag, device, rank, memory_model)
+    assert len(mapper._prices) == size  # the revisit priced nothing anew
     assert mapper.full_rebuilds == 1
     assert mapper.incremental_updates > 0
+
+
+def _chain(with_loss: bool) -> PrecisionDAG:
+    """input -> fc1 -> relu -> fc2 [-> loss]."""
+    dag = PrecisionDAG()
+    dag.add_op(OperatorSpec("input", OpKind.INPUT, (64, 256)))
+    dag.add_op(
+        OperatorSpec("fc1", OpKind.LINEAR, (64, 512), weight_shape=(512, 256),
+                     flops=2.0 * 64 * 256 * 512),
+        inputs=["input"],
+    )
+    dag.add_op(OperatorSpec("relu", OpKind.RELU, (64, 512), flops=64.0 * 512),
+               inputs=["fc1"])
+    dag.add_op(
+        OperatorSpec("fc2", OpKind.LINEAR, (64, 256), weight_shape=(256, 512),
+                     flops=2.0 * 64 * 512 * 256),
+        inputs=["relu"],
+    )
+    if with_loss:
+        dag.add_op(OperatorSpec("loss", OpKind.LOSS, (1,)), inputs=["fc2"])
+    return dag
+
+
+def test_structure_change_empties_price_memo():
+    """Adding an op changes its producer's successors, so a price memoized
+    before the edit could miss the new gradient cast: the memo must empty
+    on the next refresh, and the DFG after it must equal a fresh one."""
+    backend = LPBackend(T4)
+    catalog = profile_operator_costs(_chain(True), backend, repeats=1)
+    casts = CastCostCalculator(backend)
+    dag = _chain(False)
+    mapper = CostMapper(dag, catalog, casts, device=T4)
+    memory_model = MemoryModel(optimizer_slots=1)
+    mapper.refresh()
+    # Leaves the memo holding fc2 at FP16 beside an FP16 relu, priced with
+    # no successor, and fc2 back at FP32.
+    for op, prec in [("fc1", Precision.FP16), ("fc2", Precision.FP16),
+                     ("fc2", Precision.FP32)]:
+        dag.set_precision(op, prec)
+        _assert_mapper_matches_fresh(mapper, dag, T4, 0, memory_model)
+    assert mapper._prices
+
+    dag.add_op(OperatorSpec("loss", OpKind.LOSS, (1,)), inputs=["fc2"])
+    mapper.refresh()
+    assert mapper._prices == {}
+    assert mapper._contexts == {}
+    # The FP32 loss now hands fc2 an FP32 gradient to cast down.
+    dag.set_precision("fc2", Precision.FP16)
+    _assert_mapper_matches_fresh(mapper, dag, T4, 0, memory_model)
+
+
+@pytest.mark.parametrize("incremental", [True, False])
+def test_compute_time_matches_assembled_dfg(incremental):
+    """``Replayer.compute_time`` is ``local_dfg(r).compute_time`` bit for
+    bit along a brute-force-like trial sequence, for every rank of the
+    planned group, in both modes."""
+    cluster = make_cluster_a(2, 2)
+    builder = lambda: mini_model_graph("mini_bert", batch_size=4,
+                                       width_scale=8, spatial_scale=4)
+    replayer = PlanSession().prepare(
+        PlanRequest(model=builder, cluster=cluster, profile_repeats=1)
+    ).replayer
+    replayer.incremental = incremental
+    ranks = [w.rank for w in cluster.inference_workers]
+    device = cluster.inference_workers[0].device
+    dag = replayer.dags[ranks[0]]
+    rng = new_rng(99)
+    base = dag.precision_plan()
+    for _ in range(12):
+        trial = dict(base)
+        trial.update(_random_walk_ops(dag, device, rng, steps=4))
+        replayer.apply_plan(ranks[0], trial)
+        replayer.memory_estimate(ranks[0])
+        for rank in ranks:
+            assert (
+                replayer.compute_time(rank).hex()
+                == replayer.local_dfg(rank).compute_time.hex()
+            )
 
 
 @pytest.mark.parametrize("model", ["mini_bert", "mini_resnet"])
@@ -289,7 +427,7 @@ def test_allocator_identical_with_and_without_caches(cluster_name):
         return plan, report, replayer
 
     plan_inc, report_inc, replayer_inc = run(True)
-    plan_full, report_full, _ = run(False)
+    plan_full, report_full, replayer_full = run(False)
     assert plan_inc.to_dict() == plan_full.to_dict()
     assert report_inc.t_min == report_full.t_min
     assert report_inc.initial_throughput == report_full.initial_throughput
@@ -306,3 +444,5 @@ def test_allocator_identical_with_and_without_caches(cluster_name):
         {w.device.name for w in replayer_inc.cluster.workers}
     )
     assert replayer_inc.full_rebuilds() == len(replayer_inc.groups)
+    # The reference mode prices from scratch: no mapper's memo is touched.
+    assert all(not group.mapper._prices for group in replayer_full.groups)
