@@ -10,8 +10,10 @@ Two headline numbers guard the PR 8 kernel tier:
    caches on every call; the kernel saves the recurrence.
 2. **Batched what-if sweep** — ``Replayer.whatif_candidates`` evaluating a
    window of single-op precision changes in one vectorized pass vs the
-   sequential apply -> simulate -> revert trial loop the allocator's
-   recovery used before batching.
+   sequential apply -> simulate -> revert trial loop, the allocator's only
+   recovery loop.  The allocator no longer batches: an accept discards the
+   rest of its window, so the window scored about 6x the candidates
+   recovery used, and ``plan()`` ran faster without it.
 
 Both are only meaningful because they are *bit-identical*: the report
 records parity flags and ``float.hex`` checksums next to the speedups, and
@@ -95,7 +97,7 @@ def _object_simulate(replayer):
 
 
 def _sequential_sweep(replayer, candidates):
-    """The pre-batching recovery trial: apply to every same-type rank,
+    """The allocator's recovery trial: apply to every same-type rank,
     simulate, read memory, revert.  Returns (throughput, memory) rows."""
     by_rank = {w.rank: w.device.name for w in replayer.cluster.workers}
     rows = []

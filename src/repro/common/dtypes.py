@@ -25,13 +25,19 @@ class Precision(enum.Enum):
     FP16 = "fp16"
     FP32 = "fp32"
 
+    #: Members are singletons and equality is identity, so the identity hash
+    #: is consistent with ``==`` and runs in C.  ``Enum.__hash__`` hashes the
+    #: member name in Python: per-process salted just the same, and the
+    #: hottest call in the allocator's price-memo keys.
+    __hash__ = object.__hash__
+
     # ------------------------------------------------------------------
     # format properties
     # ------------------------------------------------------------------
     @property
     def bits(self) -> int:
         """Total storage bits of the format."""
-        return {Precision.INT8: 8, Precision.FP16: 16, Precision.FP32: 32}[self]
+        return _BITS[self]
 
     @property
     def nbytes(self) -> int:
@@ -99,6 +105,8 @@ class Precision(enum.Enum):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Precision.{self.name}"
 
+
+_BITS = {Precision.INT8: 8, Precision.FP16: 16, Precision.FP32: 32}
 
 #: Canonical low-to-high ordering used for precision "recovery".
 PRECISION_ORDER: tuple[Precision, ...] = (

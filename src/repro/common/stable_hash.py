@@ -56,21 +56,25 @@ def _encode(obj: Any, out: bytearray) -> None:
     elif isinstance(obj, enum.Enum):
         token = f"{type(obj).__name__}.{obj.name}".encode()
         out += b"E" + len(token).to_bytes(4, "big") + token
+    # The builtins go before the ``numbers`` ABCs: an ABC ``isinstance``
+    # miss walks the registry, and strings and sequences are most of every
+    # fingerprinted tree.  No builtin str/sequence/bytes type is also an
+    # Integral or Real, so the order does not change a byte.
+    elif isinstance(obj, str):
+        token = obj.encode()
+        out += b"S" + len(token).to_bytes(4, "big") + token
+    elif isinstance(obj, (tuple, list)):
+        out += b"L" + len(obj).to_bytes(4, "big")
+        for item in obj:
+            _encode(item, out)
+    elif isinstance(obj, (bytes, bytearray)):
+        out += b"B" + len(obj).to_bytes(4, "big") + bytes(obj)
     elif isinstance(obj, numbers.Integral):
         token = str(int(obj)).encode()
         out += b"I" + len(token).to_bytes(4, "big") + token
     elif isinstance(obj, numbers.Real):
         # Bit-exact: distinguishes -0.0/0.0 and is total over NaN payloads.
         out += b"D" + struct.pack(">d", float(obj))
-    elif isinstance(obj, str):
-        token = obj.encode()
-        out += b"S" + len(token).to_bytes(4, "big") + token
-    elif isinstance(obj, (bytes, bytearray)):
-        out += b"B" + len(obj).to_bytes(4, "big") + bytes(obj)
-    elif isinstance(obj, (tuple, list)):
-        out += b"L" + len(obj).to_bytes(4, "big")
-        for item in obj:
-            _encode(item, out)
     elif isinstance(obj, (set, frozenset)):
         encoded = sorted(canonical_encode(item) for item in obj)
         out += b"X" + len(encoded).to_bytes(4, "big")

@@ -11,16 +11,19 @@ Strategy (per the paper):
    "faster"; instead the allocator starts from the *fastest* setting.  The
    search space is collapsed by the repeating-isomorphic-subgraph structure:
    each isomorphism class is brute-forced once (all blocks of a class share
-   the decision) against full-graph latency and memory, largest-FLOPs class
-   first.  This is a coordinate descent whose per-class step is exhaustive —
-   a strictly stronger feasibility check than pre-splitting memory budgets,
-   with identical intent (documented deviation, DESIGN.md §4).
+   the decision) against the whole graph's local compute time and memory,
+   largest-FLOPs class first.  This is a coordinate descent whose
+   per-class step is exhaustive — a strictly stronger feasibility check
+   than pre-splitting memory budgets, with identical intent (documented
+   deviation, DESIGN.md §4).  A trial writes only its class's ops and
+   re-checks only the planned type's memory, so it costs what it changes.
 2. **Recovery — max-heap precision ascent.**  A heap per inference device
    type holds ``[Omega(b) - Omega(ADD(b)), op]``: the sensitivity *decrement*
    available by promoting each op one precision level.  Pop the largest,
    promote tentatively, re-simulate with the Replayer; keep the change iff
-   memory still fits everywhere and throughput stays >= ``T_min``; push the
-   op back with its next-higher precision while one exists.
+   the promoted type still fits its memory (no other group moved) and
+   throughput stays >= ``T_min``; push the op back with its next-higher
+   precision while one exists.
 
 ``T_min`` is the throughput of the uniform lowest-feasible-precision plan
 (problem (1)'s definition).
@@ -39,13 +42,6 @@ from repro.core.plan import PrecisionPlan
 from repro.core.replayer import RankGroup, Replayer
 from repro.graph.dag import PrecisionDAG
 from repro.graph.subgraph import group_blocks, isomorphism_classes
-
-#: Recovery candidates per batched what-if sweep, used whenever the
-#: replayer's compiled kernel can serve its evaluations
-#: (:meth:`Replayer.compiled_global` is not ``None``).  The accept/reject
-#: sequence — and therefore the plan, attempt and accept counts — is
-#: bit-identical to the sequential loop at any width.
-RECOVERY_WINDOW = 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,9 +80,6 @@ class AllocationReport:
     recovery_full_rebuilds: int = 0
     recovery_incremental_updates: int = 0
     simulate_calls: int = 0
-    #: Candidates evaluated through the batched what-if kernel sweep
-    #: instead of a full simulate() each (0 = sequential recovery).
-    recovery_whatif_evals: int = 0
 
     def summary(self) -> str:
         return (
@@ -168,17 +161,20 @@ class Allocator:
             group.dag.apply_plan(plan)
 
     def _set_op(self, groups: list[RankGroup], op: str, prec: Precision) -> None:
-        """Single-op delta applied to the type's DAGs — the recovery loop's
-        apply/revert primitive (dirties one op instead of re-writing the
-        whole plan)."""
+        """Single-op delta applied to the type's DAGs — the write primitive
+        of brute-force trials and recovery steps (dirties one op instead of
+        re-writing the whole plan)."""
         for group in groups:
             group.dag.set_precision(op, prec)
 
-    def _memory_ok(self) -> bool:
+    def _memory_ok(self, groups: list[RankGroup]) -> bool:
+        """Whether each of ``groups`` fits its device.  A group's footprint
+        depends on its own DAG only, so a step that changes one type's
+        groups re-checks those alone."""
         return all(
             self.replayer.memory_estimate(group.ranks[0]).total
             <= group.device.available_memory
-            for group in self.replayer.groups
+            for group in groups
         )
 
     # ------------------------------------------------------------------
@@ -194,6 +190,8 @@ class Allocator:
         Walks the ladder from the lowest format upward and returns the first
         memory-feasible uniform plan (the lowest format is also the smallest,
         so later rungs only matter for devices with odd memory anatomies).
+        Only ``groups`` are checked: a type still at its template
+        precisions must not fail another type's ladder.
         """
         dag, device = groups[0].dag, groups[0].device
         ladder = sorted(device.supported_precisions(), key=lambda p: p.bits)
@@ -211,7 +209,7 @@ class Allocator:
                     else max(cands, key=lambda p: p.bits)
                 )
             self._apply_to_type(groups, plan)
-            if self._memory_ok():
+            if self._memory_ok(groups):
                 return plan
         raise InfeasiblePlanError(
             f"even uniform {ladder[0].value} exceeds memory on {device.name}"
@@ -228,8 +226,13 @@ class Allocator:
             for op in dag.adjustable_ops()
         }
         self._apply_to_type(groups, plan)
-        if not self._memory_ok():
-            raise InfeasiblePlanError(f"lowest precisions exceed {device.name} memory")
+        # The one all-groups check: every trial below writes this type's
+        # groups only, so the other groups' fit holds throughout.
+        for group in self.replayer.groups:
+            if not self._memory_ok([group]):
+                raise InfeasiblePlanError(
+                    f"lowest precisions exceed {group.device.name} memory"
+                )
 
         blocks = group_blocks(dag)
         classes = isomorphism_classes(dag)
@@ -277,35 +280,42 @@ class Allocator:
                     )
 
             # Positional mapping template block -> every block in the class
-            # (isomorphism guarantees per-position candidate sets coincide).
-            class_adjustable = [
-                [
+            # (isomorphism guarantees per-position candidate sets coincide),
+            # flattened once as (op, position, candidates, pre-class
+            # precision).  A position the op has no kernel for keeps the
+            # pre-class precision.
+            slots: list[tuple[str, int, list[Precision], Precision]] = []
+            for lbl in labels:
+                ops = [
                     op
                     for op in blocks[lbl]
                     if dag.spec(op).is_adjustable
                     and len(self._candidates_for(dag, op, device)) > 1
                 ]
-                for lbl in labels
-            ]
-            best: tuple[float, dict[str, Precision]] | None = None
+                for pos, op in enumerate(ops[: len(template_ops)]):
+                    cands = self._candidates_for(dag, op, device)
+                    slots.append((op, pos, cands, plan[op]))
+            best: tuple[float, tuple[Precision, ...]] | None = None
             for assignment in assignments:
-                trial = dict(plan)
-                for ops in class_adjustable:
-                    for op, prec in zip(ops, assignment):
-                        if prec in self._candidates_for(dag, op, device):
-                            trial[op] = prec
-                self._apply_to_type(groups, trial)
-                if not self._memory_ok():
+                # A trial writes the class's ops only: every other op
+                # already holds its ``plan`` precision.
+                for op, pos, cands, base in slots:
+                    prec = assignment[pos]
+                    self._set_op(groups, op, prec if prec in cands else base)
+                if not self._memory_ok(groups):
                     continue
                 # Local execution latency (no comm): the group's cost mapper
                 # sums its retained per-op durations, bit-identical to the
                 # assembled DFG's compute_time without assembling one.
                 t = self.replayer.compute_time(groups[0].ranks[0])
                 if best is None or t < best[0]:
-                    best = (t, trial)
-            if best is not None:
-                plan = best[1]
-                self._apply_to_type(groups, plan)
+                    best = (t, assignment)
+            # Leave the DAGs on the winner, or back on the pre-class
+            # precisions when no trial fit.
+            for op, pos, cands, base in slots:
+                prec = base if best is None else best[1][pos]
+                plan[op] = prec if prec in cands else base
+                self._set_op(groups, op, plan[op])
         return plan
 
     # ------------------------------------------------------------------
@@ -362,96 +372,31 @@ class Allocator:
         rebuilds_before = self.replayer.full_rebuilds()
         deltas_before = self.replayer.incremental_updates()
         sims_before = self.replayer.stats.simulate_calls
-        whatifs_before = self.replayer.stats.whatif_evals
-
-        # Batched recovery (PR 8): when the compiled kernel serves this
-        # replayer, evaluate a window of candidates in one what-if sweep
-        # instead of one simulate() each; otherwise the sequential trial
-        # loop (the reference path) runs.  Equivalence discipline keeping
-        # the accept/reject sequence — and the plan — bit-identical to the
-        # sequential loop: a reject against the current base is final
-        # either way (the sequential trial restores the state it mutated),
-        # while the first accept in a window invalidates the remaining
-        # verdicts, so those candidates return to the heap before the next
-        # window is drawn.  A what-if re-prices one compiled local and a step
-        # changes a whole type, so each type's groups must share one local.
-        batch_width = 1
-        cg = self.replayer.compiled_global()
-        if cg is not None and all(
-            len({cg.local_of_rank[group.ranks[0]] for group in groups}) == 1
-            for groups in type_groups.values()
-        ):
-            batch_width = RECOVERY_WINDOW
 
         while heap and attempts < self.config.max_recovery_steps:
-            # Draw a window; entries with no next precision are consumed
-            # without counting an attempt, exactly as before.
-            window: list[tuple[tuple, Precision, Precision]] = []
-            while heap and len(window) < batch_width:
-                entry = heapq.heappop(heap)
-                _, _, name, op = entry
-                rep = type_rep[name]
-                current = plans[name][op]
-                target = self._next_supported(rep.dag, rep.device, op, current)
-                if target is None:
-                    continue
-                window.append((entry, current, target))
-            if not window:
-                break
-            verdicts: list[bool] | None = None
-            if batch_width > 1:
-                results = self.replayer.whatif_candidates(
-                    [
-                        (type_rep[entry[2]].ranks[0], entry[3], target)
-                        for entry, _, target in window
-                    ]
-                )
-                if results is not None:
-                    verdicts = [
-                        throughput >= threshold
-                        and mem <= type_rep[entry[2]].device.available_memory
-                        for (throughput, mem), (entry, _, _) in zip(
-                            results, window
-                        )
-                    ]
-            for i, (entry, current, target) in enumerate(window):
-                if attempts >= self.config.max_recovery_steps:
-                    for later, _, _ in window[i:]:
-                        heapq.heappush(heap, later)
-                    break
-                _, _, name, op = entry
-                groups = type_groups[name]
-                attempts += 1
-                if verdicts is None:
-                    # One-op delta instead of re-applying the whole plan:
-                    # the DAGs' dirty logs then carry exactly this op into
-                    # the replay engine.
-                    self._set_op(groups, op, target)
-                    sim = self.replayer.simulate()
-                    ok = self._memory_ok() and sim.throughput >= threshold
-                    if not ok:
-                        # Revert the single op.
-                        self._set_op(groups, op, current)
-                else:
-                    ok = verdicts[i]
-                    if ok:
-                        self._set_op(groups, op, target)
-                if ok:
-                    plans[name][op] = target
-                    accepted += 1
-                    rep = type_rep[name]
-                    fresh = self._heap_entry(
-                        rep.dag, rep.device, self.indicators[name], op,
-                        target, tiebreak,
-                    )
-                    if fresh is not None:
-                        heapq.heappush(heap, (*fresh[:2], name, fresh[2]))
-                    if i + 1 < len(window):
-                        # The remaining verdicts predate this accept:
-                        # re-enter the candidates and re-draw the window.
-                        for later, _, _ in window[i + 1 :]:
-                            heapq.heappush(heap, later)
-                        break
+            _, _, name, op = heapq.heappop(heap)
+            rep = type_rep[name]
+            current = plans[name][op]
+            target = self._next_supported(rep.dag, rep.device, op, current)
+            if target is None:
+                continue
+            groups = type_groups[name]
+            attempts += 1
+            # One-op delta instead of re-applying the whole plan: the DAGs'
+            # dirty logs then carry exactly this op into the replay engine.
+            # Only this type's groups moved, so only they need re-checking.
+            self._set_op(groups, op, target)
+            sim = self.replayer.simulate()
+            if not (self._memory_ok(groups) and sim.throughput >= threshold):
+                self._set_op(groups, op, current)
+                continue
+            plans[name][op] = target
+            accepted += 1
+            fresh = self._heap_entry(
+                rep.dag, rep.device, self.indicators[name], op, target, tiebreak
+            )
+            if fresh is not None:
+                heapq.heappush(heap, (*fresh[:2], name, fresh[2]))
 
         final_sim = self.replayer.simulate()
         report = AllocationReport(
@@ -467,9 +412,6 @@ class Allocator:
                 self.replayer.incremental_updates() - deltas_before
             ),
             simulate_calls=self.replayer.stats.simulate_calls - sims_before,
-            recovery_whatif_evals=(
-                self.replayer.stats.whatif_evals - whatifs_before
-            ),
         )
         return PrecisionPlan(assignments=plans), report
 

@@ -45,6 +45,11 @@ class OpKind(enum.Enum):
     LOSS = "loss"
     INPUT = "input"
 
+    #: Identity hash, consistent with the identity ``==`` of members: the
+    #: :data:`KIND_CATEGORY` lookups run in C instead of through
+    #: ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
 
 class OpCategory(enum.Enum):
     """The paper's operator classification (Sec. IV-B)."""

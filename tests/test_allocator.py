@@ -1,5 +1,7 @@
 """Tests for the Allocator and the ``qsync`` planning strategy."""
 
+import dataclasses
+
 import pytest
 
 from repro.common import Precision
@@ -181,3 +183,120 @@ class TestAllocatorMechanics:
             )
         ).report
         assert report.allocation.recovery_attempts <= 3
+
+
+def three_type_cluster(small_share, v100_share=1.0):
+    """V100 + T4 + a partially loaned T4 under its own device name: two
+    planned types whose memory budgets differ."""
+    from repro.common.units import GBPS
+    from repro.hardware import T4, V100
+    from repro.hardware.cluster import Cluster, Worker
+
+    small = dataclasses.replace(T4.with_sharing(small_share), name="T4-small")
+    v100 = V100 if v100_share == 1.0 else V100.with_sharing(v100_share)
+    return Cluster(
+        name="three-type",
+        workers=tuple(
+            Worker(rank=i, device=dev, link_bandwidth=bw * GBPS)
+            for i, (dev, bw) in enumerate(((v100, 300), (T4, 32), (small, 32)))
+        ),
+    )
+
+
+class _TrialCountingAllocator(Allocator):
+    """Counts the brute-force trials that fail the memory check."""
+
+    bruteforce_memory_rejects = 0
+    _in_bruteforce = False
+
+    def _initial_plan(self, groups):
+        self._in_bruteforce = True
+        try:
+            return super()._initial_plan(groups)
+        finally:
+            self._in_bruteforce = False
+
+    def _memory_ok(self, groups):
+        ok = super()._memory_ok(groups)
+        if self._in_bruteforce and not ok:
+            self.bruteforce_memory_rejects += 1
+        return ok
+
+
+class TestAllocatorTypeIsolation:
+    def test_tmin_ladder_checks_only_its_own_type(self):
+        """T4 fits uniform int8 with room to spare; the T4-small type, still
+        at its template precisions while T4's ladder runs, must not fail
+        it."""
+        request = PlanRequest(
+            model="resnet50", model_kwargs={"batch_size": 128},
+            cluster=three_type_cluster(0.3), profile_repeats=1,
+        )
+        outcome = PlanSession().plan(request)
+        memory = outcome.report.final_simulation.memory
+        for worker in request.cluster.workers:
+            assert memory[worker.rank].total <= worker.device.available_memory
+        assert set(outcome.plan.assignments) == {"T4", "T4-small"}
+
+    @pytest.mark.parametrize("small_share, v100_share, batch, device", [
+        (0.05, 1.0, 256, "T4-small"),  # a planned type's own ladder fails
+        (0.3, 0.05, 128, "V100"),  # FP32-pinned training ranks overflow
+    ])
+    def test_infeasible_plan_names_the_device_that_overflows(
+        self, small_share, v100_share, batch, device
+    ):
+        request = PlanRequest(
+            model="resnet50", model_kwargs={"batch_size": batch},
+            cluster=three_type_cluster(small_share, v100_share),
+            profile_repeats=1,
+        )
+        with pytest.raises(
+            InfeasiblePlanError, match=f"(on| exceed) {device}( memory)?$"
+        ):
+            PlanSession().plan(request)
+
+    def test_planning_one_type_leaves_other_groups_untouched(self):
+        replayer = PlanSession().prepare(
+            PlanRequest(
+                model=scaled_bert, cluster=three_type_cluster(0.3),
+                profile_repeats=1,
+            )
+        ).replayer
+        allocator = Allocator(replayer, {})
+        planned = allocator._planned_groups()["T4"]
+        others = [g for g in replayer.groups if g not in planned]
+        assert len(others) == 2
+        versions = [g.dag.version for g in others]
+        before = planned[0].dag.version
+        allocator._uniform_lowest_plan(planned)
+        allocator._initial_plan(planned)
+        assert planned[0].dag.version > before
+        assert [g.dag.version for g in others] == versions
+
+    def test_memory_tight_bruteforce_matches_reference(self):
+        """On a 30%-shared T4 some brute-force trials overflow memory; the
+        delta trials must still land on the ``incremental=False`` plan."""
+        session = PlanSession()
+        request = PlanRequest(
+            model=scaled_vggbn, cluster=make_cluster_b(1, 1, memory_ratio=0.3),
+            profile_repeats=1,
+        )
+
+        def allocate(incremental):
+            replayer = session.prepare(request).replayer
+            replayer.incremental = incremental
+            dag = replayer.dags[1]
+            indicator = VarianceIndicator(
+                dag, synthesize_stats(dag, seed=0), gamma_for_loss("ce", 384)
+            )
+            allocator = _TrialCountingAllocator(replayer, {"T4": indicator})
+            plan, report = allocator.allocate()
+            return plan, report, allocator.bruteforce_memory_rejects
+
+        plan, report, rejects = allocate(True)
+        plan_ref, report_ref, rejects_ref = allocate(False)
+        assert rejects > 0
+        assert rejects == rejects_ref
+        assert plan.to_dict() == plan_ref.to_dict()
+        assert report.final_throughput == report_ref.final_throughput
+        assert report.recovery_attempts == report_ref.recovery_attempts

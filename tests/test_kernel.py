@@ -324,34 +324,29 @@ class TestBatchedWhatIf:
 
 
 # ---------------------------------------------------------------------------
-# allocator integration: batched recovery ≡ sequential recovery
+# allocator integration: incremental recovery ≡ reference recovery
 # ---------------------------------------------------------------------------
 
 
-def test_allocator_batched_recovery_matches_sequential():
-    """The kernel-served replayer batches recovery; the ``incremental=False``
-    reference runs the sequential trial loop — same plan, same counts."""
-    batched = _build_allocator(incremental=True, **SMALL_SETUP)
-    plan_b, report_b = batched.allocate()
+def test_allocator_incremental_recovery_matches_reference():
+    """The incremental replayer and the ``incremental=False`` reference run
+    the same trial loops — same plan, same counts."""
+    incremental = _build_allocator(incremental=True, **SMALL_SETUP)
+    plan_i, report_i = incremental.allocate()
 
-    sequential = _build_allocator(incremental=False, **SMALL_SETUP)
-    plan_s, report_s = sequential.allocate()
+    reference = _build_allocator(incremental=False, **SMALL_SETUP)
+    plan_r, report_r = reference.allocate()
 
-    assert plan_b.to_dict() == plan_s.to_dict()
-    assert report_b.final_throughput == report_s.final_throughput
-    assert report_b.recovery_attempts == report_s.recovery_attempts
-    assert report_b.recovery_accepted == report_s.recovery_accepted
-    # The batched run actually exercised the kernel sweep...
-    assert report_b.recovery_whatif_evals > 0
-    # ...and the sequential run never touched it.
-    assert report_s.recovery_whatif_evals == 0
+    assert plan_i.to_dict() == plan_r.to_dict()
+    assert report_i.final_throughput == report_r.final_throughput
+    assert report_i.recovery_attempts == report_r.recovery_attempts
+    assert report_i.recovery_accepted == report_r.recovery_accepted
 
 
 def test_allocator_steps_types_split_across_groups_sequentially():
     """Same-type ranks priced by distinct catalog objects are separate rank
-    groups with separate compiled locals.  A what-if would re-price only
-    one of them while the allocator steps the whole type, so recovery runs
-    the sequential loop and lands on the reference plan."""
+    groups.  The allocator steps the whole type at once, across every one
+    of its groups, and lands on the reference plan."""
     cluster = make_cluster_a(1, 2)
     ctx = PlanSession().prepare(
         PlanRequest(
@@ -377,7 +372,6 @@ def test_allocator_steps_types_split_across_groups_sequentially():
 
     plan, report = allocate(True)
     plan_ref, report_ref = allocate(False)
-    assert report.recovery_whatif_evals == 0
     assert plan.to_dict() == plan_ref.to_dict()
     assert report.final_throughput == report_ref.final_throughput
 
@@ -406,7 +400,7 @@ class TestDispatchRule:
         {"schedule_policy": "blocking_sync"},
     ])
     def test_compiled_global_follows_the_replayer_rule(self, off):
-        """The batched recovery path asks compiled_global(); it must decline
+        """Batched what-ifs ask compiled_global(); it must decline
         whenever the replayer's own policy or perturbation would send
         simulate() to the engine."""
         replayer = _small_replayer()

@@ -63,6 +63,37 @@ class TestStableHash:
         assert stable_digest("qsync") == stable_digest("qsync")
         assert stable_hash("qsync") == 0x52F06BD3B997B400
 
+    def test_canonical_encode_golden_bytes_cover_every_branch(self):
+        # One value through every encoder branch (numpy scalars ride the
+        # ``numbers`` ABCs), pinned byte for byte: reordering the type
+        # tests must not move a single fingerprint.
+        import numpy as np
+
+        value = {
+            "none": None, "true": True, "false": False,
+            "enum": Precision.FP16, "int": -7, "big": 2**70,
+            "np_int": np.int64(5), "float": -0.0,
+            "np_float": np.float32(1.5), "str": "h\u00e9llo",
+            "bytes": b"\x00\xff", "bytearray": bytearray(b"ab"),
+            "tuple": (1, "a"), "list": [2.5, None], "set": {3, "x"},
+            "frozenset": frozenset({Precision.INT8}), "nested": {1: [()]},
+        }
+        golden = bytes.fromhex(
+        "4d00000011530000000362696749000000163131383035393136323037313734"
+        "31313330333432345300000003696e7449000000022d37530000000373657458"
+        "000000024900000001335300000001785300000003737472530000000668c3a9"
+        "6c6c6f5300000004656e756d450000000e507265636973696f6e2e4650313653"
+        "000000046c6973744c000000024440040000000000004e53000000046e6f6e65"
+        "4e5300000004747275655453000000056279746573420000000200ff53000000"
+        "0566616c7365465300000005666c6f6174448000000000000000530000000574"
+        "75706c654c0000000249000000013153000000016153000000066e6573746564"
+        "4d000000014900000001314c000000014c0000000053000000066e705f696e74"
+        "49000000013553000000086e705f666c6f6174443ff800000000000053000000"
+        "0962797465617272617942000000026162530000000966726f7a656e73657458"
+        "00000001450000000e507265636973696f6e2e494e5438"
+        )
+        assert canonical_encode(value) == golden
+
 
 class TestResultJsonRoundTrip:
     def _result(self):
