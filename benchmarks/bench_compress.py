@@ -15,8 +15,9 @@ A second invariant rides along: **level-0 parity**.  With the ladder
 pinned to ``(0,)`` the ``qsync+qsgd`` strategy must be bit-identical to
 plain ``qsync`` — same plan dict, same ``iteration_time`` bits — on every
 dispatch tier (the analytic object path of an ``incremental=False``
-replayer, the compiled kernel, a named schedule policy, and the
-coalescing service).
+replayer, the incremental fast path — tier label ``kernel``, now the
+grouped Eq. (6) recurrence —, a named schedule policy, and the coalescing
+service).
 
 Standalone: ``python -m benchmarks.bench_compress [--small] [output.json]``.
 The tier-1 suite runs a scaled-down smoke invocation

@@ -1,24 +1,22 @@
-"""Compiled-kernel speed: Eq. (6) array evaluation vs the analytic object path.
+"""Compiled-kernel speed: batched what-if sweep vs sequential trials.
 
-Two headline numbers guard the PR 8 kernel tier:
+``Replayer.whatif_candidates`` evaluates a window of single-op precision
+changes in one vectorized pass over the kernel's frozen arrays; this
+benchmark times it against the sequential apply -> simulate -> revert
+trial loop, the allocator's only recovery loop, on the mini-BERT ClusterA
+setup ``bench_engine`` uses.  The allocator no longer batches: an accept
+discards the rest of its window, so the window scored about 6x the
+candidates recovery used, and ``plan()`` ran faster without it.
 
-1. **Single evaluation** — ``Replayer.simulate()`` with the compiled kernel
-   (one ``repro.kernel.evaluate`` over frozen arrays) vs the analytic
-   object-path replay of the same state (``simulate_global_dfg`` over
-   ``Replayer.build_global_dfg()``), on the mini-BERT ClusterA setup
-   ``bench_engine`` uses.  Both sides revalidate the same DFG and memory
-   caches on every call; the kernel saves the recurrence.
-2. **Batched what-if sweep** — ``Replayer.whatif_candidates`` evaluating a
-   window of single-op precision changes in one vectorized pass vs the
-   sequential apply -> simulate -> revert trial loop, the allocator's only
-   recovery loop.  The allocator no longer batches: an accept discards the
-   rest of its window, so the window scored about 6x the candidates
-   recovery used, and ``plan()`` ran faster without it.
+``simulate()`` itself is no longer served by the kernel (it plays Eq. (6)
+once per rank group), so there is no single-evaluation half; its parity
+with the recurrence over every rank and with ``incremental=False`` is
+pinned in ``tests/test_kernel.py``.
 
-Both are only meaningful because they are *bit-identical*: the report
-records parity flags and ``float.hex`` checksums next to the speedups, and
-the tier-1 smoke (``tests/test_bench_kernel.py``) gates parity strictly
-while keeping the speed floors modest at smoke scale.
+The speedup is only meaningful because it is *bit-identical*: the report
+records a parity flag and ``float.hex`` checksums next to it, and the
+tier-1 smoke (``tests/test_bench_kernel.py``) gates parity strictly while
+keeping the speed floor modest at smoke scale.
 
 Standalone: ``python -m benchmarks.bench_kernel [--small] [output.json]``.
 """
@@ -36,7 +34,6 @@ except ImportError:  # standalone invocation without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.common.dtypes import higher_precision
-from repro.core.replayer import simulate_global_dfg
 from repro.session import PlanRequest, PlanSession
 
 MODEL_NAME = "mini_bert"
@@ -80,22 +77,6 @@ def _candidate_list(replayer, limit):
     return out
 
 
-def _object_simulate(replayer):
-    """The analytic object-path replay of the replayer's current state:
-    the same memory estimates, global DFG and pricing ``simulate()`` uses,
-    played through ``simulate_global_dfg`` instead of the kernel."""
-    memory = {
-        w.rank: replayer.memory_estimate(w.rank)
-        for w in replayer.cluster.workers
-    }
-    return simulate_global_dfg(
-        replayer.build_global_dfg(),
-        replayer.cluster,
-        memory=memory,
-        collective_model=replayer.collective_model,
-    )
-
-
 def _sequential_sweep(replayer, candidates):
     """The allocator's recovery trial: apply to every same-type rank,
     simulate, read memory, revert.  Returns (throughput, memory) rows."""
@@ -119,9 +100,9 @@ def _sequential_sweep(replayer, candidates):
 
 
 def run_bench(small: bool = False, path: str | Path = "BENCH_kernel.json") -> dict:
-    """Measure parity + speedups of the compiled kernel, write the report."""
+    """Measure parity + speedup of the batched what-if sweep, write the
+    report."""
     graph_kw = SMALL_GRAPH_KW if small else GRAPH_KW
-    calls = 50 if small else 300
     n_cands = 16 if small else 64
     ctx = PlanSession().prepare(
         PlanRequest(
@@ -131,16 +112,7 @@ def run_bench(small: bool = False, path: str | Path = "BENCH_kernel.json") -> di
     )
     replayer = ctx.replayer
 
-    # ---- single evaluation: kernel vs analytic object path -------------
-    sim_kernel = replayer.simulate()
-    kernel_sims = replayer.stats.kernel_sims
-    sim_object = _object_simulate(replayer)
-    parity_single = sim_kernel == sim_object and kernel_sims > 0
-
-    t_kernel, t_object = _time_pair(
-        replayer.simulate, lambda: _object_simulate(replayer), calls
-    )
-    single_speedup = t_object / t_kernel if t_kernel > 0 else float("inf")
+    base = replayer.simulate()
 
     # ---- batched what-if sweep vs sequential trials ---------------------
     candidates = _candidate_list(replayer, n_cands)
@@ -163,14 +135,7 @@ def run_bench(small: bool = False, path: str | Path = "BENCH_kernel.json") -> di
         "model": MODEL_NAME,
         "graph_kw": graph_kw,
         "cluster": CLUSTER_PRESET,
-        "parity_single": parity_single,
         "parity_batched": parity_batched,
-        "single_eval": {
-            "calls": calls,
-            "kernel_seconds": t_kernel,
-            "object_seconds": t_object,
-            "speedup": single_speedup,
-        },
         "batched_whatif": {
             "candidates": len(candidates),
             "batched_seconds": t_batched,
@@ -178,7 +143,7 @@ def run_bench(small: bool = False, path: str | Path = "BENCH_kernel.json") -> di
             "speedup": batch_speedup,
         },
         "checksums": {
-            "iteration_time": sim_kernel.iteration_time.hex(),
+            "iteration_time": base.iteration_time.hex(),
             "whatif_throughputs": [t.hex() for t, _ in (batched or [])],
             "whatif_memory": [m for _, m in (batched or [])],
         },
@@ -192,13 +157,10 @@ def main(argv: list[str]) -> int:
     args = [a for a in argv if a != "--small"]
     path = args[0] if args else "BENCH_kernel.json"
     payload = run_bench(small=small, path=path)
-    single = payload["single_eval"]["speedup"]
-    batched = payload["batched_whatif"]["speedup"]
     print(
-        f"parity: single={payload['parity_single']} "
-        f"batched={payload['parity_batched']}\n"
-        f"single-eval speedup: {single:.1f}x | "
-        f"batched what-if speedup: {batched:.1f}x -> {path}"
+        f"parity: batched={payload['parity_batched']}\n"
+        f"batched what-if speedup: "
+        f"{payload['batched_whatif']['speedup']:.1f}x -> {path}"
     )
     return 0
 

@@ -577,8 +577,8 @@ class KernelBufferRule(Rule):
 
     Contract (PR 8, "compiled array kernel"): :mod:`repro.kernel` publishes
     its compiled arrays with ``writeable=False`` because one
-    ``CompiledLocal``/``CompiledGlobal`` is shared by every simulate call
-    and every batched what-if row between fingerprint changes — an in-place
+    ``CompiledLocal``/``CompiledGlobal`` is shared by every batched what-if
+    row between fingerprint changes — an in-place
     write would silently corrupt all of them while the bit-parity oracle
     keeps passing on fresh compilations.  Consumers must treat anything a
     ``repro.kernel`` entry point returns as immutable: no subscript stores,

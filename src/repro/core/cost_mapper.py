@@ -564,7 +564,8 @@ class CostMapper:
         return state.mem_wcopy_total, state.mem_act_total, state.workspace
 
     # ------------------------------------------------------------------
-    # kernel lowering support (repro.kernel; ROADMAP open item 4)
+    # kernel lowering support (repro.kernel): only the batched what-ifs of
+    # Replayer.whatif_candidates lower a mapper; simulate() never does
     # ------------------------------------------------------------------
     def kernel_layout(self) -> LocalLayout:
         """The per-op stream layout of the current state, for

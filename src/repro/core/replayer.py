@@ -30,7 +30,6 @@ from repro.hardware.device import DeviceSpec
 from repro.kernel import (
     compile_global,
     compile_local,
-    evaluate as kernel_evaluate,
     candidate_row as kernel_candidate_row,
     simulate_batch as kernel_simulate_batch,
 )
@@ -58,7 +57,9 @@ class ReplayerStats:
     """Counters for the incremental replay engine (diagnostics/benchmarks)."""
 
     simulate_calls: int = 0
-    #: simulate() calls served by the compiled array kernel (PR 8).
+    #: simulate() calls served by the compiled array kernel.  Reads 0: the
+    #: grouped recurrence serves the fast path, and the kernel serves only
+    #: :meth:`Replayer.whatif_candidates`.
     kernel_sims: int = 0
     #: Candidates evaluated through the batched what-if kernel sweep.
     whatif_evals: int = 0
@@ -131,11 +132,12 @@ class Replayer:
     ``mappers[rank]`` are read-only aliases of the rank's group; timelines
     and per-device compute and wait times keep their rank ids.
 
-    Which tier serves an evaluation is never a knob: the compiled array
-    kernel (:mod:`repro.kernel`) serves every call
-    :func:`~repro.engine.policy.eq6_fast_path` admits in incremental mode,
-    bit-identical to the analytic recurrence; ``incremental=False`` is the
-    object-path reference.
+    Which tier serves an evaluation is never a knob: every call
+    :func:`~repro.engine.policy.eq6_fast_path` admits in incremental mode
+    plays the analytic recurrence once per rank group, bit-identical to
+    playing it over every rank; ``incremental=False`` is the object-path
+    reference over every rank.  The compiled array kernel
+    (:mod:`repro.kernel`) serves only :meth:`whatif_candidates`.
     """
 
     def __init__(
@@ -269,7 +271,7 @@ class Replayer:
         return GlobalDFG([self.local_dfg(w.rank) for w in self.cluster.workers])
 
     # ------------------------------------------------------------------
-    # compiled array kernel tier (repro.kernel; PR 8)
+    # compiled array kernel tier (repro.kernel): batched what-ifs only
     # ------------------------------------------------------------------
     def _compiled_local(self, group: RankGroup):
         """The group's :class:`repro.kernel.CompiledLocal`.
@@ -305,8 +307,7 @@ class Replayer:
         return self._compile()
 
     def _compile(self):
-        """:meth:`compiled_global` minus the dispatch rule (``simulate``
-        applies the rule to its per-call overrides instead)."""
+        """:meth:`compiled_global` after its dispatch rule."""
         if not self.incremental:
             return None
         locals_ = tuple(self._compiled_local(group) for group in self.groups)
@@ -335,22 +336,6 @@ class Replayer:
         )
         self._kernel_global_cache = (gkey, cg)
         return cg
-
-    def _kernel_result(self, cg, memory) -> SimulationResult:
-        """One Eq. (6) evaluation on the compiled arrays."""
-        iteration, comm_end = kernel_evaluate(cg)
-        return SimulationResult(
-            iteration_time=iteration,
-            per_device_compute={rank: total for rank, total, _ in cg.rank_ends},
-            # ``a - b if a > b else 0.0`` is ``max(0.0, a - b)`` bit for bit
-            # (NaN and -0.0 included), minus a builtin call per rank.
-            comm_wait_time={
-                rank: comm_end - end if comm_end > end else 0.0
-                for rank, _, end in cg.rank_ends
-            },
-            memory=memory,
-            timeline=[],
-        )
 
     def whatif_candidates(self, candidates):
         """Evaluate ``(rank, op, target)`` what-ifs in one batched sweep.
@@ -408,8 +393,8 @@ class Replayer:
 
         ``schedule_policy``/``perturbation`` override the instance defaults
         for this call only.  Calls :func:`~repro.engine.policy.eq6_fast_path`
-        admits (the allocator hot loop) are served by the compiled array
-        kernel when it lowers, the analytic object recurrence otherwise,
+        admits (the allocator hot loop) play the analytic recurrence once
+        per rank group in incremental mode, over every rank otherwise,
         bit-identical either way; timeline collection, alternative
         policies, and perturbations run through the discrete-event engine —
         bit-identical on the default policy.
@@ -425,11 +410,8 @@ class Replayer:
             else resolve_schedule_policy(schedule_policy)
         )
         pert = self.perturbation if perturbation is None else perturbation
-        if eq6_fast_path(policy, pert, collect_timeline):
-            cg = self._compile()
-            if cg is not None:
-                self.stats.kernel_sims += 1
-                return self._kernel_result(cg, memory)
+        if self.incremental and eq6_fast_path(policy, pert, collect_timeline):
+            return self._grouped_result(memory)
         gdfg = self.build_global_dfg()
         # One dispatcher owns the analytic-vs-engine choice.
         from repro.engine.core import execute_global_dfg
@@ -439,6 +421,32 @@ class Replayer:
             memory=memory, collective_model=self.collective_model,
             schedule_policy=policy, perturbation=pert,
             bucket_bits=self._bucket_bits(),
+        )
+
+    def _grouped_result(self, memory) -> SimulationResult:
+        """Eq. (6) played once per rank group, then read out per rank.
+
+        Ranks of one group share one LocalDFG's contents and one bucket
+        list, and float ``max`` is exact, so the recurrence over the group
+        leaders gives the same bits as over every rank: each leader's
+        per-rank entries are copied to the rest of its group, in cluster
+        worker order.
+        """
+        leaders = simulate_global_dfg(
+            GlobalDFG([self.local_dfg(g.ranks[0]) for g in self.groups]),
+            self.cluster, memory=memory,
+            collective_model=self.collective_model,
+            bucket_bits=self._bucket_bits(),
+        )
+        compute, wait = leaders.per_device_compute, leaders.comm_wait_time
+        return dataclasses.replace(
+            leaders,
+            per_device_compute={
+                rank: compute[g.ranks[0]] for rank, g in self._group_of.items()
+            },
+            comm_wait_time={
+                rank: wait[g.ranks[0]] for rank, g in self._group_of.items()
+            },
         )
 
     def memory_estimate(self, rank: int) -> MemoryEstimate:
@@ -464,9 +472,10 @@ def bucket_comm_durations(
     In synchronous data parallelism every rank's bucket ``n`` holds the
     same gradients, so the historical per-rank re-pricing of an identical
     collective was pure waste; one call per distinct byte count yields the
-    same max bit-for-bit.  Shared by the analytic Eq. (6) path, the
-    compiled kernel tier, and the discrete-event engine's COMM events so
-    their pricing cannot drift.
+    same max bit-for-bit, and so does one local per rank group.  Shared by
+    the analytic Eq. (6) path (grouped or per rank), the compiled kernel's
+    batched what-ifs, and the discrete-event engine's COMM events so their
+    pricing cannot drift.
 
     ``bucket_bits`` optionally carries per-bucket gradient bit widths (the
     compression axis): pricing then routes through

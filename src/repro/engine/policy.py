@@ -115,10 +115,10 @@ def eq6_fast_path(
     which the event engine is bit-identical to the closed form.  The single
     dispatch rule shared by
     :func:`~repro.engine.core.execute_global_dfg`,
-    :meth:`~repro.core.replayer.Replayer.simulate` and
-    :meth:`~repro.core.replayer.Replayer.compiled_global`, so the compiled
-    kernel, the allocator's batched recovery and the engine can never
-    disagree on which calls take the fast path.
+    :meth:`~repro.core.replayer.Replayer.simulate` (the grouped
+    recurrence) and :meth:`~repro.core.replayer.Replayer.compiled_global`
+    (the kernel's batched what-ifs), so the closed form, the kernel and
+    the engine can never disagree on which calls take the fast path.
     """
     return (
         not collect_timeline

@@ -1,16 +1,18 @@
-"""Compiled array kernel for the Eq. (6) replay (ROADMAP open item 4).
+"""Compiled array kernel for the Eq. (6) replay.
 
-The object-graph Replayer walks Python ``DFGNode`` lists node-by-node on
-every simulate call.  This package lowers a :class:`~repro.core.dfg.LocalDFG`
-to flat float64 arrays *once per structure fingerprint + precision
-signature* and then evaluates Eq. (6) — and whole batches of allocator
-what-if candidates — as dense array operations.
+This package lowers a :class:`~repro.core.dfg.LocalDFG` to flat float64
+arrays *once per structure fingerprint + precision signature* and then
+evaluates Eq. (6) — and whole batches of what-if candidates — as dense
+array operations.  ``Replayer.simulate`` no longer uses it (it plays the
+analytic recurrence once per rank group); it serves only
+``Replayer.whatif_candidates``.
 
 Contracts (the PR 5 oracle discipline, extended):
 
 * **Bit parity.**  Every reduction reproduces the analytic object path's
   left-to-right float64 operation order (``np.add.accumulate`` over a 1-D
-  array is the Python prefix loop bit-for-bit; the bucket recurrence stays
+  array is the Python prefix loop bit-for-bit, and so is a left-to-right
+  ``reduce``/``accumulate`` over Python floats; the bucket recurrence stays
   a sequential loop because the closed-form cumsum/maximum.accumulate
   rewrite would reassociate additions).  ``simulate_global_dfg`` remains
   the equality oracle on every tier.

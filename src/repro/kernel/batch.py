@@ -16,6 +16,10 @@ Candidate data is expressed as replacement values, never additive deltas:
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import accumulate
+from operator import add
+
 import numpy as np
 
 from repro.kernel.compiled import CompiledGlobal, CompiledLocal
@@ -32,77 +36,64 @@ def candidate_row(cl: CompiledLocal, change):
     ``None`` when ``cl`` carries no op-level layout — the caller falls
     back to sequential simulation.
 
-    Bit parity: stream totals re-accumulate over per-op sums in the exact
-    object-path order (``np.add.accumulate`` == the Python prefix loop),
-    and the node prefix re-accumulates over the spliced backward stream
-    exactly as ``LocalDFG.bucket_ready_times`` does.
+    Bit parity: stream totals re-add the per-op sums left to right in the
+    exact object-path order, and the node prefix re-accumulates over the
+    spliced backward stream exactly as ``LocalDFG.bucket_ready_times``
+    does.  The splice works on Python lists copied off the frozen base: one
+    candidate touches a few ops, and per-call numpy overhead would cost
+    more than the arithmetic.
     """
     if cl.op_pos is None:
         return None
-    names = list(change.bwd_durs)
-    pos = []
-    for name in names:
+    swaps = {}
+    for name in change.bwd_durs:
         p = cl.op_pos.get(name)
         if p is None:
             return None  # affected op unknown to the layout: bail out
-        pos.append(p)
-    idx = np.asarray(pos, dtype=np.int64)
+        swaps[p] = name
     n_ops = cl.n_ops
 
-    # Stream totals: scatter the affected ops' new sums into the per-op
-    # arrays, re-accumulate sequentially.  Forward sums live in topo order,
-    # backward sums in reverse topo order — both as the mapper adds them.
-    fwd = np.array(cl.fwd_sums)
-    fwd[(n_ops - 1) - idx] = [change.fwd_sums[name] for name in names]
-    fwd_total = float(np.add.accumulate(fwd)[-1]) if n_ops else 0.0
-    bwd = np.array(cl.bwd_sums)
-    bwd[idx] = [change.bwd_sums[name] for name in names]
-    bwd_total = float(np.add.accumulate(bwd)[-1]) if n_ops else 0.0
-
-    # Splice the backward stream: keep base slices, swap affected segments.
-    lens = np.array(cl.seg_len)
-    lens[idx] = [len(change.bwd_durs[name]) for name in names]
-    bpos = np.array(cl.bwd_pos)
-    bpos[idx] = [change.bwd_pos[name] for name in names]
-    starts = np.zeros(n_ops, dtype=np.int64)
-    if n_ops > 1:
-        np.cumsum(lens[:-1], out=starts[1:])
-    pieces = []
+    # Forward sums live in topo order, backward sums and segments in
+    # reverse topo order — both as the mapper adds them.  Splice the
+    # backward stream in the same pass: base slices, swapped segments.
+    fwd = cl.fwd_sums.tolist()
+    bwd = cl.bwd_sums.tolist()
+    lens = cl.seg_len.tolist()
+    bpos = cl.bwd_pos.tolist()
+    seg_start = cl.seg_start.tolist()
+    base = cl.bwd_durs.tolist()
+    durs: list[float] = []
     prev = 0
-    for p, name in sorted(zip(pos, names)):
-        s = int(cl.seg_start[p])
-        if s > prev:
-            pieces.append(cl.bwd_durs[prev:s])
+    for p in sorted(swaps):
+        name = swaps[p]
+        fwd[(n_ops - 1) - p] = change.fwd_sums[name]
+        bwd[p] = change.bwd_sums[name]
         seg = change.bwd_durs[name]
-        if seg:
-            pieces.append(np.asarray(seg, dtype=np.float64))
-        prev = s + int(cl.seg_len[p])
-    if prev < cl.bwd_durs.shape[0]:
-        pieces.append(cl.bwd_durs[prev:])
-    if pieces:
-        flat = np.concatenate(pieces)
-    else:
-        flat = np.zeros(0, dtype=np.float64)
+        durs += base[prev:seg_start[p]]
+        durs += seg
+        prev = seg_start[p] + lens[p]
+        lens[p] = len(seg)
+        bpos[p] = change.bwd_pos[name]
+    durs += base[prev:]
+    fwd_total = reduce(add, fwd) if n_ops else 0.0
+    bwd_total = reduce(add, bwd) if n_ops else 0.0
 
     # prefix[k] = forward end + first k backward durations (bit-identical
-    # to the bucket_ready_times prefix loop).
-    head = np.empty(flat.shape[0] + 1, dtype=np.float64)
-    head[0] = fwd_total
-    head[1:] = flat
-    prefix = np.add.accumulate(head)
-
-    n_buckets = cl.ready.shape[0]
-    if n_buckets:
-        w_len = lens[cl.weighted_pos]
-        w_pos = bpos[cl.weighted_pos]
-        anchors = starts[cl.weighted_pos] + np.where(w_pos >= 0, w_pos, w_len - 1)
-        ready_after = np.maximum.reduceat(anchors, cl.bucket_starts)
-        bucket_idx = np.minimum(ready_after, flat.shape[0] - 1)
-        # idx >= -1 always, so idx + 1 indexes prefix[0] for "forward end".
-        row = prefix[bucket_idx + 1]
-    else:
-        row = np.zeros(0, dtype=np.float64)
-    return row, fwd_total + bwd_total
+    # to the bucket_ready_times prefix loop); a bucket is ready after the
+    # latest anchor among its weighted ops, anchor -1 = forward end.
+    prefix = list(accumulate(durs, initial=fwd_total))
+    starts = list(accumulate(lens, initial=0))
+    anchors = [
+        starts[w] + (bpos[w] if bpos[w] >= 0 else lens[w] - 1)
+        for w in cl.weighted_pos.tolist()
+    ]
+    last = len(durs) - 1
+    bucket_starts = cl.bucket_starts.tolist()
+    row = [
+        prefix[min(max(anchors[s:e]) if e > s else anchors[s], last) + 1]
+        for s, e in zip(bucket_starts, bucket_starts[1:] + [len(anchors)])
+    ]
+    return np.array(row, dtype=np.float64), fwd_total + bwd_total
 
 
 def simulate_batch(cg: CompiledGlobal, rows, local_indices, compute_ends):

@@ -270,10 +270,14 @@ class ProfileStore:
         device: DeviceSpec,
         backend: LPBackend,
         repeats: int,
+        *,
+        fingerprint: str,
     ) -> OperatorCostCatalog:
+        """``fingerprint`` is ``profiling_fingerprint(dag)``, which the
+        caller holds already (see :meth:`copy_fingerprint`)."""
         key = (
             "catalog",
-            profiling_fingerprint(dag),
+            fingerprint,
             backend_fingerprint(backend),
             int(repeats),
         )
@@ -308,3 +312,20 @@ class ProfileStore:
         template = build()
         self._memo[full_key] = template
         return template
+
+    def copy_fingerprint(self, key: tuple | None, copy: PrecisionDAG) -> str:
+        """:func:`profiling_fingerprint` of ``copy``, a fresh copy of the
+        template :meth:`template_for` serves under ``key``.
+
+        Every copy of one template digests alike, though not always like
+        the template itself (``copy()`` relists predecessors in insertion
+        order), so the digest of the first copy is held next to the cached
+        template, which is immutable by contract.  Opaque templates
+        (``key is None``) are digested every call."""
+        if key is None:
+            return profiling_fingerprint(copy)
+        full_key = ("template_fingerprint", key)
+        digest = self._memo.get(full_key)
+        if digest is None:
+            digest = self._memo[full_key] = profiling_fingerprint(copy)
+        return digest

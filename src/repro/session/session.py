@@ -128,8 +128,9 @@ class PlanSession:
         """
         self.profiles.stats.prepare_calls += 1
         cluster = request.resolve_cluster()
+        template_key = request.model_cache_key()
         template = self.profiles.template_for(
-            request.model_cache_key(), request.build_template
+            template_key, request.build_template
         )
         backends = resolve_backends(
             cluster, request.backends, seed=self.profile_seed
@@ -138,17 +139,25 @@ class PlanSession:
         # One DAG, catalog and cast model per device type (resolve_backends
         # guarantees same-named devices measure alike); same-type ranks
         # alias them, so the replayer plans each type as one group.
+        # All copies of the template digest alike: one fingerprint serves
+        # every type's catalog key.
         by_type: dict[str, tuple] = {}
         dags, catalogs, cast_calcs = {}, {}, {}
+        fingerprint = None
         for w in cluster.workers:
             shared = by_type.get(w.device.name)
             if shared is None:
                 dag = template.copy()
+                if fingerprint is None:
+                    fingerprint = self.profiles.copy_fingerprint(
+                        template_key, dag
+                    )
                 backend = backends[w.rank]
                 shared = by_type[w.device.name] = (
                     dag,
                     self.profiles.catalog_for(
-                        dag, w.device, backend, request.profile_repeats
+                        dag, w.device, backend, request.profile_repeats,
+                        fingerprint=fingerprint,
                     ),
                     self.profiles.cast_calc_for(backend),
                 )

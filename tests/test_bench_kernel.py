@@ -1,12 +1,11 @@
 """Tier-1 smoke invocation of the compiled-kernel benchmark.
 
 Runs ``benchmarks.bench_kernel`` in its scaled-down mode so kernel-tier
-regressions (parity drift, the compiled fast path silently falling back to
-the object path, the batched sweep losing its edge) fail loudly in the
-normal test run.  The full-size benchmark (``python -m
-benchmarks.bench_kernel``) is the one that reports the headline speedups
-to ``BENCH_kernel.json``; the smoke gates parity strictly and speed
-loosely.
+regressions (parity drift, the batched sweep falling back to the object
+path or losing its edge) fail loudly in the normal test run.  The
+full-size benchmark (``python -m benchmarks.bench_kernel``) is the one
+that reports the headline speedup to ``BENCH_kernel.json``; the smoke
+gates parity strictly and speed loosely.
 """
 
 import json
@@ -22,18 +21,15 @@ def test_bench_smoke(tmp_path):
     out = tmp_path / "BENCH_kernel.json"
     payload = run_bench(small=True, path=out)
 
-    # Parity is scale-independent and non-negotiable: the kernel tier and
-    # the batched sweep must be bit-identical to the object path.
-    assert payload["parity_single"]
+    # Parity is scale-independent and non-negotiable: the batched sweep
+    # must be bit-identical to sequential apply -> simulate -> revert.
     assert payload["parity_batched"]
 
-    # Speed floors stay modest at smoke scale (timer noise).
-    assert payload["single_eval"]["speedup"] > 1.5
+    # The speed floor stays modest at smoke scale (timer noise).
     assert payload["batched_whatif"]["speedup"] > 1.2
     assert payload["batched_whatif"]["candidates"] > 0
 
     # The artifact is valid JSON on disk with the headline fields.
     written = json.loads(out.read_text())
-    assert written["parity_single"] is True
     assert written["parity_batched"] is True
     assert "checksums" in written

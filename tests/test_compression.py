@@ -24,7 +24,11 @@ from benchmarks.bench_allocator_speed import SMALL_SETUP, _build_allocator
 from repro.common.dtypes import Precision
 from repro.core.compression import CompressionReport, allocate_compression
 from repro.core.plan import COMPRESSION_KEY, PrecisionPlan
-from repro.core.replayer import bucket_comm_durations, simulate_global_dfg
+from repro.core.replayer import (
+    Replayer,
+    bucket_comm_durations,
+    simulate_global_dfg,
+)
 from repro.hardware.cluster import make_cluster_a, make_cluster_a_multinode
 from repro.models.trainable import mini_model_graph
 from repro.parallel.comm_model import (
@@ -148,15 +152,24 @@ class TestReplayerCompression:
         replayer = _replayer(collective_model=CompressedMultiHopModel())
         n = len(replayer.local_dfg(min(replayer.dags)).buckets)
         replayer.set_bucket_compression((2,) * n)
-        kernel = replayer.simulate()
-        assert replayer.stats.kernel_sims == 1
+        grouped = replayer.simulate()
         obj = simulate_global_dfg(
             replayer.build_global_dfg(),
             replayer.cluster,
+            memory=grouped.memory,
             collective_model=replayer.collective_model,
             bucket_bits=(level_bits(2),) * n,
         )
-        assert kernel.iteration_time.hex() == obj.iteration_time.hex()
+        assert grouped.iteration_time.hex() == obj.iteration_time.hex()
+        assert grouped == obj
+        reference = Replayer(
+            replayer.cluster, replayer.dags,
+            {r: m.catalog for r, m in replayer.mappers.items()},
+            {r: m.cast_calc for r, m in replayer.mappers.items()},
+            incremental=False, collective_model=replayer.collective_model,
+        )
+        reference.set_bucket_compression((2,) * n)
+        assert reference.simulate() == grouped
 
     def test_recovery_matches_reference_with_compression(self):
         # incremental=False is the reference replayer: the plan found on

@@ -159,23 +159,45 @@ class TestKernelAnalyticParity:
             )
 
     def test_replayer_kernel_toggle_is_invisible(self):
-        """Replayer.simulate() served by the kernel tier is bit-identical to
-        the analytic recurrence on the same global DFG and to the
-        ``incremental=False`` object path — timeline, memory, every
-        per-rank dict entry."""
+        """Replayer.simulate() on the fast path (Eq. (6) once per rank
+        group) is bit-identical to the analytic recurrence over every
+        rank's DFG and to the ``incremental=False`` object path — timeline,
+        memory, every per-rank dict entry in worker order."""
         replayer = _small_replayer()
-        sim_kernel = replayer.simulate()
-        assert replayer.stats.kernel_sims == 1
+        grouped = replayer.simulate()
         analytic = simulate_global_dfg(
             replayer.build_global_dfg(),
             replayer.cluster,
-            memory=sim_kernel.memory,
+            memory=grouped.memory,
             collective_model=replayer.collective_model,
         )
-        assert sim_kernel == analytic
+        assert grouped == analytic
+        assert list(grouped.per_device_compute) == list(
+            analytic.per_device_compute
+        )
         reference = _reference_replayer(replayer)
-        assert reference.simulate() == sim_kernel
+        assert reference.simulate() == grouped
         assert reference.stats.kernel_sims == 0
+
+    def test_fast_path_simulate_lowers_nothing(self, monkeypatch):
+        """A fast-path simulate() on a session replayer plays the grouped
+        recurrence and never lowers a DFG to the kernel's arrays, before
+        or after a precision change."""
+        import repro.core.replayer as replayer_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate() lowered a DFG")
+
+        monkeypatch.setattr(replayer_module, "compile_local", refuse)
+        monkeypatch.setattr(replayer_module, "compile_global", refuse)
+        replayer = _small_replayer()
+        base = replayer.simulate()
+        (rank, op, target) = _candidates(replayer, limit=1)[0]
+        original = replayer.dags[rank].precision(op)
+        replayer.dags[rank].set_precision(op, target)
+        assert replayer.simulate() != base
+        replayer.dags[rank].set_precision(op, original)
+        assert replayer.simulate() == base
 
     def test_kernel_cache_keyed_on_precision_signature(self):
         """A precision change invalidates the compiled plan; reverting it
@@ -262,10 +284,11 @@ class TestBatchedWhatIf:
 
     def test_divergent_same_type_ranks_are_separate_groups(self):
         """Distinct per-rank DAGs, two same-type ranks on different plans:
-        each rank is its own group and compiles its own local, so the
-        kernel serves simulate() and per-rank what-ifs without falling
-        back, bit-identical to the object path and to apply → simulate →
-        revert on that rank alone."""
+        each rank is its own group, so the grouped recurrence serves
+        simulate() bit-identical to the recurrence over every rank and to
+        the object path, and the kernel serves per-rank what-ifs without
+        falling back, bit-identical to apply → simulate → revert on that
+        rank alone."""
         cluster = make_cluster_a(2, 2)
         ctx = PlanSession().prepare(
             PlanRequest(
@@ -293,8 +316,11 @@ class TestBatchedWhatIf:
             })
         assert len(replayer.groups) == len(cluster.workers)
         sim = replayer.simulate()
-        assert replayer.stats.kernel_sims == 1
         assert replayer.local_dfg(r2).forward is not replayer.local_dfg(r3).forward
+        assert sim == simulate_global_dfg(
+            replayer.build_global_dfg(), cluster, memory=sim.memory,
+            collective_model=replayer.collective_model,
+        )
         assert sim == _reference_replayer(replayer).simulate()
 
         candidates = []

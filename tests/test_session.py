@@ -1,5 +1,7 @@
 """Tests for the PlanSession API: requests, registry, reuse, compare."""
 
+import dataclasses
+
 import pytest
 
 from repro.backend import LPBackend
@@ -19,8 +21,11 @@ from repro.session import (
     available_strategies,
     get_planner,
 )
+from repro.session import profiles as profiles_module
+from repro.session.profiles import profiling_fingerprint
 
 ALL_STRATEGIES = ("qsync", "uniform", "dpro", "hessian", "random", "qsync+qsgd")
+_MINI_BERT = {"batch_size": 4, "width_scale": 8, "spatial_scale": 4}
 
 
 def tiny_request(**overrides):
@@ -239,6 +244,62 @@ class TestProfilingReuse:
         assert session.stats.template_builds == 1
         assert session.stats.template_hits >= 1
         assert session.stats.stats_syntheses == 1
+
+    def test_copies_of_one_template_digest_alike(self):
+        """A copy need not digest like its template (``copy()`` relists
+        predecessors; mini_bert's differs), but every copy of one template
+        digests alike, so one digest keys every device type's catalog —
+        the same bytes a per-copy digest gave."""
+        request = tiny_request(model="mini_bert", model_kwargs=_MINI_BERT)
+        template = request.build_template()
+        first, second = template.copy(), template.copy()
+        assert profiling_fingerprint(first) == profiling_fingerprint(second)
+        assert profiling_fingerprint(first) != profiling_fingerprint(template)
+        session = PlanSession()
+        session.prepare(dataclasses.replace(
+            request, cluster=make_cluster_a(2, 2)
+        ))
+        assert session.profiles.copy_fingerprint(
+            request.model_cache_key(), first
+        ) == profiling_fingerprint(first)
+        catalog_digests = {
+            key[1] for key in session.profiles._memo if key[0] == "catalog"
+        }
+        assert catalog_digests == {profiling_fingerprint(first)}
+
+    def test_warm_plan_computes_no_fingerprint(self, monkeypatch):
+        request = tiny_request(
+            model="mini_bert", model_kwargs=_MINI_BERT,
+            cluster=make_cluster_a(2, 2), strategy="qsync",
+        )
+        session = PlanSession()
+        cold = session.plan(request)
+
+        def boom(dag):  # pragma: no cover - failure path
+            raise AssertionError("warm plan fingerprinted a DAG")
+
+        monkeypatch.setattr("repro.session.profiles.profiling_fingerprint", boom)
+        warm = session.plan(request)
+        assert warm.plan == cold.plan
+        assert warm.simulation == cold.simulation
+
+    def test_opaque_template_digested_once_per_prepare(self, monkeypatch):
+        calls = []
+        original = profiles_module.profiling_fingerprint
+
+        def counting(dag):
+            calls.append(dag)
+            return original(dag)
+
+        monkeypatch.setattr(profiles_module, "profiling_fingerprint", counting)
+        request = tiny_request(
+            model=lambda: mini_model_graph("mini_bert", **_MINI_BERT),
+            model_kwargs={}, cluster=make_cluster_a(2, 2),
+        )
+        session = PlanSession()
+        session.prepare(request)
+        session.prepare(request)
+        assert len(calls) == 2
 
     def test_reuse_is_invisible_in_results(self):
         warm_session = PlanSession()
