@@ -3,13 +3,12 @@
 Two invariants guard the engine refactor:
 
 1. **Parity** — under the default ``DDPOverlapPolicy`` with no perturbation
-   the engine's ``SimulationResult`` (timeline included) must be
-   *bit-identical* to ``simulate_global_dfg`` on the mini-BERT ClusterA
+   the engine's ``SimulationResult`` and its rendered timeline must be
+   *bit-identical* to ``simulate_global_dfg``'s on the mini-BERT ClusterA
    setup; the analytic closed form is the oracle.
 2. **Overhead** — the event queue may cost more than the closed form, but
    no more than 5x on that same setup (the allocator hot loop stays on the
-   analytic path, so this bounds only the timeline/policy/perturbation
-   surface).
+   analytic path, so this bounds only the policy/perturbation surface).
 
 Plus the straggler shape: with one rank slowed by a large factor, the
 engine's iteration time must (a) equal the analytic recurrence replayed on
@@ -77,13 +76,9 @@ def run_bench(small: bool = False, path: str | Path = "BENCH_engine.json") -> di
     comm_model = replayer.collective_model
 
     # ---- parity: engine == analytic, timeline included ----------------
-    analytic = simulate_global_dfg(
-        gdfg, cluster, collect_timeline=True, collective_model=comm_model
-    )
-    engine = run_engine(
-        gdfg, cluster, collect_timeline=True, collective_model=comm_model
-    )
-    parity = engine == analytic
+    analytic = simulate_global_dfg(gdfg, cluster, collective_model=comm_model)
+    engine = run_engine(gdfg, cluster, collective_model=comm_model)
+    parity = engine == analytic and engine.timeline == analytic.timeline
 
     # ---- overhead: bare recurrence vs bare event loop ------------------
     analytic_s = _time_calls(

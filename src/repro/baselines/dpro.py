@@ -54,11 +54,10 @@ class DproReplayer:
         )
         return assemble_local_dfg(source, worker.device.name, rank)
 
-    def simulate(self, collect_timeline: bool = False) -> SimulationResult:
+    def simulate(self) -> SimulationResult:
         gdfg = GlobalDFG([self._build_local(w.rank) for w in self.cluster.workers])
         return execute_global_dfg(
             gdfg, self.cluster,
-            collect_timeline=collect_timeline,
             collective_model=self.collective_model,
             schedule_policy=self.schedule_policy,
         )

@@ -13,11 +13,18 @@ i.e. bucket ``n`` starts when every device has produced its gradients *and*
 the previous collective finished; it lasts as long as the slowest
 participant.  The iteration latency is the max across devices of
 (compute end vs last collective end) plus the optimizer step.
+
+A :class:`SimulationResult` records each bucket's collective window and the
+locals it played; its Fig. 6 timeline is a rendering of those
+(:func:`timeline_events`), built on first read, whichever path produced
+the result.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+from typing import Sequence
 
 from repro.common.dtypes import Precision
 from repro.core.cost_mapper import CostMapper
@@ -67,18 +74,33 @@ class ReplayerStats:
 
 @dataclasses.dataclass
 class SimulationResult:
-    """Outcome of one global-DFG simulation."""
+    """Outcome of one global-DFG simulation.  :attr:`timeline` renders on
+    first read and is not compared by ``==``."""
 
     iteration_time: float
     per_device_compute: dict[int, float]
     comm_wait_time: dict[int, float]
     memory: dict[int, MemoryEstimate]
-    timeline: list[TimelineEvent]
+    #: ``(start, end)`` of each bucket's collective, in bucket order.
+    comm_windows: list[tuple[float, float]] = dataclasses.field(
+        default_factory=list
+    )
+    #: What was played: the locals, and per rank in worker order the index
+    #: of the local it ran (the ranks of one Replayer rank group share
+    #: their leader's).  Read only to render the timeline.
+    played: tuple[Sequence[LocalDFG], Sequence[tuple[int, int]]] = (
+        dataclasses.field(default=((), ()), compare=False, repr=False)
+    )
 
     @property
     def throughput(self) -> float:
         """Iterations per second."""
         return 1.0 / self.iteration_time if self.iteration_time > 0 else float("inf")
+
+    @functools.cached_property
+    def timeline(self) -> list[TimelineEvent]:
+        """Per-rank stream intervals for Fig. 6-style waterfalls."""
+        return timeline_events(self)
 
 
 @dataclasses.dataclass(eq=False)
@@ -191,6 +213,12 @@ class Replayer:
                 self.groups.append(group)
             group.ranks.append(w.rank)
             self._group_of[w.rank] = group
+        #: (rank, index of its group) in worker order: how the per-group
+        #: results of the grouped recurrence map back onto ranks.
+        self._leader_slots = tuple(
+            (rank, self.groups.index(group))
+            for rank, group in self._group_of.items()
+        )
         self.mappers: dict[int, CostMapper] = {
             rank: group.mapper for rank, group in self._group_of.items()
         }
@@ -385,7 +413,6 @@ class Replayer:
     # ------------------------------------------------------------------
     def simulate(
         self,
-        collect_timeline: bool = False,
         schedule_policy: SchedulePolicy | str | None = None,
         perturbation: Perturbation | None = None,
     ) -> SimulationResult:
@@ -395,9 +422,9 @@ class Replayer:
         for this call only.  Calls :func:`~repro.engine.policy.eq6_fast_path`
         admits (the allocator hot loop) play the analytic recurrence once
         per rank group in incremental mode, over every rank otherwise,
-        bit-identical either way; timeline collection, alternative
-        policies, and perturbations run through the discrete-event engine —
-        bit-identical on the default policy.
+        bit-identical either way; alternative policies and perturbations
+        run through the discrete-event engine.  Every result renders its
+        timeline on demand.
         """
         self.stats.simulate_calls += 1
         by_group = {
@@ -410,15 +437,15 @@ class Replayer:
             else resolve_schedule_policy(schedule_policy)
         )
         pert = self.perturbation if perturbation is None else perturbation
-        if self.incremental and eq6_fast_path(policy, pert, collect_timeline):
+        if self.incremental and eq6_fast_path(policy, pert):
             return self._grouped_result(memory)
         gdfg = self.build_global_dfg()
         # One dispatcher owns the analytic-vs-engine choice.
         from repro.engine.core import execute_global_dfg
 
         return execute_global_dfg(
-            gdfg, self.cluster, collect_timeline=collect_timeline,
-            memory=memory, collective_model=self.collective_model,
+            gdfg, self.cluster, memory=memory,
+            collective_model=self.collective_model,
             schedule_policy=policy, perturbation=pert,
             bucket_bits=self._bucket_bits(),
         )
@@ -430,11 +457,11 @@ class Replayer:
         list, and float ``max`` is exact, so the recurrence over the group
         leaders gives the same bits as over every rank: each leader's
         per-rank entries are copied to the rest of its group, in cluster
-        worker order.
+        worker order.  The timeline plays each rank on its leader's DFG.
         """
+        locals_ = [self.local_dfg(g.ranks[0]) for g in self.groups]
         leaders = simulate_global_dfg(
-            GlobalDFG([self.local_dfg(g.ranks[0]) for g in self.groups]),
-            self.cluster, memory=memory,
+            GlobalDFG(locals_), self.cluster, memory=memory,
             collective_model=self.collective_model,
             bucket_bits=self._bucket_bits(),
         )
@@ -447,6 +474,7 @@ class Replayer:
             comm_wait_time={
                 rank: wait[g.ranks[0]] for rank, g in self._group_of.items()
             },
+            played=(locals_, self._leader_slots),
         )
 
     def memory_estimate(self, rank: int) -> MemoryEstimate:
@@ -521,7 +549,6 @@ def bucket_comm_durations(
 def simulate_global_dfg(
     gdfg: GlobalDFG,
     cluster: Cluster,
-    collect_timeline: bool = False,
     memory: dict[int, MemoryEstimate] | None = None,
     collective_model: CollectiveModel | str | None = None,
     bucket_bits: tuple[int, ...] | None = None,
@@ -538,7 +565,7 @@ def simulate_global_dfg(
     This closed form is also the parity oracle for the discrete-event
     engine (:mod:`repro.engine`): under the default
     :class:`~repro.engine.policy.DDPOverlapPolicy` with no perturbation the
-    engine must reproduce it bit-for-bit, timeline included.
+    engine must reproduce it bit-for-bit, comm windows included.
 
     ``bucket_bits`` (per-bucket gradient bit widths, the compression axis)
     is forwarded to :func:`bucket_comm_durations`; ``None`` keeps the
@@ -546,7 +573,6 @@ def simulate_global_dfg(
     """
     comm_model = resolve_collective_model(collective_model)
     locals_ = gdfg.locals
-    timeline: list[TimelineEvent] = []
 
     # Per-device CUDA-stream times.
     compute_end: dict[int, float] = {}
@@ -554,32 +580,17 @@ def simulate_global_dfg(
     for ldfg in locals_:
         ready_times[ldfg.rank] = ldfg.bucket_ready_times()
         compute_end[ldfg.rank] = ldfg.forward_time + ldfg.backward_time
-        if collect_timeline:
-            _emit_stream_timeline(ldfg, timeline)
 
     # Synchronous collectives: Eq. (6).  Pricing is hoisted out of the
     # recurrence — one call per bucket, not one per (bucket, rank).
     durations = bucket_comm_durations(locals_, cluster, comm_model, bucket_bits)
-    comm_end_prev = 0.0
-    comm_end_final: float = 0.0
+    comm_windows: list[tuple[float, float]] = []
+    comm_end = 0.0
     for n in range(gdfg.n_buckets):
         start_candidates = [ready_times[ld.rank][n] for ld in locals_]
-        comm_start = max(max(start_candidates), comm_end_prev)
+        comm_start = max(max(start_candidates), comm_end)
         comm_end = comm_start + durations[n]
-        if collect_timeline:
-            for ldfg in locals_:
-                timeline.append(
-                    TimelineEvent(
-                        rank=ldfg.rank,
-                        device=ldfg.device_name,
-                        stream="comm",
-                        start=comm_start,
-                        end=comm_end,
-                        label=f"allreduce:bucket{n}",
-                    )
-                )
-        comm_end_prev = comm_end
-        comm_end_final = comm_end
+        comm_windows.append((comm_start, comm_end))
 
     # Iteration end per device: optimizer runs after both the local backward
     # and the final collective complete.
@@ -589,14 +600,10 @@ def simulate_global_dfg(
     for ldfg in locals_:
         rank = ldfg.rank
         opt = ldfg.optimizer.duration if ldfg.optimizer else 0.0
-        local_done = max(compute_end[rank], comm_end_final)
-        comm_wait[rank] = max(0.0, comm_end_final - compute_end[rank])
+        local_done = max(compute_end[rank], comm_end)
+        comm_wait[rank] = max(0.0, comm_end - compute_end[rank])
         end = local_done + opt
         per_device_compute[rank] = ldfg.compute_time
-        if collect_timeline and ldfg.optimizer:
-            timeline.append(
-                TimelineEvent(rank, ldfg.device_name, "cuda", local_done, end, "optimizer")
-            )
         iteration_time = max(iteration_time, end)
 
     return SimulationResult(
@@ -604,21 +611,49 @@ def simulate_global_dfg(
         per_device_compute=per_device_compute,
         comm_wait_time=comm_wait,
         memory=memory or {},
-        timeline=timeline,
+        comm_windows=comm_windows,
+        played=played_by_rank(locals_),
     )
 
 
-def _emit_stream_timeline(ldfg: LocalDFG, timeline: list[TimelineEvent]) -> None:
-    t = 0.0
-    for node in (*ldfg.forward, *ldfg.backward):
-        timeline.append(
-            TimelineEvent(
-                rank=ldfg.rank,
-                device=ldfg.device_name,
-                stream="cuda",
-                start=t,
-                end=t + node.duration,
-                label=node.name,
-            )
-        )
-        t += node.duration
+def played_by_rank(locals_: Sequence[LocalDFG]) -> tuple:
+    """:attr:`SimulationResult.played` for locals that each play their own
+    rank."""
+    return locals_, tuple((ldfg.rank, i) for i, ldfg in enumerate(locals_))
+
+
+def timeline_events(result: SimulationResult) -> list[TimelineEvent]:
+    """Render a result's timeline: every rank's CUDA stream from t=0 (a
+    flat accumulation of its forward and backward nodes), then each
+    bucket's collective window on every rank, then each rank's optimizer
+    at ``max(fwd + bwd, last comm end)``.
+
+    That optimizer anchor holds for both current schedule policies, which
+    differ only in when buckets launch (already in ``comm_windows``), so
+    one rendering serves the analytic recurrence, its grouped form and the
+    event engine alike.  Ranks keep the order they were played in.
+    """
+    locals_, slots = result.played
+    ranks = [(rank, locals_[i]) for rank, i in slots]
+    timeline: list[TimelineEvent] = []
+    for rank, ldfg in ranks:
+        t = 0.0
+        for node in (*ldfg.forward, *ldfg.backward):
+            timeline.append(TimelineEvent(
+                rank, ldfg.device_name, "cuda", t, t + node.duration, node.name
+            ))
+            t += node.duration
+    for n, (start, end) in enumerate(result.comm_windows):
+        for rank, ldfg in ranks:
+            timeline.append(TimelineEvent(
+                rank, ldfg.device_name, "comm", start, end, f"allreduce:bucket{n}"
+            ))
+    comm_end = result.comm_windows[-1][1] if result.comm_windows else 0.0
+    for rank, ldfg in ranks:
+        if ldfg.optimizer:
+            start = max(ldfg.forward_time + ldfg.backward_time, comm_end)
+            timeline.append(TimelineEvent(
+                rank, ldfg.device_name, "cuda",
+                start, start + ldfg.optimizer.duration, "optimizer",
+            ))
+    return timeline

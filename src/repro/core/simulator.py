@@ -23,6 +23,8 @@ the only degrees of freedom left are the costs themselves.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.backend.lp_backend import LPBackend
 from repro.common.rng import derive_seed, new_rng
 from repro.core.dfg import GlobalDFG, LocalDFG
@@ -104,9 +106,13 @@ class GroundTruthSimulator:
         return assemble_local_dfg(source, worker.device.name, rank)
 
     # ------------------------------------------------------------------
-    def run(self, iterations: int = 5, collect_timeline: bool = False) -> SimulationResult:
+    def run(self, iterations: int = 5) -> SimulationResult:
         """Average ``iterations`` measured iterations (the paper measures
-        actual training iteration time and repeats 5x)."""
+        actual training iteration time and repeats 5x).
+
+        ``iteration_time`` is the mean; every per-iteration field (per-device
+        compute, comm waits, comm windows, and so the timeline) describes
+        the last iteration."""
         from repro.engine.core import execute_global_dfg
 
         total = 0.0
@@ -117,17 +123,10 @@ class GroundTruthSimulator:
             )
             last = execute_global_dfg(
                 gdfg, self.cluster,
-                collect_timeline=collect_timeline and it == 0,
                 collective_model=self.collective_model,
                 schedule_policy=self.schedule_policy,
                 perturbation=self.perturbation,
             )
             total += last.iteration_time
         assert last is not None
-        return SimulationResult(
-            iteration_time=total / iterations,
-            per_device_compute=last.per_device_compute,
-            comm_wait_time=last.comm_wait_time,
-            memory=last.memory,
-            timeline=last.timeline,
-        )
+        return dataclasses.replace(last, iteration_time=total / iterations)

@@ -7,6 +7,7 @@ supplies the event-driven core underneath it:
 * :mod:`repro.engine.core` — the scheduler: per-rank CUDA+COMM streams, an
   explicit event queue, and :func:`execute_global_dfg`, which dispatches
   between the analytic fast path (allocator hot loop) and the engine;
+  neither emits a timeline — every result renders its own on demand;
 * :mod:`repro.engine.policy` — the :class:`SchedulePolicy` protocol with
   :class:`DDPOverlapPolicy` (the Eq. (6) default, bit-identical to
   :func:`~repro.core.replayer.simulate_global_dfg` — the parity oracle) and

@@ -17,7 +17,8 @@ stream anchors (bucket readiness, backward completion); a
 any event is scheduled.  Under the default
 :class:`~repro.engine.policy.DDPOverlapPolicy` with no perturbation the
 engine is **bit-identical** to
-:func:`~repro.core.replayer.simulate_global_dfg`: it reads the same stream
+:func:`~repro.core.replayer.simulate_global_dfg`, comm windows included
+(so the two render the same timeline): it reads the same stream
 anchors (:meth:`LocalDFG.bucket_ready_times`, published stream totals), the
 same single-call bucket pricing, and performs the same float operations
 (``max`` is exact; every addition matches the analytic recurrence) — so
@@ -25,8 +26,9 @@ parity is an equality, not an approximation, and serves as the regression
 oracle for every alternative policy.
 
 :func:`execute_global_dfg` is the dispatch front door: the analytic fast
-path for the default policy without timeline collection (the allocator hot
-loop), the event engine for everything else.
+path for the default policy without perturbation (the allocator hot loop),
+the event engine for everything else.  Neither emits a timeline; the result
+renders one on demand (:func:`~repro.core.replayer.timeline_events`).
 
 Imports from :mod:`repro.core.replayer` are function-scoped: the replayer
 imports this package to route simulations, and module-level imports in both
@@ -61,7 +63,6 @@ _OPT_DONE = 3     # (rank,): the rank's optimizer step retired
 def execute_global_dfg(
     gdfg: "GlobalDFG",
     cluster: "Cluster",
-    collect_timeline: bool = False,
     memory=None,
     collective_model=None,
     schedule_policy=None,
@@ -73,9 +74,8 @@ def execute_global_dfg(
 
     The analytic recurrence serves exactly the calls
     :func:`~repro.engine.policy.eq6_fast_path` admits: default DDP-overlap
-    schedule, no perturbation, no timeline (the allocator hot loop).
-    Timeline collection, alternative schedule policies, and perturbations
-    run through :func:`run_engine` (bit-identical on the default policy).
+    schedule, no perturbation (the allocator hot loop).  Alternative
+    schedule policies and perturbations run through :func:`run_engine`.
     ``bucket_bits`` (per-bucket compressed gradient widths) is forwarded
     to the shared bucket pricing on both branches; ``None`` keeps the
     uncompressed pricing bit-identical.
@@ -83,7 +83,7 @@ def execute_global_dfg(
     policy = resolve_schedule_policy(schedule_policy)
     if perturbation is not None and perturbation.is_noop:
         perturbation = None
-    if eq6_fast_path(policy, perturbation, collect_timeline):
+    if eq6_fast_path(policy, perturbation):
         from repro.core.replayer import simulate_global_dfg
 
         return simulate_global_dfg(
@@ -93,7 +93,6 @@ def execute_global_dfg(
     return run_engine(
         gdfg,
         cluster,
-        collect_timeline=collect_timeline,
         memory=memory,
         collective_model=collective_model,
         schedule_policy=policy,
@@ -105,7 +104,6 @@ def execute_global_dfg(
 def run_engine(
     gdfg: "GlobalDFG",
     cluster: "Cluster",
-    collect_timeline: bool = False,
     memory=None,
     collective_model=None,
     schedule_policy: SchedulePolicy | str | None = None,
@@ -115,9 +113,8 @@ def run_engine(
     """Event-driven simulation of one training iteration."""
     from repro.core.replayer import (
         SimulationResult,
-        TimelineEvent,
-        _emit_stream_timeline,
         bucket_comm_durations,
+        played_by_rank,
     )
     from repro.parallel.comm_model import resolve_collective_model
 
@@ -217,41 +214,11 @@ def run_engine(
     per_device_compute = {ldfg.rank: ldfg.compute_time for ldfg in locals_}
     iteration_time = max(rank_end.values()) if rank_end else 0.0
 
-    timeline: list[TimelineEvent] = []
-    if collect_timeline:
-        # Same list order as the analytic path: per-rank CUDA stream nodes,
-        # then per-bucket COMM intervals mirrored onto every rank, then the
-        # optimizers.  Stream-node rendering is the legacy flat accumulation
-        # from t=0 (a *rendering* of the CUDA stream; the scheduling anchors
-        # above come from the policy).
-        for ldfg in locals_:
-            _emit_stream_timeline(ldfg, timeline)
-        for n in range(n_buckets):
-            for ldfg in locals_:
-                timeline.append(
-                    TimelineEvent(
-                        rank=ldfg.rank,
-                        device=ldfg.device_name,
-                        stream="comm",
-                        start=comm_start[n],
-                        end=comm_end[n],
-                        label=f"allreduce:bucket{n}",
-                    )
-                )
-        for ldfg in locals_:
-            if ldfg.optimizer:
-                r = ldfg.rank
-                timeline.append(
-                    TimelineEvent(
-                        r, ldfg.device_name, "cuda",
-                        opt_start[r], rank_end[r], "optimizer",
-                    )
-                )
-
     return SimulationResult(
         iteration_time=iteration_time,
         per_device_compute=per_device_compute,
         comm_wait_time=comm_wait,
         memory=memory or {},
-        timeline=timeline,
+        comm_windows=list(zip(comm_start, comm_end)),
+        played=played_by_rank(locals_),
     )

@@ -29,7 +29,9 @@ Policies are selectable by name through :func:`resolve_schedule_policy`
 
 :func:`eq6_fast_path` is the one rule deciding whether an evaluation may
 skip the event engine for the analytic recurrence (or the compiled kernel
-that mirrors it bit-for-bit).
+that mirrors it bit-for-bit).  Timelines do not enter it: a result renders
+its own from its comm windows, and the optimizer anchor it uses,
+``max(fwd + bwd, last comm end)``, holds under both policies here.
 """
 
 from __future__ import annotations
@@ -104,15 +106,13 @@ class BlockingSyncPolicy(SchedulePolicy):
 
 
 def eq6_fast_path(
-    policy: SchedulePolicy,
-    perturbation: "Perturbation | None" = None,
-    collect_timeline: bool = False,
+    policy: SchedulePolicy, perturbation: "Perturbation | None" = None
 ) -> bool:
     """May the analytic Eq. (6) path serve this evaluation?
 
     True exactly for the default DDP-overlap schedule (the class itself,
-    not a subclass), a no-op perturbation and no timeline — the calls on
-    which the event engine is bit-identical to the closed form.  The single
+    not a subclass) and a no-op perturbation — the calls on which the
+    event engine is bit-identical to the closed form.  The single
     dispatch rule shared by
     :func:`~repro.engine.core.execute_global_dfg`,
     :meth:`~repro.core.replayer.Replayer.simulate` (the grouped
@@ -121,10 +121,8 @@ def eq6_fast_path(
     the engine can never disagree on which calls take the fast path.
     """
     return (
-        not collect_timeline
-        and (perturbation is None or perturbation.is_noop)
-        and type(policy) is DDPOverlapPolicy
-    )
+        perturbation is None or perturbation.is_noop
+    ) and type(policy) is DDPOverlapPolicy
 
 
 #: Name -> policy class, the selection vocabulary for requests/experiments.

@@ -50,7 +50,6 @@ class PrecisionDAG:
         self._topo_index_cache: dict[str, int] | None = None
         self._adjustable_cache: list[str] | None = None
         self._weighted_cache: list[str] | None = None
-        self._independent_cache: list[str] | None = None
         self._sig_ops_cache: list[str] | None = None
         self._weight_elems_cache: int | None = None
         self._sig_cache: tuple[int, tuple[Precision, ...]] | None = None
@@ -62,7 +61,6 @@ class PrecisionDAG:
         self._topo_index_cache = None
         self._adjustable_cache = None
         self._weighted_cache = None
-        self._independent_cache = None
         self._sig_ops_cache = None
         self._weight_elems_cache = None
         self._sig_cache = None
@@ -267,15 +265,6 @@ class PrecisionDAG:
                 n for n in self.topo_order() if self.spec(n).has_weight
             ]
         return self._weighted_cache
-
-    def independent_ops(self) -> list[str]:
-        """Ops whose precision is assigned rather than derived (adjustable
-        and fixed categories), in topological order (cached, read-only)."""
-        if self._independent_cache is None:
-            self._independent_cache = [
-                n for n in self.topo_order() if not self.spec(n).is_dependent
-            ]
-        return self._independent_cache
 
     def precision_plan(self) -> dict[str, Precision]:
         """Snapshot of current per-op precisions."""

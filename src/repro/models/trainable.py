@@ -281,24 +281,6 @@ def _convnet_graph(
     return dag
 
 
-def _graph_names_for_convnet(model: MiniConvNet) -> list[str]:
-    """Module paths of adjustable ops in layer order (tests rely on this)."""
-    names = []
-    idx = 0
-    size = model.image_size
-    for i in range(len(model.widths)):
-        names.append(f"features.{idx}")
-        idx += 1  # conv
-        if model.batch_norm:
-            idx += 1
-        idx += 1  # relu
-        if i % 2 == 1 and size >= 8:
-            idx += 1
-            size //= 2
-    names.append("classifier")
-    return names
-
-
 def _resnet_graph(
     model: MiniResNet, batch: int, width_scale: int = 1, spatial_scale: int = 1
 ) -> PrecisionDAG:

@@ -45,7 +45,8 @@ class PlanOutcome:
     strategy: str
     #: Per-device-type precision assignments (empty = all FP32).
     plan: PrecisionPlan
-    #: Simulation of the final configuration (timeline collected).
+    #: Simulation of the final configuration (its timeline renders on
+    #: first read).
     simulation: SimulationResult
     #: Operator-facing report; allocator strategies carry real recovery
     #: diagnostics, passive strategies a zero-recovery snapshot.

@@ -172,7 +172,7 @@ class AllocatorPlanner:
         indicators = self._build_indicators(ctx)
         allocator = Allocator(replayer, indicators, config=request.config)
         plan, alloc_report = allocator.allocate()
-        final = replayer.simulate(collect_timeline=True)
+        final = replayer.simulate()
         return PlanOutcome(
             strategy=self.name,
             plan=plan,
@@ -238,7 +238,7 @@ class CompressedAllocatorPlanner(AllocatorPlanner):
         replayer.set_bucket_compression(levels)
         plan.bucket_compression = replayer.bucket_compression
 
-        final = replayer.simulate(collect_timeline=True)
+        final = replayer.simulate()
         return PlanOutcome(
             strategy=self.name,
             plan=plan,
@@ -270,7 +270,7 @@ class UniformPlanner:
                     memory_model=replayer.memory_model,
                 )
             replayer.apply_plan(w.rank, assignments[tname])
-        sim = replayer.simulate(collect_timeline=True)
+        sim = replayer.simulate()
         plan = PrecisionPlan(assignments=assignments)
         return PlanOutcome(
             strategy=self.name,

@@ -72,16 +72,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def pow_(a: Tensor, exponent: float) -> Tensor:
-    out = a.data**exponent
-    return Tensor.from_op(
-        out,
-        (a,),
-        lambda g: (g * exponent * a.data ** (exponent - 1),),
-        "pow",
-    )
-
-
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
     return Tensor.from_op(out, (a,), lambda g: (g * out,), "exp")

@@ -63,11 +63,6 @@ class PrecisionConfig:
     def rng(self) -> np.random.Generator:
         return self._rng
 
-    def reseed(self, seed: int) -> None:
-        """Reset the noise stream (per-worker decorrelation in DDP)."""
-        self.seed = seed
-        self._rng = new_rng(seed)
-
 
 def apply_input_precision(
     x: Tensor, weight: Tensor, config: PrecisionConfig

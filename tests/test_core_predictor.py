@@ -281,7 +281,7 @@ class TestReplayer:
         assert quant < base
 
     def test_timeline_collection(self, replayer):
-        sim = replayer.simulate(collect_timeline=True)
+        sim = replayer.simulate()
         assert len(sim.timeline) > 0
         streams = {e.stream for e in sim.timeline}
         assert streams == {"cuda", "comm"}
@@ -336,6 +336,33 @@ class TestGroundTruthSimulator:
         gt1 = GroundTruthSimulator(cluster, replayer.dags, backends, seed=3)
         gt2 = GroundTruthSimulator(cluster, replayer.dags, backends, seed=3)
         assert gt1.run(2).iteration_time == gt2.run(2).iteration_time
+
+    def test_per_iteration_fields_describe_the_last_iteration(self):
+        """``run`` averages iteration times; every per-iteration field,
+        timeline included, is the last iteration's."""
+        from repro.engine.core import execute_global_dfg
+
+        cluster = make_cluster_a(1, 1)
+        builder = lambda: mini_model_graph(
+            "mini_vgg", batch_size=8, width_scale=8, spatial_scale=4
+        )
+        ctx = PlanSession().prepare(
+            PlanRequest(model=builder, cluster=cluster, profile_repeats=1)
+        )
+        gt = GroundTruthSimulator(cluster, ctx.replayer.dags, ctx.backends, seed=3)
+        sim = gt.run(3)
+        first, _, last = (
+            execute_global_dfg(
+                GlobalDFG([gt._build_local(w.rank, it) for w in cluster.workers]),
+                cluster,
+            )
+            for it in range(3)
+        )
+        assert sim.per_device_compute == last.per_device_compute
+        assert sim.comm_wait_time == last.comm_wait_time
+        assert sim.comm_windows == last.comm_windows
+        assert sim.timeline == last.timeline
+        assert sim.timeline != first.timeline
 
     def test_contention_slows_ground_truth(self):
         cluster = make_cluster_a(1, 1)

@@ -297,11 +297,9 @@ class TestReplan:
         survivors = {0, 5}
         assert {w.rank for w in re.context.cluster.workers} == survivors
         assert set(re.simulation.per_device_compute) == survivors
-        sim = re.context.replayer.simulate(collect_timeline=True)
+        sim = re.context.replayer.simulate()
         assert {e.rank for e in sim.timeline} == survivors
-        engine_sim = re.context.replayer.simulate(
-            schedule_policy="blocking_sync", collect_timeline=True
-        )
+        engine_sim = re.context.replayer.simulate(schedule_policy="blocking_sync")
         assert {e.rank for e in engine_sim.timeline} == survivors
 
     def test_replan_profiles_nothing_for_known_device_types(self):

@@ -50,6 +50,7 @@ from repro.hardware import T4, V100, Cluster, Worker
 from repro.models import mini_model_graph
 from repro.profiling import CastCostCalculator, profile_operator_costs
 from repro.session import PlanRequest, PlanSession
+from repro.session.planners import available_strategies
 
 GBPS = 1024**3
 
@@ -108,9 +109,10 @@ class TestEngineAnalyticParity:
         rng = new_rng(seed)
         gdfg = _random_gdfg(rng, n_ranks, n_buckets)
         cluster = _cluster(n_ranks)
-        analytic = simulate_global_dfg(gdfg, cluster, collect_timeline=True)
-        engine = run_engine(gdfg, cluster, collect_timeline=True)
+        analytic = simulate_global_dfg(gdfg, cluster)
+        engine = run_engine(gdfg, cluster)
         assert engine == analytic
+        assert engine.timeline == analytic.timeline
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
@@ -119,40 +121,51 @@ class TestEngineAnalyticParity:
         gdfg = _random_gdfg(rng, 4, 2)
         cluster = _cluster(4)
         analytic = simulate_global_dfg(
-            gdfg, cluster, collect_timeline=True, collective_model="hierarchical"
+            gdfg, cluster, collective_model="hierarchical"
         )
-        engine = run_engine(
-            gdfg, cluster, collect_timeline=True, collective_model="hierarchical"
-        )
+        engine = run_engine(gdfg, cluster, collective_model="hierarchical")
         assert engine == analytic
+        assert engine.timeline == analytic.timeline
 
     def test_replayer_timeline_route_matches_analytic(self):
-        """Replayer.simulate(collect_timeline=True) rides the engine; the
-        result must equal the analytic oracle on the same global DFG."""
+        """The engine on the replayer's global DFG, and Replayer.simulate()
+        on its grouped fast path, both equal the analytic oracle on that
+        DFG, timelines included."""
         ctx = PlanSession().prepare(
             PlanRequest(model="mini_bert", model_kwargs={"batch_size": 4},
                         cluster="cluster_a_4+4", profile_repeats=1)
         )
         replayer = ctx.replayer
         gdfg = replayer.build_global_dfg()
+        memory = {w.rank: replayer.memory_estimate(w.rank)
+                  for w in replayer.cluster.workers}
         analytic = simulate_global_dfg(
-            gdfg, replayer.cluster, collect_timeline=True,
-            memory={w.rank: replayer.memory_estimate(w.rank)
-                    for w in replayer.cluster.workers},
+            gdfg, replayer.cluster, memory=memory,
             collective_model=replayer.collective_model,
         )
-        assert replayer.simulate(collect_timeline=True) == analytic
+        engine = run_engine(
+            gdfg, replayer.cluster, memory=memory,
+            collective_model=replayer.collective_model,
+        )
+        assert engine == analytic
+        assert engine.timeline == analytic.timeline
+        grouped = replayer.simulate()
+        assert grouped == analytic
+        assert grouped.timeline == analytic.timeline
 
     def test_dispatcher_uses_analytic_fast_path_semantics(self):
         """execute_global_dfg with defaults == simulate_global_dfg, and the
-        engine route (timeline) == the analytic timeline."""
+        engine route == the analytic result, timelines included."""
         rng = new_rng(7)
         gdfg = _random_gdfg(rng, 3, 2)
         cluster = _cluster(3)
-        assert execute_global_dfg(gdfg, cluster) == simulate_global_dfg(gdfg, cluster)
-        assert execute_global_dfg(
-            gdfg, cluster, collect_timeline=True
-        ) == simulate_global_dfg(gdfg, cluster, collect_timeline=True)
+        analytic = simulate_global_dfg(gdfg, cluster)
+        dispatched = execute_global_dfg(gdfg, cluster)
+        assert dispatched == analytic
+        assert dispatched.timeline == analytic.timeline
+        engine = run_engine(gdfg, cluster)
+        assert engine == analytic
+        assert engine.timeline == analytic.timeline
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +204,7 @@ class TestSchedulePolicies:
         rng = new_rng(11)
         gdfg = _random_gdfg(rng, 3, 2)
         cluster = _cluster(3)
-        sim = run_engine(
-            gdfg, cluster, schedule_policy="blocking_sync", collect_timeline=True
-        )
+        sim = run_engine(gdfg, cluster, schedule_policy="blocking_sync")
         compute_end = max(
             l.forward_time + l.backward_time for l in gdfg.locals
         )
@@ -262,13 +273,12 @@ class TestPerturbation:
         gdfg = _random_gdfg(rng, 3, 2)
         cluster = _cluster(3)
         pert = Perturbation(seed=5, compute_jitter=0.3, stragglers={1: 3.0})
-        engine = run_engine(gdfg, cluster, perturbation=pert,
-                            collect_timeline=True)
+        engine = run_engine(gdfg, cluster, perturbation=pert)
         oracle = simulate_global_dfg(
-            GlobalDFG([pert.perturb_local(l) for l in gdfg.locals]),
-            cluster, collect_timeline=True,
+            GlobalDFG([pert.perturb_local(l) for l in gdfg.locals]), cluster
         )
         assert engine == oracle
+        assert engine.timeline == oracle.timeline
 
     def test_iteration_tracks_the_slowest_rank(self):
         """Straggler ordering: iteration time grows monotonically with the
@@ -473,9 +483,63 @@ class TestNonContiguousRanks:
     def test_replayer_simulates_gappy_ranks(self):
         cluster, dags, _, catalogs, casts = self._setup()
         replayer = Replayer(cluster, dags, catalogs, casts)
-        sim = replayer.simulate(collect_timeline=True)
+        sim = replayer.simulate()
         assert set(sim.per_device_compute) == {0, 2, 5}
         assert {e.rank for e in sim.timeline} == {0, 2, 5}
+
+
+# ---------------------------------------------------------------------------
+# timelines render from the result
+# ---------------------------------------------------------------------------
+
+
+def _timeline_request(strategy):
+    return PlanRequest(
+        model="mini_bert",
+        model_kwargs={"batch_size": 4, "width_scale": 8, "spatial_scale": 4},
+        cluster="cluster_a_4+4", strategy=strategy, profile_repeats=1,
+    )
+
+
+class TestTimelineOnDemand:
+    @pytest.mark.parametrize("strategy", ["qsync", "qsync+qsgd", "uniform"])
+    def test_plan_never_enters_the_engine(self, strategy, monkeypatch):
+        """Under the default policy a plan stays on the grouped Eq. (6)
+        path, final simulation included; its timeline still renders."""
+        import repro.engine.core as engine_core
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("plan() entered run_engine")
+
+        monkeypatch.setattr(engine_core, "run_engine", refuse)
+        outcome = PlanSession().plan(_timeline_request(strategy))
+        assert outcome.simulation.timeline
+
+    def test_every_strategy_timeline_matches_the_engine(self):
+        """Each registered strategy's outcome timeline is non-empty and
+        equals the engine's on the global DFG that strategy played."""
+        session = PlanSession()
+        for strategy in available_strategies():
+            sim = session.plan(_timeline_request(strategy)).simulation
+            replayer = session.last_context.replayer
+            bits = replayer._bucket_bits()
+            if strategy == "dpro":
+                dpro = DproReplayer(
+                    replayer.cluster, replayer.dags,
+                    {r: m.catalog for r, m in replayer.mappers.items()},
+                )
+                gdfg = GlobalDFG(
+                    [dpro._build_local(w.rank) for w in replayer.cluster.workers]
+                )
+            else:
+                gdfg = replayer.build_global_dfg()
+            engine = run_engine(
+                gdfg, replayer.cluster, memory=sim.memory,
+                collective_model=replayer.collective_model, bucket_bits=bits,
+            )
+            assert sim.timeline, strategy
+            assert sim.timeline == engine.timeline, strategy
+            assert sim == engine, strategy
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,7 @@ class TestSimulationInvariants:
                 for r in range(3)
             ),
         )
-        sim = simulate_global_dfg(gdfg, cluster, collect_timeline=True)
+        sim = simulate_global_dfg(gdfg, cluster)
         comm = sorted(
             {(e.start, e.end) for e in sim.timeline if e.stream == "comm"}
         )

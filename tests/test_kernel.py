@@ -172,11 +172,14 @@ class TestKernelAnalyticParity:
             collective_model=replayer.collective_model,
         )
         assert grouped == analytic
+        assert grouped.timeline == analytic.timeline
         assert list(grouped.per_device_compute) == list(
             analytic.per_device_compute
         )
         reference = _reference_replayer(replayer)
-        assert reference.simulate() == grouped
+        object_path = reference.simulate()
+        assert object_path == grouped
+        assert object_path.timeline == grouped.timeline
         assert reference.stats.kernel_sims == 0
 
     def test_fast_path_simulate_lowers_nothing(self, monkeypatch):
@@ -415,7 +418,6 @@ class TestDispatchRule:
         ddp = DDPOverlapPolicy()
         assert eq6_fast_path(ddp)
         assert eq6_fast_path(ddp, Perturbation())  # no-op perturbation
-        assert not eq6_fast_path(ddp, collect_timeline=True)
         assert not eq6_fast_path(ddp, Perturbation(bandwidth_drift=0.3))
         assert not eq6_fast_path(BlockingSyncPolicy())
         assert not eq6_fast_path(Subclassed())

@@ -200,7 +200,7 @@ class TestTimeline:
         rep = PlanSession().prepare(
             PlanRequest(model=builder, cluster=cluster, profile_repeats=1)
         ).replayer
-        sim = rep.simulate(collect_timeline=True)
+        sim = rep.simulate()
         text = render_timeline(sim.timeline)
         assert "V100" in text and "T4" in text and "#" in text
         stats = timeline_summary(sim)

@@ -71,7 +71,7 @@ def legacy_qsync_plan(dag_builder, cluster, loss="ce", indicator_factory=None):
                 indicators[w.device.name] = indicator_factory(dag, stats, gamma)
     allocator = Allocator(replayer, indicators)
     plan, alloc_report = allocator.allocate()
-    final = replayer.simulate(collect_timeline=True)
+    final = replayer.simulate()
     report = QSyncReport(
         cluster=cluster.describe(),
         model_summary=template.summary(),
@@ -117,6 +117,7 @@ class TestQSyncParity:
         assert outcome.plan == plan_old
         assert outcome.report == report_old
         assert outcome.simulation == report_old.final_simulation
+        assert outcome.simulation.timeline == report_old.final_simulation.timeline
 
 
 class TestBuildReplayerParity:
@@ -126,10 +127,9 @@ class TestBuildReplayerParity:
         )
         ctx = PlanSession().prepare(_request(cluster, profile_repeats=2))
         assert sorted(backends_old) == sorted(ctx.backends)
-        assert rep_old.simulate() == ctx.replayer.simulate()
-        assert rep_old.simulate(collect_timeline=True) == ctx.replayer.simulate(
-            collect_timeline=True
-        )
+        old, new = rep_old.simulate(), ctx.replayer.simulate()
+        assert old == new
+        assert old.timeline == new.timeline
         for w in cluster.workers:
             assert rep_old.memory_estimate(w.rank) == ctx.replayer.memory_estimate(
                 w.rank
@@ -152,11 +152,12 @@ class TestBaselineParity:
                     replayer.dags[w.rank], w.device
                 )
             replayer.apply_plan(w.rank, assignments[tname])
-        sim_old = replayer.simulate(collect_timeline=True)
+        sim_old = replayer.simulate()
 
         outcome = PlanSession().plan(_request(cluster, strategy="uniform"))
         assert outcome.plan.assignments == assignments
         assert outcome.simulation == sim_old
+        assert outcome.simulation.timeline == sim_old.timeline
 
     def test_dpro_matches_legacy_entry_point(self, cluster):
         replayer, _ = legacy_build_replayer(_builder, cluster)
