@@ -3,8 +3,8 @@
 ``Replayer.whatif_candidates`` evaluates a window of single-op precision
 changes in one vectorized pass over the kernel's frozen arrays; this
 benchmark times it against the sequential apply -> simulate -> revert
-trial loop, the allocator's only recovery loop, on the mini-BERT ClusterA
-setup ``bench_engine`` uses.  The allocator no longer batches: an accept
+trial loop, the allocator's only recovery loop, on a mini-BERT ClusterA
+setup.  The allocator no longer batches: an accept
 discards the rest of its window, so the window scored about 6x the
 candidates recovery used, and ``plan()`` ran faster without it.
 

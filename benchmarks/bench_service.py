@@ -12,8 +12,11 @@ directly:
   clients started first and released together, so neither a slow first
   plan nor thread start-up lands in one side only;
 * **tail latency** — mixed warm traffic (what-if strategies, seeds,
-  replans) reports p50/p99 per-request latency, with p99 still below one
-  cold plan;
+  replans) reports p50/p99 per-request latency.  The bound "p99 below
+  one cold plan" is asserted at smoke scale only: at full size 32
+  concurrent warm requests queue behind the service's ``_plan_lock``, so
+  the mixed p99 can exceed one cold plan (the committed
+  ``BENCH_service.json`` reads 160.8 ms against 149.8 ms);
 * **persistence** — a cold *process* on a warm disk root re-profiles
   nothing (zero catalog/cast/stats computations, by counter) and produces
   bit-identical outcomes.
@@ -24,7 +27,8 @@ Writes throughputs, latency percentiles, counters, and the parity flag to
 Standalone: ``python -m benchmarks.bench_service [--small] [output.json]``.
 The tier-1 suite runs the scaled-down smoke (``tests/test_bench_service.py``)
 asserting the >= 5x coalesced throughput floor, the zero-reprofiling warm
-start, the p99 bound, and bit-parity with the direct session.
+start, the p99 bound (which holds at that scale only), and bit-parity with
+the direct session.
 """
 
 from __future__ import annotations

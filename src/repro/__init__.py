@@ -20,8 +20,9 @@ Package map (bottom-up):
                        dequantization fusion, security wrapper
 ``repro.core``         the paper's contribution — Predictor (Indicator +
                        Replayer/Cost-Mapper/Simulator) and Allocator
-``repro.engine``       discrete-event execution engine: schedule policies,
-                       straggler perturbations, unified node-cost sources
+``repro.engine``       the Eq. (6) recurrence and its inputs: schedule
+                       policies, straggler perturbations, unified
+                       node-cost sources, elastic-membership segments
 ``repro.session``      the front door: declarative ``PlanRequest``s,
                        profiling-reusing ``PlanSession``, pluggable planner
                        strategies (qsync/uniform/dpro/hessian/random)

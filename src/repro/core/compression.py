@@ -19,8 +19,8 @@ instead of the precision ladder:
    fits the budget; stop when no feasible move saves time.
 
 Everything here is pure Python over floats the collective models produce —
-no numpy, no randomness — so the compression axis plans identically on
-every Eq. (6) dispatch tier.
+no numpy, no randomness — so the compression axis plans identically in
+the Eq. (6) recurrence and the compiled kernel.
 """
 
 from __future__ import annotations

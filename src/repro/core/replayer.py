@@ -12,7 +12,10 @@ global DFG forward under the synchronous-collective recurrence of Eq. (6):
 i.e. bucket ``n`` starts when every device has produced its gradients *and*
 the previous collective finished; it lasts as long as the slowest
 participant.  The iteration latency is the max across devices of
-(compute end vs last collective end) plus the optimizer step.
+(compute end vs last collective end) plus the optimizer step.  The one
+implementation of that recurrence is
+:func:`repro.engine.core.execute_global_dfg`; schedule policies and
+perturbations are its inputs.
 
 A :class:`SimulationResult` records each bucket's collective window and the
 locals it played; its Fig. 6 timeline is a rendering of those
@@ -29,8 +32,8 @@ from typing import Sequence
 from repro.common.dtypes import Precision
 from repro.core.cost_mapper import CostMapper
 from repro.core.dfg import GlobalDFG, LocalDFG
-from repro.engine.perturbation import Perturbation  # repro: allow RPR004 dispatch tiers (PR 5): the Replayer validates policy/perturbation kwargs at construction, before any engine run
-from repro.engine.policy import SchedulePolicy, eq6_fast_path, resolve_schedule_policy  # repro: allow RPR004 dispatch tiers (PR 5): non-default policies route through the engine; the engine itself never imports core's Replayer
+from repro.engine.perturbation import Perturbation  # repro: allow RPR004 Eq. (6) inputs: the Replayer validates policy/perturbation kwargs at construction, before any simulation
+from repro.engine.policy import SchedulePolicy, eq6_fast_path, resolve_schedule_policy  # repro: allow RPR004 Eq. (6) inputs: policies resolve here and feed engine.core's recurrence; eq6_fast_path gates only the compiled kernel; the engine never imports core's Replayer
 from repro.graph.dag import PrecisionDAG
 from repro.hardware.cluster import Cluster
 from repro.hardware.device import DeviceSpec
@@ -65,7 +68,7 @@ class ReplayerStats:
 
     simulate_calls: int = 0
     #: simulate() calls served by the compiled array kernel.  Reads 0: the
-    #: grouped recurrence serves the fast path, and the kernel serves only
+    #: recurrence serves simulate(), and the kernel serves only
     #: :meth:`Replayer.whatif_candidates`.
     kernel_sims: int = 0
     #: Candidates evaluated through the batched what-if kernel sweep.
@@ -141,12 +144,11 @@ class Replayer:
         pre-topology Replayer).
     schedule_policy:
         Execution schedule (name, instance, or ``None`` for the DDP-overlap
-        default — the Eq. (6) semantics, bit-identical to the analytic
-        path).  Non-default policies run through the discrete-event engine.
+        default): the per-rank bucket-readiness and compute-end anchors
+        Eq. (6) reads.
     perturbation:
         Optional deterministic straggler/bandwidth-drift injection
-        (:class:`repro.engine.Perturbation`); also routed through the
-        engine.
+        (:class:`repro.engine.Perturbation`), applied to Eq. (6)'s inputs.
 
     Per-query state lives per :class:`RankGroup`, in its
     :class:`CostMapper`: the one cache of the group's LocalDFG and memory
@@ -154,12 +156,12 @@ class Replayer:
     ``mappers[rank]`` are read-only aliases of the rank's group; timelines
     and per-device compute and wait times keep their rank ids.
 
-    Which tier serves an evaluation is never a knob: every call
-    :func:`~repro.engine.policy.eq6_fast_path` admits in incremental mode
-    plays the analytic recurrence once per rank group, bit-identical to
-    playing it over every rank; ``incremental=False`` is the object-path
-    reference over every rank.  The compiled array kernel
-    (:mod:`repro.kernel`) serves only :meth:`whatif_candidates`.
+    How an evaluation is played is never a knob: in incremental mode every
+    call without a perturbation plays Eq. (6) once per rank group, under
+    either schedule policy, bit-identical to playing it over every rank; a
+    perturbation scales each rank differently, so it plays over every rank,
+    as does ``incremental=False``, the reference mode.  The compiled array
+    kernel (:mod:`repro.kernel`) serves only :meth:`whatif_candidates`.
     """
 
     def __init__(
@@ -183,7 +185,7 @@ class Replayer:
         #: Per-bucket QSGD compression levels (the joint-planning axis), or
         #: ``None`` for uncompressed.  Set via :meth:`set_bucket_compression`;
         #: all-zero levels normalize to ``None`` so level 0 takes the exact
-        #: legacy code path on every dispatch tier (the parity contract).
+        #: uncompressed code path, in the recurrence and the kernel alike.
         self.bucket_compression: tuple[int, ...] | None = None
         self.memory_model = MemoryModel(optimizer_slots=optimizer_slots)
         #: When False every simulate() rebuilds every rank's DFG and memory
@@ -246,7 +248,7 @@ class Replayer:
         ladder; an all-zero assignment normalizes to ``None`` so the
         uncompressed configuration is *indistinguishable* from never having
         touched the axis — same cache keys, same float operations, same
-        bits on every tier (object, engine, kernel).
+        bits in the recurrence and the kernel.
         """
         if levels is None:
             self.bucket_compression = None
@@ -351,8 +353,8 @@ class Replayer:
         cached = self._kernel_global_cache
         if cached is not None and cached[0] == gkey:
             return cached[1]
-        # Priced through the same bucket_comm_durations as the analytic
-        # and engine tiers, so no tier can drift on a cost term.
+        # Priced through the same bucket_comm_durations as the recurrence,
+        # so the kernel cannot drift on a cost term.
         durs = bucket_comm_durations(
             [self.local_dfg(group.ranks[0]) for group in self.groups],
             self.cluster, self.collective_model, bits,
@@ -419,12 +421,10 @@ class Replayer:
         """Estimate one iteration's latency under current precisions.
 
         ``schedule_policy``/``perturbation`` override the instance defaults
-        for this call only.  Calls :func:`~repro.engine.policy.eq6_fast_path`
-        admits (the allocator hot loop) play the analytic recurrence once
-        per rank group in incremental mode, over every rank otherwise,
-        bit-identical either way; alternative policies and perturbations
-        run through the discrete-event engine.  Every result renders its
-        timeline on demand.
+        for this call only.  Without a perturbation, incremental mode plays
+        Eq. (6) once per rank group; a perturbation, or
+        ``incremental=False``, plays it over every rank.  Every result
+        renders its timeline on demand.
         """
         self.stats.simulate_calls += 1
         by_group = {
@@ -437,33 +437,34 @@ class Replayer:
             else resolve_schedule_policy(schedule_policy)
         )
         pert = self.perturbation if perturbation is None else perturbation
-        if self.incremental and eq6_fast_path(policy, pert):
-            return self._grouped_result(memory)
-        gdfg = self.build_global_dfg()
-        # One dispatcher owns the analytic-vs-engine choice.
+        if self.incremental and (pert is None or pert.is_noop):
+            return self._grouped_result(memory, policy)
         from repro.engine.core import execute_global_dfg
 
         return execute_global_dfg(
-            gdfg, self.cluster, memory=memory,
+            self.build_global_dfg(), self.cluster, memory=memory,
             collective_model=self.collective_model,
             schedule_policy=policy, perturbation=pert,
             bucket_bits=self._bucket_bits(),
         )
 
-    def _grouped_result(self, memory) -> SimulationResult:
+    def _grouped_result(self, memory, policy) -> SimulationResult:
         """Eq. (6) played once per rank group, then read out per rank.
 
         Ranks of one group share one LocalDFG's contents and one bucket
-        list, and float ``max`` is exact, so the recurrence over the group
-        leaders gives the same bits as over every rank: each leader's
-        per-rank entries are copied to the rest of its group, in cluster
-        worker order.  The timeline plays each rank on its leader's DFG.
+        list, every policy's anchors are a function of those contents, and
+        float ``max`` is exact, so the recurrence over the group leaders
+        gives the same bits as over every rank: each leader's per-rank
+        entries are copied to the rest of its group, in cluster worker
+        order.  The timeline plays each rank on its leader's DFG.
         """
+        from repro.engine.core import execute_global_dfg
+
         locals_ = [self.local_dfg(g.ranks[0]) for g in self.groups]
-        leaders = simulate_global_dfg(
+        leaders = execute_global_dfg(
             GlobalDFG(locals_), self.cluster, memory=memory,
             collective_model=self.collective_model,
-            bucket_bits=self._bucket_bits(),
+            schedule_policy=policy, bucket_bits=self._bucket_bits(),
         )
         compute, wait = leaders.per_device_compute, leaders.comm_wait_time
         return dataclasses.replace(
@@ -498,18 +499,17 @@ def bucket_comm_durations(
     """Per-bucket collective durations, priced once per distinct size.
 
     In synchronous data parallelism every rank's bucket ``n`` holds the
-    same gradients, so the historical per-rank re-pricing of an identical
-    collective was pure waste; one call per distinct byte count yields the
-    same max bit-for-bit, and so does one local per rank group.  Shared by
-    the analytic Eq. (6) path (grouped or per rank), the compiled kernel's
-    batched what-ifs, and the discrete-event engine's COMM events so their
-    pricing cannot drift.
+    same gradients, so re-pricing an identical collective per rank would be
+    pure waste; one call per distinct byte count yields the same max
+    bit-for-bit, and so does one local per rank group.  Shared by the
+    Eq. (6) recurrence (grouped or per rank) and the compiled kernel's
+    batched what-ifs so their pricing cannot drift.
 
     ``bucket_bits`` optionally carries per-bucket gradient bit widths (the
     compression axis): pricing then routes through
     :meth:`~repro.parallel.comm_model.CollectiveModel.allreduce_time_bits`
     keyed on ``(nbytes, bits)``.  ``None`` — the default everywhere — takes
-    the exact historical code path, so uncompressed callers cannot drift
+    the plain ``allreduce_time`` path, so uncompressed callers cannot drift
     by a single float operation.
 
     Each distinct byte count is priced at most once across the whole call
@@ -546,76 +546,6 @@ def bucket_comm_durations(
     return durations
 
 
-def simulate_global_dfg(
-    gdfg: GlobalDFG,
-    cluster: Cluster,
-    memory: dict[int, MemoryEstimate] | None = None,
-    collective_model: CollectiveModel | str | None = None,
-    bucket_bits: tuple[int, ...] | None = None,
-) -> SimulationResult:
-    """Play a global DFG through Eq. (6) — the analytic closed form.
-
-    Separated from :class:`Replayer` so the ground-truth simulator can reuse
-    the identical synchronization semantics with its own (noisy) node
-    durations — keeping Table III's comparison about *cost modelling*, not
-    about divergent schedulers.  ``collective_model`` prices each bucket's
-    all-reduce; the default flat ring reproduces
-    :meth:`Cluster.allreduce_time` bit-for-bit.
-
-    This closed form is also the parity oracle for the discrete-event
-    engine (:mod:`repro.engine`): under the default
-    :class:`~repro.engine.policy.DDPOverlapPolicy` with no perturbation the
-    engine must reproduce it bit-for-bit, comm windows included.
-
-    ``bucket_bits`` (per-bucket gradient bit widths, the compression axis)
-    is forwarded to :func:`bucket_comm_durations`; ``None`` keeps the
-    uncompressed pricing bit-identical.
-    """
-    comm_model = resolve_collective_model(collective_model)
-    locals_ = gdfg.locals
-
-    # Per-device CUDA-stream times.
-    compute_end: dict[int, float] = {}
-    ready_times: dict[int, dict[int, float]] = {}
-    for ldfg in locals_:
-        ready_times[ldfg.rank] = ldfg.bucket_ready_times()
-        compute_end[ldfg.rank] = ldfg.forward_time + ldfg.backward_time
-
-    # Synchronous collectives: Eq. (6).  Pricing is hoisted out of the
-    # recurrence — one call per bucket, not one per (bucket, rank).
-    durations = bucket_comm_durations(locals_, cluster, comm_model, bucket_bits)
-    comm_windows: list[tuple[float, float]] = []
-    comm_end = 0.0
-    for n in range(gdfg.n_buckets):
-        start_candidates = [ready_times[ld.rank][n] for ld in locals_]
-        comm_start = max(max(start_candidates), comm_end)
-        comm_end = comm_start + durations[n]
-        comm_windows.append((comm_start, comm_end))
-
-    # Iteration end per device: optimizer runs after both the local backward
-    # and the final collective complete.
-    iteration_time = 0.0
-    per_device_compute: dict[int, float] = {}
-    comm_wait: dict[int, float] = {}
-    for ldfg in locals_:
-        rank = ldfg.rank
-        opt = ldfg.optimizer.duration if ldfg.optimizer else 0.0
-        local_done = max(compute_end[rank], comm_end)
-        comm_wait[rank] = max(0.0, comm_end - compute_end[rank])
-        end = local_done + opt
-        per_device_compute[rank] = ldfg.compute_time
-        iteration_time = max(iteration_time, end)
-
-    return SimulationResult(
-        iteration_time=iteration_time,
-        per_device_compute=per_device_compute,
-        comm_wait_time=comm_wait,
-        memory=memory or {},
-        comm_windows=comm_windows,
-        played=played_by_rank(locals_),
-    )
-
-
 def played_by_rank(locals_: Sequence[LocalDFG]) -> tuple:
     """:attr:`SimulationResult.played` for locals that each play their own
     rank."""
@@ -630,8 +560,8 @@ def timeline_events(result: SimulationResult) -> list[TimelineEvent]:
 
     That optimizer anchor holds for both current schedule policies, which
     differ only in when buckets launch (already in ``comm_windows``), so
-    one rendering serves the analytic recurrence, its grouped form and the
-    event engine alike.  Ranks keep the order they were played in.
+    one rendering serves the recurrence over every rank and its grouped
+    form alike.  Ranks keep the order they were played in.
     """
     locals_, slots = result.played
     ranks = [(rank, locals_[i]) for rank, i in slots]

@@ -17,7 +17,7 @@ Because the error between Replayer and ground truth arises from cost
 aggregation — not from scheduler divergence — Table III measures what the
 paper measured: the quality of the latency model.  The pricing model lives
 in :class:`repro.engine.costs.MeasuredCostSource`; this class feeds it
-through the shared assembly walk and the shared execution dispatcher, so
+through the shared assembly walk and the shared Eq. (6) recurrence, so
 the only degrees of freedom left are the costs themselves.
 """
 
@@ -60,8 +60,8 @@ class GroundTruthSimulator:
         comparison stays about compute-cost modelling, not about divergent
         collectives); ``None`` keeps the flat-ring default.
     schedule_policy:
-        Execution schedule (``None`` = DDP overlap, the Eq. (6) default);
-        non-default policies run through the discrete-event engine.
+        Execution schedule (``None`` = DDP overlap, the Eq. (6) default),
+        passed to the shared recurrence.
     perturbation:
         Optional deterministic straggler/bandwidth-drift injection on top
         of the measured jitter (:class:`repro.engine.Perturbation`).

@@ -1,18 +1,13 @@
-"""Discrete-event execution engine with pluggable schedules and costs.
+"""Eq. (6) execution with pluggable schedules, perturbations and costs.
 
-The Replayer's Eq. (6) path is an analytic prefix-sum recurrence — fast,
-but only able to express the one schedule it hard-codes.  This package
-supplies the event-driven core underneath it:
-
-* :mod:`repro.engine.core` — the scheduler: per-rank CUDA+COMM streams, an
-  explicit event queue, and :func:`execute_global_dfg`, which dispatches
-  between the analytic fast path (allocator hot loop) and the engine;
-  neither emits a timeline — every result renders its own on demand;
+* :mod:`repro.engine.core` — :func:`execute_global_dfg`, the one Eq. (6)
+  synchronous-collective recurrence: per-rank anchors from the schedule
+  policy, inputs scaled by the perturbation, buckets priced once; it emits
+  no timeline — every result renders its own on demand;
 * :mod:`repro.engine.policy` — the :class:`SchedulePolicy` protocol with
-  :class:`DDPOverlapPolicy` (the Eq. (6) default, bit-identical to
-  :func:`~repro.core.replayer.simulate_global_dfg` — the parity oracle) and
+  :class:`DDPOverlapPolicy` (the Eq. (6) default) and
   :class:`BlockingSyncPolicy` (no-overlap vanilla sync SGD), plus
-  :func:`eq6_fast_path`, the one rule for when the analytic path may serve;
+  :func:`eq6_fast_path`, the rule for when the compiled kernel may serve;
 * :mod:`repro.engine.perturbation` — deterministic, seed-derived straggler
   and bandwidth-drift injection;
 * :mod:`repro.engine.segments` — epoch-segmented simulation across elastic
@@ -24,7 +19,7 @@ supplies the event-driven core underneath it:
   LocalDFG assembly walk shared by every non-incremental builder.
 """
 
-from repro.engine.core import execute_global_dfg, run_engine
+from repro.engine.core import execute_global_dfg
 from repro.engine.costs import (
     CastingBlindCostSource,
     CatalogCostSource,
@@ -72,5 +67,4 @@ __all__ = [
     "execute_global_dfg",
     "optimizer_pass_seconds",
     "resolve_schedule_policy",
-    "run_engine",
 ]

@@ -1,16 +1,11 @@
 """Unified node-cost sources and the shared LocalDFG assembly path.
 
-Before the engine refactor the repo had three near-identical local-DFG
-builders — :class:`~repro.core.cost_mapper.CostMapper` (catalog means +
-fitted casts), ``GroundTruthSimulator._build_local`` (jittered backend
-measurements + comm contention) and ``DproReplayer._build_local``
-(casting-blind pure costs) — each re-implementing the forward/backward
-walk, gradient-bucket readiness, and the optimizer pass with subtly
-divergent semantics (the ground-truth and Dpro builders anchored
-zero-backward-cost weighted ops to the *end* of the backward stream, while
-PR 1 fixed the Cost Mapper to anchor to the nearest *preceding* node).
-
-This module collapses the duplication:
+Three local-DFG builders price ops differently — the
+:class:`~repro.core.cost_mapper.CostMapper` (catalog means + fitted casts),
+the ground-truth simulator (jittered measurements + comm contention) and
+the Dpro baseline (casting-blind pure costs) — and walk the graph alike.
+This module holds the pricing protocol, one source per builder, and the
+one walk they share:
 
 * :class:`NodeCostSource` — the pricing protocol: per-op forward/backward
   node segments plus the optimizer pass;

@@ -1,4 +1,4 @@
-"""Deterministic straggler/drift injection for the discrete-event engine.
+"""Deterministic straggler/drift injection: inputs to Eq. (6).
 
 ACE-Sync-style cloud-edge scenarios need ranks that run *slower than
 profiled* (thermal throttling, co-located inference bursts, an edge node on

@@ -1,36 +1,34 @@
-"""Pluggable schedule policies for the discrete-event engine.
+"""Pluggable schedule policies: the per-rank anchors of Eq. (6).
 
 A :class:`SchedulePolicy` decides *when a rank's work product becomes
 available to the communication plane*: the time each gradient bucket is
 ready for its collective and the time the rank's backward pass completes.
-The engine's event queue then resolves the global ordering (collectives
-serialize on the COMM channel; the optimizer waits on both the local
-backward and the final collective).
+:func:`~repro.engine.core.execute_global_dfg` reads both anchors and plays
+the one Eq. (6) recurrence over them (collectives serialize; the optimizer
+waits on both the local backward and the final collective).
 
 Two built-ins:
 
 * :class:`DDPOverlapPolicy` — the paper's Eq. (6) semantics and the
   **default**: compute never stalls on communication, bucket ``n`` launches
-  as soon as the backward node producing its last gradient retires.  Under
-  this policy (and no perturbation) the engine is **bit-identical** to the
-  analytic :func:`~repro.core.replayer.simulate_global_dfg` recurrence —
-  the readiness and compute-end anchors are the very same
-  :meth:`LocalDFG.bucket_ready_times` / stream totals the analytic path
-  reads, so parity is exact, not approximate.  That parity is the
-  regression oracle for every other policy.
+  as soon as the backward node producing its last gradient retires
+  (:meth:`LocalDFG.bucket_ready_times`).
 * :class:`BlockingSyncPolicy` — vanilla synchronous SGD without
   overlap: no bucket may launch before the *local* backward pass has fully
   completed (gradients ship only once all of them exist).  Iteration time
   is therefore ≥ the DDP-overlap time on every global DFG.
 
+Both policies' anchors are functions of a LocalDFG's contents alone, which
+is what lets the Replayer play either once per rank group.
+
 Policies are selectable by name through :func:`resolve_schedule_policy`
 (the same vocabulary pattern as
 :func:`repro.parallel.comm_model.resolve_collective_model`).
 
-:func:`eq6_fast_path` is the one rule deciding whether an evaluation may
-skip the event engine for the analytic recurrence (or the compiled kernel
-that mirrors it bit-for-bit).  Timelines do not enter it: a result renders
-its own from its comm windows, and the optimizer anchor it uses,
+:func:`eq6_fast_path` decides whether the compiled kernel, which hard-codes
+the DDP-overlap anchors and takes no perturbation, may serve an
+evaluation.  Timelines do not enter it: a result renders its own from its
+comm windows, and the optimizer anchor it uses,
 ``max(fwd + bwd, last comm end)``, holds under both policies here.
 """
 
@@ -66,9 +64,9 @@ class SchedulePolicy(abc.ABC):
 class DDPOverlapPolicy(SchedulePolicy):
     """Eq. (6): buckets launch at gradient readiness, overlapping backward.
 
-    Reads exactly the anchors the analytic recurrence reads
-    (:meth:`LocalDFG.bucket_ready_times`, ``forward_time + backward_time``),
-    which is what makes engine-vs-analytic parity bit-exact.
+    Anchors: :meth:`LocalDFG.bucket_ready_times` and
+    ``forward_time + backward_time`` — the same ones the compiled kernel
+    bakes in, which is what keeps the kernel bit-identical.
     """
 
     name = "ddp_overlap"
@@ -108,17 +106,14 @@ class BlockingSyncPolicy(SchedulePolicy):
 def eq6_fast_path(
     policy: SchedulePolicy, perturbation: "Perturbation | None" = None
 ) -> bool:
-    """May the analytic Eq. (6) path serve this evaluation?
+    """May the compiled kernel serve this evaluation?
 
     True exactly for the default DDP-overlap schedule (the class itself,
     not a subclass) and a no-op perturbation — the calls on which the
-    event engine is bit-identical to the closed form.  The single
-    dispatch rule shared by
-    :func:`~repro.engine.core.execute_global_dfg`,
-    :meth:`~repro.core.replayer.Replayer.simulate` (the grouped
-    recurrence) and :meth:`~repro.core.replayer.Replayer.compiled_global`
-    (the kernel's batched what-ifs), so the closed form, the kernel and
-    the engine can never disagree on which calls take the fast path.
+    kernel's baked-in anchors and unscaled durations are bit-identical to
+    :func:`~repro.engine.core.execute_global_dfg`.  Read only by
+    :meth:`~repro.core.replayer.Replayer.compiled_global` (the kernel's
+    batched what-ifs).
     """
     return (
         perturbation is None or perturbation.is_noop

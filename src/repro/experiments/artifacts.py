@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: (the Cost Mapper rule) instead of the end of the stream, which can move
 #: Table III-family numbers.
 #: 4: one Eq. (6) dispatch rule — under a perturbation (churn ``degrade``
-#: replans) recovery now runs sequentially on the engine instead of
+#: replans) recovery now runs sequentially over every rank instead of
 #: batching on the unperturbed kernel, which moves perturbed qsync plans
 #: (full-mode churn ``rolling_degrade``).
 ARTIFACT_FORMAT = 4

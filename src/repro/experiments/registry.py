@@ -157,7 +157,7 @@ SCENARIOS: dict[str, ScenarioAxes] = {
     # One cell per multi-node cluster preset: the preset name rides in the
     # variant kwargs, so each preset is an independent sweep axis whose
     # cached artifacts re-key when the preset list or graph config changes.
-    # Straggler/drift scenarios on the discrete-event engine: the factor
+    # Straggler/drift scenarios (perturbed Eq. (6) inputs): the factor
     # ladder, policy list, and both protocols' graph kwargs are read from
     # the experiment module itself, so edits re-key cached artifacts; the
     # derived cell seed rides in (run takes a ``seed`` kwarg) because the

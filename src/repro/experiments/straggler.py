@@ -3,12 +3,11 @@
 Not a paper table: QSync assumes every device runs at its profiled speed,
 but hybrid clusters drift — an inference GPU picks up a serving burst, an
 edge node throttles, a link degrades (the ACE-Sync setting).  This
-experiment injects seed-derived :class:`~repro.engine.Perturbation`\\ s into
-the discrete-event engine and measures how iteration time degrades under
+experiment feeds seed-derived :class:`~repro.engine.Perturbation`\\ s into
+the Eq. (6) recurrence and measures how iteration time degrades under
 each registered schedule policy.
 
-The reproduction targets are *shapes*, pinned by the engine tests and the
-``bench_engine`` smoke:
+The reproduction targets are *shapes*, pinned by the engine tests:
 
 * synchronous data parallelism tracks the slowest rank — iteration time is
   bounded below by the perturbed straggler's compute time and grows

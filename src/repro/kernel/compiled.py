@@ -110,7 +110,7 @@ def compile_local(ldfg, layout: LocalLayout | None = None):
     cl = CompiledLocal(ldfg.device_name, ldfg.rank)
     cl.fwd_total = ldfg.forward_time
     cl.bwd_total = ldfg.backward_time
-    # Same addition the analytic path performs per call (fwd + bwd).
+    # Same addition the recurrence performs per call (fwd + bwd).
     cl.compute_end = ldfg.forward_time + ldfg.backward_time
     cl.opt = ldfg.optimizer.duration if ldfg.optimizer else 0.0
     ready_map = ldfg.bucket_ready_times()
@@ -180,8 +180,8 @@ def compile_global(rank_locals, durations):
     (the ranks of one Replayer rank group) are deduplicated by identity —
     identity, not equality, because a shared compilation is how the
     Replayer expresses "same plan".  ``durations`` must be priced by the caller through the same
-    ``bucket_comm_durations`` the analytic path uses, so pricing cannot
-    drift between tiers.  Returns ``None`` for an empty ``rank_locals``.
+    ``bucket_comm_durations`` the recurrence uses, so pricing cannot
+    drift between the two.  Returns ``None`` for an empty ``rank_locals``.
     """
     if not rank_locals:
         return None
@@ -241,11 +241,11 @@ def evaluate(cg: CompiledGlobal):
     """One Eq. (6) evaluation; returns ``(iteration_time, comm_end_final)``.
 
     The bucket recurrence stays a sequential scalar loop over Python
-    floats in the analytic operation order — comm start is the max of the
+    floats in the recurrence's operation order — comm start is the max of the
     slowest rank's readiness and the previous collective's end, comm end
     adds the priced duration.  (A cumsum + maximum.accumulate closed form
     reassociates the additions and breaks bit parity with
-    ``simulate_global_dfg``.)
+    ``execute_global_dfg``.)
     """
     end = 0.0
     for cmax, dur in zip(cg.colmax_list, cg.dur_list):

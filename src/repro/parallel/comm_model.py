@@ -23,7 +23,7 @@ the algorithm a parameter:
   it prices **exactly** like :class:`HierarchicalModel` — the parity rung.
 
 All models are pure functions of ``(cluster topology, nbytes[, bits])`` —
-they plug into :func:`repro.core.replayer.simulate_global_dfg`, the
+they plug into :func:`repro.engine.core.execute_global_dfg`, the
 Replayer, and the DBS comm terms via ``collective_model=`` parameters, and
 are selectable by name through :func:`resolve_collective_model`.
 :meth:`CollectiveModel.allreduce_time_bits` is the compression-aware entry

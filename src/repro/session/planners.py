@@ -191,7 +191,7 @@ class CompressedAllocatorPlanner(AllocatorPlanner):
     chosen levels on the replayer, and re-simulates.  When every bucket
     stays at level 0 — an empty budget, a ``(0,)`` ladder, or no move that
     saves time — the outcome's plan dict and simulation are bit-identical
-    to the plain ``qsync`` strategy on every dispatch tier.
+    to the plain ``qsync`` strategy.
     """
 
     def plan(self, ctx: "PlanContext") -> PlanOutcome:

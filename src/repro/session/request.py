@@ -75,9 +75,8 @@ class PlanRequest:
         All-reduce cost model name/instance; ``None`` keeps the flat-ring
         default (bit-identical to the pre-topology replayer).
     schedule_policy:
-        Execution schedule name/instance for the discrete-event engine;
-        ``None`` keeps the DDP-overlap default (bit-identical to the
-        analytic Eq. (6) path).
+        Execution schedule name/instance: the per-rank anchors Eq. (6)
+        reads; ``None`` keeps the DDP-overlap default.
     perturbation:
         Optional :class:`repro.engine.Perturbation` — deterministic,
         seed-derived straggler/bandwidth-drift injection applied to every
@@ -106,11 +105,11 @@ class PlanRequest:
         (``qsync+qsgd``); ``None`` means their defaults.  Other strategies
         ignore it (gradients sync uncompressed there).
 
-    There is deliberately no knob selecting how Eq. (6) is evaluated: the
-    compiled kernel, the analytic recurrence and the event engine are
-    bit-identical where they overlap, and
-    :func:`repro.engine.policy.eq6_fast_path` alone routes each evaluation
-    from ``schedule_policy`` and ``perturbation``.  Every field here feeds
+    There is deliberately no knob selecting how Eq. (6) is evaluated: one
+    recurrence (:func:`repro.engine.core.execute_global_dfg`) takes
+    ``schedule_policy`` and ``perturbation`` as inputs, and the compiled
+    kernel, bit-identical to it, serves the allocator's batched what-ifs
+    only when :func:`repro.engine.policy.eq6_fast_path` admits both.  Every field here feeds
     :func:`repro.service.fingerprint.request_token`, which derives the
     request's content key from these fields.
     """

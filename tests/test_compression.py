@@ -24,11 +24,8 @@ from benchmarks.bench_allocator_speed import SMALL_SETUP, _build_allocator
 from repro.common.dtypes import Precision
 from repro.core.compression import CompressionReport, allocate_compression
 from repro.core.plan import COMPRESSION_KEY, PrecisionPlan
-from repro.core.replayer import (
-    Replayer,
-    bucket_comm_durations,
-    simulate_global_dfg,
-)
+from repro.core.replayer import Replayer, bucket_comm_durations
+from repro.engine.core import execute_global_dfg
 from repro.hardware.cluster import make_cluster_a, make_cluster_a_multinode
 from repro.models.trainable import mini_model_graph
 from repro.parallel.comm_model import (
@@ -153,7 +150,7 @@ class TestReplayerCompression:
         n = len(replayer.local_dfg(min(replayer.dags)).buckets)
         replayer.set_bucket_compression((2,) * n)
         grouped = replayer.simulate()
-        obj = simulate_global_dfg(
+        obj = execute_global_dfg(
             replayer.build_global_dfg(),
             replayer.cluster,
             memory=grouped.memory,

@@ -287,8 +287,8 @@ class TestReplan:
         assert session.stats.replan_calls == 2
 
     def test_leave_survivors_flow_through_session_and_engine(self):
-        # Satellite: non-contiguous survivors through the *full* path —
-        # replan -> Replayer.simulate -> discrete-event engine timeline.
+        # Non-contiguous survivors through the *full* path —
+        # replan -> Replayer.simulate -> Eq. (6) recurrence -> timeline.
         session = PlanSession()
         session.plan(_request(self._cluster()))
         re = session.replan(

@@ -1,12 +1,14 @@
-"""Discrete-event engine: analytic parity, policies, perturbations, and the
+"""The Eq. (6) recurrence and its inputs: policies, perturbations, and the
 unified cost-source assembly path.
 
-The contract under test (the PR 3/PR 4 discipline): the analytic Eq. (6)
-closed form is the *oracle* — under ``DDPOverlapPolicy`` with no
-perturbation the engine must reproduce it bit-for-bit on arbitrary global
-DFGs, timeline included.  Everything the engine adds (blocking schedules,
-deterministic stragglers, bandwidth drift) is then validated against
-orderings and against the oracle replayed on transformed inputs.
+The contract under test: :func:`repro.engine.core.execute_global_dfg` is
+the one Eq. (6) recurrence.  On arbitrary global DFGs its outputs satisfy
+the recurrence's equations exactly, under either schedule policy and
+collective model; the Replayer's grouped path equals it over every rank
+and equals the ``incremental=False`` reference, timeline included.
+Schedules and perturbations are inputs, validated against orderings and
+against the recurrence replayed on transformed inputs (hand-computed pins
+live in ``tests/test_replayer_eq6.py``).
 """
 
 import json
@@ -32,7 +34,7 @@ from repro.core.dfg import (
     NodeKind,
     bucket_readiness_from_stream,
 )
-from repro.core.replayer import Replayer, simulate_global_dfg
+from repro.core.replayer import Replayer
 from repro.engine import (
     SCHEDULE_POLICIES,
     BlockingSyncPolicy,
@@ -41,12 +43,12 @@ from repro.engine import (
     Perturbation,
     assemble_local_dfg,
     resolve_schedule_policy,
-    run_engine,
 )
 from repro.engine.core import execute_global_dfg
 from repro.graph.dag import PrecisionDAG
 from repro.graph.ops import OperatorSpec, OpKind
 from repro.hardware import T4, V100, Cluster, Worker
+from repro.parallel.comm_model import resolve_collective_model
 from repro.models import mini_model_graph
 from repro.profiling import CastCostCalculator, profile_operator_costs
 from repro.session import PlanRequest, PlanSession
@@ -100,37 +102,61 @@ def _cluster(n_ranks):
     )
 
 
+def _assert_eq6(sim, gdfg, cluster, policy=None, collective_model=None):
+    """``sim`` satisfies Eq. (6) on ``gdfg``'s inputs, float for float:
+    bucket ``n`` starts at the max of every rank's readiness and bucket
+    ``n-1``'s end and lasts its slowest rank's priced collective; a rank
+    ends at max(backward end, last collective end) plus its optimizer."""
+    policy = resolve_schedule_policy(policy)
+    model = resolve_collective_model(collective_model)
+    locals_ = gdfg.locals
+    assert len(sim.comm_windows) == gdfg.n_buckets
+    comm_end = 0.0
+    for n, (start, end) in enumerate(sim.comm_windows):
+        ready = [policy.bucket_ready_times(l)[n] for l in locals_]
+        dur = max(model.allreduce_time(cluster, l.buckets[n].nbytes)
+                  for l in locals_)
+        assert start == max(max(ready), comm_end)
+        assert end == start + dur
+        comm_end = end
+    ends = []
+    for l in locals_:
+        compute_end = policy.compute_end(l)
+        opt = l.optimizer.duration if l.optimizer else 0.0
+        assert sim.comm_wait_time[l.rank] == max(0.0, comm_end - compute_end)
+        assert sim.per_device_compute[l.rank] == l.compute_time
+        ends.append(max(compute_end, comm_end) + opt)
+    assert sim.iteration_time == max(ends)
+
+
 class TestEngineAnalyticParity:
-    @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(0, 3))
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(0, 3),
+           st.sampled_from(sorted(SCHEDULE_POLICIES)))
     @settings(max_examples=60, deadline=None)
-    def test_bit_parity_on_random_dfgs(self, seed, n_ranks, n_buckets):
-        """Engine(DDPOverlapPolicy) == analytic Eq. (6), field for field,
-        timeline included — exact float equality, no tolerance."""
+    def test_bit_parity_on_random_dfgs(self, seed, n_ranks, n_buckets, policy):
+        """execute_global_dfg satisfies the Eq. (6) equations exactly on
+        random DFGs under either policy — no tolerance."""
         rng = new_rng(seed)
         gdfg = _random_gdfg(rng, n_ranks, n_buckets)
         cluster = _cluster(n_ranks)
-        analytic = simulate_global_dfg(gdfg, cluster)
-        engine = run_engine(gdfg, cluster)
-        assert engine == analytic
-        assert engine.timeline == analytic.timeline
+        sim = execute_global_dfg(gdfg, cluster, schedule_policy=policy)
+        _assert_eq6(sim, gdfg, cluster, policy)
 
-    @given(st.integers(0, 10_000))
+    @given(st.integers(0, 10_000), st.sampled_from(sorted(SCHEDULE_POLICIES)))
     @settings(max_examples=20, deadline=None)
-    def test_bit_parity_under_hierarchical_collectives(self, seed):
+    def test_bit_parity_under_hierarchical_collectives(self, seed, policy):
         rng = new_rng(seed)
         gdfg = _random_gdfg(rng, 4, 2)
         cluster = _cluster(4)
-        analytic = simulate_global_dfg(
-            gdfg, cluster, collective_model="hierarchical"
+        sim = execute_global_dfg(
+            gdfg, cluster, collective_model="hierarchical",
+            schedule_policy=policy,
         )
-        engine = run_engine(gdfg, cluster, collective_model="hierarchical")
-        assert engine == analytic
-        assert engine.timeline == analytic.timeline
+        _assert_eq6(sim, gdfg, cluster, policy, "hierarchical")
 
     def test_replayer_timeline_route_matches_analytic(self):
-        """The engine on the replayer's global DFG, and Replayer.simulate()
-        on its grouped fast path, both equal the analytic oracle on that
-        DFG, timelines included."""
+        """Replayer.simulate() on its grouped path equals the recurrence
+        over the replayer's per-rank global DFG, timelines included."""
         ctx = PlanSession().prepare(
             PlanRequest(model="mini_bert", model_kwargs={"batch_size": 4},
                         cluster="cluster_a_4+4", profile_repeats=1)
@@ -139,33 +165,32 @@ class TestEngineAnalyticParity:
         gdfg = replayer.build_global_dfg()
         memory = {w.rank: replayer.memory_estimate(w.rank)
                   for w in replayer.cluster.workers}
-        analytic = simulate_global_dfg(
+        per_rank = execute_global_dfg(
             gdfg, replayer.cluster, memory=memory,
             collective_model=replayer.collective_model,
         )
-        engine = run_engine(
-            gdfg, replayer.cluster, memory=memory,
-            collective_model=replayer.collective_model,
-        )
-        assert engine == analytic
-        assert engine.timeline == analytic.timeline
         grouped = replayer.simulate()
-        assert grouped == analytic
-        assert grouped.timeline == analytic.timeline
+        assert len(grouped.played[0]) == len(replayer.groups) < len(gdfg.locals)
+        assert grouped == per_rank
+        assert grouped.timeline == per_rank.timeline
 
     def test_dispatcher_uses_analytic_fast_path_semantics(self):
-        """execute_global_dfg with defaults == simulate_global_dfg, and the
-        engine route == the analytic result, timelines included."""
+        """Defaults are the DDP-overlap policy, by name or instance, and a
+        no-op perturbation is dropped: all four calls agree, timelines
+        included."""
         rng = new_rng(7)
         gdfg = _random_gdfg(rng, 3, 2)
         cluster = _cluster(3)
-        analytic = simulate_global_dfg(gdfg, cluster)
-        dispatched = execute_global_dfg(gdfg, cluster)
-        assert dispatched == analytic
-        assert dispatched.timeline == analytic.timeline
-        engine = run_engine(gdfg, cluster)
-        assert engine == analytic
-        assert engine.timeline == analytic.timeline
+        default = execute_global_dfg(gdfg, cluster)
+        for variant in (
+            execute_global_dfg(gdfg, cluster, schedule_policy="ddp_overlap"),
+            execute_global_dfg(gdfg, cluster,
+                               schedule_policy=DDPOverlapPolicy()),
+            execute_global_dfg(gdfg, cluster, perturbation=Perturbation()),
+        ):
+            assert variant == default
+            assert variant.timeline == default.timeline
+        assert default.played[0] is gdfg.locals
 
 
 # ---------------------------------------------------------------------------
@@ -196,20 +221,59 @@ class TestSchedulePolicies:
         rng = new_rng(seed)
         gdfg = _random_gdfg(rng, 3, 2)
         cluster = _cluster(3)
-        overlap = run_engine(gdfg, cluster)
-        blocking = run_engine(gdfg, cluster, schedule_policy="blocking_sync")
+        overlap = execute_global_dfg(gdfg, cluster)
+        blocking = execute_global_dfg(
+            gdfg, cluster, schedule_policy="blocking_sync"
+        )
         assert blocking.iteration_time >= overlap.iteration_time
 
     def test_blocking_comm_starts_after_every_backward(self):
         rng = new_rng(11)
         gdfg = _random_gdfg(rng, 3, 2)
         cluster = _cluster(3)
-        sim = run_engine(gdfg, cluster, schedule_policy="blocking_sync")
+        sim = execute_global_dfg(
+            gdfg, cluster, schedule_policy="blocking_sync"
+        )
         compute_end = max(
             l.forward_time + l.backward_time for l in gdfg.locals
         )
         comm_starts = [e.start for e in sim.timeline if e.stream == "comm"]
         assert comm_starts and all(s >= compute_end for s in comm_starts)
+
+    def test_blocking_sync_plays_once_per_rank_group(self):
+        """Replayer.simulate(schedule_policy="blocking_sync") on a 32-rank
+        preset (four buckets, so the policy moves the result) plays one
+        local per rank group, yet equals the recurrence
+        over every rank and the ``incremental=False`` reference, timeline
+        included."""
+        ctx = PlanSession().prepare(
+            PlanRequest(
+                model="resnet50", model_kwargs={"batch_size": 2},
+                cluster="cluster_a_2x8+2x8", profile_repeats=1,
+            )
+        )
+        replayer = ctx.replayer
+        grouped = replayer.simulate(schedule_policy="blocking_sync")
+        assert len(grouped.played[0]) == len(replayer.groups)
+        assert len(replayer.groups) < len(replayer.cluster.workers) == 32
+
+        per_rank = execute_global_dfg(
+            replayer.build_global_dfg(), replayer.cluster,
+            memory=grouped.memory, collective_model=replayer.collective_model,
+            schedule_policy="blocking_sync",
+        )
+        reference = Replayer(
+            replayer.cluster, replayer.dags,
+            {r: m.catalog for r, m in replayer.mappers.items()},
+            {r: m.cast_calc for r, m in replayer.mappers.items()},
+            optimizer_slots=replayer.memory_model.optimizer_slots,
+            incremental=False, collective_model=replayer.collective_model,
+        ).simulate(schedule_policy="blocking_sync")
+        for other in (per_rank, reference):
+            assert grouped.iteration_time.hex() == other.iteration_time.hex()
+            assert grouped == other
+            assert grouped.timeline == other.timeline
+        assert grouped.iteration_time > replayer.simulate().iteration_time
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +331,18 @@ class TestPerturbation:
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_straggler_engine_matches_oracle_on_perturbed_inputs(self, seed):
-        """With no bandwidth drift, engine + perturbation must equal the
-        analytic recurrence replayed on the perturbed DFGs, bit for bit."""
+        """With no bandwidth drift, a perturbed call must equal the
+        recurrence replayed on the perturbed DFGs, bit for bit."""
         rng = new_rng(seed)
         gdfg = _random_gdfg(rng, 3, 2)
         cluster = _cluster(3)
         pert = Perturbation(seed=5, compute_jitter=0.3, stragglers={1: 3.0})
-        engine = run_engine(gdfg, cluster, perturbation=pert)
-        oracle = simulate_global_dfg(
+        perturbed = execute_global_dfg(gdfg, cluster, perturbation=pert)
+        oracle = execute_global_dfg(
             GlobalDFG([pert.perturb_local(l) for l in gdfg.locals]), cluster
         )
-        assert engine == oracle
-        assert engine.timeline == oracle.timeline
+        assert perturbed == oracle
+        assert perturbed.timeline == oracle.timeline
 
     def test_iteration_tracks_the_slowest_rank(self):
         """Straggler ordering: iteration time grows monotonically with the
@@ -290,7 +354,7 @@ class TestPerturbation:
         previous = 0.0
         for factor in (1.0, 2.0, 4.0, 16.0):
             pert = Perturbation(seed=1, stragglers={2: factor})
-            sim = run_engine(gdfg, cluster, perturbation=pert)
+            sim = execute_global_dfg(gdfg, cluster, perturbation=pert)
             bound = max(
                 pert.perturb_local(l).compute_time for l in gdfg.locals
             )
@@ -302,8 +366,8 @@ class TestPerturbation:
         rng = new_rng(2)
         gdfg = _random_gdfg(rng, 3, 2)
         cluster = _cluster(3)
-        clean = run_engine(gdfg, cluster)
-        drifted = run_engine(
+        clean = execute_global_dfg(gdfg, cluster)
+        drifted = execute_global_dfg(
             gdfg, cluster, perturbation=Perturbation(bandwidth_drift=1.0)
         )
         assert drifted.iteration_time >= clean.iteration_time
@@ -314,13 +378,13 @@ _PERTURBATION_PROBE = r"""
 import json
 from repro.common.rng import new_rng
 from repro.engine import Perturbation
-from repro.engine.core import run_engine
+from repro.engine.core import execute_global_dfg
 from tests.test_engine import _cluster, _random_gdfg
 
 pert = Perturbation(seed=13, compute_jitter=0.2, bandwidth_drift=0.4,
                     stragglers={1: 2.5})
 gdfg = _random_gdfg(new_rng(99), 3, 2)
-sim = run_engine(gdfg, _cluster(3), perturbation=pert)
+sim = execute_global_dfg(gdfg, _cluster(3), perturbation=pert)
 print(json.dumps({
     "scales": [pert.compute_scale(r).hex() for r in range(3)],
     "drift": [pert.comm_scale(n).hex() for n in range(2)],
@@ -504,20 +568,24 @@ def _timeline_request(strategy):
 class TestTimelineOnDemand:
     @pytest.mark.parametrize("strategy", ["qsync", "qsync+qsgd", "uniform"])
     def test_plan_never_enters_the_engine(self, strategy, monkeypatch):
-        """Under the default policy a plan stays on the grouped Eq. (6)
-        path, final simulation included; its timeline still renders."""
-        import repro.engine.core as engine_core
+        """Under the default policy a plan never plays Eq. (6) over every
+        rank: it stays on the grouped path, final simulation included, and
+        its timeline still renders."""
 
         def refuse(*args, **kwargs):
-            raise AssertionError("plan() entered run_engine")
+            raise AssertionError("plan() built a per-rank global DFG")
 
-        monkeypatch.setattr(engine_core, "run_engine", refuse)
-        outcome = PlanSession().plan(_timeline_request(strategy))
+        monkeypatch.setattr(Replayer, "build_global_dfg", refuse)
+        session = PlanSession()
+        outcome = session.plan(_timeline_request(strategy))
+        groups = session.last_context.replayer.groups
+        assert len(outcome.simulation.played[0]) == len(groups)
         assert outcome.simulation.timeline
 
     def test_every_strategy_timeline_matches_the_engine(self):
         """Each registered strategy's outcome timeline is non-empty and
-        equals the engine's on the global DFG that strategy played."""
+        equals the recurrence's over every rank of the global DFG that
+        strategy played."""
         session = PlanSession()
         for strategy in available_strategies():
             sim = session.plan(_timeline_request(strategy)).simulation
@@ -533,13 +601,13 @@ class TestTimelineOnDemand:
                 )
             else:
                 gdfg = replayer.build_global_dfg()
-            engine = run_engine(
+            per_rank = execute_global_dfg(
                 gdfg, replayer.cluster, memory=sim.memory,
                 collective_model=replayer.collective_model, bucket_bits=bits,
             )
             assert sim.timeline, strategy
-            assert sim.timeline == engine.timeline, strategy
-            assert sim == engine, strategy
+            assert sim.timeline == per_rank.timeline, strategy
+            assert sim == per_rank, strategy
 
 
 # ---------------------------------------------------------------------------

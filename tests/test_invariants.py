@@ -14,7 +14,7 @@ from repro.common import Precision, new_rng
 from repro.common.units import GBPS
 from repro.core import AllocatorConfig
 from repro.core.dfg import CommBucket, DFGNode, GlobalDFG, LocalDFG, NodeKind, assign_buckets
-from repro.core.replayer import simulate_global_dfg
+from repro.engine.core import execute_global_dfg
 from repro.graph.propagation import effective_precisions, output_precision
 from repro.hardware import T4, make_cluster_a
 from repro.hardware.cluster import Cluster, Worker
@@ -147,7 +147,7 @@ class TestSimulationInvariants:
                 for r in range(3)
             ),
         )
-        sim = simulate_global_dfg(gdfg, cluster)
+        sim = execute_global_dfg(gdfg, cluster)
         slowest = max(l.compute_time for l in gdfg.locals)
         assert sim.iteration_time >= slowest
         assert all(w >= 0 for w in sim.comm_wait_time.values())
@@ -166,7 +166,7 @@ class TestSimulationInvariants:
                 for r in range(3)
             ),
         )
-        sim = simulate_global_dfg(gdfg, cluster)
+        sim = execute_global_dfg(gdfg, cluster)
         comm = sorted(
             {(e.start, e.end) for e in sim.timeline if e.stream == "comm"}
         )

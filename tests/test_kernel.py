@@ -28,17 +28,14 @@ from repro.common.dtypes import Precision, higher_precision
 from repro.common.rng import new_rng
 from repro.core.allocator import Allocator, AllocatorConfig
 from repro.core.indicator import VarianceIndicator
-from repro.core.replayer import (
-    Replayer,
-    bucket_comm_durations,
-    simulate_global_dfg,
-)
+from repro.core.replayer import Replayer, bucket_comm_durations
 from repro.engine import (
     BlockingSyncPolicy,
     DDPOverlapPolicy,
     Perturbation,
     eq6_fast_path,
 )
+from repro.engine.core import execute_global_dfg
 from repro.hardware import T4, make_cluster_a
 from repro.kernel import (
     compile_global,
@@ -147,7 +144,7 @@ class TestKernelAnalyticParity:
         cg = _compile_gdfg(gdfg, cluster)
         assert cg is not None
         iteration, comm_end = evaluate(cg)
-        analytic = simulate_global_dfg(gdfg, cluster)
+        analytic = execute_global_dfg(gdfg, cluster)
         assert iteration == analytic.iteration_time
         # Reconstruct the per-rank fields the way the dispatch tier does.
         for ldfg in gdfg.locals:
@@ -165,7 +162,7 @@ class TestKernelAnalyticParity:
         memory, every per-rank dict entry in worker order."""
         replayer = _small_replayer()
         grouped = replayer.simulate()
-        analytic = simulate_global_dfg(
+        analytic = execute_global_dfg(
             replayer.build_global_dfg(),
             replayer.cluster,
             memory=grouped.memory,
@@ -320,7 +317,7 @@ class TestBatchedWhatIf:
         assert len(replayer.groups) == len(cluster.workers)
         sim = replayer.simulate()
         assert replayer.local_dfg(r2).forward is not replayer.local_dfg(r3).forward
-        assert sim == simulate_global_dfg(
+        assert sim == execute_global_dfg(
             replayer.build_global_dfg(), cluster, memory=sim.memory,
             collective_model=replayer.collective_model,
         )
@@ -429,8 +426,8 @@ class TestDispatchRule:
     ])
     def test_compiled_global_follows_the_replayer_rule(self, off):
         """Batched what-ifs ask compiled_global(); it must decline
-        whenever the replayer's own policy or perturbation would send
-        simulate() to the engine."""
+        whenever the replayer's own policy or perturbation moves the
+        anchors or durations the kernel bakes in."""
         replayer = _small_replayer()
         assert replayer.compiled_global() is not None
         kernel_off = _reference_replayer(replayer, incremental=True, **off)
@@ -458,7 +455,7 @@ def test_perturbed_plan_holds_throughput_floor(
     """A perturbed qsync plan equals the sequential reference plan and
     keeps problem (1)'s constraint E >= (1 - slack) * T_min.  Batched
     recovery used to score candidates on the unperturbed kernel while
-    T_min came from the perturbed engine, ending below the floor."""
+    T_min came from the perturbed recurrence, ending below the floor."""
     request = PlanRequest(
         model="mini_bert", model_kwargs=_FLOOR_MODEL, cluster=cluster,
         strategy="qsync", profile_repeats=2, perturbation=perturbation,
@@ -484,7 +481,6 @@ _KERNEL_PROBE = r"""
 import json
 from repro.common.dtypes import Precision, higher_precision
 from repro.common.rng import new_rng
-from repro.core.replayer import simulate_global_dfg
 from tests.test_engine import _cluster, _random_gdfg
 from tests.test_kernel import _candidates, _compile_gdfg, _small_replayer
 from repro.kernel import evaluate

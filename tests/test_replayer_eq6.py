@@ -12,13 +12,16 @@ Every expected value below is derived in comments, pinning both the
 recurrence itself and the flat-ring collective costs — so this module also
 guards the PR 3 parity contract: the default (flat) model must keep
 producing exactly these numbers, while the hierarchical model only changes
-the per-bucket durations, never the recurrence.
+the per-bucket durations, never the recurrence.  The schedule-policy and
+perturbation pins give every input of
+:func:`~repro.engine.core.execute_global_dfg` an oracle of its own.
 """
 
 import pytest
 
 from repro.core.dfg import CommBucket, DFGNode, GlobalDFG, LocalDFG, NodeKind
-from repro.core.replayer import simulate_global_dfg
+from repro.engine import Perturbation
+from repro.engine.core import execute_global_dfg
 from repro.hardware import T4, V100, Cluster, LinkSpec, NodeSpec, Topology, Worker
 from repro.parallel.comm_model import FlatRingModel, HierarchicalModel
 
@@ -40,24 +43,31 @@ def _cluster(topology=None):
     )
 
 
-def _local(rank, device, fwd, bwds, opt):
+def _local(rank, device, fwd, bwds, opt, buckets=True):
     dfg = LocalDFG(device, rank)
     dfg.add_forward(DFGNode("f", NodeKind.FORWARD, fwd))
     for i, d in enumerate(bwds):
         dfg.add_backward(DFGNode(f"b{i}", NodeKind.BACKWARD, d, op=f"w{i}"))
-    dfg.set_buckets(
-        [CommBucket(0, B0, ("w0",)), CommBucket(1, B1, ("w1",))],
-        {0: 0, 1: 1},
-    )
+    if buckets:
+        dfg.set_buckets(
+            [CommBucket(0, B0, ("w0",)), CommBucket(1, B1, ("w1",))],
+            {0: 0, 1: 1},
+        )
     dfg.set_optimizer(opt)
     return dfg
 
 
-def _gdfg():
+def _gdfg(buckets=True):
     return GlobalDFG([
-        _local(0, "V100", 1.0, [2.0, 1.0], 0.1),
-        _local(1, "T4", 2.0, [1.5, 1.5], 0.2),
+        _local(0, "V100", 1.0, [2.0, 1.0], 0.1, buckets),
+        _local(1, "T4", 2.0, [1.5, 1.5], 0.2, buckets),
     ])
+
+
+def _windows_approx(sim, expected):
+    assert len(sim.comm_windows) == len(expected)
+    for got, want in zip(sim.comm_windows, expected):
+        assert got == pytest.approx(want)
 
 
 class TestFlatRingRecurrence:
@@ -84,10 +94,11 @@ class TestFlatRingRecurrence:
         assert c.allreduce_time(B1) == pytest.approx(0.03)
 
     def test_recurrence_values(self):
-        sim = simulate_global_dfg(_gdfg(), _cluster())
+        sim = execute_global_dfg(_gdfg(), _cluster())
         assert sim.iteration_time == pytest.approx(5.23)
         assert sim.comm_wait_time[0] == pytest.approx(1.03)
         assert sim.comm_wait_time[1] == pytest.approx(0.03)
+        _windows_approx(sim, [(3.5, 3.54), (5.0, 5.03)])
 
     def test_bucket_serialization(self):
         """Collectives are ordered: bucket 1 starts at
@@ -106,7 +117,7 @@ class TestFlatRingRecurrence:
                     [CommBucket(0, nbytes, ("w0",)), CommBucket(1, B1, ("w1",))],
                     {0: 0, 1: 1},
                 )
-            return simulate_global_dfg(gdfg, _cluster())
+            return execute_global_dfg(gdfg, _cluster())
 
         assert with_bucket0(B1).iteration_time == pytest.approx(5.23)
         assert with_bucket0(200_000_000).iteration_time == pytest.approx(5.75)
@@ -114,11 +125,11 @@ class TestFlatRingRecurrence:
     def test_default_model_is_flat_bit_identical(self):
         """PR 3 parity pin: no model, the explicit flat model, and the
         pre-topology formula agree bit-for-bit."""
-        default = simulate_global_dfg(_gdfg(), _cluster())
-        explicit = simulate_global_dfg(
+        default = execute_global_dfg(_gdfg(), _cluster())
+        explicit = execute_global_dfg(
             _gdfg(), _cluster(), collective_model=FlatRingModel()
         )
-        by_name = simulate_global_dfg(_gdfg(), _cluster(), collective_model="flat")
+        by_name = execute_global_dfg(_gdfg(), _cluster(), collective_model="flat")
         assert default.iteration_time == explicit.iteration_time == by_name.iteration_time
         assert default.comm_wait_time == explicit.comm_wait_time == by_name.comm_wait_time
 
@@ -148,7 +159,7 @@ class TestHierarchicalRecurrence:
         assert model.allreduce_time(c, B1) == pytest.approx(0.0045)
 
     def test_recurrence_values(self):
-        sim = simulate_global_dfg(
+        sim = execute_global_dfg(
             _gdfg(), _cluster(self._topology()), collective_model="hierarchical"
         )
         assert sim.iteration_time == pytest.approx(5.2045)
@@ -159,7 +170,82 @@ class TestHierarchicalRecurrence:
         """Attaching a topology must not move the *flat* model's output —
         only an explicit hierarchical/tree selection reads the node
         grouping (the PR 3 default-parity invariant)."""
-        plain = simulate_global_dfg(_gdfg(), _cluster())
-        with_topo = simulate_global_dfg(_gdfg(), _cluster(self._topology()))
+        plain = execute_global_dfg(_gdfg(), _cluster())
+        with_topo = execute_global_dfg(_gdfg(), _cluster(self._topology()))
         assert plain.iteration_time == with_topo.iteration_time
         assert plain.comm_wait_time == with_topo.comm_wait_time
+
+
+class TestSchedulePolicyAndPerturbationInputs:
+    """The same pair under each input the recurrence takes besides the
+    DFG, flat ring throughout (bucket 0 lasts 0.04 s, bucket 1 0.03 s)."""
+
+    def test_blocking_sync_by_hand(self):
+        """Every bucket is ready only when its rank's backward ends: rank 0
+        at 1.0 + 2.0 + 1.0 = 4.0, rank 1 at 2.0 + 1.5 + 1.5 = 5.0.
+
+        comm0: start max(4.0, 5.0) = 5.0, end 5.04
+        comm1: start max(max(4.0, 5.0), 5.04) = 5.04, end 5.07
+        rank0: max(4.0, 5.07) + 0.1 = 5.17, wait 1.07
+        rank1: max(5.0, 5.07) + 0.2 = 5.27, wait 0.07
+        """
+        sim = execute_global_dfg(
+            _gdfg(), _cluster(), schedule_policy="blocking_sync"
+        )
+        _windows_approx(sim, [(5.0, 5.04), (5.04, 5.07)])
+        assert sim.iteration_time == pytest.approx(5.27)
+        assert sim.comm_wait_time[0] == pytest.approx(1.07)
+        assert sim.comm_wait_time[1] == pytest.approx(0.07)
+        assert sim.per_device_compute == pytest.approx({0: 4.1, 1: 5.2})
+
+    def test_one_straggler_by_hand(self):
+        """Rank 0 at half speed: forward 2.0, backward [4.0, 2.0],
+        optimizer 0.2, so its buckets are ready at 6.0 and 8.0 and its
+        backward ends at 8.0; rank 1 is untouched (3.5, 5.0; ends 5.0).
+
+        comm0: start max(6.0, 3.5) = 6.0, end 6.04
+        comm1: start max(max(8.0, 5.0), 6.04) = 8.0, end 8.03
+        rank0: max(8.0, 8.03) + 0.2 = 8.23, wait 0.03
+        rank1: max(5.0, 8.03) + 0.2 = 8.23, wait 3.03
+        """
+        sim = execute_global_dfg(
+            _gdfg(), _cluster(), perturbation=Perturbation(stragglers={0: 2.0})
+        )
+        _windows_approx(sim, [(6.0, 6.04), (8.0, 8.03)])
+        assert sim.iteration_time == pytest.approx(8.23)
+        assert sim.comm_wait_time[0] == pytest.approx(0.03)
+        assert sim.comm_wait_time[1] == pytest.approx(3.03)
+        assert sim.per_device_compute == pytest.approx({0: 8.2, 1: 5.2})
+
+    def test_bandwidth_drift_by_hand(self):
+        """Drift multiplies each bucket's collective by its seed-derived
+        factor ``s_n`` in [1, 2) and leaves compute alone:
+
+        comm0: start 3.5, end 3.5 + 0.04 * s0 (< 3.58, before ready1)
+        comm1: start max(5.0, 3.5 + 0.04 * s0) = 5.0, end 5.0 + 0.03 * s1
+        rank0: that end + 0.1, wait that end - 4.0
+        rank1: that end + 0.2, wait that end - 5.0
+        """
+        pert = Perturbation(seed=3, bandwidth_drift=1.0)
+        s0, s1 = pert.comm_scale(0), pert.comm_scale(1)
+        assert 1.0 < s0 < 2.0 and 1.0 < s1 < 2.0 and s0 != s1
+        sim = execute_global_dfg(_gdfg(), _cluster(), perturbation=pert)
+        end = 5.0 + 0.03 * s1
+        _windows_approx(sim, [(3.5, 3.5 + 0.04 * s0), (5.0, end)])
+        assert sim.iteration_time == pytest.approx(end + 0.2)
+        assert sim.comm_wait_time[0] == pytest.approx(end - 4.0)
+        assert sim.comm_wait_time[1] == pytest.approx(end - 5.0)
+        assert sim.per_device_compute == pytest.approx({0: 4.1, 1: 5.2})
+
+    @pytest.mark.parametrize("policy", ["ddp_overlap", "blocking_sync"])
+    def test_zero_buckets_by_hand(self, policy):
+        """No collective at all: each rank ends at its own compute time,
+        rank0 4.0 + 0.1 = 4.1 and rank1 5.0 + 0.2 = 5.2, under either
+        policy; nobody waits."""
+        sim = execute_global_dfg(
+            _gdfg(buckets=False), _cluster(), schedule_policy=policy
+        )
+        assert sim.comm_windows == []
+        assert sim.iteration_time == pytest.approx(5.2)
+        assert sim.comm_wait_time == {0: 0.0, 1: 0.0}
+        assert sim.per_device_compute == pytest.approx({0: 4.1, 1: 5.2})
