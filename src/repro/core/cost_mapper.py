@@ -49,7 +49,6 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import operator
-from typing import NamedTuple
 
 from repro.common.dtypes import Precision
 from repro.core.dfg import (
@@ -57,8 +56,9 @@ from repro.core.dfg import (
     DFGNode,
     LocalDFG,
     NodeKind,
-    assign_buckets,
-    bucket_readiness_from_stream,
+    OpPrice,
+    assemble_execution_line,
+    weight_buckets,
 )
 from repro.graph.dag import PrecisionDAG
 from repro.graph.ops import OpKind
@@ -76,9 +76,8 @@ from repro.profiling.profiler import OperatorCostCatalog
 
 
 # ---------------------------------------------------------------------------
-# catalog pricing primitives — module-level so the engine's CatalogCostSource
-# (repro.engine.costs) and the incremental mapper below share one
-# implementation and can never drift apart.
+# catalog pricing primitives — module-level so the full derivation and the
+# memoized incremental one below price every op through one implementation.
 # ---------------------------------------------------------------------------
 
 
@@ -163,26 +162,11 @@ def optimizer_pass_seconds(total_weight_elems: int, device) -> float:
     )
 
 
-class _OpPrice(NamedTuple):
-    """Everything one op contributes under one precision context: its
-    forward and backward nodes, their duration sums (Python ``sum`` over
-    the nodes, the order every consumer relies on), the BACKWARD node's
-    offset within the backward segment (``None`` when its backward cost
-    rounded to zero) and its ``op_memory_contribution`` pair."""
-
-    fwd: tuple[DFGNode, ...]
-    bwd: tuple[DFGNode, ...]
-    fwd_dur: float
-    bwd_dur: float
-    bwd_pos: int | None
-    wcopy: int
-    act: int
-
-
 class _MapperState:
     """Retained derivation of the DAG at one version: effective precisions,
-    each op's :class:`_OpPrice`, the activation bytes and memory totals
-    over them, the top-2 workspace term, and the last assembled DFG."""
+    each op's :class:`~repro.core.dfg.OpPrice`, the activation bytes and
+    memory totals over them, the top-2 workspace term, and the last
+    assembled DFG."""
 
     __slots__ = (
         "version",
@@ -202,7 +186,7 @@ class _MapperState:
         version: int,
         structure: int,
         effective: dict[str, Precision],
-        prices: dict[str, _OpPrice],
+        prices: dict[str, OpPrice],
     ) -> None:
         self.version = version
         self.structure = structure
@@ -218,7 +202,7 @@ class _MapperState:
         self.dfg: LocalDFG | None = None
         self.dfg_key: tuple[str, int] | None = None
 
-    def set_price(self, name: str, price: _OpPrice) -> None:
+    def set_price(self, name: str, price: OpPrice) -> None:
         old = self.prices[name]
         self.mem_wcopy_total += price.wcopy - old.wcopy
         self.mem_act_total += price.act - old.act
@@ -273,8 +257,9 @@ class CostMapper:
     bucket_cap_bytes:
         Gradient-bucket capacity (DDP's ``bucket_cap_mb``).
 
-    Segments are priced by the module-level ``catalog_*`` functions, the
-    same ones the engine's ``CatalogCostSource`` runs.
+    Segments are priced by the module-level ``catalog_*`` functions and
+    assembled by :func:`~repro.core.dfg.assemble_execution_line`, the walk
+    the ground truth and Dpro run over their own prices.
     """
 
     def __init__(
@@ -295,11 +280,11 @@ class CostMapper:
         self._opt_time_cache: tuple[int, float] | None = None
         self._weighted_cache: tuple[int, frozenset] | None = None
         #: The price memo: (op, assigned precision, effective precisions of
-        #: the op, its predecessors and its successors) -> _OpPrice, valid
+        #: the op, its predecessors and its successors) -> OpPrice, valid
         #: for the DAG structure ``_memo_structure``.  ``_contexts`` holds
         #: each op's getter for the effective part of its key.
         self._memo_structure = dag.structure_version
-        self._prices: dict[tuple, _OpPrice] = {}
+        self._prices: dict[tuple, OpPrice] = {}
         self._contexts: dict[str, operator.itemgetter] = {}
         #: Diagnostics: how often the full vs. delta path ran (the allocator
         #: benchmark asserts zero full rebuilds inside the recovery loop).
@@ -321,14 +306,8 @@ class CostMapper:
         """Gradient buckets depend only on graph structure and the cap."""
         structure = self.dag.structure_version
         if self._buckets_cache is None or self._buckets_cache[0] != structure:
-            weighted_rev = [
-                (name, self.dag.spec(name).weight_elems * Precision.FP32.nbytes)
-                for name in reversed(self.dag.topo_order())
-                if self.dag.spec(name).has_weight
-            ]
             self._buckets_cache = (
-                structure,
-                assign_buckets(weighted_rev, self.bucket_cap_bytes),
+                structure, weight_buckets(self.dag, self.bucket_cap_bytes)
             )
         return self._buckets_cache[1]
 
@@ -351,43 +330,15 @@ class CostMapper:
     def _assemble(self, device_name: str, rank: int) -> LocalDFG:
         state = self._state
         assert state is not None
-        dfg = LocalDFG(device_name, rank)
-        topo = self.dag.topo_order()
-        prices = state.prices
-        forward: list[DFGNode] = []
-        fwd_total = 0.0
-        for name in topo:
-            price = prices[name]
-            if price.fwd:
-                forward.extend(price.fwd)
-                fwd_total += price.fwd_dur
-        # Backward pass in reverse topological order, tracking each weighted
-        # op's readiness anchor: its own backward node, or — when its
-        # backward cost rounds to zero — the nearest preceding backward-
-        # stream node (index -1 = ready at forward end), instead of
-        # pessimistically deferring the bucket to the end of the backward.
-        backward: list[DFGNode] = []
-        bwd_total = 0.0
-        anchors: dict[str, int] = {}
-        weighted = self._weighted_set()
-        for name in reversed(topo):
-            price = prices[name]
-            seg = price.bwd
-            base = len(backward)
-            if seg:
-                backward.extend(seg)
-                bwd_total += price.bwd_dur
-            if name in weighted:
-                pos = price.bwd_pos
-                anchors[name] = (
-                    base + pos if pos is not None else base + len(seg) - 1
-                )
-        dfg.load_streams(forward, backward, fwd_total, bwd_total)
-        buckets = self._buckets()
-        dfg.set_buckets(
-            buckets, bucket_readiness_from_stream(backward, buckets, anchors)
+        dfg = assemble_execution_line(
+            device_name,
+            rank,
+            self.dag.topo_order(),
+            state.prices,
+            self._weighted_set(),
+            self._buckets(),
+            self._optimizer_time(),
         )
-        dfg.set_optimizer(self._optimizer_time())
         state.dfg = dfg
         state.dfg_key = (device_name, rank)
         return dfg
@@ -421,39 +372,23 @@ class CostMapper:
     # ------------------------------------------------------------------
     def _price_fresh(
         self, name: str, assigned: Precision, effective: dict[str, Precision]
-    ) -> _OpPrice:
+    ) -> OpPrice:
         """Price one op from scratch through the module-level segment
         functions and the memory policy."""
-        fwd = tuple(
-            catalog_forward_segment(
-                self.dag, self.catalog, self.cast_calc, name, effective
-            )
+        fwd = catalog_forward_segment(
+            self.dag, self.catalog, self.cast_calc, name, effective
         )
-        bwd = tuple(
-            catalog_backward_segment(
-                self.dag, self.catalog, self.cast_calc, name, effective
-            )
+        bwd = catalog_backward_segment(
+            self.dag, self.catalog, self.cast_calc, name, effective
         )
-        pos = None
-        for i, node in enumerate(bwd):
-            if node.kind is NodeKind.BACKWARD:
-                pos = i
         wcopy, act = op_memory_contribution(
             self.dag.spec(name), assigned, effective[name]
         )
-        return _OpPrice(
-            fwd,
-            bwd,
-            sum(node.duration for node in fwd),
-            sum(node.duration for node in bwd),
-            pos,
-            wcopy,
-            act,
-        )
+        return OpPrice.of(fwd, bwd, wcopy, act)
 
     def _price(
         self, name: str, assigned: Precision, effective: dict[str, Precision]
-    ) -> _OpPrice:
+    ) -> OpPrice:
         """:meth:`_price_fresh`, memoized on the op's precision context.
 
         Forward casts read the predecessors' effective precisions, gradient
@@ -532,7 +467,8 @@ class CostMapper:
         """The ``compute_time`` of the DFG :meth:`current_dfg` would
         assemble, without assembling it: the retained forward sums in
         topological order, the backward sums in reverse topological order
-        (empty segments skipped, as :meth:`_assemble` skips them), plus the
+        (empty segments skipped, as
+        :func:`~repro.core.dfg.assemble_execution_line` skips them), plus the
         optimizer pass — the same float additions in the same order, so
         the result is bit-identical."""
         self.refresh()
@@ -571,7 +507,8 @@ class CostMapper:
         """The per-op stream layout of the current state, for
         :func:`repro.kernel.compile_local`.
 
-        Plain Python data in the exact orders :meth:`_assemble` consumes —
+        Plain Python data in the exact orders
+        :func:`~repro.core.dfg.assemble_execution_line` consumes —
         forward sums in topological order, backward segment metadata in
         reverse topological order, plus the weighted-op positions whose
         consecutive slices are the gradient buckets.

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Iterable
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from repro.common.dtypes import Precision
 from repro.common.units import MB
 
 
@@ -118,8 +119,8 @@ class LocalDFG:
         forward_time: float,
         backward_time: float,
     ) -> None:
-        """Install pre-built node streams with precomputed totals (the cost
-        mapper's assembler path; equivalent to repeated ``add_*`` calls)."""
+        """Install pre-built node streams with precomputed totals (the
+        :func:`assemble_execution_line` path)."""
         self.forward = forward
         self.backward = backward
         self._fwd_total = forward_time
@@ -226,9 +227,8 @@ def bucket_readiness_from_stream(
     A bucket is ready after the latest anchor among its ops; ops missing
     from ``anchors`` defensively defer to the end of the stream.
 
-    The single readiness rule shared by every DFG builder (the Cost
-    Mapper's assembler and :func:`repro.engine.costs.assemble_local_dfg`),
-    so the anchoring semantics PR 1 fixed cannot diverge again.
+    The readiness rule of :func:`assemble_execution_line`, the one walk every
+    DFG builder (Cost Mapper, ground truth, Dpro) runs.
     """
     last = len(backward) - 1
     return {
@@ -261,3 +261,119 @@ def assign_buckets(
     if cur_ops:
         buckets.append(CommBucket(len(buckets), cur_bytes, tuple(cur_ops)))
     return buckets
+
+
+def weight_buckets(dag, bucket_cap_bytes: int = 25 * MB) -> list[CommBucket]:
+    """A DAG's DDP buckets: its weighted ops' FP32 gradients in backward
+    completion order, packed by :func:`assign_buckets`.  Precision-
+    independent — it reads only the graph structure."""
+    return assign_buckets(
+        [
+            (name, dag.spec(name).weight_elems * Precision.FP32.nbytes)
+            for name in reversed(dag.weighted_ops())
+        ],
+        bucket_cap_bytes,
+    )
+
+
+class OpPrice(NamedTuple):
+    """Everything one op contributes to an execution line: its forward and
+    backward nodes, their duration sums (Python ``sum`` over the nodes,
+    the order every consumer relies on), the BACKWARD node's offset within
+    the backward segment (``None`` when its backward cost rounded to zero)
+    and, for the Cost Mapper's memory model, its ``op_memory_contribution``
+    pair."""
+
+    fwd: tuple[DFGNode, ...]
+    bwd: tuple[DFGNode, ...]
+    fwd_dur: float
+    bwd_dur: float
+    bwd_pos: int | None
+    wcopy: int = 0
+    act: int = 0
+
+    @classmethod
+    def of(
+        cls,
+        fwd: Sequence[DFGNode],
+        bwd: Sequence[DFGNode],
+        wcopy: int = 0,
+        act: int = 0,
+    ) -> "OpPrice":
+        """The record of two node segments: sums and BACKWARD offset
+        derived from the nodes."""
+        pos = None
+        for i, node in enumerate(bwd):
+            if node.kind is NodeKind.BACKWARD:
+                pos = i
+        return cls(
+            tuple(fwd),
+            tuple(bwd),
+            sum(node.duration for node in fwd),
+            sum(node.duration for node in bwd),
+            pos,
+            wcopy,
+            act,
+        )
+
+
+def price_segments(topo: Sequence[str], forward_segment, backward_segment):
+    """``op -> OpPrice`` from two per-op segment functions.
+
+    Calls ``forward_segment`` for every op in topological order, then
+    ``backward_segment`` for every op in reverse topological order — the
+    fixed call order that keeps a stateful pricer (the ground truth's
+    jitter stream) reproducible.
+    """
+    fwd = [forward_segment(name) for name in topo]
+    bwd = {name: backward_segment(name) for name in reversed(topo)}
+    return {name: OpPrice.of(f, bwd[name]) for name, f in zip(topo, fwd)}
+
+
+def assemble_execution_line(
+    device_name: str,
+    rank: int,
+    topo: Sequence[str],
+    prices: Mapping[str, OpPrice],
+    weighted,
+    buckets: list[CommBucket],
+    optimizer_s: float,
+) -> LocalDFG:
+    """Build one rank's :class:`LocalDFG` from per-op price records.
+
+    The one walk every builder shares — the Cost Mapper, the ground truth
+    and Dpro differ only in how they price ops.  Forward segments in
+    ``topo`` order; backward segments in reverse order, tracking each
+    ``weighted`` op's readiness anchor: its BACKWARD node, else the last
+    node of its segment, else — when its backward cost rounds to zero —
+    the nearest *preceding* backward-stream node (index -1 = ready at
+    forward end), never the pessimistic end of the stream.  Stream totals
+    add the records' segment sums in walk order (empty segments skipped).
+    """
+    forward: list[DFGNode] = []
+    fwd_total = 0.0
+    for name in topo:
+        price = prices[name]
+        if price.fwd:
+            forward.extend(price.fwd)
+            fwd_total += price.fwd_dur
+    backward: list[DFGNode] = []
+    bwd_total = 0.0
+    anchors: dict[str, int] = {}
+    for name in reversed(topo):
+        price = prices[name]
+        seg = price.bwd
+        base = len(backward)
+        if seg:
+            backward.extend(seg)
+            bwd_total += price.bwd_dur
+        if name in weighted:
+            pos = price.bwd_pos
+            anchors[name] = base + pos if pos is not None else base + len(seg) - 1
+    dfg = LocalDFG(device_name, rank)
+    dfg.load_streams(forward, backward, fwd_total, bwd_total)
+    dfg.set_buckets(
+        buckets, bucket_readiness_from_stream(backward, buckets, anchors)
+    )
+    dfg.set_optimizer(optimizer_s)
+    return dfg

@@ -15,27 +15,182 @@ real hardware differs from a cost model:
 
 Because the error between Replayer and ground truth arises from cost
 aggregation — not from scheduler divergence — Table III measures what the
-paper measured: the quality of the latency model.  The pricing model lives
-in :class:`repro.engine.costs.MeasuredCostSource`; this class feeds it
-through the shared assembly walk and the shared Eq. (6) recurrence, so
-the only degrees of freedom left are the costs themselves.
+paper measured: the quality of the latency model.  The pricing model is
+:class:`MeasuredCostSource`; its prices go through the Cost Mapper's
+assembly walk (:func:`repro.core.dfg.assemble_execution_line`) and the
+shared Eq. (6) recurrence, so the only degrees of freedom left are the
+costs themselves.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from repro.backend.lp_backend import LPBackend
+from repro.common.dtypes import Precision
 from repro.common.rng import derive_seed, new_rng
-from repro.core.dfg import GlobalDFG, LocalDFG
+from repro.core.cost_mapper import optimizer_pass_seconds
+from repro.core.dfg import (
+    DFGNode,
+    GlobalDFG,
+    LocalDFG,
+    NodeKind,
+    assemble_execution_line,
+    price_segments,
+    weight_buckets,
+)
 from repro.core.replayer import SimulationResult
 from repro.graph.dag import PrecisionDAG
+from repro.graph.ops import OpKind
+from repro.graph.propagation import (
+    effective_precisions,
+    grad_precision,
+    output_precision,
+)
 from repro.hardware.cluster import Cluster
 
-# NOTE: repro.engine imports are function-scoped below — this module is
-# imported by repro.core's package __init__, which the engine package's own
-# imports re-enter; a module-level import here would read a partially
-# initialized repro.engine.costs.
+
+@functools.lru_cache(maxsize=None)
+def rep_offset(name: str) -> int:
+    """Per-op measurement-rep offset decorrelating cast samples between ops.
+
+    Derived from the op *name* via the seeded FNV mix — builtin ``hash`` is
+    salted per process, which made "ground truth" measurements differ from
+    run to run (Table III was irreproducible).
+    """
+    return derive_seed(0, name) % 97
+
+
+class MeasuredCostSource:
+    """Ground-truth pricing: independently jittered backend measurements,
+    per-instance launch gaps, and comm-contention-inflated backward costs —
+    the ways real hardware differs from the Replayer's cost model.
+
+    ``rng`` is the stateful jitter stream for one ``(rank, iteration)``
+    build.  Draws stay reproducible because the segments are always
+    requested in one order (:func:`repro.core.dfg.price_segments`): every
+    op's forward segment in topo order, then every op's backward segment
+    in reverse topo order, then the optimizer.
+    """
+
+    def __init__(
+        self,
+        dag: PrecisionDAG,
+        backend,
+        device,
+        rng,
+        iteration: int,
+        comm_contention: float,
+    ) -> None:
+        self.dag = dag
+        self.backend = backend
+        self.device = device
+        self.rng = rng
+        self.iteration = iteration
+        self.contention = 1.0 + comm_contention
+        self.effective = effective_precisions(dag)
+
+    # -- jitter primitives --------------------------------------------
+    def _jitter(self) -> float:
+        return float(1.0 + 0.02 * self.rng.standard_normal())
+
+    def _launch_gap(self) -> float:
+        return float(max(self.rng.normal(2e-6, 1e-6), 0.0))
+
+    def _kernel_precision(self, name: str, prec: Precision) -> Precision:
+        """Dependent ops with INT8-effective inputs execute FP16 kernels."""
+        if not self.backend.device.supports(prec):
+            return (
+                Precision.FP16
+                if self.backend.device.supports(Precision.FP16)
+                else Precision.FP32
+            )
+        if prec is Precision.INT8 and not self.dag.spec(name).is_adjustable:
+            return Precision.FP16
+        return prec
+
+    def _input_elems(self, name: str) -> int:
+        return sum(
+            self.dag.spec(p).output_elems for p in self.dag.predecessors(name)
+        )
+
+    # -- segments ------------------------------------------------------
+    def forward_segment(self, name: str) -> list[DFGNode]:
+        dag, backend, it = self.dag, self.backend, self.iteration
+        seg: list[DFGNode] = []
+        spec = dag.spec(name)
+        prec = self.effective[name]
+        for pred in dag.predecessors(name):
+            src = output_precision(self.effective[pred])
+            if src is not prec:
+                dur = backend.measure_cast(
+                    src, prec, dag.spec(pred).output_elems,
+                    rep=it * 131 + rep_offset(name),
+                )
+                if dur > 0:
+                    seg.append(
+                        DFGNode(f"cast:{pred}->{name}", NodeKind.CAST,
+                                dur * self._jitter() + self._launch_gap(),
+                                op=name)
+                    )
+        if spec.is_adjustable and spec.has_weight and prec is not Precision.FP32:
+            dur = backend.measure_cast(
+                Precision.FP32, prec, spec.weight_elems, rep=it
+            )
+            if dur > 0:
+                seg.append(
+                    DFGNode(f"cast:w:{name}", NodeKind.CAST,
+                            dur * self._jitter() + self._launch_gap(), op=name)
+                )
+        fwd = backend.measure_op_forward(
+            spec, self._kernel_precision(name, prec), self._input_elems(name),
+            rep=it,
+        )
+        if fwd > 0:
+            seg.append(
+                DFGNode(name, NodeKind.FORWARD,
+                        fwd * self._jitter() + self._launch_gap(), op=name)
+            )
+        return seg
+
+    def backward_segment(self, name: str) -> list[DFGNode]:
+        dag, backend, it = self.dag, self.backend, self.iteration
+        spec = dag.spec(name)
+        if spec.kind is OpKind.INPUT:
+            return []  # the graph input's gradient is never materialized
+        seg: list[DFGNode] = []
+        prec = self.effective[name]
+        my_grad = grad_precision(prec)
+        for succ in dag.successors(name):
+            succ_grad = grad_precision(self.effective[succ])
+            if succ_grad is not my_grad:
+                dur = backend.measure_cast(
+                    succ_grad, my_grad, spec.output_elems, rep=it + 7
+                )
+                if dur > 0:
+                    seg.append(
+                        DFGNode(f"cast:g:{succ}->{name}", NodeKind.CAST,
+                                dur * self.contention * self._jitter()
+                                + self._launch_gap(),
+                                op=name)
+                    )
+        bwd = backend.measure_op_backward(
+            spec, self._kernel_precision(name, prec), self._input_elems(name),
+            rep=it,
+        )
+        if bwd > 0:
+            seg.append(
+                DFGNode(f"bwd:{name}", NodeKind.BACKWARD,
+                        bwd * self.contention * self._jitter()
+                        + self._launch_gap(),
+                        op=name)
+            )
+        return seg
+
+    def optimizer_duration(self) -> float:
+        base = optimizer_pass_seconds(self.dag.total_weight_elems(), self.device)
+        return base * self._jitter()
 
 
 class GroundTruthSimulator:
@@ -90,20 +245,31 @@ class GroundTruthSimulator:
 
     # ------------------------------------------------------------------
     def _build_local(self, rank: int, iteration: int) -> LocalDFG:
-        from repro.engine.costs import MeasuredCostSource, assemble_local_dfg
-
         # Rank is an identity, not a list position — index the worker map,
         # never ``cluster.workers[rank]``.
         worker = self._workers_by_rank[rank]
+        dag = self.dags[rank]
         source = MeasuredCostSource(
-            dag=self.dags[rank],
+            dag=dag,
             backend=self.backends[rank],
             device=worker.device,
             rng=new_rng(derive_seed(self.seed, "gt", rank, iteration)),
             iteration=iteration,
             comm_contention=self.comm_contention,
         )
-        return assemble_local_dfg(source, worker.device.name, rank)
+        topo = dag.topo_order()
+        prices = price_segments(
+            topo, source.forward_segment, source.backward_segment
+        )
+        return assemble_execution_line(
+            worker.device.name,
+            rank,
+            topo,
+            prices,
+            frozenset(dag.weighted_ops()),
+            weight_buckets(dag),
+            source.optimizer_duration(),
+        )
 
     # ------------------------------------------------------------------
     def run(self, iterations: int = 5) -> SimulationResult:
@@ -115,6 +281,8 @@ class GroundTruthSimulator:
         the last iteration."""
         from repro.engine.core import execute_global_dfg
 
+        if iterations < 1:
+            raise ValueError(f"iterations must be >= 1, got {iterations}")
         total = 0.0
         last: SimulationResult | None = None
         for it in range(iterations):

@@ -1,4 +1,4 @@
-"""Eq. (6) execution with pluggable schedules, perturbations and costs.
+"""Eq. (6) execution with pluggable schedules and perturbations.
 
 * :mod:`repro.engine.core` — :func:`execute_global_dfg`, the one Eq. (6)
   synchronous-collective recurrence: per-rank anchors from the schedule
@@ -12,25 +12,14 @@
   and bandwidth-drift injection;
 * :mod:`repro.engine.segments` — epoch-segmented simulation across elastic
   membership changes (:func:`simulate_with_churn`), each segment
-  incrementally re-planned on its surviving-rank cluster;
-* :mod:`repro.engine.costs` — the :class:`NodeCostSource` protocol
-  (:class:`CatalogCostSource`, :class:`MeasuredCostSource`,
-  :class:`CastingBlindCostSource`) and :func:`assemble_local_dfg`, the one
-  LocalDFG assembly walk shared by every non-incremental builder.
+  incrementally re-planned on its surviving-rank cluster.
+
+The engine executes DFGs; it does not build them.  Every LocalDFG comes
+from :func:`repro.core.dfg.assemble_execution_line`, whichever model
+priced its ops (Cost Mapper, ground truth, Dpro).
 """
 
 from repro.engine.core import execute_global_dfg
-from repro.engine.costs import (
-    CastingBlindCostSource,
-    CatalogCostSource,
-    MeasuredCostSource,
-    NodeCostSource,
-    assemble_local_dfg,
-    catalog_backward_segment,
-    catalog_forward_segment,
-    catalog_pure_cost,
-    optimizer_pass_seconds,
-)
 from repro.engine.perturbation import Perturbation
 from repro.engine.policy import (
     SCHEDULE_POLICIES,
@@ -48,23 +37,14 @@ from repro.engine.segments import (
 
 __all__ = [
     "BlockingSyncPolicy",
-    "CastingBlindCostSource",
-    "CatalogCostSource",
     "DDPOverlapPolicy",
     "EpochSegment",
-    "MeasuredCostSource",
-    "NodeCostSource",
     "Perturbation",
     "SCHEDULE_POLICIES",
     "SchedulePolicy",
     "SegmentedRun",
-    "assemble_local_dfg",
     "simulate_with_churn",
-    "catalog_backward_segment",
-    "catalog_forward_segment",
-    "catalog_pure_cost",
     "eq6_fast_path",
     "execute_global_dfg",
-    "optimizer_pass_seconds",
     "resolve_schedule_policy",
 ]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
 from repro.common.rng import derive_seed, new_rng
@@ -56,7 +57,8 @@ class Perturbation:
         Maximum fractional collective slowdown per bucket.
     stragglers:
         Explicit ``rank -> multiplier`` compute slowdowns (``{3: 2.0}`` =
-        rank 3 computes at half speed), on top of the jitter.  Accepts a
+        rank 3 computes at half speed; ranks are non-negative integers,
+        never bools), on top of the jitter.  Accepts a
         mapping or ``((rank, factor), ...)`` pairs; stored sorted so equal
         perturbations compare (and fingerprint) equal.
     """
@@ -88,6 +90,10 @@ class Perturbation:
                 f"{[rank for rank, _ in pairs]}"
             )
         for rank, factor in pairs:
+            if isinstance(rank, bool) or not isinstance(rank, numbers.Integral):
+                raise ValueError(
+                    f"straggler rank must be an integer, got {rank!r}"
+                )
             if rank < 0:
                 raise ValueError(
                     f"straggler rank must be >= 0, got {rank}"

@@ -17,7 +17,8 @@ Strategies
     device type (Sec. VII baselines).
 ``dpro``
     Dpro-style prediction [35]: no plan search; replays the all-FP32
-    configuration without cast/cascade modelling (Table III's baseline).
+    configuration without cast/cascade modelling (Table III's baseline),
+    under the request's collective model, schedule and perturbation.
 ``hessian``
     The allocator driven by the HAWQ-v3-style Hessian indicator [8]
     (Gauss–Newton curvature proxy at graph scale).
@@ -299,6 +300,8 @@ class DproPlanner:
             replayer.dags,
             catalogs,
             collective_model=replayer.collective_model,
+            schedule_policy=replayer.schedule_policy,
+            perturbation=replayer.perturbation,
         )
         sim = dpro.simulate()
         plan = PrecisionPlan(assignments={})

@@ -61,8 +61,8 @@ class PlanRequest:
     cluster:
         :data:`CLUSTER_PRESETS` name or a :class:`Cluster` instance.
     strategy:
-        Planner registry name (``"qsync"``, ``"uniform"``, ``"dpro"``,
-        ``"hessian"``, ``"random"``).  Validated at plan time so the error
+        Planner registry name (``"qsync"``, ``"qsync+qsgd"``,
+        ``"uniform"``, ``"dpro"``, ``"hessian"``, ``"random"``).  Validated at plan time so the error
         can list what is actually registered.
     loss:
         ``"ce"`` or ``"mse"`` — sets the gamma of Proposition 3.

@@ -147,7 +147,9 @@ def test_simulator_rep_offsets_are_name_stable():
     """The ground-truth cast rep index derives from the op name via the
     seeded FNV mix — same name, same offset, in any process."""
     from repro.common.rng import derive_seed
+    from repro.core.simulator import rep_offset
 
-    assert derive_seed(0, "conv1") % 97 == derive_seed(0, "conv1") % 97
-    offsets = {derive_seed(0, f"op{i}") % 97 for i in range(200)}
+    # Pinned to the seeded mix, never to the per-process salted hash().
+    assert rep_offset("conv1") == derive_seed(0, "conv1") % 97
+    offsets = {rep_offset(f"op{i}") for i in range(200)}
     assert len(offsets) > 20  # still decorrelates ops

@@ -1,5 +1,5 @@
 """The Eq. (6) recurrence and its inputs: policies, perturbations, and the
-unified cost-source assembly path.
+one LocalDFG assembly walk every builder shares.
 
 The contract under test: :func:`repro.engine.core.execute_global_dfg` is
 the one Eq. (6) recurrence.  On arbitrary global DFGs its outputs satisfy
@@ -17,13 +17,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.backend import LPBackend
 from repro.baselines import DproReplayer
-from repro.common import Precision
 from repro.common.rng import derive_seed, new_rng
 from repro.core import CostMapper, GroundTruthSimulator
 from repro.core.dfg import (
@@ -32,16 +32,17 @@ from repro.core.dfg import (
     GlobalDFG,
     LocalDFG,
     NodeKind,
+    OpPrice,
+    assemble_execution_line,
     bucket_readiness_from_stream,
+    weight_buckets,
 )
 from repro.core.replayer import Replayer
 from repro.engine import (
     SCHEDULE_POLICIES,
     BlockingSyncPolicy,
-    CatalogCostSource,
     DDPOverlapPolicy,
     Perturbation,
-    assemble_local_dfg,
     resolve_schedule_policy,
 )
 from repro.engine.core import execute_global_dfg
@@ -292,6 +293,14 @@ class TestPerturbation:
         with pytest.raises(ValueError, match="more than once"):
             Perturbation(stragglers=((3, 2.0), (3, 4.0)))
 
+    @pytest.mark.parametrize("rank", [1.5, 2.0, True, "1"])
+    def test_straggler_rank_must_be_an_integer(self, rank):
+        """A non-integer rank never matches a worker, so it would slow
+        nothing while still pushing simulate() off its grouped path."""
+        with pytest.raises(ValueError, match="straggler rank"):
+            Perturbation(stragglers={rank: 2.0})
+        assert Perturbation(stragglers={np.int64(1): 2.0}).straggler_factor(1) == 2.0
+
     def test_stragglers_normalize_and_compare_equal(self):
         a = Perturbation(stragglers={2: 1.5, 0: 2.0})
         b = Perturbation(stragglers=((0, 2.0), (2, 1.5)))
@@ -440,50 +449,26 @@ def _chain_dag() -> PrecisionDAG:
 
 
 class TestUnifiedCostSources:
-    def test_catalog_source_matches_cost_mapper_node_for_node(self):
-        dag = _chain_dag()
-        dag.set_precision("fc1", Precision.FP16)
-        backend = LPBackend(T4)
-        catalog = profile_operator_costs(dag, backend, repeats=1)
-        casts = CastCostCalculator(backend)
-
-        mapper_dfg = CostMapper(dag, catalog, casts, device=T4).build_local_dfg(
-            "T4", 0
-        )
-        source_dfg = assemble_local_dfg(
-            CatalogCostSource(dag, catalog, casts, T4), "T4", 0
-        )
-        assert source_dfg.forward == mapper_dfg.forward
-        assert source_dfg.backward == mapper_dfg.backward
-        assert source_dfg.buckets == mapper_dfg.buckets
-        assert source_dfg.bucket_ready_after == mapper_dfg.bucket_ready_after
-        assert source_dfg.optimizer == mapper_dfg.optimizer
-        assert source_dfg.forward_time == pytest.approx(mapper_dfg.forward_time)
-        assert source_dfg.backward_time == pytest.approx(mapper_dfg.backward_time)
-
     def test_zero_backward_weighted_op_anchors_to_preceding_node(self):
-        """The PR 1 anchoring rule now holds for *every* builder: a weighted
-        op contributing no backward nodes anchors its bucket to the nearest
-        preceding backward-stream node, not the end of the stream."""
+        """The PR 1 anchoring rule holds for *every* builder, since they all
+        run one walk: a weighted op contributing no backward nodes anchors
+        its bucket to the nearest preceding backward-stream node, not the
+        end of the stream."""
         dag = _chain_dag()
+        topo = dag.topo_order()
 
-        class StubSource:
-            def __init__(self):
-                self.dag = dag
+        def record(name):
+            fwd = [DFGNode(name, NodeKind.FORWARD, 1e-3, op=name)]
+            if dag.spec(name).kind is OpKind.INPUT or name == "fc1":
+                return OpPrice.of(fwd, [])  # fc1's backward rounds to zero
+            return OpPrice.of(
+                fwd, [DFGNode(f"bwd:{name}", NodeKind.BACKWARD, 1e-3, op=name)]
+            )
 
-            def forward_segment(self, name):
-                return [DFGNode(name, NodeKind.FORWARD, 1e-3, op=name)]
-
-            def backward_segment(self, name):
-                spec = dag.spec(name)
-                if spec.kind is OpKind.INPUT or name == "fc1":
-                    return []  # fc1's backward rounds to zero
-                return [DFGNode(f"bwd:{name}", NodeKind.BACKWARD, 1e-3, op=name)]
-
-            def optimizer_duration(self):
-                return 1e-4
-
-        dfg = assemble_local_dfg(StubSource(), "T4", 0)
+        dfg = assemble_execution_line(
+            "T4", 0, topo, {name: record(name) for name in topo},
+            frozenset(dag.weighted_ops()), weight_buckets(dag), 1e-4,
+        )
         # Backward stream (reverse topo): loss, fc2, relu — fc1 contributes
         # nothing.  fc2's bucket anchors at its own node; fc1's bucket must
         # anchor to relu's node (index 2), NOT to the stream end.
@@ -493,6 +478,32 @@ class TestUnifiedCostSources:
         ready = dfg.bucket_ready_after
         fc1_bucket = next(i for ops, i in by_ops.items() if "fc1" in ops)
         assert ready[fc1_bucket] == 2  # nearest preceding node (bwd:relu)
+
+    def test_dpro_equals_replayer_on_fp32(self):
+        """With no op below FP32 there is nothing to cast and nothing to
+        cascade, so Dpro's pricing meets the Cost Mapper's — and through the
+        shared walk, so do the nodes, totals, buckets and readiness, bit for
+        bit."""
+        dag = mini_model_graph("mini_bert", batch_size=2)
+        cluster = Cluster(
+            name="1xT4",
+            workers=(Worker(rank=0, device=T4, link_bandwidth=8 * GBPS),),
+        )
+        backend = LPBackend(T4, seed=0)
+        catalog = profile_operator_costs(dag, backend, repeats=1)
+        casts = CastCostCalculator(backend)
+        mapper_dfg = CostMapper(dag, catalog, casts, device=T4).build_local_dfg(
+            "T4", 0
+        )
+        dpro_dfg = DproReplayer(cluster, {0: dag}, {0: catalog})._build_local(0)
+        assert dpro_dfg.forward == mapper_dfg.forward
+        assert dpro_dfg.backward == mapper_dfg.backward
+        assert dpro_dfg.forward_time == mapper_dfg.forward_time
+        assert dpro_dfg.backward_time == mapper_dfg.backward_time
+        assert dpro_dfg.optimizer == mapper_dfg.optimizer
+        assert dpro_dfg.buckets == mapper_dfg.buckets
+        assert dpro_dfg.bucket_ready_after == mapper_dfg.bucket_ready_after
+        assert dpro_dfg.bucket_ready_times() == mapper_dfg.bucket_ready_times()
 
     def test_readiness_helper_defaults_missing_ops_to_stream_end(self):
         backward = [DFGNode(f"b{i}", NodeKind.BACKWARD, 1e-3) for i in range(3)]
@@ -535,6 +546,13 @@ class TestNonContiguousRanks:
         sim = gt.run(iterations=2)
         assert set(sim.per_device_compute) == {0, 2, 5}
         assert sim.iteration_time > 0
+
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_ground_truth_rejects_empty_runs(self, iterations):
+        cluster, dags, backends, _, _ = self._setup()
+        gt = GroundTruthSimulator(cluster, dags, backends, seed=1)
+        with pytest.raises(ValueError, match="iterations"):
+            gt.run(iterations=iterations)
 
     def test_dpro_uses_rank_identity_not_position(self):
         cluster, dags, _, catalogs, _ = self._setup()
@@ -645,6 +663,33 @@ class TestSessionThreading:
         # Same uniform plan, worse schedule + a straggler: strictly slower.
         assert slowed.plan == clean.plan
         assert slowed.simulation.iteration_time > clean.simulation.iteration_time
+
+    def test_dpro_honours_schedule_policy_and_perturbation(self):
+        """strategy="dpro" replays under the request's schedule and
+        perturbation, exactly as a directly built DproReplayer does."""
+        session = PlanSession()
+        # resnet50 fills several gradient buckets, so blocking sync (no
+        # backward/all-reduce overlap) is measurably slower than DDP.
+        base = dict(
+            model="resnet50", model_kwargs={"batch_size": 2},
+            cluster="cluster_a_4+4", strategy="dpro", profile_repeats=1,
+        )
+        clean = session.plan(PlanRequest(**base)).simulation
+        pert = Perturbation(stragglers={4: 2.0})
+        for extra in (
+            dict(schedule_policy="blocking_sync"),
+            dict(perturbation=pert),
+        ):
+            sim = session.plan(PlanRequest(**base, **extra)).simulation
+            replayer = session.last_context.replayer
+            direct = DproReplayer(
+                replayer.cluster, replayer.dags,
+                {r: m.catalog for r, m in replayer.mappers.items()},
+                schedule_policy=extra.get("schedule_policy"),
+                perturbation=extra.get("perturbation"),
+            ).simulate()
+            assert sim == direct, extra
+            assert sim.iteration_time > clean.iteration_time, extra
 
     def test_straggler_experiment_shapes(self):
         from repro.experiments.registry import run_experiment
