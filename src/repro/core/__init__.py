@@ -24,7 +24,7 @@ from repro.core.cost_mapper import (
     grad_precision,
     output_precision,
 )
-from repro.core.dfg import DFGNode, GlobalDFG, LocalDFG, NodeKind, Stream
+from repro.core.dfg import DFGNode, GlobalDFG, LocalDFG, NodeKind
 from repro.core.indicator import IndicatorProtocol, VarianceIndicator
 from repro.core.plan import PrecisionPlan
 from repro.core.replayer import Replayer, ReplayerStats, SimulationResult
@@ -37,7 +37,6 @@ __all__ = [
     "GlobalDFG",
     "DFGNode",
     "NodeKind",
-    "Stream",
     "CostMapper",
     "effective_precisions",
     "output_precision",

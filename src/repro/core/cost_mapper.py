@@ -165,14 +165,19 @@ def optimizer_pass_seconds(total_weight_elems: int, device) -> float:
 class _MapperState:
     """Retained derivation of the DAG at one version: effective precisions,
     each op's :class:`~repro.core.dfg.OpPrice`, the activation bytes and
-    memory totals over them, the top-2 workspace term, and the last
-    assembled DFG."""
+    memory totals over them, the top-2 workspace term, the last assembled
+    DFG, and the structural record — weighted ops, gradient buckets and the
+    optimizer pass — derived once per structure by
+    :meth:`CostMapper._full_derive`."""
 
     __slots__ = (
         "version",
         "structure",
         "effective",
         "prices",
+        "weighted",
+        "buckets",
+        "optimizer_s",
         "mem_act",
         "mem_wcopy_total",
         "mem_act_total",
@@ -187,11 +192,17 @@ class _MapperState:
         structure: int,
         effective: dict[str, Precision],
         prices: dict[str, OpPrice],
+        weighted: frozenset,
+        buckets: list[CommBucket],
+        optimizer_s: float,
     ) -> None:
         self.version = version
         self.structure = structure
         self.effective = effective
         self.prices = prices
+        self.weighted = weighted
+        self.buckets = buckets
+        self.optimizer_s = optimizer_s
         #: op -> activation bytes: the workspace term's input, kept as
         #: plain ints because it is re-read after every change.
         self.mem_act = {name: p.act for name, p in prices.items()}
@@ -276,9 +287,6 @@ class CostMapper:
         self.device = device
         self.bucket_cap_bytes = bucket_cap_bytes
         self._state: _MapperState | None = None
-        self._buckets_cache: tuple[int, list[CommBucket]] | None = None
-        self._opt_time_cache: tuple[int, float] | None = None
-        self._weighted_cache: tuple[int, frozenset] | None = None
         #: The price memo: (op, assigned precision, effective precisions of
         #: the op, its predecessors and its successors) -> OpPrice, valid
         #: for the DAG structure ``_memo_structure``.  ``_contexts`` holds
@@ -292,39 +300,6 @@ class CostMapper:
         self.incremental_updates = 0
 
     # ------------------------------------------------------------------
-    # structure-only artifacts (independent of precisions)
-    # ------------------------------------------------------------------
-    def _weighted_set(self) -> frozenset:
-        structure = self.dag.structure_version
-        if self._weighted_cache is None or self._weighted_cache[0] != structure:
-            self._weighted_cache = (
-                structure, frozenset(self.dag.weighted_ops())
-            )
-        return self._weighted_cache[1]
-
-    def _buckets(self) -> list[CommBucket]:
-        """Gradient buckets depend only on graph structure and the cap."""
-        structure = self.dag.structure_version
-        if self._buckets_cache is None or self._buckets_cache[0] != structure:
-            self._buckets_cache = (
-                structure, weight_buckets(self.dag, self.bucket_cap_bytes)
-            )
-        return self._buckets_cache[1]
-
-    def _optimizer_time(self) -> float:
-        """Optimizer step: bandwidth-bound elementwise pass over all
-        parameters (read w, g, momentum; write w, momentum — 5 FP32 each)."""
-        structure = self.dag.structure_version
-        if self._opt_time_cache is None or self._opt_time_cache[0] != structure:
-            self._opt_time_cache = (
-                structure,
-                optimizer_pass_seconds(
-                    self.dag.total_weight_elems(), self.device
-                ),
-            )
-        return self._opt_time_cache[1]
-
-    # ------------------------------------------------------------------
     # assembly: cached segments -> execution line
     # ------------------------------------------------------------------
     def _assemble(self, device_name: str, rank: int) -> LocalDFG:
@@ -335,9 +310,9 @@ class CostMapper:
             rank,
             self.dag.topo_order(),
             state.prices,
-            self._weighted_set(),
-            self._buckets(),
-            self._optimizer_time(),
+            state.weighted,
+            state.buckets,
+            state.optimizer_s,
         )
         state.dfg = dfg
         state.dfg_key = (device_name, rank)
@@ -356,14 +331,25 @@ class CostMapper:
         """Derive the complete retained state from the DAG (full walk).
 
         Prices every op fresh, never reading or filling the price memo, so
-        the from-scratch path stays an independent oracle for it."""
-        effective = effective_precisions(self.dag)
+        the from-scratch path stays an independent oracle for it.  The
+        structural record (weighted ops, buckets — a function of the
+        structure and the cap — and the optimizer pass) is derived here
+        only: :meth:`refresh` re-derives everything when the structure
+        moves, so every later read finds it current."""
+        dag = self.dag
+        effective = effective_precisions(dag)
         prices = {
-            name: self._price_fresh(name, self.dag.precision(name), effective)
-            for name in self.dag.topo_order()
+            name: self._price_fresh(name, dag.precision(name), effective)
+            for name in dag.topo_order()
         }
         self._state = _MapperState(
-            self.dag.version, self.dag.structure_version, effective, prices
+            dag.version,
+            dag.structure_version,
+            effective,
+            prices,
+            frozenset(dag.weighted_ops()),
+            weight_buckets(dag, self.bucket_cap_bytes),
+            optimizer_pass_seconds(dag.total_weight_elems(), self.device),
         )
         self.full_rebuilds += 1
 
@@ -484,7 +470,7 @@ class CostMapper:
         for price in map(lookup, reversed(topo)):
             if price.bwd:
                 bwd_total += price.bwd_dur
-        return fwd_total + bwd_total + self._optimizer_time()
+        return fwd_total + bwd_total + state.optimizer_s
 
     def memory_components(self) -> tuple[int, int, int]:
         """(weight-copy bytes, activation bytes, workspace bytes) under the
@@ -518,7 +504,7 @@ class CostMapper:
         assert state is not None
         topo = self.dag.topo_order()
         rev_ops = tuple(reversed(topo))
-        weighted = self._weighted_set()
+        weighted = state.weighted
         prices = state.prices
         return LocalLayout(
             rev_ops=rev_ops,

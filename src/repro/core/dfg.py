@@ -27,18 +27,12 @@ class NodeKind(enum.Enum):
     FORWARD = "fwd"
     BACKWARD = "bwd"
     CAST = "cast"
-    COMM = "comm"
     OPTIMIZER = "opt"
-
-
-class Stream(enum.Enum):
-    CUDA = "cuda"
-    COMM = "comm"
 
 
 @dataclasses.dataclass(slots=True)
 class DFGNode:
-    """One schedulable unit of work on a device stream.
+    """One schedulable unit of work on a device's CUDA stream.
 
     Slotted: the object paths allocate these by the hundred thousand per
     planning run (every segment re-derivation builds fresh nodes), and the
@@ -48,11 +42,8 @@ class DFGNode:
     name: str
     kind: NodeKind
     duration: float
-    stream: Stream = Stream.CUDA
     #: Source operator in the Precision DAG, when applicable.
     op: str | None = None
-    #: For COMM nodes: index of the gradient bucket.
-    bucket: int | None = None
 
     def __post_init__(self) -> None:
         if self.duration < 0:
@@ -127,26 +118,6 @@ class LocalDFG:
         self._bwd_total = backward_time
         self._ready_cache = None
 
-    def view_for_rank(self, rank: int) -> "LocalDFG":
-        """A lightweight alias of this DFG under another rank.
-
-        The ranks of one Replayer rank group share a DAG and so a plan: the
-        Replayer builds one DFG per group and hands each other rank a view
-        that shares every node list (read-only by convention; the cost
-        mapper never mutates a published DFG — incremental updates assemble
-        a fresh one).
-        """
-        view = LocalDFG(self.device_name, rank)
-        view.forward = self.forward
-        view.backward = self.backward
-        view.optimizer = self.optimizer
-        view.buckets = self.buckets
-        view.bucket_ready_after = self.bucket_ready_after
-        view._fwd_total = self._fwd_total
-        view._bwd_total = self._bwd_total
-        view._ready_cache = self._ready_cache
-        return view
-
     # ------------------------------------------------------------------
     @property
     def forward_time(self) -> float:
@@ -195,10 +166,24 @@ class LocalDFG:
 
 
 class GlobalDFG:
-    """All local DFGs plus the synchronous-collective dependency."""
+    """All local DFGs plus the synchronous-collective dependency.
 
-    def __init__(self, locals_: Iterable[LocalDFG]) -> None:
+    ``slots`` lists the ranks that play, in order, each as ``(rank, index
+    of the local it runs)``; ranks that share a plan share one local.
+    Without ``slots`` every local plays its own ``rank``.
+    """
+
+    def __init__(
+        self,
+        locals_: Iterable[LocalDFG],
+        slots: Sequence[tuple[int, int]] | None = None,
+    ) -> None:
         self.locals = list(locals_)
+        self.slots = (
+            tuple((ldfg.rank, i) for i, ldfg in enumerate(self.locals))
+            if slots is None
+            else tuple(slots)
+        )
         if not self.locals:
             raise ValueError("global DFG needs at least one local DFG")
         n_buckets = {len(ld.buckets) for ld in self.locals}

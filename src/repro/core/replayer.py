@@ -15,12 +15,14 @@ participant.  The iteration latency is the max across devices of
 (compute end vs last collective end) plus the optimizer step.  The one
 implementation of that recurrence is
 :func:`repro.engine.core.execute_global_dfg`; schedule policies and
-perturbations are its inputs.
+perturbations are its inputs, and so is which rank runs which local.
+:meth:`Replayer.simulate` calls it once per evaluation: over one local per
+rank group in incremental mode, over one freshly built local per rank
+under ``incremental=False``.
 
 A :class:`SimulationResult` records each bucket's collective window and the
-locals it played; its Fig. 6 timeline is a rendering of those
-(:func:`timeline_events`), built on first read, whichever path produced
-the result.
+``(locals, slots)`` it played; its Fig. 6 timeline is a rendering of those
+(:func:`timeline_events`), built on first read.
 """
 
 from __future__ import annotations
@@ -88,9 +90,10 @@ class SimulationResult:
     comm_windows: list[tuple[float, float]] = dataclasses.field(
         default_factory=list
     )
-    #: What was played: the locals, and per rank in worker order the index
-    #: of the local it ran (the ranks of one Replayer rank group share
-    #: their leader's).  Read only to render the timeline.
+    #: What was played: the global DFG's ``(locals, slots)``, one
+    #: ``(rank, index of the local it ran)`` per rank in play order (the
+    #: ranks of one Replayer rank group share one local).  Read only to
+    #: render the timeline.
     played: tuple[Sequence[LocalDFG], Sequence[tuple[int, int]]] = (
         dataclasses.field(default=((), ()), compare=False, repr=False)
     )
@@ -156,12 +159,13 @@ class Replayer:
     ``mappers[rank]`` are read-only aliases of the rank's group; timelines
     and per-device compute and wait times keep their rank ids.
 
-    How an evaluation is played is never a knob: in incremental mode every
-    call without a perturbation plays Eq. (6) once per rank group, under
-    either schedule policy, bit-identical to playing it over every rank; a
-    perturbation scales each rank differently, so it plays over every rank,
-    as does ``incremental=False``, the reference mode.  The compiled array
-    kernel (:mod:`repro.kernel`) serves only :meth:`whatif_candidates`.
+    How an evaluation is played is never a knob: every call plays Eq. (6)
+    once, over ``(locals, slots)`` — in incremental mode one local per rank
+    group, each rank mapped onto its group's; under ``incremental=False``,
+    the reference mode, one freshly built local per rank.  A perturbation
+    scales each rank differently, so the recurrence expands the slots into
+    per-rank scaled copies.  The compiled array kernel
+    (:mod:`repro.kernel`) serves only :meth:`whatif_candidates`.
     """
 
     def __init__(
@@ -215,8 +219,8 @@ class Replayer:
                 self.groups.append(group)
             group.ranks.append(w.rank)
             self._group_of[w.rank] = group
-        #: (rank, index of its group) in worker order: how the per-group
-        #: results of the grouped recurrence map back onto ranks.
+        #: (rank, index of its group) in worker order: the slots that map
+        #: every rank onto its group's local in the recurrence.
         self._leader_slots = tuple(
             (rank, self.groups.index(group))
             for rank, group in self._group_of.items()
@@ -277,17 +281,17 @@ class Replayer:
 
     # ------------------------------------------------------------------
     def local_dfg(self, rank: int) -> LocalDFG:
-        """The rank's LocalDFG under its current precisions.
+        """The LocalDFG ``rank`` runs under its current precisions.
 
-        Incremental mode serves the group's cost mapper's retained DFG (a
-        delta update when the DAG moved, never a rebuild), as a view under
-        ``rank`` for every rank but the group's first.
+        Incremental mode serves the rank's group's DFG — one object for
+        every rank of the group, built under its first rank: the cost
+        mapper's retained DFG, delta-updated when the DAG moved, never
+        rebuilt.  ``incremental=False`` builds a fresh one under ``rank``.
         """
         group = self._group_of[rank]
         if not self.incremental:
             return group.mapper.build_local_dfg(group.device.name, rank)
-        dfg = group.mapper.current_dfg(group.device.name, group.ranks[0])
-        return dfg if dfg.rank == rank else dfg.view_for_rank(rank)
+        return group.mapper.current_dfg(group.device.name, group.ranks[0])
 
     def compute_time(self, rank: int) -> float:
         """``local_dfg(rank).compute_time``, bit for bit, without
@@ -296,9 +300,6 @@ class Replayer:
         if not self.incremental:
             return self.local_dfg(rank).compute_time
         return self._group_of[rank].mapper.compute_time()
-
-    def build_global_dfg(self) -> GlobalDFG:
-        return GlobalDFG([self.local_dfg(w.rank) for w in self.cluster.workers])
 
     # ------------------------------------------------------------------
     # compiled array kernel tier (repro.kernel): batched what-ifs only
@@ -421,10 +422,11 @@ class Replayer:
         """Estimate one iteration's latency under current precisions.
 
         ``schedule_policy``/``perturbation`` override the instance defaults
-        for this call only.  Without a perturbation, incremental mode plays
-        Eq. (6) once per rank group; a perturbation, or
-        ``incremental=False``, plays it over every rank.  Every result
-        renders its timeline on demand.
+        for this call only.  One call of the recurrence plays the group
+        leaders' locals with every rank slotted onto its group's in
+        incremental mode, and one fresh local per rank under
+        ``incremental=False``.  Every result renders its timeline on
+        demand.
         """
         self.stats.simulate_calls += 1
         by_group = {
@@ -437,45 +439,22 @@ class Replayer:
             else resolve_schedule_policy(schedule_policy)
         )
         pert = self.perturbation if perturbation is None else perturbation
-        if self.incremental and (pert is None or pert.is_noop):
-            return self._grouped_result(memory, policy)
+        if self.incremental:
+            gdfg = GlobalDFG(
+                [self.local_dfg(g.ranks[0]) for g in self.groups],
+                self._leader_slots,
+            )
+        else:
+            gdfg = GlobalDFG(
+                [self.local_dfg(w.rank) for w in self.cluster.workers]
+            )
         from repro.engine.core import execute_global_dfg
 
         return execute_global_dfg(
-            self.build_global_dfg(), self.cluster, memory=memory,
+            gdfg, self.cluster, memory=memory,
             collective_model=self.collective_model,
             schedule_policy=policy, perturbation=pert,
             bucket_bits=self._bucket_bits(),
-        )
-
-    def _grouped_result(self, memory, policy) -> SimulationResult:
-        """Eq. (6) played once per rank group, then read out per rank.
-
-        Ranks of one group share one LocalDFG's contents and one bucket
-        list, every policy's anchors are a function of those contents, and
-        float ``max`` is exact, so the recurrence over the group leaders
-        gives the same bits as over every rank: each leader's per-rank
-        entries are copied to the rest of its group, in cluster worker
-        order.  The timeline plays each rank on its leader's DFG.
-        """
-        from repro.engine.core import execute_global_dfg
-
-        locals_ = [self.local_dfg(g.ranks[0]) for g in self.groups]
-        leaders = execute_global_dfg(
-            GlobalDFG(locals_), self.cluster, memory=memory,
-            collective_model=self.collective_model,
-            schedule_policy=policy, bucket_bits=self._bucket_bits(),
-        )
-        compute, wait = leaders.per_device_compute, leaders.comm_wait_time
-        return dataclasses.replace(
-            leaders,
-            per_device_compute={
-                rank: compute[g.ranks[0]] for rank, g in self._group_of.items()
-            },
-            comm_wait_time={
-                rank: wait[g.ranks[0]] for rank, g in self._group_of.items()
-            },
-            played=(locals_, self._leader_slots),
         )
 
     def memory_estimate(self, rank: int) -> MemoryEstimate:
@@ -502,7 +481,7 @@ def bucket_comm_durations(
     same gradients, so re-pricing an identical collective per rank would be
     pure waste; one call per distinct byte count yields the same max
     bit-for-bit, and so does one local per rank group.  Shared by the
-    Eq. (6) recurrence (grouped or per rank) and the compiled kernel's
+    Eq. (6) recurrence and the compiled kernel's
     batched what-ifs so their pricing cannot drift.
 
     ``bucket_bits`` optionally carries per-bucket gradient bit widths (the
@@ -546,12 +525,6 @@ def bucket_comm_durations(
     return durations
 
 
-def played_by_rank(locals_: Sequence[LocalDFG]) -> tuple:
-    """:attr:`SimulationResult.played` for locals that each play their own
-    rank."""
-    return locals_, tuple((ldfg.rank, i) for i, ldfg in enumerate(locals_))
-
-
 def timeline_events(result: SimulationResult) -> list[TimelineEvent]:
     """Render a result's timeline: every rank's CUDA stream from t=0 (a
     flat accumulation of its forward and backward nodes), then each
@@ -559,9 +532,8 @@ def timeline_events(result: SimulationResult) -> list[TimelineEvent]:
     at ``max(fwd + bwd, last comm end)``.
 
     That optimizer anchor holds for both current schedule policies, which
-    differ only in when buckets launch (already in ``comm_windows``), so
-    one rendering serves the recurrence over every rank and its grouped
-    form alike.  Ranks keep the order they were played in.
+    differ only in when buckets launch (already in ``comm_windows``).
+    Ranks keep the order of the played slots.
     """
     locals_, slots = result.played
     ranks = [(rank, locals_[i]) for rank, i in slots]

@@ -9,8 +9,11 @@ backward pass and the final collective.
 Everything that varies between evaluations enters as an input to that one
 recurrence:
 
-* the :class:`~repro.engine.policy.SchedulePolicy` supplies each rank's two
-  anchors — when each bucket is ready, and when the backward pass ends;
+* the global DFG's ``(locals, slots)``: the distinct execution lines, and
+  which rank runs which — the Replayer passes one local per rank group,
+  ground truth and Dpro one per rank;
+* the :class:`~repro.engine.policy.SchedulePolicy` supplies each local's
+  two anchors — when each bucket is ready, and when the backward pass ends;
 * a :class:`~repro.engine.perturbation.Perturbation` scales each rank's
   CUDA-stream durations and each bucket's priced collective;
 * the collective model and ``bucket_bits`` price the buckets, once, through
@@ -49,25 +52,25 @@ def execute_global_dfg(
 ) -> "SimulationResult":
     """Play one training iteration of ``gdfg`` through Eq. (6).
 
-    ``schedule_policy`` (name, instance, or ``None`` for DDP overlap)
-    decides each rank's bucket readiness and backward end;
-    ``perturbation`` rescales the inputs first (a no-op one is dropped, so
-    it cannot move a bit); ``bucket_bits`` (per-bucket compressed gradient
-    widths) is forwarded to the bucket pricing, where ``None`` keeps the
-    uncompressed pricing bit-identical.
+    The anchors are computed once per local; per-rank compute and wait
+    times are keyed by each slot's rank, so ranks that share a local share
+    its anchors.  ``schedule_policy`` (name, instance, or ``None`` for DDP
+    overlap) decides each local's bucket readiness and backward end;
+    ``perturbation`` rescales the inputs first, expanding the slots into
+    one scaled copy per rank (a no-op one is dropped, so it cannot move a
+    bit); ``bucket_bits`` (per-bucket compressed gradient widths) is
+    forwarded to the bucket pricing, where ``None`` keeps the uncompressed
+    pricing bit-identical.
     """
-    from repro.core.replayer import (
-        SimulationResult,
-        bucket_comm_durations,
-        played_by_rank,
-    )
+    from repro.core.replayer import SimulationResult, bucket_comm_durations
 
     policy = resolve_schedule_policy(schedule_policy)
     if perturbation is not None and perturbation.is_noop:
         perturbation = None
-    locals_ = gdfg.locals
+    locals_, slots = gdfg.locals, gdfg.slots
     if perturbation is not None:
-        locals_ = [perturbation.perturb_local(ldfg) for ldfg in locals_]
+        locals_ = [perturbation.perturb_local(locals_[i], rank) for rank, i in slots]
+        slots = tuple((rank, n) for n, (rank, _) in enumerate(slots))
 
     durations = bucket_comm_durations(
         locals_, cluster, resolve_collective_model(collective_model),
@@ -90,10 +93,11 @@ def execute_global_dfg(
     iteration_time = 0.0
     per_device_compute: dict[int, float] = {}
     comm_wait: dict[int, float] = {}
-    for ldfg, end in zip(locals_, compute_end):
+    for rank, i in slots:
+        ldfg, end = locals_[i], compute_end[i]
         opt = ldfg.optimizer.duration if ldfg.optimizer else 0.0
-        comm_wait[ldfg.rank] = max(0.0, comm_end - end)
-        per_device_compute[ldfg.rank] = ldfg.compute_time
+        comm_wait[rank] = max(0.0, comm_end - end)
+        per_device_compute[rank] = ldfg.compute_time
         iteration_time = max(iteration_time, max(end, comm_end) + opt)
 
     return SimulationResult(
@@ -102,5 +106,5 @@ def execute_global_dfg(
         comm_wait_time=comm_wait,
         memory=memory or {},
         comm_windows=comm_windows,
-        played=played_by_rank(locals_),
+        played=(locals_, slots),
     )

@@ -151,16 +151,19 @@ class Perturbation:
         return 1.0 + self.bandwidth_drift * _uniform(self.seed, "comm", bucket)
 
     # ------------------------------------------------------------------
-    def perturb_local(self, ldfg: "LocalDFG") -> "LocalDFG":
-        """A copy of ``ldfg`` with this perturbation's compute scale applied
-        to every forward/backward node and the optimizer (structure, bucket
-        membership and readiness anchors are untouched)."""
+    def perturb_local(self, ldfg: "LocalDFG", rank: int) -> "LocalDFG":
+        """A copy of ``ldfg`` as ``rank`` runs it: this perturbation's
+        compute scale for ``rank`` applied to every forward/backward node
+        and the optimizer (structure, bucket membership and readiness
+        anchors are untouched).  The rank is explicit because one local
+        serves every rank of a Replayer rank group; ``ldfg`` itself comes
+        back when the rank's scale is 1."""
         from repro.core.dfg import LocalDFG
 
-        scale = self.compute_scale(ldfg.rank)
+        scale = self.compute_scale(rank)
         if scale == 1.0:
             return ldfg
-        out = LocalDFG(ldfg.device_name, ldfg.rank)
+        out = LocalDFG(ldfg.device_name, rank)
         for node in ldfg.forward:
             out.add_forward(
                 dataclasses.replace(node, duration=node.duration * scale)

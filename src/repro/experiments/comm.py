@@ -74,7 +74,7 @@ def price_collectives(
         )
     )
     replayer = ctx.replayer
-    buckets = replayer.local_dfg(0).buckets
+    buckets = replayer.local_dfg(min(w.rank for w in cluster.workers)).buckets
     results: dict[str, dict[str, float]] = {}
     for name, model_cls in COLLECTIVE_MODELS.items():
         model = model_cls()

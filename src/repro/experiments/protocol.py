@@ -67,7 +67,7 @@ class MethodPlan:
     name: str
     #: Per-rank precision plans for the executable model (module paths).
     plans: dict[int, dict[str, Precision]]
-    #: Per-rank local batch sizes for the executable run.
+    #: Local batch sizes for the executable run, in cluster worker order.
     batch_sizes: list[int]
     #: Predicted iterations/second at production scale.
     throughput: float | None
@@ -129,37 +129,29 @@ def prepare_methods(
     )
     comm = sum(
         replayer.collective_model.allreduce_time(cluster, b.nbytes)
-        for b in replayer.local_dfg(0).buckets
+        for b in replayer.local_dfg(min(w.rank for w in cluster.workers)).buckets
     )
     dbs_iter = dbs_compute + comm
     dbs = MethodPlan("DBS", {w.rank: {} for w in cluster.workers},
                      dbs_batches, 1.0 / dbs_iter)
 
-    # ---- UP: uniform lowest-fitting precision on inference workers.
-    up_out = session.plan(dataclasses.replace(request, strategy="uniform"))
-    up_plans: dict[int, dict[str, Precision]] = {}
-    for w in cluster.workers:
-        if w.is_inference:
-            gp = up_out.plan.for_device(w.device.name)
-            up_plans[w.rank] = _weighted_only(template, gp)
-        else:
-            up_plans[w.rank] = {}
-    up = MethodPlan("UP", up_plans, uniform_batches,
-                    up_out.simulation.throughput)
-
+    methods = {"ORACLE": oracle, "DBS": dbs}
+    # ---- UP: uniform lowest-fitting precision on inference workers;
     # ---- QSYNC: the allocator's quantization-minimized plan.
-    qs_out = session.plan(dataclasses.replace(request, strategy="qsync"))
-    qs_plans: dict[int, dict[str, Precision]] = {}
-    for w in cluster.workers:
-        if w.is_inference:
-            gp = qs_out.plan.for_device(w.device.name)
-            qs_plans[w.rank] = _weighted_only(template, gp)
-        else:
-            qs_plans[w.rank] = {}
-    qsync = MethodPlan("QSync", qs_plans, uniform_batches,
-                       qs_out.simulation.throughput)
-
-    return {"ORACLE": oracle, "DBS": dbs, "UP": up, "QSync": qsync}
+    for name, strategy in (("UP", "uniform"), ("QSync", "qsync")):
+        out = session.plan(dataclasses.replace(request, strategy=strategy))
+        plans = {
+            w.rank: (
+                _weighted_only(template, out.plan.for_device(w.device.name))
+                if w.is_inference
+                else {}
+            )
+            for w in cluster.workers
+        }
+        methods[name] = MethodPlan(
+            name, plans, uniform_batches, out.simulation.throughput
+        )
+    return methods
 
 
 def _weighted_only(dag, graph_plan: dict[str, Precision]) -> dict[str, Precision]:
@@ -210,15 +202,18 @@ def run_method_training(
     lr: float = 0.05,
     metric: str = "top1",
 ) -> float:
-    """Train the executable model under one method's plan; returns accuracy."""
+    """Train the executable model under one method's plan; returns accuracy.
+
+    ``method.batch_sizes`` is in cluster worker order, ``method.plans`` is
+    keyed by rank: ranks are identities, not positions."""
     workers = [
         WorkerConfig(
             rank=w.rank,
             device_name=w.device.name,
-            batch_size=method.batch_sizes[w.rank],
+            batch_size=batch,
             plan=method.plans[w.rank],
         )
-        for w in cluster.workers
+        for w, batch in zip(cluster.workers, method.batch_sizes, strict=True)
     ]
     if optimizer == "sgd":
         def opt_factory(m):

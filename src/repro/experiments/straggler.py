@@ -80,7 +80,7 @@ def run(
         # The slowest rank's perturbed compute time is the floor no
         # synchronous schedule can beat.
         slowest_bound = max(
-            pert.perturb_local(replayer.local_dfg(w.rank)).compute_time
+            pert.perturb_local(replayer.local_dfg(w.rank), w.rank).compute_time
             for w in ctx.cluster.workers
         )
         for policy in SCHEDULE_POLICIES:

@@ -38,6 +38,7 @@ from repro.parallel.comm_model import (
 from repro.quant.qsgd import CompressionConfig, level_bits
 from repro.service.fingerprint import request_token
 from repro.session import PlanRequest, PlanSession
+from tests.test_engine import _per_rank_gdfg
 
 
 def _replayer(cluster=None, collective_model=None):
@@ -151,7 +152,7 @@ class TestReplayerCompression:
         replayer.set_bucket_compression((2,) * n)
         grouped = replayer.simulate()
         obj = execute_global_dfg(
-            replayer.build_global_dfg(),
+            _per_rank_gdfg(replayer),
             replayer.cluster,
             memory=grouped.memory,
             collective_model=replayer.collective_model,

@@ -4,8 +4,9 @@ one LocalDFG assembly walk every builder shares.
 The contract under test: :func:`repro.engine.core.execute_global_dfg` is
 the one Eq. (6) recurrence.  On arbitrary global DFGs its outputs satisfy
 the recurrence's equations exactly, under either schedule policy and
-collective model; the Replayer's grouped path equals it over every rank
-and equals the ``incremental=False`` reference, timeline included.
+collective model; the Replayer's play of one local per rank group equals
+it over every rank and equals the ``incremental=False`` reference,
+timeline included.
 Schedules and perturbations are inputs, validated against orderings and
 against the recurrence replayed on transformed inputs (hand-computed pins
 live in ``tests/test_replayer_eq6.py``).
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.engine.core as engine_core
 from repro.backend import LPBackend
 from repro.baselines import DproReplayer
 from repro.common.rng import derive_seed, new_rng
@@ -93,6 +95,16 @@ def _random_gdfg(rng, n_ranks, n_buckets):
     return GlobalDFG(locals_)
 
 
+def _per_rank_gdfg(replayer):
+    """The replayer's locals played over every rank: one entry per worker,
+    each slotted onto its own (same-group entries alias one DFG)."""
+    workers = replayer.cluster.workers
+    return GlobalDFG(
+        [replayer.local_dfg(w.rank) for w in workers],
+        [(w.rank, i) for i, w in enumerate(workers)],
+    )
+
+
 def _cluster(n_ranks):
     return Cluster(
         name="x",
@@ -156,14 +168,14 @@ class TestEngineAnalyticParity:
         _assert_eq6(sim, gdfg, cluster, policy, "hierarchical")
 
     def test_replayer_timeline_route_matches_analytic(self):
-        """Replayer.simulate() on its grouped path equals the recurrence
-        over the replayer's per-rank global DFG, timelines included."""
+        """Replayer.simulate(), one local per rank group, equals the
+        recurrence over every rank, timelines included."""
         ctx = PlanSession().prepare(
             PlanRequest(model="mini_bert", model_kwargs={"batch_size": 4},
                         cluster="cluster_a_4+4", profile_repeats=1)
         )
         replayer = ctx.replayer
-        gdfg = replayer.build_global_dfg()
+        gdfg = _per_rank_gdfg(replayer)
         memory = {w.rank: replayer.memory_estimate(w.rank)
                   for w in replayer.cluster.workers}
         per_rank = execute_global_dfg(
@@ -259,7 +271,7 @@ class TestSchedulePolicies:
         assert len(replayer.groups) < len(replayer.cluster.workers) == 32
 
         per_rank = execute_global_dfg(
-            replayer.build_global_dfg(), replayer.cluster,
+            _per_rank_gdfg(replayer), replayer.cluster,
             memory=grouped.memory, collective_model=replayer.collective_model,
             schedule_policy="blocking_sync",
         )
@@ -296,7 +308,7 @@ class TestPerturbation:
     @pytest.mark.parametrize("rank", [1.5, 2.0, True, "1"])
     def test_straggler_rank_must_be_an_integer(self, rank):
         """A non-integer rank never matches a worker, so it would slow
-        nothing while still pushing simulate() off its grouped path."""
+        nothing while still expanding simulate()'s slots into per-rank copies."""
         with pytest.raises(ValueError, match="straggler rank"):
             Perturbation(stragglers={rank: 2.0})
         assert Perturbation(stragglers={np.int64(1): 2.0}).straggler_factor(1) == 2.0
@@ -324,7 +336,7 @@ class TestPerturbation:
         gdfg = _random_gdfg(rng, 1, 2)
         ldfg = gdfg.locals[0]
         pert = Perturbation(stragglers={0: 2.0})
-        scaled = pert.perturb_local(ldfg)
+        scaled = pert.perturb_local(ldfg, 0)
         assert scaled is not ldfg
         assert scaled.forward_time == pytest.approx(2.0 * ldfg.forward_time)
         assert scaled.backward_time == pytest.approx(2.0 * ldfg.backward_time)
@@ -334,7 +346,11 @@ class TestPerturbation:
             2.0 * ldfg.optimizer.duration
         )
         # A no-op perturbation hands back the very same object.
-        assert Perturbation().perturb_local(ldfg) is ldfg
+        assert Perturbation().perturb_local(ldfg, 0) is ldfg
+        # The rank argument, not the local's own, picks the scale.
+        assert pert.perturb_local(ldfg, 1) is ldfg
+        moved = Perturbation(stragglers={1: 2.0}).perturb_local(ldfg, 1)
+        assert moved.rank == 1 and moved.forward_time == scaled.forward_time
         assert Perturbation().is_noop
 
     @given(st.integers(0, 10_000))
@@ -348,7 +364,8 @@ class TestPerturbation:
         pert = Perturbation(seed=5, compute_jitter=0.3, stragglers={1: 3.0})
         perturbed = execute_global_dfg(gdfg, cluster, perturbation=pert)
         oracle = execute_global_dfg(
-            GlobalDFG([pert.perturb_local(l) for l in gdfg.locals]), cluster
+            GlobalDFG([pert.perturb_local(l, l.rank) for l in gdfg.locals]),
+            cluster,
         )
         assert perturbed == oracle
         assert perturbed.timeline == oracle.timeline
@@ -365,7 +382,7 @@ class TestPerturbation:
             pert = Perturbation(seed=1, stragglers={2: factor})
             sim = execute_global_dfg(gdfg, cluster, perturbation=pert)
             bound = max(
-                pert.perturb_local(l).compute_time for l in gdfg.locals
+                pert.perturb_local(l, l.rank).compute_time for l in gdfg.locals
             )
             assert sim.iteration_time >= bound
             assert sim.iteration_time >= previous
@@ -586,17 +603,21 @@ def _timeline_request(strategy):
 class TestTimelineOnDemand:
     @pytest.mark.parametrize("strategy", ["qsync", "qsync+qsgd", "uniform"])
     def test_plan_never_enters_the_engine(self, strategy, monkeypatch):
-        """Under the default policy a plan never plays Eq. (6) over every
-        rank: it stays on the grouped path, final simulation included, and
-        its timeline still renders."""
+        """A plan never plays Eq. (6) over every rank: every play, final
+        simulation included, runs one local per rank group, and the
+        timeline still renders."""
+        played = []
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("plan() built a per-rank global DFG")
+        def spy(gdfg, *args, **kwargs):
+            played.append(len(gdfg.locals))
+            return execute_global_dfg(gdfg, *args, **kwargs)
 
-        monkeypatch.setattr(Replayer, "build_global_dfg", refuse)
+        monkeypatch.setattr(engine_core, "execute_global_dfg", spy)
         session = PlanSession()
         outcome = session.plan(_timeline_request(strategy))
         groups = session.last_context.replayer.groups
+        assert len(groups) < len(session.last_context.cluster.workers)
+        assert played and set(played) == {len(groups)}
         assert len(outcome.simulation.played[0]) == len(groups)
         assert outcome.simulation.timeline
 
@@ -618,7 +639,7 @@ class TestTimelineOnDemand:
                     [dpro._build_local(w.rank) for w in replayer.cluster.workers]
                 )
             else:
-                gdfg = replayer.build_global_dfg()
+                gdfg = _per_rank_gdfg(replayer)
             per_rank = execute_global_dfg(
                 gdfg, replayer.cluster, memory=sim.memory,
                 collective_model=replayer.collective_model, bucket_bits=bits,
@@ -663,6 +684,11 @@ class TestSessionThreading:
         # Same uniform plan, worse schedule + a straggler: strictly slower.
         assert slowed.plan == clean.plan
         assert slowed.simulation.iteration_time > clean.simulation.iteration_time
+        # Rank 7 shares its group's local with ranks 4-6; only it slows.
+        before = clean.simulation.per_device_compute
+        after = slowed.simulation.per_device_compute
+        assert after[7] == pytest.approx(4.0 * before[7])
+        assert all(after[r] == before[r] for r in (4, 5, 6))
 
     def test_dpro_honours_schedule_policy_and_perturbation(self):
         """strategy="dpro" replays under the request's schedule and

@@ -8,6 +8,7 @@ from repro.experiments import (
     ExperimentResult,
     format_table,
     get_experiment,
+    protocol,
     run_experiment,
 )
 from repro.experiments.base import mean_std
@@ -16,10 +17,14 @@ from repro.experiments.protocol import (
     collect_executable_stats,
     find_pressure_batch,
     prepare_methods,
+    run_method_training,
 )
-from repro.hardware import T4, make_cluster_a
+from repro.hardware import T4, V100, Cluster, Worker, make_cluster_a
 from repro.models import mini_model_graph
 from repro.profiling import MemoryModel
+from repro.train.data import make_image_classification
+
+GBPS = 1024**3
 
 
 class TestBase:
@@ -167,6 +172,39 @@ class TestProtocol:
                                   exec_batch_per_worker=8)
         assert methods["QSync"].throughput >= 0.98 * methods["UP"].throughput
         assert methods["UP"].throughput > methods["DBS"].throughput
+
+    def test_ranks_are_identities(self, monkeypatch):
+        """A cluster without rank 0 and with a gap in its ranks plans every
+        method and trains each worker on its own batch."""
+        cluster = Cluster(
+            "gappy",
+            (Worker(1, V100, 300 * GBPS), Worker(3, T4, 32 * GBPS)),
+        )
+        batch = find_pressure_batch("mini_vggbn", T4.memory_bytes)
+        methods = prepare_methods("mini_vggbn", cluster, batch,
+                                  exec_batch_per_worker=8)
+        for method in methods.values():
+            assert set(method.plans) == {1, 3}
+        assert methods["UP"].plans[3] and not methods["UP"].plans[1]
+        dbs = methods["DBS"]
+        assert sum(dbs.batch_sizes) == 16
+        assert dbs.batch_sizes[0] > dbs.batch_sizes[1]
+
+        seen = []
+
+        class Recording(protocol.DataParallelTrainer):
+            def __init__(self, *args, workers, **kwargs):
+                seen.extend(workers)
+                super().__init__(*args, workers=workers, **kwargs)
+
+        monkeypatch.setattr(protocol, "DataParallelTrainer", Recording)
+        dataset = make_image_classification(n_train=48, n_test=16, seed=3)
+        accuracy = run_method_training("mini_vggbn", dbs, cluster, dataset,
+                                       epochs=1, seed=0)
+        assert 0.0 <= accuracy <= 1.0
+        assert [(w.rank, w.batch_size) for w in seen] == [
+            (1, dbs.batch_sizes[0]), (3, dbs.batch_sizes[1]),
+        ]
 
 
 class TestCheapExperimentsEndToEnd:

@@ -46,7 +46,7 @@ from repro.models import mini_model_graph
 from repro.parallel.comm_model import resolve_collective_model
 from repro.session import PlanRequest, PlanSession
 from repro.session.planners import get_planner
-from tests.test_engine import _cluster, _random_gdfg
+from tests.test_engine import _cluster, _per_rank_gdfg, _random_gdfg
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
@@ -163,7 +163,7 @@ class TestKernelAnalyticParity:
         replayer = _small_replayer()
         grouped = replayer.simulate()
         analytic = execute_global_dfg(
-            replayer.build_global_dfg(),
+            _per_rank_gdfg(replayer),
             replayer.cluster,
             memory=grouped.memory,
             collective_model=replayer.collective_model,
@@ -318,7 +318,7 @@ class TestBatchedWhatIf:
         sim = replayer.simulate()
         assert replayer.local_dfg(r2).forward is not replayer.local_dfg(r3).forward
         assert sim == execute_global_dfg(
-            replayer.build_global_dfg(), cluster, memory=sim.memory,
+            _per_rank_gdfg(replayer), cluster, memory=sim.memory,
             collective_model=replayer.collective_model,
         )
         assert sim == _reference_replayer(replayer).simulate()
