@@ -73,8 +73,9 @@ def test_fastest_init_beats_greedy_demotion(once):
         indicator = VarianceIndicator(replayer.dags[1], stats, gamma_for_loss("ce", 8))
         allocator = Allocator(replayer, {"T4": indicator})
         t4_groups = allocator._planned_groups()["T4"]
-        allocator._uniform_lowest_plan(t4_groups)
-        init_plan = allocator._initial_plan(t4_groups)
+        init_plan = allocator._initial_plan(
+            t4_groups, allocator._uniform_lowest_plan(t4_groups)
+        )
         replayer.apply_plan(1, init_plan)
         init_time = replayer.mappers[1].build_local_dfg("T4", 1).compute_time
         return demotion_plan, demotion_time, init_plan, init_time

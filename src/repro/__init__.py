@@ -21,8 +21,8 @@ Package map (bottom-up):
 ``repro.core``         the paper's contribution — Predictor (Indicator +
                        Replayer/Cost-Mapper/Simulator) and Allocator
 ``repro.engine``       the Eq. (6) recurrence and its inputs: schedule
-                       policies, straggler perturbations, unified
-                       node-cost sources, elastic-membership segments
+                       policies, straggler perturbations,
+                       elastic-membership segments
 ``repro.session``      the front door: declarative ``PlanRequest``s,
                        profiling-reusing ``PlanSession``, pluggable planner
                        strategies (qsync/uniform/dpro/hessian/random)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.common.dtypes import Precision
 from repro.common.errors import InfeasiblePlanError
+from repro.core.allocator import uniform_plan
 from repro.graph.dag import PrecisionDAG
 from repro.hardware.device import DeviceSpec
 from repro.profiling.memory import MemoryModel
@@ -22,21 +23,14 @@ def uniform_precision_plan(
 ) -> dict[str, Precision]:
     """The UP plan for one inference device.
 
-    Walks the device's precision ladder from FP32 downward; at each rung,
-    assigns every adjustable op the lowest supported precision >= the rung
-    and returns the first assignment that fits ``device.available_memory``.
+    Walks the Allocator's precision ladder from FP32 downward and returns
+    the first rung's :func:`~repro.core.allocator.uniform_plan` that fits
+    ``device.available_memory``.
     """
     memory_model = memory_model or MemoryModel()
-    ladder = sorted(device.supported_precisions(), key=lambda p: -p.bits)
     work = dag.copy()
-    for target in ladder:
-        plan: dict[str, Precision] = {}
-        for op in work.adjustable_ops():
-            cands = [
-                p for p in work.spec(op).supported_precisions() if device.supports(p)
-            ]
-            usable = [p for p in cands if p.bits >= target.bits]
-            plan[op] = min(usable, key=lambda p: p.bits) if usable else cands[-1]
+    for target in reversed(device.supported_precisions()):
+        plan = uniform_plan(work, device, target)
         work.apply_plan(plan)
         if memory_model.fits(work, device.available_memory):
             return plan

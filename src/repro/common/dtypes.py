@@ -17,8 +17,8 @@ class Precision(enum.Enum):
     """A numeric format an operator can execute in.
 
     Members are ordered by bit width; :data:`PRECISION_ORDER` gives the
-    canonical low-to-high ordering used by the Allocator when "recovering"
-    operators to the next higher precision (Sec. V).
+    canonical low-to-high ordering.  The Allocator walks each op's own
+    candidates in that order (:func:`repro.core.allocator.at_or_above`).
     """
 
     INT8 = "int8"
@@ -108,7 +108,7 @@ class Precision(enum.Enum):
 
 _BITS = {Precision.INT8: 8, Precision.FP16: 16, Precision.FP32: 32}
 
-#: Canonical low-to-high ordering used for precision "recovery".
+#: Canonical low-to-high ordering.
 PRECISION_ORDER: tuple[Precision, ...] = (
     Precision.INT8,
     Precision.FP16,
@@ -139,10 +139,7 @@ def parse_precision(value: Union[str, int, Precision]) -> Precision:
 
 
 def higher_precision(prec: Precision) -> Precision | None:
-    """Next precision up in :data:`PRECISION_ORDER`, or ``None`` at the top.
-
-    This is the ``ADD(b_io)`` operation of the Allocator's heap entries.
-    """
+    """Next precision up in :data:`PRECISION_ORDER`, or ``None`` at the top."""
     idx = PRECISION_ORDER.index(prec)
     if idx + 1 >= len(PRECISION_ORDER):
         return None

@@ -8,8 +8,9 @@
   mapping with cascading precision-dependent updates.
 * :mod:`repro.core.replayer` — the Replayer: applies plans, rebuilds DFGs,
   simulates the global timeline (Eq. 6) and estimates memory.
-* :mod:`repro.core.simulator` — the fine-grained ground-truth event engine
-  that replaces the paper's hardware measurements (DESIGN.md §4.1).
+* :mod:`repro.core.simulator` — the fine-grained ground-truth simulator
+  that replaces the paper's hardware measurements (CONTRIBUTING.md
+  "Substitutions").
 * :mod:`repro.core.allocator` — quantization-minimized precision allocation:
   fastest-feasible initialization + max-heap recovery (Sec. V).
 

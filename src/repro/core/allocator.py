@@ -14,9 +14,11 @@ Strategy (per the paper):
    the decision) against the whole graph's local compute time and memory,
    largest-FLOPs class first.  This is a coordinate descent whose
    per-class step is exhaustive — a strictly stronger feasibility check
-   than pre-splitting memory budgets, with identical intent (documented
-   deviation, DESIGN.md §4).  A trial writes only its class's ops and
-   re-checks only the planned type's memory, so it costs what it changes.
+   than pre-splitting memory budgets, with identical intent (a documented
+   deviation, see CONTRIBUTING.md "Substitutions").  The descent starts
+   from the ``T_min`` plan, which fits by construction.  A trial writes
+   only its class's ops and re-checks only the planned type's memory, so
+   it costs what it changes.
 2. **Recovery — max-heap precision ascent.**  A heap per inference device
    type holds ``[Omega(b) - Omega(ADD(b)), op]``: the sensitivity *decrement*
    available by promoting each op one precision level.  Pop the largest,
@@ -26,7 +28,9 @@ Strategy (per the paper):
    precision while one exists.
 
 ``T_min`` is the throughput of the uniform lowest-feasible-precision plan
-(problem (1)'s definition).
+(problem (1)'s definition).  UP, ``T_min``, the wide-class sweep and
+recovery all walk one precision ladder: an op's candidates sorted
+low-to-high by bit width, stepped by :func:`at_or_above`.
 """
 
 from __future__ import annotations
@@ -34,23 +38,67 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
+import math
 
-from repro.common.dtypes import Precision, higher_precision
+from repro.common.dtypes import Precision
 from repro.common.errors import InfeasiblePlanError
 from repro.core.indicator import IndicatorProtocol
 from repro.core.plan import PrecisionPlan
-from repro.core.replayer import RankGroup, Replayer
+from repro.core.replayer import RankGroup, Replayer, SimulationResult
 from repro.graph.dag import PrecisionDAG
+from repro.graph.ops import OperatorSpec
 from repro.graph.subgraph import group_blocks, isomorphism_classes
+from repro.hardware.device import DeviceSpec
+
+#: Max decision ops per isomorphism class to enumerate exhaustively (3^n
+#: growth); wider classes sweep uniform targets instead.
+MAX_BRUTEFORCE_OPS = 6
+
+
+def op_candidates(spec: OperatorSpec, device: DeviceSpec) -> list[Precision]:
+    """Precisions both the op's kernels and the device support, sorted
+    low-to-high by bit width: one op's precision ladder."""
+    return sorted(
+        (p for p in spec.supported_precisions() if device.supports(p)),
+        key=lambda p: p.bits,
+    )
+
+
+def at_or_above(cands: list[Precision], target: Precision) -> Precision:
+    """The ladder's rung rule: the lowest of ``cands`` (sorted low-to-high)
+    at or above ``target``, or the widest when none reaches it (softmax
+    stays FP32 under an INT8 target)."""
+    return next((p for p in cands if p.bits >= target.bits), cands[-1])
+
+
+def decision_ops(
+    dag: PrecisionDAG, device: DeviceSpec, ops: list[str]
+) -> list[str]:
+    """The ops of ``ops`` with a precision to decide: adjustable ops with
+    more than one candidate (FP32-pinned softmax has none)."""
+    return [
+        op
+        for op in ops
+        if dag.spec(op).is_adjustable
+        and len(op_candidates(dag.spec(op), device)) > 1
+    ]
+
+
+def uniform_plan(
+    dag: PrecisionDAG, device: DeviceSpec, target: Precision
+) -> dict[str, Precision]:
+    """Every adjustable op on its rung for ``target``: one step of the
+    uniform ladder that UP and ``T_min`` walk."""
+    return {
+        op: at_or_above(op_candidates(dag.spec(op), device), target)
+        for op in dag.adjustable_ops()
+    }
 
 
 @dataclasses.dataclass(frozen=True)
 class AllocatorConfig:
     """Tunables for the allocation search."""
 
-    #: Max adjustable ops per block to enumerate exhaustively (3^n growth);
-    #: larger blocks fall back to uniform candidates.
-    max_bruteforce_ops: int = 6
     #: Relative slack on the throughput constraint: keep a recovery step iff
     #: ``E_new >= (1 - slack) * T_min``.
     throughput_slack: float = 0.005
@@ -138,27 +186,12 @@ class Allocator:
         return types
 
     def _candidates_for(self, dag: PrecisionDAG, op: str, device) -> list[Precision]:
-        """Precisions both the op's kernels and the device support, sorted
-        low-to-high by bit width (cached, read-only)."""
+        """:func:`op_candidates`, cached per (device type, op): read-only."""
         key = (device.name, op)
         cands = self._cand_cache.get(key)
         if cands is None:
-            cands = sorted(
-                (
-                    p
-                    for p in dag.spec(op).supported_precisions()
-                    if device.supports(p)
-                ),
-                key=lambda p: p.bits,
-            )
-            self._cand_cache[key] = cands
+            cands = self._cand_cache[key] = op_candidates(dag.spec(op), device)
         return cands
-
-    def _apply_to_type(
-        self, groups: list[RankGroup], plan: dict[str, Precision]
-    ) -> None:
-        for group in groups:
-            group.dag.apply_plan(plan)
 
     def _set_op(self, groups: list[RankGroup], op: str, prec: Precision) -> None:
         """Single-op delta applied to the type's DAGs — the write primitive
@@ -187,28 +220,20 @@ class Allocator:
         reference of problem (1): "converting all operators to int8 or fp16
         depending on the lowest precision that the inference GPUs support".
 
-        Walks the ladder from the lowest format upward and returns the first
-        memory-feasible uniform plan (the lowest format is also the smallest,
-        so later rungs only matter for devices with odd memory anatomies).
+        Walks the ladder from the lowest format upward, applying each rung
+        to ``groups``, and returns the first memory-feasible uniform plan
+        (the groups hold it).  The lowest format is not always the smallest:
+        INT8 kernels emit FP32, so the ops after them can make uniform FP16
+        fit where uniform INT8 does not.
         Only ``groups`` are checked: a type still at its template
         precisions must not fail another type's ladder.
         """
         dag, device = groups[0].dag, groups[0].device
-        ladder = sorted(device.supported_precisions(), key=lambda p: p.bits)
+        ladder = device.supported_precisions()
         for target in ladder:
-            plan: dict[str, Precision] = {}
-            for op in dag.adjustable_ops():
-                cands = self._candidates_for(dag, op, device)
-                usable = [p for p in cands if p.bits >= target.bits]
-                # No candidate at-or-above the target: fall back to the
-                # op's widest kernel explicitly (don't assume the candidate
-                # list is bit-ordered).
-                plan[op] = (
-                    min(usable, key=lambda p: p.bits)
-                    if usable
-                    else max(cands, key=lambda p: p.bits)
-                )
-            self._apply_to_type(groups, plan)
+            plan = uniform_plan(dag, device, target)
+            for group in groups:
+                group.dag.apply_plan(plan)
             if self._memory_ok(groups):
                 return plan
         raise InfeasiblePlanError(
@@ -218,24 +243,17 @@ class Allocator:
     # ------------------------------------------------------------------
     # step 2: fastest feasible initialization (subgraph brute force)
     # ------------------------------------------------------------------
-    def _initial_plan(self, groups: list[RankGroup]) -> dict[str, Precision]:
+    def _initial_plan(
+        self, groups: list[RankGroup], plan: dict[str, Precision]
+    ) -> dict[str, Precision]:
+        """Coordinate descent over the type's isomorphism classes, starting
+        from the T_min ``plan`` the groups already hold; returns the fastest
+        memory-feasible plan found and leaves the groups on it."""
         dag, device = groups[0].dag, groups[0].device
-        # Start from uniform-lowest (always memory-feasible per T_min step).
-        plan = {
-            op: min(self._candidates_for(dag, op, device), key=lambda p: p.bits)
-            for op in dag.adjustable_ops()
-        }
-        self._apply_to_type(groups, plan)
-        # The one all-groups check: every trial below writes this type's
-        # groups only, so the other groups' fit holds throughout.
-        for group in self.replayer.groups:
-            if not self._memory_ok([group]):
-                raise InfeasiblePlanError(
-                    f"lowest precisions exceed {group.device.name} memory"
-                )
-
+        plan = dict(plan)
         blocks = group_blocks(dag)
-        classes = isomorphism_classes(dag)
+        rank = groups[0].ranks[0]
+
         # Largest compute first: decide the expensive blocks before the
         # cheap ones constrain them.
         def class_flops(labels: list[str]) -> float:
@@ -243,79 +261,48 @@ class Allocator:
                 dag.spec(op).flops for lbl in labels for op in blocks[lbl]
             )
 
-        for labels in sorted(classes.values(), key=class_flops, reverse=True):
-            # Single-candidate ops (e.g. FP32-pinned softmax) have no
-            # decision to make — enumerate only genuinely adjustable ones.
-            template_ops = [
-                op
-                for op in blocks[labels[0]]
-                if dag.spec(op).is_adjustable
-                and len(self._candidates_for(dag, op, device)) > 1
-            ]
-            if not template_ops:
+        def write(rows: list[list[str]], assignment) -> None:
+            for row in rows:
+                for op, prec in zip(row, assignment):
+                    self._set_op(groups, op, prec)
+
+        def trial_time(rows: list[list[str]], assignment) -> float:
+            # A trial writes the class's ops only: every other op already
+            # holds its ``plan`` precision.  Local execution latency (no
+            # comm): the group's cost mapper sums its retained per-op
+            # durations, bit-identical to the assembled DFG's compute_time.
+            write(rows, assignment)
+            if not self._memory_ok(groups):
+                return math.inf
+            return self.replayer.compute_time(rank)
+
+        classes = isomorphism_classes(dag).values()
+        for labels in sorted(classes, key=class_flops, reverse=True):
+            # One row of decision ops per block, positionally aligned:
+            # isomorphic blocks share their candidate lists row for row.
+            rows = [decision_ops(dag, device, blocks[lbl]) for lbl in labels]
+            per_op_cands = [self._candidates_for(dag, op, device) for op in rows[0]]
+            if not per_op_cands:
                 continue
-            per_op_cands = [
-                self._candidates_for(dag, op, device) for op in template_ops
-            ]
-            if len(template_ops) <= self.config.max_bruteforce_ops:
+            if len(per_op_cands) <= MAX_BRUTEFORCE_OPS:
                 assignments = itertools.product(*per_op_cands)
             else:
                 # Too large to enumerate: sweep uniform *targets*, each op
-                # taking its nearest supported precision at-or-above it.
+                # on its rung for the target.
                 targets = sorted(
                     {p for cands in per_op_cands for p in cands},
                     key=lambda p: p.bits,
                 )
-                assignments = []
-                for target in targets:
-                    assignments.append(
-                        tuple(
-                            min(
-                                [p for p in cands if p.bits >= target.bits]
-                                or [max(cands, key=lambda p: p.bits)],
-                                key=lambda p: p.bits,
-                            )
-                            for cands in per_op_cands
-                        )
-                    )
-
-            # Positional mapping template block -> every block in the class
-            # (isomorphism guarantees per-position candidate sets coincide),
-            # flattened once as (op, position, candidates, pre-class
-            # precision).  A position the op has no kernel for keeps the
-            # pre-class precision.
-            slots: list[tuple[str, int, list[Precision], Precision]] = []
-            for lbl in labels:
-                ops = [
-                    op
-                    for op in blocks[lbl]
-                    if dag.spec(op).is_adjustable
-                    and len(self._candidates_for(dag, op, device)) > 1
+                assignments = [
+                    tuple(at_or_above(cands, t) for cands in per_op_cands)
+                    for t in targets
                 ]
-                for pos, op in enumerate(ops[: len(template_ops)]):
-                    cands = self._candidates_for(dag, op, device)
-                    slots.append((op, pos, cands, plan[op]))
-            best: tuple[float, tuple[Precision, ...]] | None = None
-            for assignment in assignments:
-                # A trial writes the class's ops only: every other op
-                # already holds its ``plan`` precision.
-                for op, pos, cands, base in slots:
-                    prec = assignment[pos]
-                    self._set_op(groups, op, prec if prec in cands else base)
-                if not self._memory_ok(groups):
-                    continue
-                # Local execution latency (no comm): the group's cost mapper
-                # sums its retained per-op durations, bit-identical to the
-                # assembled DFG's compute_time without assembling one.
-                t = self.replayer.compute_time(groups[0].ranks[0])
-                if best is None or t < best[0]:
-                    best = (t, assignment)
-            # Leave the DAGs on the winner, or back on the pre-class
-            # precisions when no trial fit.
-            for op, pos, cands, base in slots:
-                prec = base if best is None else best[1][pos]
-                plan[op] = prec if prec in cands else base
-                self._set_op(groups, op, plan[op])
+            # The class's T_min assignment is one of the trials and fits,
+            # so the winner (the first of the fastest) always fits.
+            winner = min(assignments, key=lambda a: trial_time(rows, a))
+            write(rows, winner)
+            for row in rows:
+                plan.update(zip(row, winner))
         return plan
 
     # ------------------------------------------------------------------
@@ -326,28 +313,28 @@ class Allocator:
         type_groups = self._planned_groups()
         if not type_groups:
             # Pure training cluster: everything FP32, nothing to do.
-            sim = self.replayer.simulate()
-            report = AllocationReport(
-                t_min=sim.throughput,
-                initial_throughput=sim.throughput,
-                final_throughput=sim.throughput,
-                recovery_attempts=0,
-                recovery_accepted=0,
-                initial_counts={},
-                final_counts={},
-            )
-            return PrecisionPlan(assignments={}), report
-
-        plans: dict[str, dict[str, Precision]] = {}
+            plan = PrecisionPlan(assignments={})
+            return plan, passive_allocation_report(plan, self.replayer.simulate())
 
         # T_min: uniform lowest-feasible on every inference type at once.
-        for name, groups in type_groups.items():
-            plans[name] = self._uniform_lowest_plan(groups)
+        plans = {
+            name: self._uniform_lowest_plan(groups)
+            for name, groups in type_groups.items()
+        }
         t_min = self.replayer.simulate().throughput
+        # The one all-groups check: each ladder fit its own type, and every
+        # later step writes one type's groups and re-checks those alone, so
+        # only groups no ladder planned (FP32-pinned training ranks) can
+        # fail here, and their fit holds throughout.
+        for group in self.replayer.groups:
+            if not self._memory_ok([group]):
+                raise InfeasiblePlanError(
+                    f"lowest precisions exceed {group.device.name} memory"
+                )
 
         # Fastest-feasible initialization.
         for name, groups in type_groups.items():
-            plans[name] = self._initial_plan(groups)
+            plans[name] = self._initial_plan(groups, plans[name])
         initial_sim = self.replayer.simulate()
         initial_counts = precision_counts(plans)
 
@@ -419,15 +406,15 @@ class Allocator:
     def _next_supported(
         self, dag: PrecisionDAG, device, op: str, current: Precision
     ) -> Precision | None:
-        cands = self._candidates_for(dag, op, device)
-        prec = current
-        while True:
-            nxt = higher_precision(prec)
-            if nxt is None:
-                return None
-            if nxt in cands:
-                return nxt
-            prec = nxt
+        """``ADD(b)``: the op's first candidate above ``current``."""
+        return next(
+            (
+                p
+                for p in self._candidates_for(dag, op, device)
+                if p.bits > current.bits
+            ),
+            None,
+        )
 
     def _heap_entry(
         self, dag: PrecisionDAG, device, indicator: IndicatorProtocol,
@@ -450,3 +437,22 @@ def precision_counts(plans: dict[str, dict[str, Precision]]) -> dict[str, int]:
         for prec in ops.values():
             out[prec.value] = out.get(prec.value, 0) + 1
     return out
+
+
+def passive_allocation_report(
+    plan: PrecisionPlan, simulation: SimulationResult
+) -> AllocationReport:
+    """An :class:`AllocationReport` for strategies that run no recovery
+    loop (uniform, dpro, a pure-training cluster): every throughput field
+    is the final simulation's and the precision counts simply describe the
+    plan."""
+    counts = precision_counts(plan.assignments)
+    return AllocationReport(
+        t_min=simulation.throughput,
+        initial_throughput=simulation.throughput,
+        final_throughput=simulation.throughput,
+        recovery_attempts=0,
+        recovery_accepted=0,
+        initial_counts=dict(counts),
+        final_counts=dict(counts),
+    )

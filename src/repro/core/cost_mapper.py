@@ -265,8 +265,6 @@ class CostMapper:
     device:
         The :class:`~repro.hardware.device.DeviceSpec` whose memory
         bandwidth prices the optimizer pass.
-    bucket_cap_bytes:
-        Gradient-bucket capacity (DDP's ``bucket_cap_mb``).
 
     Segments are priced by the module-level ``catalog_*`` functions and
     assembled by :func:`~repro.core.dfg.assemble_execution_line`, the walk
@@ -279,13 +277,11 @@ class CostMapper:
         catalog: OperatorCostCatalog,
         cast_calc: CastCostCalculator,
         device: DeviceSpec,
-        bucket_cap_bytes: int = 25 * 1024**2,
     ) -> None:
         self.dag = dag
         self.catalog = catalog
         self.cast_calc = cast_calc
         self.device = device
-        self.bucket_cap_bytes = bucket_cap_bytes
         self._state: _MapperState | None = None
         #: The price memo: (op, assigned precision, effective precisions of
         #: the op, its predecessors and its successors) -> OpPrice, valid
@@ -332,10 +328,11 @@ class CostMapper:
 
         Prices every op fresh, never reading or filling the price memo, so
         the from-scratch path stays an independent oracle for it.  The
-        structural record (weighted ops, buckets — a function of the
-        structure and the cap — and the optimizer pass) is derived here
-        only: :meth:`refresh` re-derives everything when the structure
-        moves, so every later read finds it current."""
+        structural record (weighted ops; buckets at the default cap of
+        :func:`~repro.core.dfg.weight_buckets`, as the ground truth's and
+        Dpro's; the optimizer pass) is derived here only: :meth:`refresh`
+        re-derives everything when the structure moves, so every later read
+        finds it current."""
         dag = self.dag
         effective = effective_precisions(dag)
         prices = {
@@ -348,7 +345,7 @@ class CostMapper:
             effective,
             prices,
             frozenset(dag.weighted_ops()),
-            weight_buckets(dag, self.bucket_cap_bytes),
+            weight_buckets(dag),
             optimizer_pass_seconds(dag.total_weight_elems(), self.device),
         )
         self.full_rebuilds += 1

@@ -175,7 +175,6 @@ class Replayer:
         catalogs: dict[int, OperatorCostCatalog],
         cast_calcs: dict[int, CastCostCalculator],
         optimizer_slots: int = 1,
-        bucket_cap_bytes: int = 25 * 1024**2,
         incremental: bool = True,
         collective_model: CollectiveModel | str | None = None,
         schedule_policy: SchedulePolicy | str | None = None,
@@ -210,10 +209,7 @@ class Replayer:
             ]
             group = next((g for g in priced_alike if g.dag is dag), None)
             if group is None:
-                mapper = CostMapper(
-                    dag, catalog, cast, device=w.device,
-                    bucket_cap_bytes=bucket_cap_bytes,
-                )
+                mapper = CostMapper(dag, catalog, cast, device=w.device)
                 key = priced_alike[0].key if priced_alike else len(self.groups)
                 group = RankGroup([], w.device, dag, mapper, key)
                 self.groups.append(group)
@@ -371,14 +367,16 @@ class Replayer:
     def whatif_candidates(self, candidates):
         """Evaluate ``(rank, op, target)`` what-ifs in one batched sweep.
 
-        The allocator's recovery hot loop: each candidate is described
-        mutation-free by :meth:`CostMapper.whatif_change`, spliced into the
-        compiled base by :func:`repro.kernel.candidate_row`, and the whole
-        batch plays Eq. (6) in one :func:`repro.kernel.simulate_batch`
-        call.  Returns one ``(throughput, memory_total_bytes)`` pair per
-        candidate — bit-identical to apply + ``simulate()`` + revert — or
-        ``None`` when the kernel tier cannot serve the batch (callers fall
-        back to the sequential path).  The DAGs are never touched.
+        No planner calls it (the allocator's recovery applies one op and
+        re-simulates); it is the compiled kernel's one entry point.  Each
+        candidate is described mutation-free by
+        :meth:`CostMapper.whatif_change`, spliced into the compiled base by
+        :func:`repro.kernel.candidate_row`, and the whole batch plays
+        Eq. (6) in one :func:`repro.kernel.simulate_batch` call.  Returns
+        one ``(throughput, memory_total_bytes)`` pair per candidate —
+        bit-identical to apply + ``simulate()`` + revert — or ``None`` when
+        the kernel tier cannot serve the batch (callers fall back to the
+        sequential path).  The DAGs are never touched.
         """
         if not candidates:
             return []

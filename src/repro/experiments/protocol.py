@@ -1,7 +1,7 @@
 """Shared end-to-end protocol for Tables IV/V/VI.
 
 Splits each method's evaluation across the reproduction's two fidelity axes
-(DESIGN.md §4):
+(CONTRIBUTING.md "Substitutions"):
 
 * **throughput** — predicted by the Replayer on the production-scale graph
   mirror (realistic shapes, datasheet-calibrated devices);

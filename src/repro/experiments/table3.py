@@ -7,8 +7,8 @@ INT8; encoder layers 1/3/5 to FP16), each predicted by:
 * **w/o cost mapper (Dpro)** — pure-op-cost replay, no casts/cascade;
 
 against the **ground truth** fine-grained event simulator (5 averaged
-iterations, per DESIGN.md §4.1).  The paper reports QSync < 5 % error with
-Dpro substantially worse on cast-heavy configs.
+iterations, per CONTRIBUTING.md "Substitutions").  The paper reports
+QSync < 5 % error with Dpro substantially worse on cast-heavy configs.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from repro.train.data import make_image_classification, make_token_classificatio
 #: ClusterB memory ratio used by the reproduction.  The paper uses 30 %;
 #: our activation-memory anatomy compresses INT8 ~2.7x vs FP32 (the paper's
 #: backend compresses harder), so the equivalent "INT8-fits-FP16-doesn't"
-#: regime sits at ~42 % — recorded as a substitution in DESIGN.md §4.
+#: regime sits at ~42 % — recorded in CONTRIBUTING.md "Substitutions".
 CLUSTER_B_RATIO = 0.42
 
 #: display name -> graph/model catalog name per table, with the quick-mode

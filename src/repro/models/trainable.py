@@ -191,7 +191,8 @@ def mini_model_graph(
     spatial/sequence extents *of the graph only*: topology and names stay
     identical to the executable model, while FLOPs and memory reach
     production scale.  This is how the reproduction splits the paper's
-    experiments across its two fidelity axes (DESIGN.md §4): latency and
+    experiments across its two fidelity axes (CONTRIBUTING.md
+    "Substitutions"): latency and
     memory decisions are made against realistic shapes; accuracy is measured
     on the laptop-scale executable twin, with the plan transferred by name.
     """

@@ -11,7 +11,7 @@ Two collection paths:
   reproduction cannot execute), generate statistics from the documented
   empirical regularities of trained DNNs: unit-scale activations whose
   norms grow with sqrt(elements), gradient magnitudes decaying with depth.
-  This substitution is recorded in DESIGN.md §4.
+  This substitution is recorded in CONTRIBUTING.md "Substitutions".
 """
 
 from __future__ import annotations

@@ -14,12 +14,9 @@ This is the only entry point: ``session.plan(request)`` returns a
 backends, stats) for callers that drive the replayer directly.
 """
 
+from repro.core.allocator import passive_allocation_report
 from repro.engine import Perturbation
-from repro.session.outcome import (
-    PlanOutcome,
-    QSyncReport,
-    passive_allocation_report,
-)
+from repro.session.outcome import PlanOutcome, QSyncReport
 from repro.session.planners import (
     Planner,
     available_strategies,

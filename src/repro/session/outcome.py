@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core.allocator import AllocationReport, precision_counts
+from repro.core.allocator import AllocationReport
 from repro.core.compression import CompressionReport
 from repro.core.plan import PrecisionPlan
 from repro.core.replayer import SimulationResult
@@ -57,21 +57,3 @@ class PlanOutcome:
 
     def summary(self) -> str:
         return f"[{self.strategy}] {self.report.summary()}"
-
-
-def passive_allocation_report(
-    plan: PrecisionPlan, simulation: SimulationResult
-) -> AllocationReport:
-    """An :class:`AllocationReport` for strategies that run no recovery
-    loop (uniform, dpro): every throughput field is the final simulation's
-    and the precision counts simply describe the plan."""
-    counts = precision_counts(plan.assignments)
-    return AllocationReport(
-        t_min=simulation.throughput,
-        initial_throughput=simulation.throughput,
-        final_throughput=simulation.throughput,
-        recovery_attempts=0,
-        recovery_accepted=0,
-        initial_counts=dict(counts),
-        final_counts=dict(counts),
-    )

@@ -41,16 +41,12 @@ from repro.baselines.hessian import HessianIndicator, structural_eigenvalues
 from repro.baselines.random_ind import RandomIndicator
 from repro.baselines.uniform import uniform_precision_plan
 from repro.common.dtypes import Precision
-from repro.core.allocator import Allocator
+from repro.core.allocator import Allocator, passive_allocation_report
 from repro.core.compression import allocate_compression
 from repro.core.indicator import VarianceIndicator
 from repro.core.plan import PrecisionPlan
 from repro.quant.qsgd import CompressionConfig, level_bits
-from repro.session.outcome import (
-    PlanOutcome,
-    QSyncReport,
-    passive_allocation_report,
-)
+from repro.session.outcome import PlanOutcome, QSyncReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.session.session import PlanContext

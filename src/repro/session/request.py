@@ -108,9 +108,10 @@ class PlanRequest:
     There is deliberately no knob selecting how Eq. (6) is evaluated: one
     recurrence (:func:`repro.engine.core.execute_global_dfg`) takes
     ``schedule_policy`` and ``perturbation`` as inputs, and the compiled
-    kernel, bit-identical to it, serves the allocator's batched what-ifs
-    only when :func:`repro.engine.policy.eq6_fast_path` admits both.  Every field here feeds
-    :func:`repro.service.fingerprint.request_token`, which derives the
+    kernel, bit-identical to it, serves the batched what-ifs of
+    :meth:`Replayer.whatif_candidates` only when
+    :func:`repro.engine.policy.eq6_fast_path` admits both.  Every field here
+    feeds :func:`repro.service.fingerprint.request_token`, which derives the
     request's content key from these fields.
     """
 

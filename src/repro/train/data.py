@@ -1,4 +1,5 @@
-"""Synthetic datasets (the ImageNet/SQuAD/SWAG substitution, DESIGN.md §4).
+"""Synthetic datasets (the ImageNet/SQuAD/SWAG substitution, see
+CONTRIBUTING.md "Substitutions").
 
 Design goals: deterministic given a seed; hard enough that training takes
 multiple epochs and final accuracy sits well below 100 % (so accuracy

@@ -7,10 +7,19 @@ import pytest
 from repro.common import Precision
 from repro.common.errors import InfeasiblePlanError
 from repro.core import AllocatorConfig
-from repro.core.allocator import Allocator
+from repro.core.allocator import (
+    MAX_BRUTEFORCE_OPS,
+    Allocator,
+    decision_ops,
+    op_candidates,
+)
 from repro.core.indicator import VarianceIndicator, gamma_for_loss
-from repro.hardware import make_cluster_a, make_cluster_b
-from repro.models import mini_model_graph
+from repro.graph.dag import PrecisionDAG
+from repro.graph.ops import OperatorSpec, OpKind, elementwise_flops, linear_flops
+from repro.graph.subgraph import group_blocks, isomorphism_classes
+from repro.hardware import DEVICE_REGISTRY, T4, make_cluster_a, make_cluster_b
+from repro.models import MODEL_GRAPHS, mini_model_graph
+from repro.models.trainable import MINI_MODELS
 from repro.profiling import synthesize_stats
 from repro.session import PlanRequest, PlanSession
 
@@ -204,22 +213,25 @@ def three_type_cluster(small_share, v100_share=1.0):
 
 
 class _TrialCountingAllocator(Allocator):
-    """Counts the brute-force trials that fail the memory check."""
+    """Counts the brute-force trials (each checks memory once) and those
+    that fail the memory check."""
 
+    bruteforce_trials = 0
     bruteforce_memory_rejects = 0
     _in_bruteforce = False
 
-    def _initial_plan(self, groups):
+    def _initial_plan(self, groups, plan):
         self._in_bruteforce = True
         try:
-            return super()._initial_plan(groups)
+            return super()._initial_plan(groups, plan)
         finally:
             self._in_bruteforce = False
 
     def _memory_ok(self, groups):
         ok = super()._memory_ok(groups)
-        if self._in_bruteforce and not ok:
-            self.bruteforce_memory_rejects += 1
+        if self._in_bruteforce:
+            self.bruteforce_trials += 1
+            self.bruteforce_memory_rejects += not ok
         return ok
 
 
@@ -268,8 +280,7 @@ class TestAllocatorTypeIsolation:
         assert len(others) == 2
         versions = [g.dag.version for g in others]
         before = planned[0].dag.version
-        allocator._uniform_lowest_plan(planned)
-        allocator._initial_plan(planned)
+        allocator._initial_plan(planned, allocator._uniform_lowest_plan(planned))
         assert planned[0].dag.version > before
         assert [g.dag.version for g in others] == versions
 
@@ -300,3 +311,119 @@ class TestAllocatorTypeIsolation:
         assert plan.to_dict() == plan_ref.to_dict()
         assert report.final_throughput == report_ref.final_throughput
         assert report.recovery_attempts == report_ref.recovery_attempts
+
+
+def non_monotone_graph(rows=2**20):
+    """A LINEAR(16->16) over ``rows`` rows feeding an AVGPOOL.  INT8 kernels
+    emit FP32, so the pool retains 4 bytes per element under an INT8 linear
+    but 2 under an FP16 one: uniform INT8 needs 160 MiB, FP16 128 MiB."""
+    dag = PrecisionDAG()
+    dag.add_op(OperatorSpec("input", OpKind.INPUT, (rows, 16)))
+    dag.add_op(
+        OperatorSpec(
+            "fc", OpKind.LINEAR, (rows, 16), weight_shape=(16, 16),
+            flops=linear_flops(rows, 16, 16),
+        ),
+        inputs=["input"],
+    )
+    dag.add_op(
+        OperatorSpec(
+            "pool", OpKind.AVGPOOL, (rows, 16),
+            flops=elementwise_flops((rows, 16)),
+        ),
+        inputs=["fc"],
+    )
+    return dag
+
+
+def wide_block_graph(rows=4096, width=64, blocks=2, linears=7):
+    """``blocks`` isomorphic blocks of ``linears`` chained LINEARs: one class
+    wider than ``MAX_BRUTEFORCE_OPS``, so the initializer sweeps uniform
+    targets instead of enumerating."""
+    dag = PrecisionDAG()
+    prev = dag.add_op(OperatorSpec("input", OpKind.INPUT, (rows, width)))
+    for b in range(blocks):
+        for i in range(linears):
+            prev = dag.add_op(
+                OperatorSpec(
+                    f"blk{b}.fc{i}", OpKind.LINEAR, (rows, width),
+                    weight_shape=(width, width),
+                    flops=linear_flops(rows, width, width), block=f"blk{b}",
+                ),
+                inputs=[prev],
+            )
+    return dag
+
+
+class TestPrecisionLadder:
+    def test_brute_force_starts_from_the_t_min_plan(self):
+        """Uniform INT8 (160 MiB) outweighs FP16 (128 MiB) on a 147.5 MiB
+        T4: the T_min ladder settles on FP16, and the brute force must
+        start there rather than from the all-lowest plan."""
+        session = PlanSession()
+        request = PlanRequest(
+            model=non_monotone_graph,
+            cluster=make_cluster_b(1, 1, memory_ratio=0.009),
+            profile_repeats=1,
+        )
+        plans = {
+            strategy: session.plan(
+                dataclasses.replace(request, strategy=strategy)
+            ).plan.to_dict()
+            for strategy in ("qsync", "uniform")
+        }
+        assert plans["qsync"] == {"T4": {"fc": "fp16"}}
+        assert plans["uniform"] == plans["qsync"]
+
+    @pytest.mark.parametrize(
+        "model", [*MODEL_GRAPHS, *MINI_MODELS], ids=str,
+    )
+    def test_isomorphic_decision_rows_share_candidates(self, model):
+        """The brute force writes one assignment to every block of a class
+        by position, so each class's decision rows must carry equal
+        candidate lists on every device."""
+        dag = (
+            MODEL_GRAPHS[model]() if model in MODEL_GRAPHS
+            else mini_model_graph(model)
+        )
+        blocks = group_blocks(dag)
+        for device in DEVICE_REGISTRY.values():
+            for labels in isomorphism_classes(dag).values():
+                rows = [
+                    [
+                        op_candidates(dag.spec(op), device)
+                        for op in decision_ops(dag, device, blocks[lbl])
+                    ]
+                    for lbl in labels
+                ]
+                assert all(row == rows[0] for row in rows), (device.name, labels)
+
+    def test_wide_class_sweeps_one_trial_per_target(self):
+        """A 7-LINEAR class sweeps uniform targets — one trial per rung of
+        the T4's ladder — and lands on the ``incremental=False`` plan."""
+        session = PlanSession()
+        request = PlanRequest(
+            model=wide_block_graph, cluster=make_cluster_a(1, 1),
+            profile_repeats=1,
+        )
+
+        def allocate(incremental):
+            replayer = session.prepare(request).replayer
+            replayer.incremental = incremental
+            dag = replayer.dags[1]
+            indicator = VarianceIndicator(
+                dag, synthesize_stats(dag, seed=0), gamma_for_loss("ce", 4096)
+            )
+            allocator = _TrialCountingAllocator(replayer, {"T4": indicator})
+            plan, report = allocator.allocate()
+            return plan, report, allocator.bruteforce_trials
+
+        plan, report, trials = allocate(True)
+        plan_ref, report_ref, trials_ref = allocate(False)
+        dag = wide_block_graph()
+        assert len(decision_ops(dag, T4, group_blocks(dag)["blk0"])) == 7
+        assert 7 > MAX_BRUTEFORCE_OPS
+        assert trials == trials_ref == len(T4.supported_precisions())
+        assert plan.to_dict() == plan_ref.to_dict()
+        assert report.initial_counts == report_ref.initial_counts
+        assert report.final_throughput == report_ref.final_throughput

@@ -77,8 +77,7 @@ def _assert_mapper_matches_fresh(mapper, dag, device, rank, memory_model):
     """The mapper's DFG, memory terms and compute time equal a fresh
     mapper's full derivation over a copy of ``dag``."""
     fresh = CostMapper(
-        dag.copy(), mapper.catalog, mapper.cast_calc,
-        device=device, bucket_cap_bytes=mapper.bucket_cap_bytes,
+        dag.copy(), mapper.catalog, mapper.cast_calc, device=device
     ).build_local_dfg(device.name, rank)
     _assert_dfg_equal(mapper.current_dfg(device.name, rank), fresh)
     est = memory_model.estimate(dag)
