@@ -27,11 +27,9 @@ try:
 except ImportError:  # standalone invocation without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.experiments.base import MINI_BERT, mini_bert_kw
 from repro.experiments.comm import (
-    GRAPH_KW,
-    MODEL_NAME,
     PRESETS,
-    QUICK_GRAPH_KW,
     build_preset,
     price_collectives,
 )
@@ -82,8 +80,8 @@ def run_bench(small: bool = False, path: str | Path = "BENCH_comm.json") -> dict
     presets = {p: _bench_preset(p, quick=small) for p in PRESETS}
     payload = {
         "setup": {
-            "model": MODEL_NAME,
-            "graph_kw": dict(QUICK_GRAPH_KW if small else GRAPH_KW),
+            "model": MINI_BERT,
+            "graph_kw": dict(mini_bert_kw(small)),
             "mode": "small" if small else "full",
             "collective_models": sorted(COLLECTIVE_MODELS),
             "buffer_sizes": list(BUFFER_SIZES),

@@ -36,13 +36,8 @@ try:
 except ImportError:  # standalone invocation without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.experiments.comm import (
-    GRAPH_KW,
-    MODEL_NAME,
-    PRESETS,
-    QUICK_GRAPH_KW,
-    build_preset,
-)
+from repro.experiments.base import MINI_BERT, mini_bert_kw
+from repro.experiments.comm import PRESETS, build_preset
 from repro.experiments.compress import LOSS_BUDGET, compress_preset
 from repro.quant.qsgd import CompressionConfig
 from repro.service import PlanService
@@ -90,10 +85,9 @@ def _object_path_plan(session: PlanSession):
 
 def level0_parity(quick: bool) -> list[dict]:
     """The four-tier level-0 parity matrix on the headline preset."""
-    graph_kw = QUICK_GRAPH_KW if quick else GRAPH_KW
     base = dict(
-        model=MODEL_NAME,
-        model_kwargs=graph_kw,
+        model=MINI_BERT,
+        model_kwargs=mini_bert_kw(quick),
         cluster=build_preset(HEADLINE_PRESET, quick=quick),
         collective_model="compressed_multihop",
         profile_repeats=1 if quick else 2,
@@ -132,8 +126,8 @@ def run_bench(small: bool = False, path: str | Path = "BENCH_compress.json") -> 
     headline = presets[HEADLINE_PRESET]
     payload = {
         "setup": {
-            "model": MODEL_NAME,
-            "graph_kw": dict(QUICK_GRAPH_KW if small else GRAPH_KW),
+            "model": MINI_BERT,
+            "graph_kw": dict(mini_bert_kw(small)),
             "mode": "small" if small else "full",
             "loss_budget": LOSS_BUDGET,
             "headline_preset": HEADLINE_PRESET,

@@ -1,23 +1,32 @@
 """One line per planning request of a fixed, fast set: the bit-identity check.
 
-A refactor that claims no number moves runs this on both sides and diffs
-the output::
+A refactor that claims no number moves must reproduce the committed
+``benchmarks/plan_digest.golden`` (``tests/test_plan_digest.py`` compares
+it line by line); to diff by hand::
 
     python -m benchmarks.plan_digest > digest.txt
 
 The set: ``mini_bert`` at batch 8 (``width_scale=32``, ``spatial_scale=8``:
-four gradient buckets; ``profile_repeats=1``) on ``cluster_a_4+4`` and
-``cloud_edge_4+2x2``, every registered strategy, under the default
-schedule, ``blocking_sync`` and one straggler + jitter + drift
-perturbation.  Each line holds a digest of ``plan.to_dict()``, the
-iteration time's ``float.hex()``, a digest of the per-rank compute and
-wait dicts (their order included) and a digest of the rendered timeline.
-One :class:`PlanSession` serves every request, so each device type is
-profiled once per cluster.
+four gradient buckets) on ``cluster_a_4+4`` and ``cloud_edge_4+2x2``,
+every registered strategy, under the default schedule, ``blocking_sync``
+and one straggler + jitter + drift perturbation; ``resnet50`` at batch 8
+on ``cluster_a_4+4`` under every strategy; and on ``cloud_edge_4+2x2``
+one ``qsync`` plan under the hierarchical collective and one
+``qsync+qsgd`` plan under the compressed multi-hop collective.  Every
+request profiles with ``profile_repeats=1``.
+
+The first line names the Python and numpy versions (float formatting and
+numpy reductions may differ across them).  Each further line holds the
+request's identity, then a digest of ``plan.to_dict()``, the iteration
+time's ``float.hex()``, a digest of the per-rank compute and wait dicts
+(their order included) and a digest of the rendered timeline.  One
+:class:`PlanSession` serves every request, so each device type is
+profiled once per cluster and model.
 """
 
 from __future__ import annotations
 
+import platform
 import sys
 from pathlib import Path
 
@@ -26,11 +35,16 @@ try:
 except ImportError:  # standalone invocation without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import numpy as np
+
 from repro.common.stable_hash import stable_digest
 from repro.engine import Perturbation
 from repro.session import PlanRequest, PlanSession, available_strategies
 
-MODEL_KWARGS = dict(batch_size=8, width_scale=32, spatial_scale=8)
+MODEL_KWARGS = {
+    "mini_bert": dict(batch_size=8, width_scale=32, spatial_scale=8),
+    "resnet50": dict(batch_size=8),
+}
 CLUSTERS = ("cluster_a_4+4", "cloud_edge_4+2x2")
 RUNS = {
     "default": {},
@@ -41,10 +55,34 @@ RUNS = {
             stragglers={1: 1.5},
         )
     ),
+    "hierarchical": dict(collective_model="hierarchical"),
+    "compressed_multihop": dict(collective_model="compressed_multihop"),
 }
+#: Schedule and perturbation runs every mini_bert request goes through.
+SCHEDULE_RUNS = ("default", "blocking_sync", "perturbed")
+#: ``(model, cluster, strategy, run)`` per request, in output order.
+REQUESTS = (
+    *(
+        ("mini_bert", cluster, strategy, run)
+        for cluster in CLUSTERS
+        for strategy in available_strategies()
+        for run in SCHEDULE_RUNS
+    ),
+    *(
+        ("resnet50", "cluster_a_4+4", strategy, "default")
+        for strategy in available_strategies()
+    ),
+    ("mini_bert", "cloud_edge_4+2x2", "qsync", "hierarchical"),
+    ("mini_bert", "cloud_edge_4+2x2", "qsync+qsgd", "compressed_multihop"),
+)
 
 
-def digest_line(cluster: str, strategy: str, run: str, outcome) -> str:
+def version_line() -> str:
+    """The header line: the versions the digests were computed under."""
+    return f"# python {platform.python_version()} numpy {np.__version__}"
+
+
+def digest_line(request: tuple[str, ...], outcome) -> str:
     """The request's identity followed by its four result digests."""
     sim = outcome.simulation
     per_rank = (
@@ -55,7 +93,7 @@ def digest_line(cluster: str, strategy: str, run: str, outcome) -> str:
         for e in sim.timeline
     ]
     return (
-        f"{cluster} {strategy} {run} "
+        f"{' '.join(request)} "
         f"plan={stable_digest(outcome.plan.to_dict())} "
         f"iter={sim.iteration_time.hex()} "
         f"ranks={stable_digest(per_rank)} "
@@ -64,16 +102,15 @@ def digest_line(cluster: str, strategy: str, run: str, outcome) -> str:
 
 
 def main() -> int:
+    print(version_line(), flush=True)
     session = PlanSession()
-    for cluster in CLUSTERS:
-        for strategy in available_strategies():
-            for run, knobs in RUNS.items():
-                outcome = session.plan(PlanRequest(
-                    model="mini_bert", model_kwargs=MODEL_KWARGS,
-                    cluster=cluster, strategy=strategy, profile_repeats=1,
-                    **knobs,
-                ))
-                print(digest_line(cluster, strategy, run, outcome), flush=True)
+    for request in REQUESTS:
+        model, cluster, strategy, run = request
+        outcome = session.plan(PlanRequest(
+            model=model, model_kwargs=MODEL_KWARGS[model], cluster=cluster,
+            strategy=strategy, profile_repeats=1, **RUNS[run],
+        ))
+        print(digest_line(request, outcome), flush=True)
     return 0
 
 

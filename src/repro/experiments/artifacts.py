@@ -59,15 +59,16 @@ class ArtifactStore:
         """Cached result for ``cell``, or ``None`` on miss.
 
         Unreadable or mismatched artifacts (truncated writes from a killed
-        process, stale schema) are treated as misses, never as errors — the
-        cache must only ever cost a recomputation.
+        process, stale schema, a document that is not a JSON object) are
+        treated as misses, never as errors — the cache must only ever cost
+        a recomputation.
         """
         path = self.path_for(cell, fingerprint)
         try:
             doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):
             return None
-        if doc.get("format") != ARTIFACT_FORMAT:
+        if not isinstance(doc, dict) or doc.get("format") != ARTIFACT_FORMAT:
             return None
         if doc.get("fingerprint") != (fingerprint or cell.fingerprint()):
             return None

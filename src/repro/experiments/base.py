@@ -6,6 +6,18 @@ import dataclasses
 import numbers
 from typing import Any, Sequence
 
+#: The graph mirror the comm, compress, churn and straggler experiments
+#: price, at the full and the quick protocol's scale.  Their scenario axes
+#: fingerprint both kwargs, so edits re-key cached artifacts.
+MINI_BERT = "mini_bert"
+MINI_BERT_KW = {"batch_size": 8, "width_scale": 16, "spatial_scale": 8}
+MINI_BERT_QUICK_KW = {**MINI_BERT_KW, "width_scale": 8, "spatial_scale": 4}
+
+
+def mini_bert_kw(quick: bool) -> dict:
+    """The :data:`MINI_BERT` graph kwargs of one protocol."""
+    return MINI_BERT_QUICK_KW if quick else MINI_BERT_KW
+
 
 @dataclasses.dataclass
 class ExperimentResult:

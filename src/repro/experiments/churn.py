@@ -30,18 +30,15 @@ from typing import Callable
 from repro.common.errors import QuorumLostError
 from repro.common.rng import derive_seed, new_rng
 from repro.engine import simulate_with_churn
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import MINI_BERT, ExperimentResult, mini_bert_kw
 from repro.hardware.cluster import Cluster, get_cluster_preset
 from repro.hardware.events import ClusterEvent
 from repro.session import PlanRequest, PlanSession
 
-#: Graph mirror under test.  Sweep scenario axes derive this experiment's
-#: cache-key model set and configuration from these constants (both
-#: protocols' kwargs, the trace list, the quorum), so edits re-key cached
+#: Sweep scenario axes derive this experiment's cache-key configuration
+#: from these constants (the trace list, the quorum) and the
+#: :data:`~repro.experiments.base.MINI_BERT` kwargs, so edits re-key cached
 #: artifacts.
-MODEL_NAME = "mini_bert"
-GRAPH_KW = {"batch_size": 8, "width_scale": 16, "spatial_scale": 8}
-QUICK_GRAPH_KW = {**GRAPH_KW, "width_scale": 8, "spatial_scale": 4}
 #: The ACE-Sync habitat: one A100 cloud node + T4 edge nodes over a WAN.
 CLUSTER_PRESET = "cloud_edge_4+2x2"
 
@@ -156,12 +153,11 @@ def run(
     traces: tuple[str, ...] | None = None,
     session: PlanSession | None = None,
 ) -> ExperimentResult:
-    graph_kw = QUICK_GRAPH_KW if quick else GRAPH_KW
     iterations = ITERATIONS if quick else FULL_ITERATIONS
     session = session or PlanSession()
     request = PlanRequest(
-        model=MODEL_NAME,
-        model_kwargs=graph_kw,
+        model=MINI_BERT,
+        model_kwargs=mini_bert_kw(quick),
         cluster=CLUSTER_PRESET,
         profile_repeats=1 if quick else 2,
     )

@@ -12,7 +12,7 @@ fast intra fabrics, while flat stays exactly the legacy model.
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import MINI_BERT, ExperimentResult, mini_bert_kw
 from repro.hardware.cluster import (
     Cluster,
     make_cloud_edge_cluster,
@@ -21,13 +21,6 @@ from repro.hardware.cluster import (
 )
 from repro.parallel.comm_model import COLLECTIVE_MODELS
 from repro.session import PlanRequest, PlanSession
-
-#: Graph mirror priced on every preset.  Sweep scenario axes derive this
-#: experiment's cache-key model set and configuration from these constants
-#: (both protocols' kwargs), so edits re-key cached artifacts.
-MODEL_NAME = "mini_bert"
-GRAPH_KW = {"batch_size": 8, "width_scale": 16, "spatial_scale": 8}
-QUICK_GRAPH_KW = {**GRAPH_KW, "width_scale": 8, "spatial_scale": 4}
 
 #: Multi-node preset axis: CLUSTER_PRESETS names -> (builder, quick-protocol
 #: shrink kwargs).  Quick keeps every preset genuinely multi-node (the
@@ -64,12 +57,11 @@ def price_collectives(
     Pass a shared ``session`` to reuse device-type catalogs across presets
     (V100/T4 repeat across the multi-node clusters).
     """
-    graph_kw = QUICK_GRAPH_KW if quick else GRAPH_KW
     if profile_repeats is None:
         profile_repeats = 1 if quick else 2
     ctx = (session or PlanSession()).prepare(
         PlanRequest(
-            model=MODEL_NAME, model_kwargs=graph_kw, cluster=cluster,
+            model=MINI_BERT, model_kwargs=mini_bert_kw(quick), cluster=cluster,
             profile_repeats=profile_repeats,
         )
     )

@@ -15,14 +15,8 @@ stays bit-identical to plain ``qsync``.
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult
-from repro.experiments.comm import (
-    GRAPH_KW,
-    MODEL_NAME,
-    PRESETS,
-    QUICK_GRAPH_KW,
-    build_preset,
-)
+from repro.experiments.base import MINI_BERT, ExperimentResult, mini_bert_kw
+from repro.experiments.comm import PRESETS, build_preset
 from repro.hardware.cluster import Cluster
 from repro.quant.qsgd import CompressionConfig
 from repro.session import PlanRequest, PlanSession
@@ -49,13 +43,12 @@ def compress_preset(
     :class:`~repro.core.compression.CompressionReport` carries the
     all-reduce totals and the variance ledger.
     """
-    graph_kw = QUICK_GRAPH_KW if quick else GRAPH_KW
     if profile_repeats is None:
         profile_repeats = 1 if quick else 2
     session = session or PlanSession()
     base = dict(
-        model=MODEL_NAME,
-        model_kwargs=graph_kw,
+        model=MINI_BERT,
+        model_kwargs=mini_bert_kw(quick),
         cluster=cluster,
         profile_repeats=profile_repeats,
     )

@@ -66,11 +66,9 @@ def run(quick: bool = True) -> ExperimentResult:
     # ---- (b) INT8-vs-FP16 extra overhead, BARE vs Optimized, on the real
     # ResNet50 graph at batch 256 (the paper's configuration) — arithmetic
     # intensity matters here, so the mini-model mirror is not a substitute.
-    from repro.models import catalog
+    from repro.models import MODEL_GRAPHS
 
-    dag = getattr(catalog, f"{GRAPH_MODEL}_graph")(
-        batch_size=256 if not quick else 128
-    )
+    dag = MODEL_GRAPHS[GRAPH_MODEL](batch_size=256 if not quick else 128)
     for device in (T4, A10):
         bare = LPBackend(device, dequant_fusion=False, optimized_minmax=False)
         opt = LPBackend(device, dequant_fusion=True, optimized_minmax=True)

@@ -19,7 +19,12 @@ from repro.experiments import (
     table3,
     table456,
 )
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import (
+    MINI_BERT,
+    MINI_BERT_KW,
+    MINI_BERT_QUICK_KW,
+    ExperimentResult,
+)
 from repro.experiments.table456 import run_table4, run_table5, run_table6
 
 EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
@@ -103,6 +108,22 @@ def _scale_config(models) -> tuple:
     )
 
 
+#: Both protocols' :data:`~repro.experiments.base.MINI_BERT` graph kwargs,
+#: as fingerprint input of every experiment that prices that mirror.
+_MINI_BERT_CONFIG = (
+    tuple(sorted(MINI_BERT_KW.items())),
+    tuple(sorted(MINI_BERT_QUICK_KW.items())),
+)
+
+
+def _preset_variants() -> tuple[Variant, ...]:
+    """One mini_bert cell per multi-node preset, the name in its kwargs."""
+    return tuple(
+        Variant(preset, (MINI_BERT,), (("presets", (preset,)),))
+        for preset in comm.PRESETS
+    )
+
+
 def _table_axes(cluster: str, models: dict[str, str], quick: tuple[str, ...]) -> ScenarioAxes:
     return ScenarioAxes(
         cluster=cluster,
@@ -158,39 +179,36 @@ SCENARIOS: dict[str, ScenarioAxes] = {
     # variant kwargs, so each preset is an independent sweep axis whose
     # cached artifacts re-key when the preset list or graph config changes.
     # Straggler/drift scenarios (perturbed Eq. (6) inputs): the factor
-    # ladder, policy list, and both protocols' graph kwargs are read from
-    # the experiment module itself, so edits re-key cached artifacts; the
-    # derived cell seed rides in (run takes a ``seed`` kwarg) because the
-    # perturbations consume it.
+    # ladder and policy list are read from the experiment module itself, so
+    # edits re-key cached artifacts; the derived cell seed rides in (run
+    # takes a ``seed`` kwarg) because the perturbations consume it.
     "straggler": ScenarioAxes(
         cluster=straggler.CLUSTER_PRESET,
-        models=(straggler.MODEL_NAME,),
+        models=(MINI_BERT,),
         config=(
-            tuple(sorted(straggler.GRAPH_KW.items())),
-            tuple(sorted(straggler.QUICK_GRAPH_KW.items())),
+            *_MINI_BERT_CONFIG,
             straggler.FACTORS,
             straggler.COMPUTE_JITTER,
             straggler.BANDWIDTH_DRIFT,
         ),
     ),
     # Elastic-membership churn on the cloud-edge preset: one cell per trace
-    # (the trace name rides in the variant kwargs), with the quorum,
-    # iteration budgets, and both protocols' graph kwargs fingerprinted
-    # from the experiment module; the cell seed rides in (run takes a
-    # ``seed`` kwarg) because the trace generators consume it.
+    # (the trace name rides in the variant kwargs), with the quorum and
+    # iteration budgets fingerprinted from the experiment module; the cell
+    # seed rides in (run takes a ``seed`` kwarg) because the trace
+    # generators consume it.
     "churn": ScenarioAxes(
         cluster=churn.CLUSTER_PRESET,
         quick=tuple(
-            Variant(trace, (churn.MODEL_NAME,), (("traces", (trace,)),))
+            Variant(trace, (MINI_BERT,), (("traces", (trace,)),))
             for trace in churn.TRACES
         ),
         full=tuple(
-            Variant(trace, (churn.MODEL_NAME,), (("traces", (trace,)),))
+            Variant(trace, (MINI_BERT,), (("traces", (trace,)),))
             for trace in churn.TRACES
         ),
         config=(
-            tuple(sorted(churn.GRAPH_KW.items())),
-            tuple(sorted(churn.QUICK_GRAPH_KW.items())),
+            *_MINI_BERT_CONFIG,
             churn.ITERATIONS,
             churn.FULL_ITERATIONS,
             churn.QUORUM,
@@ -198,38 +216,19 @@ SCENARIOS: dict[str, ScenarioAxes] = {
     ),
     "comm": ScenarioAxes(
         cluster="multinode:" + "+".join(comm.PRESETS),
-        quick=tuple(
-            Variant(preset, (comm.MODEL_NAME,), (("presets", (preset,)),))
-            for preset in comm.PRESETS
-        ),
-        full=tuple(
-            Variant(preset, (comm.MODEL_NAME,), (("presets", (preset,)),))
-            for preset in comm.PRESETS
-        ),
-        config=(
-            tuple(sorted(comm.GRAPH_KW.items())),
-            tuple(sorted(comm.QUICK_GRAPH_KW.items())),
-        ),
+        quick=_preset_variants(),
+        full=_preset_variants(),
+        config=_MINI_BERT_CONFIG,
     ),
     # QSGD compression on the same multi-node preset axis as `comm` (one
     # cell per preset, the preset name riding in the variant kwargs); the
-    # loss budget and both protocols' graph kwargs are fingerprinted from
-    # the experiment module, so retuning the budget re-keys cached cells.
+    # loss budget is fingerprinted from the experiment module, so retuning
+    # it re-keys cached cells.
     "compress": ScenarioAxes(
         cluster="multinode:" + "+".join(comm.PRESETS),
-        quick=tuple(
-            Variant(preset, (comm.MODEL_NAME,), (("presets", (preset,)),))
-            for preset in comm.PRESETS
-        ),
-        full=tuple(
-            Variant(preset, (comm.MODEL_NAME,), (("presets", (preset,)),))
-            for preset in comm.PRESETS
-        ),
-        config=(
-            tuple(sorted(comm.GRAPH_KW.items())),
-            tuple(sorted(comm.QUICK_GRAPH_KW.items())),
-            compress.LOSS_BUDGET,
-        ),
+        quick=_preset_variants(),
+        full=_preset_variants(),
+        config=(*_MINI_BERT_CONFIG, compress.LOSS_BUDGET),
     ),
 }
 

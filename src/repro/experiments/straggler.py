@@ -23,16 +23,13 @@ from __future__ import annotations
 from repro.common.rng import derive_seed
 from repro.engine import Perturbation
 from repro.engine.policy import SCHEDULE_POLICIES
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import MINI_BERT, ExperimentResult, mini_bert_kw
 from repro.session import PlanRequest, PlanSession
 
-#: Graph mirror under test.  Sweep scenario axes derive this experiment's
-#: cache-key model set and configuration from these constants (both
-#: protocols' kwargs, the factor ladder, the policy list), so edits re-key
-#: cached artifacts.
-MODEL_NAME = "mini_bert"
-GRAPH_KW = {"batch_size": 8, "width_scale": 16, "spatial_scale": 8}
-QUICK_GRAPH_KW = {**GRAPH_KW, "width_scale": 8, "spatial_scale": 4}
+#: Sweep scenario axes derive this experiment's cache-key configuration
+#: from these constants (the factor ladder, the policy list) and the
+#: :data:`~repro.experiments.base.MINI_BERT` kwargs, so edits re-key cached
+#: artifacts.
 CLUSTER_PRESET = "cluster_a_4+4"
 
 #: Straggler compute multipliers evaluated per policy (1.0 = only the
@@ -49,11 +46,10 @@ def run(
     seed: int = 0,
     session: PlanSession | None = None,
 ) -> ExperimentResult:
-    graph_kw = QUICK_GRAPH_KW if quick else GRAPH_KW
     ctx = (session or PlanSession()).prepare(
         PlanRequest(
-            model=MODEL_NAME,
-            model_kwargs=graph_kw,
+            model=MINI_BERT,
+            model_kwargs=mini_bert_kw(quick),
             cluster=CLUSTER_PRESET,
             profile_repeats=1 if quick else 2,
         )

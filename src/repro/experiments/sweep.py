@@ -50,29 +50,28 @@ def model_structure_fingerprint(model_name: str) -> int:
     """Structure fingerprint of a catalog model's graph.
 
     ``model_name`` is either a mini-model registry name (``mini_vggbn``)
-    or a full-scale builder stem (``resnet50`` for
-    :func:`repro.models.catalog.resnet50_graph`).  Built at a canonical
-    batch size: the fingerprint witnesses the *catalog topology* (ops,
-    kinds, shapes, wiring) — a catalog change that reshapes the model
-    re-keys every cell touching it.  Experiment-side graph parameters
+    or a full-scale :data:`repro.models.catalog.MODEL_GRAPHS` name
+    (``resnet50``), the registry a named ``PlanRequest`` builds from.
+    Built at a canonical batch size: the fingerprint witnesses the
+    *catalog topology* (ops, kinds, shapes, wiring) — a catalog change
+    that reshapes the model re-keys every cell touching it.  Experiment-side graph parameters
     (scales, builder kwargs) are covered separately via
     ``ScenarioAxes.config``; other experiment-code changes are by design
     *not* part of the cache key — recompute with ``--no-cache`` or bump
     ``artifacts.ARTIFACT_FORMAT`` after changing experiment logic.
     """
-    from repro.models import catalog, mini_model_graph
+    from repro.models import MODEL_GRAPHS, mini_model_graph
     from repro.models.trainable import MINI_MODELS
 
     if model_name in MINI_MODELS:
         dag = mini_model_graph(model_name, batch_size=16)
+    elif model_name in MODEL_GRAPHS:
+        dag = MODEL_GRAPHS[model_name](batch_size=16)
     else:
-        builder = getattr(catalog, f"{model_name}_graph", None)
-        if builder is None:
-            raise KeyError(
-                f"unknown model {model_name!r}: neither a mini-model registry "
-                f"name nor a repro.models.catalog '<name>_graph' builder"
-            )
-        dag = builder(batch_size=16)
+        raise KeyError(
+            f"unknown model {model_name!r}: neither a mini-model registry "
+            f"name nor a repro.models.catalog.MODEL_GRAPHS name"
+        )
     return dag.structure_fingerprint()
 
 

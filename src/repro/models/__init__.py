@@ -1,6 +1,7 @@
 """Model zoo.
 
-Two parallel families:
+Two families, whose graphs both build through
+:class:`~repro.models.catalog.GraphBuilder`:
 
 * :mod:`repro.models.catalog` — *graph builders* producing
   :class:`~repro.graph.dag.PrecisionDAG` s with the real shapes/FLOPs of the
@@ -9,7 +10,9 @@ Two parallel families:
 * :mod:`repro.models.trainable` — *executable* scaled-down counterparts
   built on :mod:`repro.tensor`, used wherever real training must run
   (indicator statistics, accuracy tables).  Their adjustable-operator layout
-  mirrors the big models one-to-one in kind and ordering.
+  mirrors the big models one-to-one in kind and ordering, and
+  :func:`~repro.models.trainable.mini_model_graph` spells each one's graph
+  mirror with the same builder.
 """
 
 from repro.models.catalog import (

@@ -26,8 +26,14 @@ from repro.graph.ops import (
 )
 
 
-class _GraphBuilder:
-    """Incremental DAG construction with shape bookkeeping."""
+class GraphBuilder:
+    """Incremental DAG construction with shape bookkeeping.
+
+    The one way a model graph is spelled: the catalog builders below and
+    the mini-model mirrors of :mod:`repro.models.trainable` both build
+    through it.  Layer idioms derive each op's output shape and FLOPs from
+    its source's shape.
+    """
 
     def __init__(self, input_shape: tuple[int, ...]) -> None:
         self.dag = PrecisionDAG()
@@ -63,6 +69,12 @@ class _GraphBuilder:
         self._shapes[name] = output_shape
         return name
 
+    def finish(self, src: str) -> PrecisionDAG:
+        """Close the graph with its LOSS op on ``src``; the validated DAG."""
+        self.add("loss", OpKind.LOSS, [src], (1,))
+        self.dag.validate()
+        return self.dag
+
     # ------------------------------------------------------------------
     # common layer idioms
     # ------------------------------------------------------------------
@@ -90,19 +102,27 @@ class _GraphBuilder:
             block=block,
         )
 
-    def bn(self, name: str, src: str, block: str | None = None) -> str:
-        shape = self.shape(src)
+    def elementwise(
+        self,
+        name: str,
+        kind: OpKind,
+        inputs: list[str],
+        factor: float = 1,
+        block: str | None = None,
+    ) -> str:
+        """An op shaped like its first input, costing ``factor`` FLOPs per
+        output element."""
+        shape = self.shape(inputs[0])
         return self.add(
-            name, OpKind.BATCHNORM, [src], shape,
-            flops=2 * elementwise_flops(shape), block=block,
+            name, kind, inputs, shape,
+            flops=factor * elementwise_flops(shape), block=block,
         )
 
+    def bn(self, name: str, src: str, block: str | None = None) -> str:
+        return self.elementwise(name, OpKind.BATCHNORM, [src], 2, block)
+
     def relu(self, name: str, src: str, block: str | None = None) -> str:
-        shape = self.shape(src)
-        return self.add(
-            name, OpKind.RELU, [src], shape,
-            flops=elementwise_flops(shape), block=block,
-        )
+        return self.elementwise(name, OpKind.RELU, [src], 1, block)
 
     def maxpool(self, name: str, src: str, k: int = 2, stride: int | None = None,
                 block: str | None = None) -> str:
@@ -111,6 +131,40 @@ class _GraphBuilder:
         return self.add(
             name, OpKind.MAXPOOL, [src], (n, c, h // stride, w // stride),
             flops=elementwise_flops(self.shape(src)), block=block,
+        )
+
+    def avgpool(self, name: str, src: str) -> str:
+        """Global average pool: ``(n, c, ...)`` to ``(n, c)``."""
+        shape = self.shape(src)
+        return self.add(
+            name, OpKind.AVGPOOL, [src], shape[:2],
+            flops=elementwise_flops(shape),
+        )
+
+    def attention(
+        self,
+        prefix: str,
+        q: str,
+        k: str,
+        v: str,
+        heads: int,
+        softmax_factor: float = 1,
+        block: str | None = None,
+    ) -> str:
+        """Multi-head attention over ``(n, seq, hidden)`` projections:
+        ``{prefix}.scores``, ``{prefix}.softmax`` and ``{prefix}.context``."""
+        n, seq, hidden = self.shape(q)
+        flops = 2.0 * n * heads * seq * seq * (hidden // heads)
+        scores = self.add(
+            f"{prefix}.scores", OpKind.MATMUL, [q, k], (n, heads, seq, seq),
+            flops=flops, block=block,
+        )
+        probs = self.elementwise(
+            f"{prefix}.softmax", OpKind.SOFTMAX, [scores], softmax_factor, block
+        )
+        return self.add(
+            f"{prefix}.context", OpKind.MATMUL, [probs, v], (n, seq, hidden),
+            flops=flops, block=block,
         )
 
     def linear(
@@ -149,7 +203,7 @@ def vgg16_graph(
     batch_norm: bool = False,
 ) -> PrecisionDAG:
     """VGG16 (optionally with BN), ImageNet configuration."""
-    b = _GraphBuilder((batch_size, 3, image_size, image_size))
+    b = GraphBuilder((batch_size, 3, image_size, image_size))
     prev = "input"
     conv_idx = 0
     stage = 0
@@ -171,9 +225,7 @@ def vgg16_graph(
     prev = b.linear("classifier.fc1", prev, 4096, block="classifier")
     prev = b.relu("classifier.relu1", prev, block="classifier")
     prev = b.linear("classifier.fc2", prev, num_classes, block="classifier")
-    b.add("loss", OpKind.LOSS, [prev], (1,))
-    b.dag.validate()
-    return b.dag
+    return b.finish(prev)
 
 
 def vgg16bn_graph(batch_size: int = 128, image_size: int = 224,
@@ -196,7 +248,7 @@ def resnet50_graph(
     projections = 53 convs total; the paper's "52 Conv2D operators" counts
     the quantizable convs excluding the FP32-pinned stem.
     """
-    b = _GraphBuilder((batch_size, 3, image_size, image_size))
+    b = GraphBuilder((batch_size, 3, image_size, image_size))
     prev = b.conv("stem.conv", "input", 64, 7, stride=2, pad=3, block="stem")
     prev = b.bn("stem.bn", prev, block="stem")
     prev = b.relu("stem.relu", prev, block="stem")
@@ -227,21 +279,12 @@ def resnet50_graph(
                     pad=0, block=blk,
                 )
                 identity = b.bn(f"{blk}.downsample_bn", identity, block=blk)
-            x = b.add(
-                f"{blk}.add", OpKind.ADD, [x, identity], b.shape(x),
-                flops=elementwise_flops(b.shape(x)), block=blk,
-            )
+            x = b.elementwise(f"{blk}.add", OpKind.ADD, [x, identity], 1, blk)
             prev = b.relu(f"{blk}.relu3", x, block=blk)
 
-    n, c, h, w = b.shape(prev)
-    prev = b.add(
-        "avgpool", OpKind.AVGPOOL, [prev], (n, c),
-        flops=elementwise_flops((n, c, h, w)),
-    )
+    prev = b.avgpool("avgpool", prev)
     prev = b.linear("fc", prev, num_classes, block="head")
-    b.add("loss", OpKind.LOSS, [prev], (1,))
-    b.dag.validate()
-    return b.dag
+    return b.finish(prev)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +302,7 @@ def _transformer_graph(
     vocab: int,
     head_outputs: int,
 ) -> PrecisionDAG:
-    b = _GraphBuilder((batch_size, seq_len))
+    b = GraphBuilder((batch_size, seq_len))
     prev = b.add(
         "embeddings",
         OpKind.EMBEDDING,
@@ -268,64 +311,22 @@ def _transformer_graph(
         weight_shape=(vocab, hidden),
         flops=elementwise_flops((batch_size, seq_len, hidden)),
     )
-    tokens = batch_size * seq_len
-    head_dim = hidden // heads
     for i in range(layers):
         blk = f"encoder.{i}"
-        ln1 = b.add(
-            f"{blk}.ln1", OpKind.LAYERNORM, [prev],
-            (batch_size, seq_len, hidden),
-            flops=4 * elementwise_flops((batch_size, seq_len, hidden)), block=blk,
-        )
+        ln1 = b.elementwise(f"{blk}.ln1", OpKind.LAYERNORM, [prev], 4, blk)
         q = b.linear(f"{blk}.attn.q", ln1, hidden, block=blk)
         k = b.linear(f"{blk}.attn.k", ln1, hidden, block=blk)
         v = b.linear(f"{blk}.attn.v", ln1, hidden, block=blk)
-        scores = b.add(
-            f"{blk}.attn.scores", OpKind.MATMUL, [q, k],
-            (batch_size, heads, seq_len, seq_len),
-            flops=2.0 * batch_size * heads * seq_len * seq_len * head_dim,
-            block=blk,
-        )
-        probs = b.add(
-            f"{blk}.attn.softmax", OpKind.SOFTMAX, [scores],
-            (batch_size, heads, seq_len, seq_len),
-            flops=4 * elementwise_flops((batch_size, heads, seq_len, seq_len)),
-            block=blk,
-        )
-        ctx = b.add(
-            f"{blk}.attn.context", OpKind.MATMUL, [probs, v],
-            (batch_size, seq_len, hidden),
-            flops=2.0 * batch_size * heads * seq_len * seq_len * head_dim,
-            block=blk,
-        )
+        ctx = b.attention(f"{blk}.attn", q, k, v, heads, 4, blk)
         attn_out = b.linear(f"{blk}.attn.out", ctx, hidden, block=blk)
-        res1 = b.add(
-            f"{blk}.add1", OpKind.ADD, [attn_out, prev],
-            (batch_size, seq_len, hidden),
-            flops=elementwise_flops((batch_size, seq_len, hidden)), block=blk,
-        )
-        ln2 = b.add(
-            f"{blk}.ln2", OpKind.LAYERNORM, [res1],
-            (batch_size, seq_len, hidden),
-            flops=4 * elementwise_flops((batch_size, seq_len, hidden)), block=blk,
-        )
+        res1 = b.elementwise(f"{blk}.add1", OpKind.ADD, [attn_out, prev], 1, blk)
+        ln2 = b.elementwise(f"{blk}.ln2", OpKind.LAYERNORM, [res1], 4, blk)
         fc1 = b.linear(f"{blk}.mlp.fc1", ln2, hidden * 4, block=blk)
-        act = b.add(
-            f"{blk}.mlp.gelu", OpKind.GELU, [fc1],
-            (batch_size, seq_len, hidden * 4),
-            flops=8 * elementwise_flops((batch_size, seq_len, hidden * 4)),
-            block=blk,
-        )
+        act = b.elementwise(f"{blk}.mlp.gelu", OpKind.GELU, [fc1], 8, blk)
         fc2 = b.linear(f"{blk}.mlp.fc2", act, hidden, block=blk)
-        prev = b.add(
-            f"{blk}.add2", OpKind.ADD, [fc2, res1],
-            (batch_size, seq_len, hidden),
-            flops=elementwise_flops((batch_size, seq_len, hidden)), block=blk,
-        )
+        prev = b.elementwise(f"{blk}.add2", OpKind.ADD, [fc2, res1], 1, blk)
     head = b.linear(f"{prefix}.head", prev, head_outputs, block="head")
-    b.add("loss", OpKind.LOSS, [head], (1,))
-    b.dag.validate()
-    return b.dag
+    return b.finish(head)
 
 
 def bert_graph(batch_size: int = 12, seq_len: int = 384) -> PrecisionDAG:

@@ -13,13 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.dag import PrecisionDAG
-from repro.graph.ops import (
-    OperatorSpec,
-    OpKind,
-    conv2d_flops,
-    elementwise_flops,
-    linear_flops,
-)
+from repro.graph.ops import OpKind
+from repro.models.catalog import GraphBuilder
 from repro.tensor import functional as F
 from repro.tensor.modules import (
     BatchNorm2d,
@@ -209,140 +204,55 @@ def mini_model_graph(
 def _convnet_graph(
     model: MiniConvNet, batch: int, width_scale: int = 1, spatial_scale: int = 1
 ) -> PrecisionDAG:
-    dag = PrecisionDAG()
     logical_size = model.image_size  # drives pool placement (matches model)
     size = model.image_size * spatial_scale  # drives shapes/FLOPs
-    c = model.in_channels
-    dag.add_op(OperatorSpec("input", OpKind.INPUT, (batch, c, size, size)))
+    b = GraphBuilder((batch, model.in_channels, size, size))
     prev = "input"
     layer_idx = 0
-    for i, w_base in enumerate(model.widths):
-        w = w_base * width_scale
+    for i, w in enumerate(model.widths):
         blk = f"convblock{i}"
-        name = f"features.{layer_idx}"
-        dag.add_op(
-            OperatorSpec(
-                name, OpKind.CONV2D, (batch, w, size, size),
-                weight_shape=(w, c, 3, 3),
-                flops=conv2d_flops(batch, c, w, size, size, 3, 3), block=blk,
-            ),
-            inputs=[prev],
-        )
-        prev = name
+        prev = b.conv(f"features.{layer_idx}", prev, w * width_scale, 3, block=blk)
         layer_idx += 1
         if model.batch_norm:
-            bn_name = f"features.bn{i}"
-            dag.add_op(
-                OperatorSpec(
-                    bn_name, OpKind.BATCHNORM, (batch, w, size, size),
-                    flops=2 * elementwise_flops((batch, w, size, size)), block=blk,
-                ),
-                inputs=[prev],
-            )
-            prev = bn_name
+            prev = b.bn(f"features.bn{i}", prev, block=blk)
             layer_idx += 1
-        relu_name = f"features.relu{i}"
-        dag.add_op(
-            OperatorSpec(
-                relu_name, OpKind.RELU, (batch, w, size, size),
-                flops=elementwise_flops((batch, w, size, size)), block=blk,
-            ),
-            inputs=[prev],
-        )
-        prev = relu_name
+        prev = b.relu(f"features.relu{i}", prev, block=blk)
         layer_idx += 1
         if i % 2 == 1 and logical_size >= 8:
-            pool_name = f"features.pool{i}"
             logical_size //= 2
-            size //= 2
-            dag.add_op(
-                OperatorSpec(
-                    pool_name, OpKind.MAXPOOL, (batch, w, size, size),
-                    flops=elementwise_flops((batch, w, size * 2, size * 2)),
-                ),
-                inputs=[prev],
-            )
-            prev = pool_name
+            prev = b.maxpool(f"features.pool{i}", prev, 2)
             layer_idx += 1
-        c = w
-    dag.add_op(
-        OperatorSpec("features.gap", OpKind.AVGPOOL, (batch, c),
-                     flops=elementwise_flops((batch, c, size, size))),
-        inputs=[prev],
-    )
-    dag.add_op(
-        OperatorSpec(
-            "classifier", OpKind.LINEAR, (batch, 10),
-            weight_shape=(10, c), flops=linear_flops(batch, c, 10), block="head",
-        ),
-        inputs=["features.gap"],
-    )
-    dag.add_op(OperatorSpec("loss", OpKind.LOSS, (1,)), inputs=["classifier"])
-    dag.validate()
-    return dag
+    prev = b.avgpool("features.gap", prev)
+    prev = b.linear("classifier", prev, model.classifier.out_features, block="head")
+    return b.finish(prev)
 
 
 def _resnet_graph(
     model: MiniResNet, batch: int, width_scale: int = 1, spatial_scale: int = 1
 ) -> PrecisionDAG:
-    dag = PrecisionDAG()
     size = 16 * spatial_scale
-    w0 = model.stem.out_channels * width_scale
-    w1 = model.block1.conv1.out_channels * width_scale
-    w2 = model.block2.conv1.out_channels * width_scale
-    dag.add_op(OperatorSpec("input", OpKind.INPUT, (batch, model.stem.in_channels, size, size)))
-
-    def conv(name, src, in_c, out_c, k, blk):
-        dag.add_op(
-            OperatorSpec(
-                name, OpKind.CONV2D, (batch, out_c, size, size),
-                weight_shape=(out_c, in_c, k, k),
-                flops=conv2d_flops(batch, in_c, out_c, size, size, k, k), block=blk,
-            ),
-            inputs=[src],
-        )
-        return name
-
-    def simple(name, kind, src, c, blk=None, extra_inputs=()):
-        dag.add_op(
-            OperatorSpec(
-                name, kind, (batch, c, size, size),
-                flops=elementwise_flops((batch, c, size, size)), block=blk,
-            ),
-            inputs=[src, *extra_inputs],
-        )
-        return name
-
-    prev = conv("stem", "input", model.stem.in_channels, w0, 3, "stem")
-    prev = simple("stem_bn", OpKind.BATCHNORM, prev, w0, "stem")
-    prev = simple("stem_relu", OpKind.RELU, prev, w0, "stem")
-
-    blocks = [("block0", w0, w0), ("block1", w0, w1), ("block2", w1, w2)]
-    for blk, in_c, out_c in blocks:
+    b = GraphBuilder((batch, model.stem.in_channels, size, size))
+    stem = b.conv("stem", "input", model.stem.out_channels * width_scale, 3,
+                  block="stem")
+    # The mini mirror prices BN at one FLOP per element (the catalog: two).
+    stem = b.elementwise("stem_bn", OpKind.BATCHNORM, [stem], 1, "stem")
+    prev = b.relu("stem_relu", stem, block="stem")
+    for blk in ("block0", "block1", "block2"):
+        block = getattr(model, blk)
+        out_c = block.conv1.out_channels * width_scale
         identity = prev
-        x = conv(f"{blk}.conv1", prev, in_c, out_c, 3, blk)
-        x = simple(f"{blk}.bn1", OpKind.BATCHNORM, x, out_c, blk)
-        x = simple(f"{blk}.relu1", OpKind.RELU, x, out_c, blk)
-        x = conv(f"{blk}.conv2", x, out_c, out_c, 3, blk)
-        x = simple(f"{blk}.bn2", OpKind.BATCHNORM, x, out_c, blk)
-        if in_c != out_c:
-            identity = conv(f"{blk}.proj", prev, in_c, out_c, 1, blk)
-        x = simple(f"{blk}.add", OpKind.ADD, x, out_c, blk, extra_inputs=(identity,))
-        prev = simple(f"{blk}.relu2", OpKind.RELU, x, out_c, blk)
-
-    dag.add_op(
-        OperatorSpec("pool", OpKind.AVGPOOL, (batch, w2),
-                     flops=elementwise_flops((batch, w2, size, size))),
-        inputs=[prev],
-    )
-    dag.add_op(
-        OperatorSpec("fc", OpKind.LINEAR, (batch, 10), weight_shape=(10, w2),
-                     flops=linear_flops(batch, w2, 10), block="head"),
-        inputs=["pool"],
-    )
-    dag.add_op(OperatorSpec("loss", OpKind.LOSS, (1,)), inputs=["fc"])
-    dag.validate()
-    return dag
+        x = b.conv(f"{blk}.conv1", prev, out_c, 3, block=blk)
+        x = b.elementwise(f"{blk}.bn1", OpKind.BATCHNORM, [x], 1, blk)
+        x = b.relu(f"{blk}.relu1", x, block=blk)
+        x = b.conv(f"{blk}.conv2", x, out_c, 3, block=blk)
+        x = b.elementwise(f"{blk}.bn2", OpKind.BATCHNORM, [x], 1, blk)
+        if block.proj is not None:
+            identity = b.conv(f"{blk}.proj", prev, out_c, 1, block=blk)
+        x = b.elementwise(f"{blk}.add", OpKind.ADD, [x, identity], 1, blk)
+        prev = b.relu(f"{blk}.relu2", x, block=blk)
+    prev = b.avgpool("pool", prev)
+    prev = b.linear("fc", prev, model.fc.out_features, block="head")
+    return b.finish(prev)
 
 
 def _transformer_mini_graph(
@@ -351,76 +261,25 @@ def _transformer_mini_graph(
     dim = model.head.in_features * width_scale
     seq = 16 * spatial_scale
     heads = model.blocks.layers[0].attn.num_heads
-    head_dim = dim // heads
-    vocab = model.embed.table.shape[0]
-    dag = PrecisionDAG()
-    dag.add_op(OperatorSpec("input", OpKind.INPUT, (batch, seq)))
-    dag.add_op(
-        OperatorSpec("embed", OpKind.EMBEDDING, (batch, seq, dim),
-                     weight_shape=(vocab, dim)),
-        inputs=["input"],
-    )
-    prev = "embed"
-    tokens = batch * seq
-
-    def lin(name, src, out_f, blk, in_f=dim):
-        dag.add_op(
-            OperatorSpec(
-                name, OpKind.LINEAR, (batch, seq, out_f),
-                weight_shape=(out_f, in_f),
-                flops=linear_flops(tokens, in_f, out_f), block=blk,
-            ),
-            inputs=[src],
-        )
-        return name
-
-    def simple(name, kind, src, shape, blk, extra_inputs=(), flops=None):
-        dag.add_op(
-            OperatorSpec(
-                name, kind, shape,
-                flops=flops if flops is not None else elementwise_flops(shape),
-                block=blk,
-            ),
-            inputs=[src, *extra_inputs],
-        )
-        return name
-
-    shape3 = (batch, seq, dim)
+    b = GraphBuilder((batch, seq))
+    # The mini mirror prices the embedding and the mean-pool at zero FLOPs
+    # and LayerNorm/softmax/GELU at one per element (the catalog: 4/4/8).
+    prev = b.add("embed", OpKind.EMBEDDING, ["input"], (batch, seq, dim),
+                 weight_shape=(model.embed.table.shape[0], dim))
     for i in range(len(model.blocks.layers)):
         blk = f"blocks.{i}"
-        ln1 = simple(f"{blk}.ln1", OpKind.LAYERNORM, prev, shape3, blk)
-        q = lin(f"{blk}.attn.q_proj", ln1, dim, blk)
-        k = lin(f"{blk}.attn.k_proj", ln1, dim, blk)
-        v = lin(f"{blk}.attn.v_proj", ln1, dim, blk)
-        scores = simple(
-            f"{blk}.attn.scores", OpKind.MATMUL, q, (batch, heads, seq, seq), blk,
-            extra_inputs=(k,), flops=2.0 * batch * heads * seq * seq * head_dim,
-        )
-        probs = simple(f"{blk}.attn.softmax", OpKind.SOFTMAX, scores,
-                       (batch, heads, seq, seq), blk)
-        ctx = simple(
-            f"{blk}.attn.context", OpKind.MATMUL, probs, shape3, blk,
-            extra_inputs=(v,), flops=2.0 * batch * heads * seq * seq * head_dim,
-        )
-        out = lin(f"{blk}.attn.out_proj", ctx, dim, blk)
-        res1 = simple(f"{blk}.add1", OpKind.ADD, out, shape3, blk, extra_inputs=(prev,))
-        ln2 = simple(f"{blk}.ln2", OpKind.LAYERNORM, res1, shape3, blk)
-        fc1 = lin(f"{blk}.fc1", ln2, dim * 4, blk)
-        act = simple(f"{blk}.gelu", OpKind.GELU, fc1, (batch, seq, dim * 4), blk)
-        fc2 = lin(f"{blk}.fc2", act, dim, blk, in_f=dim * 4)
-        prev = simple(f"{blk}.add2", OpKind.ADD, fc2, shape3, blk, extra_inputs=(res1,))
-
-    dag.add_op(
-        OperatorSpec("meanpool", OpKind.AVGPOOL, (batch, dim)),
-        inputs=[prev],
-    )
-    n_classes = model.head.out_features
-    dag.add_op(
-        OperatorSpec("head", OpKind.LINEAR, (batch, n_classes),
-                     weight_shape=(n_classes, dim),
-                     flops=linear_flops(batch, dim, n_classes), block="head"),
-        inputs=["meanpool"],
-    )
-    dag.add_op(OperatorSpec("loss", OpKind.LOSS, (1,)), inputs=["head"])
-    dag.validate()
-    return dag
+        ln1 = b.elementwise(f"{blk}.ln1", OpKind.LAYERNORM, [prev], 1, blk)
+        q = b.linear(f"{blk}.attn.q_proj", ln1, dim, block=blk)
+        k = b.linear(f"{blk}.attn.k_proj", ln1, dim, block=blk)
+        v = b.linear(f"{blk}.attn.v_proj", ln1, dim, block=blk)
+        ctx = b.attention(f"{blk}.attn", q, k, v, heads, 1, blk)
+        out = b.linear(f"{blk}.attn.out_proj", ctx, dim, block=blk)
+        res1 = b.elementwise(f"{blk}.add1", OpKind.ADD, [out, prev], 1, blk)
+        ln2 = b.elementwise(f"{blk}.ln2", OpKind.LAYERNORM, [res1], 1, blk)
+        fc1 = b.linear(f"{blk}.fc1", ln2, dim * 4, block=blk)
+        act = b.elementwise(f"{blk}.gelu", OpKind.GELU, [fc1], 1, blk)
+        fc2 = b.linear(f"{blk}.fc2", act, dim, block=blk)
+        prev = b.elementwise(f"{blk}.add2", OpKind.ADD, [fc2, res1], 1, blk)
+    prev = b.add("meanpool", OpKind.AVGPOOL, [prev], (batch, dim))
+    prev = b.linear("head", prev, model.head.out_features, block="head")
+    return b.finish(prev)

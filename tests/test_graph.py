@@ -16,7 +16,9 @@ from repro.graph import (
 )
 from repro.graph.ops import conv2d_flops, linear_flops
 from repro.graph.subgraph import isomorphism_classes
+from repro.common.stable_hash import stable_digest
 from repro.models import MODEL_GRAPHS, mini_model_graph
+from repro.models.trainable import MINI_MODELS
 
 
 def chain_dag() -> PrecisionDAG:
@@ -204,6 +206,9 @@ GOLDEN_FINGERPRINTS = {
     "mini_bert": (15848744393251754990, 3838951999930511147),
     "mini_vgg": (10164125914609766071, 10164125914609766071),
     "mini_resnet": (8313163642154358712, 1500305228502047164),
+    "mini_vggbn": (14688010117160933013, 14688010117160933013),
+    "mini_bert6": (9176623460951874630, 6328381347589164564),
+    "mini_roberta": (6933643750206769979, 17103421359606065023),
 }
 
 
@@ -219,7 +224,83 @@ def test_golden_structure_fingerprints(model):
 
 
 def test_golden_fingerprints_cover_every_catalog_graph():
-    assert set(MODEL_GRAPHS) <= set(GOLDEN_FINGERPRINTS)
+    assert set(MODEL_GRAPHS) | set(MINI_MODELS) == set(GOLDEN_FINGERPRINTS)
+
+
+def full_spec_digest(dag: PrecisionDAG) -> str:
+    """Digest of every op's full :class:`OperatorSpec` (FLOPs as
+    ``float.hex``, block label included) and its predecessors, in insertion
+    order — what the structure fingerprints leave out."""
+    return stable_digest([
+        (n, s.kind.value, s.output_shape, s.weight_shape, s.flops.hex(),
+         s.block, dag.predecessors(n))
+        for n in dag.nodes()
+        for s in (dag.spec(n),)
+    ])
+
+
+#: (model, builder kwargs) -> :func:`full_spec_digest`.  Each graph at its
+#: defaults, at the sweep fingerprint's batch 16, and at the scales the
+#: experiments price: fig7's ResNet50 batch, the Tables IV-VI
+#: ``GRAPH_SCALE`` widths, Table III's mini_bert6 and the comm, compress,
+#: churn and straggler sweeps' mini_bert (full and quick).
+GOLDEN_SPEC_DIGESTS = {
+    ("vgg16", ()): "7a04b45fc8f130c83ecbe2b0ab761854",
+    ("vgg16", (("batch_size", 16),)): "e578044d50941e8fad9a6cd50e112b96",
+    ("vgg16bn", ()): "64ef89774204fde8aa449e20bddd23ec",
+    ("vgg16bn", (("batch_size", 16),)): "670d5d70206762848ccd24c26f619415",
+    ("resnet50", ()): "f9cbc2aa684d1bb880aa12eb630ffa7d",
+    ("resnet50", (("batch_size", 16),)): "523b277cbab885adb59b14e552496aec",
+    ("resnet50", (("batch_size", 256),)): "2cff79c67190bb11356a92d565c06d20",
+    ("bert", ()): "1b8419696b5a735fb52c37f1c1074cbd",
+    ("bert", (("batch_size", 16),)): "241b451fe997ba46ad82b07a2a8006ff",
+    ("roberta", ()): "daa26fe37e4302d1d021d6c0a4d4f11a",
+    ("mini_vgg", ()): "b02eb9b6a231ea5a97bdb212fb097080",
+    ("mini_vgg", (("batch_size", 16),)): "637e38b419c0ad1259db8556f5a5382f",
+    ("mini_vgg", (("batch_size", 8), ("width_scale", 16), ("spatial_scale", 4))):
+        "6a3d0f9a8d860e0d157b9e37eac27c5b",
+    ("mini_vggbn", ()): "32499349d8df3e5162fdb51adbfe84c5",
+    ("mini_vggbn", (("batch_size", 16),)): "b1baef394ecd3eab30b625b32b720760",
+    ("mini_vggbn", (("batch_size", 8), ("width_scale", 16), ("spatial_scale", 4))):
+        "59113291f5ad15a1d4b50623fef4b057",
+    ("mini_resnet", ()): "207e9e6f39cf2675858b9424ea016618",
+    ("mini_resnet", (("batch_size", 16),)): "ea20894e35ed2ca7c2350667c7e059bf",
+    ("mini_resnet", (("batch_size", 8), ("width_scale", 24), ("spatial_scale", 4))):
+        "b795467664123bf6d30cedff4ad22cfd",
+    ("mini_bert", ()): "632239b22354fdd22908bb7540e372bf",
+    ("mini_bert", (("batch_size", 16),)): "98caf4e8c718ec84c1d18f2c4651569f",
+    ("mini_bert", (("batch_size", 8), ("width_scale", 24), ("spatial_scale", 8))):
+        "e8a73caa733cf56a43dfd40caf923a38",
+    ("mini_bert", (("batch_size", 8), ("width_scale", 16), ("spatial_scale", 8))):
+        "f35b62762bda2ccd6a64676d9fddb3b2",
+    ("mini_bert", (("batch_size", 8), ("width_scale", 8), ("spatial_scale", 4))):
+        "a0e9337409ddb34022d3f423a913e5fa",
+    ("mini_bert6", ()): "887a8bc9ba21a9382c6f9d915cedc4c9",
+    ("mini_bert6", (("batch_size", 16),)): "c09223112fd3ec0d48db3838f12e25b6",
+    ("mini_bert6", (("batch_size", 12), ("width_scale", 24), ("spatial_scale", 8))):
+        "9e3b7d9f6df4d3b3144269a8c3ed8514",
+    ("mini_roberta", ()): "94eb660eae69fd9075068c1433e38b07",
+    ("mini_roberta", (("batch_size", 16),)): "b2595a34a404e20ee19734aa6b762c8c",
+    ("mini_roberta", (("batch_size", 8), ("width_scale", 24), ("spatial_scale", 8))):
+        "5ebd9fe3218d93c2d1bcf83d2500c4bf",
+}
+
+
+@pytest.mark.parametrize(
+    "model,kwargs", sorted(GOLDEN_SPEC_DIGESTS), ids=lambda v: str(v)
+)
+def test_golden_full_spec_digests(model, kwargs):
+    if model in MODEL_GRAPHS:
+        dag = MODEL_GRAPHS[model](**dict(kwargs))
+    else:
+        dag = mini_model_graph(model, **dict(kwargs))
+    assert full_spec_digest(dag) == GOLDEN_SPEC_DIGESTS[model, kwargs]
+
+
+def test_golden_spec_digests_cover_every_model_graph():
+    assert {model for model, _ in GOLDEN_SPEC_DIGESTS} == (
+        set(MODEL_GRAPHS) | set(MINI_MODELS)
+    )
 
 
 class TestSubgraph:

@@ -265,8 +265,12 @@ class TestArtifactStore:
     def test_corrupt_artifact_is_a_miss(self, tmp_path):
         cell = _cheap_cells()[0]
         store = ArtifactStore(tmp_path)
-        store.save(cell, cell.execute().to_json_dict())
-        store.path_for(cell).write_text("{truncated")
+        path = store.save(cell, cell.execute().to_json_dict())
+        # Truncated JSON, then valid JSON that is not an object.
+        for text in ("{truncated", "[]", '"x"', "1", "null"):
+            path.write_text(text)
+            assert store.load(cell) is None, text
+        path.write_bytes(b"\xff{")  # not UTF-8
         assert store.load(cell) is None
 
     def test_stale_format_is_a_miss(self, tmp_path):
