@@ -24,9 +24,8 @@ def _train(rounding: str, epochs: int = 3) -> float:
     model = make_mini_model("mini_vggbn")
     plan = QuantizedOp.uniform_plan(model, Precision.INT8)
     workers = [
-        WorkerConfig(rank=0, device_name="V100", batch_size=16, plan={}),
-        WorkerConfig(rank=1, device_name="T4", batch_size=16, plan=plan,
-                     rounding=rounding),
+        WorkerConfig(rank=0, batch_size=16, plan={}),
+        WorkerConfig(rank=1, batch_size=16, plan=plan, rounding=rounding),
     ]
     trainer = DataParallelTrainer(
         model_factory=lambda s: make_mini_model("mini_vggbn", seed=s),

@@ -12,17 +12,19 @@ engine's cross-DAG caches.
 Artifact bytes are deterministic: sorted keys, fixed indentation, no
 timings or host metadata inside the file.  A parallel sweep and a serial
 sweep of the same grid write byte-identical artifacts (pinned by
-``tests/test_sweep.py``), and writes are atomic (temp file + ``os.replace``)
-so concurrent workers can never expose a torn artifact.
+``tests/test_sweep.py``).  The disk rules — format envelope, atomic writes,
+every defect a miss, a failed write a miss too — are
+:class:`repro.common.jsondir.JsonDir`'s, shared with the persistent profile
+tier.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
+from repro.common.jsondir import JsonDir
 from repro.experiments.base import ExperimentResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -46,7 +48,8 @@ class ArtifactStore:
     """Filesystem-backed, content-addressed cache of experiment results."""
 
     def __init__(self, root: str | os.PathLike = ".qsync-artifacts") -> None:
-        self.root = Path(root)
+        self._dir = JsonDir(root, ARTIFACT_FORMAT, "*/*.json")
+        self.root = self._dir.root
 
     # ------------------------------------------------------------------
     def path_for(self, cell: "ScenarioCell", fingerprint: str | None = None) -> Path:
@@ -63,14 +66,9 @@ class ArtifactStore:
         treated as misses, never as errors — the cache must only ever cost
         a recomputation.
         """
-        path = self.path_for(cell, fingerprint)
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if not isinstance(doc, dict) or doc.get("format") != ARTIFACT_FORMAT:
-            return None
-        if doc.get("fingerprint") != (fingerprint or cell.fingerprint()):
+        fingerprint = fingerprint or cell.fingerprint()
+        doc = self._dir.read(self.path_for(cell, fingerprint), fingerprint=fingerprint)
+        if doc is None:
             return None
         try:
             return ExperimentResult.from_json_dict(doc["result"])
@@ -82,42 +80,26 @@ class ArtifactStore:
         cell: "ScenarioCell",
         result_payload: dict[str, Any],
         fingerprint: str | None = None,
-    ) -> Path:
-        """Atomically write one cell's result payload; returns the path."""
+    ) -> Path | None:
+        """Atomically write one cell's result payload; returns the path, or
+        ``None`` when the write failed (the cell is then a miss next run)."""
         fingerprint = fingerprint or cell.fingerprint()
-        path = self.path_for(cell, fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
         doc = {
-            "format": ARTIFACT_FORMAT,
             "fingerprint": fingerprint,
             "cell": cell.describe(),
             "result": result_payload,
         }
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(text)
-        os.replace(tmp, path)
-        return path
+        return self._dir.write(self.path_for(cell, fingerprint), doc)
 
     # ------------------------------------------------------------------
-    def entries(self) -> Iterator[Path]:
+    def entries(self) -> list[Path]:
         """All artifact files currently in the store."""
-        if not self.root.is_dir():
-            return iter(())
-        return iter(sorted(self.root.glob("*/*.json")))
+        return self._dir.entries()
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.entries())
+        return len(self._dir)
 
     def clear(self) -> int:
-        """Delete every artifact (and any ``*.tmp.*`` partial left behind by
-        an interrupted :meth:`save`); returns how many artifacts were
-        removed."""
-        removed = 0
-        for path in self.entries():
-            path.unlink()
-            removed += 1
-        if self.root.is_dir():
-            for partial in self.root.glob("*/*.tmp.*"):
-                partial.unlink()
-        return removed
+        """Delete every artifact (and any partial left behind by an
+        interrupted :meth:`save`); returns how many artifacts were removed."""
+        return self._dir.clear()

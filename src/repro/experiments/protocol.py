@@ -207,12 +207,7 @@ def run_method_training(
     ``method.batch_sizes`` is in cluster worker order, ``method.plans`` is
     keyed by rank: ranks are identities, not positions."""
     workers = [
-        WorkerConfig(
-            rank=w.rank,
-            device_name=w.device.name,
-            batch_size=batch,
-            plan=method.plans[w.rank],
-        )
+        WorkerConfig(rank=w.rank, batch_size=batch, plan=method.plans[w.rank])
         for w, batch in zip(cluster.workers, method.batch_sizes, strict=True)
     ]
     if optimizer == "sgd":

@@ -24,6 +24,7 @@ from repro.core.indicator import VarianceIndicator, gamma_for_loss
 from repro.experiments.base import ExperimentResult, mean_std
 from repro.experiments.protocol import collect_executable_stats, run_method_training
 from repro.experiments.protocol import MethodPlan
+from repro.hardware import make_cluster_a
 from repro.models import make_mini_model, mini_model_graph
 from repro.tensor import Tensor, functional as F
 from repro.train.data import make_image_classification, make_token_classification
@@ -35,6 +36,9 @@ MODELS = {
     "BERT": ("mini_bert", "token", "adam", 2e-3, "f1"),
     "RoBERTa": ("mini_roberta", "token", "adam", 2e-3, "f1"),
 }
+
+#: Two V100 training GPUs and two T4 inference GPUs.
+CLUSTER = make_cluster_a(2, 2)
 
 
 def _dataset(kind: str, model_name: str, quick: bool):
@@ -53,22 +57,13 @@ def _plan_from_indicator(indicator, ops: list[str], k: int, precision: Precision
     return {op: precision for op in scored[:k]}
 
 
-def _train_with_plan(model_name, plan, dataset, cluster_size, epochs, seed,
-                     optimizer, lr, metric):
-    plans = {0: {}, 1: {}, 2: plan, 3: plan}
-    plans = {r: plans.get(r, {}) for r in range(cluster_size)}
-    method = MethodPlan("trial", plans, [16] * cluster_size, None)
-
-    class _FakeWorker:
-        def __init__(self, rank):
-            self.rank = rank
-            self.device = type("D", (), {"name": "V100" if rank < 2 else "T4"})()
-
-    class _FakeCluster:
-        workers = [_FakeWorker(r) for r in range(cluster_size)]
-
+def _train_with_plan(model_name, plan, dataset, epochs, seed, optimizer, lr,
+                     metric):
+    """Training GPUs run FP32; the inference GPUs carry ``plan``."""
+    plans = {w.rank: plan if w.is_inference else {} for w in CLUSTER.workers}
+    method = MethodPlan("trial", plans, [16] * CLUSTER.size, None)
     return run_method_training(
-        model_name, method, _FakeCluster(), dataset, epochs=epochs, seed=seed,
+        model_name, method, CLUSTER, dataset, epochs=epochs, seed=seed,
         optimizer=optimizer, lr=lr, metric=metric,
     )
 
@@ -78,7 +73,6 @@ def run(quick: bool = True, models: list[str] | None = None,
     seeds = seeds or (1 if quick else 3)
     epochs = 3 if quick else 6
     model_list = models or (["VGG16BN", "BERT"] if quick else list(MODELS))
-    cluster_size = 4
 
     rows = []
     for display in model_list:
@@ -96,8 +90,8 @@ def run(quick: bool = True, models: list[str] | None = None,
         for method_name, indicator in (("QSync", qsync_ind), ("Random", rand_ind)):
             plan = _plan_from_indicator(indicator, weighted, k, Precision.FP16)
             accs = [
-                _train_with_plan(model_name, plan, dataset, cluster_size,
-                                 epochs, seed, optimizer, lr, metric)
+                _train_with_plan(model_name, plan, dataset, epochs, seed,
+                                 optimizer, lr, metric)
                 for seed in range(seeds)
             ]
             rows.append([display, "ClusterA", method_name, mean_std(accs)])
@@ -120,8 +114,8 @@ def run(quick: bool = True, models: list[str] | None = None,
         for method_name, indicator in (("QSync", qsync_ind), ("Hess", hess_ind)):
             plan = _plan_from_indicator(indicator, weighted, k, Precision.INT8)
             accs = [
-                _train_with_plan(model_name, plan, dataset, cluster_size,
-                                 epochs, seed, optimizer, lr, metric)
+                _train_with_plan(model_name, plan, dataset, epochs, seed,
+                                 optimizer, lr, metric)
                 for seed in range(seeds)
             ]
             rows.append([display, "ClusterB", method_name, mean_std(accs)])

@@ -124,13 +124,11 @@ class GraphBuilder:
     def relu(self, name: str, src: str, block: str | None = None) -> str:
         return self.elementwise(name, OpKind.RELU, [src], 1, block)
 
-    def maxpool(self, name: str, src: str, k: int = 2, stride: int | None = None,
-                block: str | None = None) -> str:
-        stride = stride or k
+    def maxpool(self, name: str, src: str, k: int = 2) -> str:
         n, c, h, w = self.shape(src)
         return self.add(
-            name, OpKind.MAXPOOL, [src], (n, c, h // stride, w // stride),
-            flops=elementwise_flops(self.shape(src)), block=block,
+            name, OpKind.MAXPOOL, [src], (n, c, h // k, w // k),
+            flops=elementwise_flops(self.shape(src)),
         )
 
     def avgpool(self, name: str, src: str) -> str:

@@ -40,7 +40,6 @@ class WorkerConfig:
     """One simulated worker's training identity."""
 
     rank: int
-    device_name: str
     batch_size: int
     #: Module path -> precision (missing = FP32).
     plan: dict[str, Precision] = dataclasses.field(default_factory=dict)

@@ -9,8 +9,7 @@ different machine (or later) without re-measuring.
 Round trips are *exact*: every float survives ``json`` byte-for-byte
 (shortest-repr encoding) and every list preserves order, so an artifact
 loaded from disk drives the planner to bit-identical results — the
-invariant the persistent :class:`repro.service.PersistentProfileStore`
-leans on.
+invariant the disk tier of :class:`repro.session.ProfileStore` leans on.
 """
 
 from __future__ import annotations

@@ -8,9 +8,11 @@ concurrent callers'* queries against a store that survives the process.
 * :class:`PlanService` — thread-safe front end over one
   :class:`~repro.session.PlanSession` with in-flight request coalescing
   (identical concurrent requests share one computation and one outcome).
-* :class:`PersistentProfileStore` — the content-addressed on-disk
-  profiling store (``<root>/profiles/<fingerprint>.json``, atomic writes,
-  defects degrade to misses); :data:`PROFILE_FORMAT` versions its schema.
+* persistence — ``PlanService(root=...)`` plans against a
+  :class:`~repro.session.ProfileStore` with a disk tier
+  (``<root>/profiles/<fingerprint>.json``, atomic writes, defects degrade
+  to misses); :data:`~repro.session.profiles.PROFILE_FORMAT` versions its
+  schema.
 * :func:`plan_many` — batched planning with deduplication; the
   content-keyed stores amortize profiling across the batch.
 * :func:`request_fingerprint` / :func:`cluster_fingerprint` — the content
@@ -23,11 +25,8 @@ experiment harnesses; nothing below it may import it.
 
 from repro.service.fingerprint import cluster_fingerprint, request_fingerprint
 from repro.service.service import PlanService, plan_many
-from repro.service.store import PROFILE_FORMAT, PersistentProfileStore
 
 __all__ = [
-    "PROFILE_FORMAT",
-    "PersistentProfileStore",
     "PlanService",
     "cluster_fingerprint",
     "plan_many",

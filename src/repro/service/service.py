@@ -13,8 +13,9 @@ concurrent, and cache-persistent across restarts"):
   object identity) share one computation, and every caller receives the
   *same* :class:`~repro.session.PlanOutcome` object;
 * **persistence** — constructed with ``root=...`` the service plans
-  against a :class:`~repro.service.store.PersistentProfileStore`, so a
-  fresh process warm-starts from disk with zero profiling events;
+  against a :class:`~repro.session.ProfileStore` with a disk tier under
+  that root, so a fresh process warm-starts from disk with zero profiling
+  events;
 * **batching** — :meth:`plan_many` deduplicates identical requests and
   plans the distinct ones in order; the session's content-keyed stores
   already pay profiling and template resolution once per distinct
@@ -48,10 +49,10 @@ from typing import Iterable, Sequence, Union
 
 from repro.hardware.events import ClusterEvent
 from repro.session.outcome import PlanOutcome
+from repro.session.profiles import ProfileStore
 from repro.session.request import PlanRequest
 from repro.session.session import PlanContext, PlanSession, ReplanOutcome
 from repro.service.fingerprint import request_fingerprint
-from repro.service.store import PersistentProfileStore
 
 
 class _InFlight:
@@ -71,9 +72,10 @@ class PlanService:
     Parameters
     ----------
     root:
-        Optional persistent-store root.  When given, profiling artifacts
-        are served from (and written to) ``<root>/profiles/`` so they
-        survive the process; when omitted the service is in-memory only.
+        Optional disk-tier root of the session's :class:`ProfileStore`.
+        When given, profiling artifacts are served from (and written to)
+        ``<root>/profiles/`` so they survive the process; when omitted the
+        service is in-memory only.
     profile_seed:
         Forwarded to the wrapped session (backend measurement noise seed).
     session:
@@ -96,8 +98,9 @@ class PlanService:
                 "already owns its ProfileStore"
             )
         if session is None:
-            profiles = PersistentProfileStore(root) if root is not None else None
-            session = PlanSession(profile_seed=profile_seed, profiles=profiles)
+            session = PlanSession(
+                profile_seed=profile_seed, profiles=ProfileStore(root)
+            )
         self.session = session
         self._lock = threading.Lock()
         self._plan_lock = threading.Lock()
@@ -204,8 +207,7 @@ class PlanService:
     # ------------------------------------------------------------------
     def describe(self) -> str:
         store = self.session.profiles
-        persistent = isinstance(store, PersistentProfileStore)
-        where = store.root if persistent else "memory"
+        where = "memory" if store.disk is None else store.disk.root
         return f"PlanService({where}, {store.stats.plan_calls} plans served)"
 
 

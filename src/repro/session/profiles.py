@@ -10,21 +10,35 @@ the DAG's profiling-relevant structure (names, kinds, shapes, FLOPs,
 kernel precision sets, edges), the device's full analytical spec, the
 backend's measurement configuration, and the repeat count — so a hit is
 bit-identical to a fresh profile (backend jitter is keyed per
-(op, precision, rep), never drawn from mutable RNG state).
+(op, precision, rep), never drawn from mutable RNG state).  Given a root,
+the store also persists catalogs, cast fits and stats to disk, so they
+survive the process; loads are exact (floats round-trip through JSON
+byte-for-byte), which the parity oracle ``tests/test_service.py`` pins.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 from collections import abc
+from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from repro.backend.lp_backend import LPBackend
+from repro.common.jsondir import JsonDir
 from repro.common.stable_hash import stable_digest
 from repro.graph.dag import PrecisionDAG
 from repro.hardware.cluster import Cluster, Worker
 from repro.hardware.device import DeviceSpec
 from repro.profiling.casting import CastCostCalculator
+from repro.profiling.persistence import (
+    cast_calc_from_dict,
+    cast_calc_to_dict,
+    catalog_from_dict,
+    catalog_to_dict,
+    stats_from_dict,
+    stats_to_dict,
+)
 from repro.profiling.profiler import OperatorCostCatalog, profile_operator_costs
 from repro.profiling.stats import OperatorStats, synthesize_stats
 
@@ -53,7 +67,7 @@ class SessionStats:
     #: computation (or a ``plan_many`` duplicate) instead of planning —
     #: incremented only under the :class:`~repro.service.PlanService` lock.
     coalesced_requests: int = 0
-    #: Persistent-store artifact loads that served (``disk_hits``) or failed
+    #: Disk-tier artifact loads that served (``disk_hits``) or failed
     #: (``disk_misses`` — absent, unreadable, stale-format, or wrong-key
     #: files, all of which degrade to recomputation, never errors).
     disk_hits: int = 0
@@ -210,6 +224,11 @@ def resolve_backends(
 # ---------------------------------------------------------------------------
 
 
+#: On-disk profile schema version; bump to invalidate every persisted
+#: profile at once (serialization or profiling-semantics changes).  A key
+#: change needs no bump: a file only serves the exact key it records.
+PROFILE_FORMAT = 1
+
 #: Store-key kind -> (hit counter, computation counter) in SessionStats.
 _COUNTERS = {
     "catalog": ("catalog_hits", "catalog_profiles"),
@@ -221,27 +240,71 @@ _COUNTERS = {
 class ProfileStore:
     """Fingerprint-keyed cache of profiling artifacts (one per session).
 
-    Lookup discipline (the extraction points a persistent subclass hooks):
-    catalogs, cast fits and stats share one path — the in-memory map, then
-    :meth:`_fetch` (a second cache tier; this base class has none and
-    always misses), and only then the computation, whose fresh artifact
-    goes to :meth:`_persist`.  ``key[0]`` names the artifact kind.  Keys
-    are built from :mod:`repro.common.stable_hash` fingerprints only, so a
-    subclass may use them verbatim as cross-process content addresses.
+    Catalogs, cast fits and stats share one lookup path: the in-memory map,
+    then — when the store has a ``root`` — the disk tier under
+    ``<root>/profiles/``, and only then the computation, whose fresh
+    artifact is written to disk.  ``key[0]`` names the artifact kind.  Keys
+    are built from :mod:`repro.common.stable_hash` fingerprints only, so
+    they double as cross-process content addresses: a fresh process on the
+    same root warm-starts with zero profiling events.
+
+    Parameters
+    ----------
+    root:
+        Optional disk-tier root.  Several processes may share one root —
+        writes are atomic and content-addressed, so concurrent writers of
+        one key produce byte-identical files; unreadable, stale-format and
+        wrong-key files, and failed writes, only cost a re-profile (see
+        :class:`~repro.common.jsondir.JsonDir`).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, root: str | os.PathLike | None = None) -> None:
         self.stats = SessionStats()
         self._memo: dict[tuple, Any] = {}
+        #: The disk tier (``None``: memory only).
+        self.disk = (
+            None
+            if root is None
+            else JsonDir(Path(root) / "profiles", PROFILE_FORMAT, "*.json")
+        )
 
-    # -- extraction points (overridden by the persistent store) --------
-    def _fetch(self, key: tuple, backend: LPBackend | None) -> Any:
-        """Second-tier lookup; ``None`` = miss (base: always).  ``backend``
-        rebinds a fetched cast fit to a live measurement backend."""
-        return None
+    def _path(self, key: tuple) -> Path:
+        """Content address of one store key on the disk tier (strings and
+        ints only, so the digest is stable across processes)."""
+        return self.disk.root / f"{stable_digest(key)}.json"
 
-    def _persist(self, key: tuple, artifact: Any) -> None:
-        """Offer a freshly computed artifact to the second tier (base: drop)."""
+    # The codecs are called through their module-global names so that a
+    # tracer patching those globals sees every encode and decode.
+    def _read(self, key: tuple, backend: LPBackend | None) -> Any:
+        """The disk tier's artifact for ``key``; ``None`` on any defect."""
+        doc = self.disk.read(self._path(key), key=list(key))
+        payload = None if doc is None else doc.get("payload")
+        artifact = None
+        if isinstance(payload, dict):
+            try:
+                if key[0] == "catalog":
+                    artifact = catalog_from_dict(payload)
+                elif key[0] == "cast":
+                    artifact = cast_calc_from_dict(payload, backend)
+                else:
+                    artifact = stats_from_dict(payload)
+            except (KeyError, TypeError, ValueError):
+                artifact = None
+        if artifact is None:
+            self.stats.disk_misses += 1
+        else:
+            self.stats.disk_hits += 1
+        return artifact
+
+    def _write(self, key: tuple, artifact: Any) -> None:
+        if key[0] == "catalog":
+            payload = catalog_to_dict(artifact)
+        elif key[0] == "cast":
+            payload = cast_calc_to_dict(artifact)
+        else:
+            payload = stats_to_dict(artifact)
+        doc = {"kind": key[0], "key": list(key), "payload": payload}
+        self.disk.write(self._path(key), doc)
 
     def _lookup(
         self,
@@ -249,16 +312,18 @@ class ProfileStore:
         compute: Callable[[], Any],
         backend: LPBackend | None = None,
     ) -> Any:
-        """Memory → :meth:`_fetch` → ``compute`` + :meth:`_persist`, counting
-        a hit or a computation under the key's kind."""
+        """Memory → disk → ``compute`` (written to disk), counting a hit or
+        a computation under the key's kind.  ``backend`` rebinds a cast fit
+        read from disk to a live measurement backend."""
         hits, computed = _COUNTERS[key[0]]
         artifact = self._memo.get(key)
-        if artifact is None:
-            artifact = self._fetch(key, backend)
+        if artifact is None and self.disk is not None:
+            artifact = self._read(key, backend)
         if artifact is None:
             setattr(self.stats, computed, getattr(self.stats, computed) + 1)
             artifact = compute()
-            self._persist(key, artifact)
+            if self.disk is not None:
+                self._write(key, artifact)
         else:
             setattr(self.stats, hits, getattr(self.stats, hits) + 1)
         self._memo[key] = artifact
@@ -300,7 +365,7 @@ class ProfileStore:
     ) -> PrecisionDAG:
         """Cached template when ``key`` identifies the recipe (string-named
         models); opaque builders/DAG instances bypass the cache.  Memory
-        only: templates never reach the second tier."""
+        only: templates never reach the disk tier."""
         if key is None:
             return build()
         full_key = ("template", key)

@@ -95,9 +95,9 @@ class PlanSession:
         stay bit-identical with that pipeline).
     profiles:
         The artifact store to plan against.  ``None`` builds a private
-        in-memory :class:`ProfileStore`; the serving layer passes a
-        :class:`repro.service.PersistentProfileStore` here so catalogs,
-        cast fits, and synthesized stats survive the process.
+        in-memory :class:`ProfileStore`; pass ``ProfileStore(root)`` (as
+        ``PlanService(root=...)`` does) so catalogs, cast fits, and
+        synthesized stats survive the process.
     """
 
     def __init__(

@@ -1,6 +1,6 @@
 """Fixture: RPR004 catches runtime session→service imports, any scope."""
 # repro: module repro.session.lint_fixture_rpr004_service
-from repro.service.store import PersistentProfileStore  # expect: RPR004
+from repro.service.fingerprint import request_fingerprint  # expect: RPR004
 
 
 def build_service():
@@ -9,5 +9,5 @@ def build_service():
     return PlanService()
 
 
-def describe(store: PersistentProfileStore) -> str:
-    return str(store.root)
+def describe(request) -> str:
+    return str(request_fingerprint(request))

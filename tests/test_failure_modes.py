@@ -97,7 +97,7 @@ class TestAllocatorFailures:
 class TestTrainerFailures:
     def test_plan_with_bad_path_fails_at_install_not_midtraining(self):
         workers = [
-            WorkerConfig(rank=0, device_name="T4", batch_size=4,
+            WorkerConfig(rank=0, batch_size=4,
                          plan={"nonexistent.layer": Precision.INT8}),
         ]
         with pytest.raises(KeyError):
@@ -117,7 +117,7 @@ class TestTrainerFailures:
 
     def test_divergent_replica_detected(self):
         workers = [
-            WorkerConfig(rank=r, device_name="x", batch_size=4, plan={})
+            WorkerConfig(rank=r, batch_size=4, plan={})
             for r in range(2)
         ]
         trainer = DataParallelTrainer(

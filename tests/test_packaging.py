@@ -57,6 +57,26 @@ def test_every_third_party_import_is_declared():
     assert not missing, f"imported but not in [project].dependencies: {missing}"
 
 
+def test_one_module_replaces_files():
+    """Atomic writes (temp file + ``os.replace``) have one home, so the
+    on-disk caches share one set of disk rules."""
+    callers = set()
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                found = any(alias.name == "replace" for alias in node.names)
+            else:
+                found = (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "replace"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "os"
+                )
+            if found:
+                callers.add(path.relative_to(SRC).as_posix())
+    assert callers == {"repro/common/jsondir.py"}
+
+
 def test_planner_imports_leave_networkx_unloaded():
     env = os.environ.copy()
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")

@@ -67,8 +67,7 @@ def _image_trainer(plans, batch_sizes=None, seed=0, model_name="mini_vggbn"):
     k = len(plans)
     batch_sizes = batch_sizes or [16] * k
     workers = [
-        WorkerConfig(rank=i, device_name="V100" if i == 0 else "T4",
-                     batch_size=batch_sizes[i], plan=plans[i])
+        WorkerConfig(rank=i, batch_size=batch_sizes[i], plan=plans[i])
         for i in range(k)
     ]
     return DataParallelTrainer(
@@ -161,8 +160,8 @@ class TestDDPTrainer:
 
         ds = make_token_classification(n_train=256, n_test=64, seed=0)
         workers = [
-            WorkerConfig(rank=0, device_name="V100", batch_size=16, plan={}),
-            WorkerConfig(rank=1, device_name="T4", batch_size=16, plan={}),
+            WorkerConfig(rank=0, batch_size=16, plan={}),
+            WorkerConfig(rank=1, batch_size=16, plan={}),
         ]
         trainer = DataParallelTrainer(
             model_factory=lambda s: make_mini_model("mini_bert", seed=s),

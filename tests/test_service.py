@@ -28,15 +28,10 @@ import pytest
 from repro.engine import Perturbation
 from repro.hardware import DeviceSpec, make_cluster_a
 from repro.hardware.cluster import Cluster, Worker
-from repro.service import (
-    PROFILE_FORMAT,
-    PersistentProfileStore,
-    PlanService,
-    plan_many,
-    request_fingerprint,
-)
+from repro.service import PlanService, plan_many, request_fingerprint
 from repro.service.service import _InFlight
 from repro.session import PlanRequest, PlanSession
+from repro.session.profiles import PROFILE_FORMAT, ProfileStore
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -380,7 +375,16 @@ def test_plan_many_groups_amortize_profiling():
 def test_module_level_plan_many(tmp_path):
     outcomes = plan_many([small_request()], root=tmp_path)
     assert canon(outcomes[0]) == canon(PlanSession().plan(small_request()))
-    assert len(PersistentProfileStore(tmp_path).entries()) > 0
+    assert len(ProfileStore(tmp_path).disk.entries()) > 0
+
+
+def test_plain_session_persists_profiles(tmp_path):
+    request = small_request()
+    PlanSession(profiles=ProfileStore(tmp_path)).plan(request)
+    fresh = PlanSession(profiles=ProfileStore(tmp_path))
+    assert canon(fresh.plan(request)) == canon(PlanSession().plan(request))
+    assert fresh.stats.profile_events == 0
+    assert fresh.stats.disk_misses == 0
 
 
 def test_root_and_session_are_mutually_exclusive(tmp_path):
@@ -420,7 +424,7 @@ def test_defective_artifacts_are_misses_not_errors(tmp_path, how):
     reference = canon(PlanSession().plan(request))
     warm = PlanService(root=tmp_path)
     warm.plan(request)
-    store = warm.session.profiles
+    store = warm.session.profiles.disk
     assert len(store.entries()) > 0
     for path in store.entries():
         _poison(path, how)
@@ -435,18 +439,20 @@ def test_defective_artifacts_are_misses_not_errors(tmp_path, how):
 
 
 def test_unwritable_root_still_plans(tmp_path, monkeypatch):
-    # A failing write is a silent no-op (cache, not a database).
+    # A failing write is a silent no-op (cache, not a database) that
+    # leaves no partial behind.
     service = PlanService(root=tmp_path)
     monkeypatch.setattr(os, "replace", lambda *a: (_ for _ in ()).throw(OSError()))
     outcome = service.plan(small_request())
     assert outcome.plan is not None
-    assert len(service.session.profiles.entries()) == 0
+    assert len(service.session.profiles.disk.entries()) == 0
+    assert list(tmp_path.rglob("*.tmp.*")) == []
 
 
 def test_clear_removes_artifacts(tmp_path):
     service = PlanService(root=tmp_path)
     service.plan(small_request())
-    store = service.session.profiles
+    store = service.session.profiles.disk
     n = len(store)
     assert n > 0
     assert store.clear() == n
@@ -471,7 +477,7 @@ request = PlanRequest(
 with tempfile.TemporaryDirectory() as root:
     service = PlanService(root=root)
     service.plan(request)
-    names = [p.name for p in service.session.profiles.entries()]
+    names = [p.name for p in service.session.profiles.disk.entries()]
 print(json.dumps({
     "request_fingerprint": request_fingerprint(request),
     "cluster_fingerprint": cluster_fingerprint(cluster),

@@ -3,6 +3,7 @@ artifact store, cache hit/miss behaviour, parallel/serial parity, and
 failure isolation."""
 
 import json
+import os
 
 import pytest
 
@@ -305,6 +306,24 @@ class TestSweepRunner:
         for a, b in zip(cold.outcomes, warm.outcomes):
             assert a.fingerprint == b.fingerprint
             assert a.result.rows == b.result.rows
+
+    def test_failed_artifact_write_is_a_miss(self, tmp_path, monkeypatch):
+        # A cache write that fails costs a recomputation, never the sweep,
+        # and leaves no partial behind.
+        cells = _cheap_cells()
+        store = ArtifactStore(tmp_path)
+
+        def _fail(*args):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", _fail)
+            report = SweepRunner(store=store).run(cells)
+        assert [o.status for o in report.outcomes] == ["computed"] * len(cells)
+        assert all(o.artifact is None for o in report.outcomes)
+        assert list(tmp_path.rglob("*.tmp.*")) == []
+        again = SweepRunner(store=store).run(cells)
+        assert [o.status for o in again.outcomes] == ["computed"] * len(cells)
 
     def test_use_cache_false_neither_reads_nor_writes(self, tmp_path):
         cells = _cheap_cells()
