@@ -31,6 +31,13 @@ Strategy (per the paper):
 (problem (1)'s definition).  UP, ``T_min``, the wide-class sweep and
 recovery all walk one precision ladder: an op's candidates sorted
 low-to-high by bit width, stepped by :func:`at_or_above`.
+
+The ``T_min`` ladder and step 1's brute force read one device type's DAG,
+profiled costs and memory, never the indicator.  Their result, the type's
+*allocation start*, can therefore be memoized (``starts``): the session
+keeps one per device type, so what-ifs on the same hardware (other
+strategies, indicators, collectives, a re-plan) search it once and run
+only the simulations and recovery.
 """
 
 from __future__ import annotations
@@ -151,6 +158,13 @@ class Allocator:
         indicator, or a baseline implementing the same protocol).
     config:
         Search tunables.
+    starts:
+        Optional memo of allocation starts: device-type name ->
+        ``(T_min plan, initial plan)``, read with ``get`` and filled by
+        item assignment.  A type found there skips its ladder and brute
+        force, which read only its DAG, costs and memory; the session
+        passes its store's (:class:`repro.session.profiles.
+        AllocationStarts`).  ``None`` searches every type.
     """
 
     def __init__(
@@ -158,10 +172,12 @@ class Allocator:
         replayer: Replayer,
         indicators: dict[str, IndicatorProtocol],
         config: AllocatorConfig | None = None,
+        starts=None,
     ) -> None:
         self.replayer = replayer
         self.indicators = indicators
         self.config = config or AllocatorConfig()
+        self.starts = starts
         # (device type, op) -> candidate precisions sorted low-to-high by
         # bit width.  Device support tables and kernel sets are static, so
         # this is computed once instead of per recovery trial.
@@ -261,10 +277,22 @@ class Allocator:
                 dag.spec(op).flops for lbl in labels for op in blocks[lbl]
             )
 
+        # The assignment the class's rows hold (``None``: not yet written
+        # this class).  A write skips the positions that already hold their
+        # candidate: ``set_precision`` drops those writes anyway, so the
+        # DAG's versions and dirty log come out the same.
+        held = None
+
         def write(rows: list[list[str]], assignment) -> None:
+            nonlocal held
+            changed = [
+                i for i, prec in enumerate(assignment)
+                if held is None or held[i] is not prec
+            ]
             for row in rows:
-                for op, prec in zip(row, assignment):
-                    self._set_op(groups, op, prec)
+                for i in changed:
+                    self._set_op(groups, row[i], assignment[i])
+            held = assignment
 
         def trial_time(rows: list[list[str]], assignment) -> float:
             # A trial writes the class's ops only: every other op already
@@ -284,6 +312,7 @@ class Allocator:
             per_op_cands = [self._candidates_for(dag, op, device) for op in rows[0]]
             if not per_op_cands:
                 continue
+            held = None
             if len(per_op_cands) <= MAX_BRUTEFORCE_OPS:
                 assignments = itertools.product(*per_op_cands)
             else:
@@ -317,10 +346,19 @@ class Allocator:
             return plan, passive_allocation_report(plan, self.replayer.simulate())
 
         # T_min: uniform lowest-feasible on every inference type at once.
-        plans = {
-            name: self._uniform_lowest_plan(groups)
-            for name, groups in type_groups.items()
+        # A type with a memoized start installs its plans instead of
+        # searching for them; the simulations and checks stay the same.
+        starts = {
+            name: None if self.starts is None else self.starts.get(name)
+            for name in type_groups
         }
+        plans = {}
+        for name, groups in type_groups.items():
+            start = starts[name]
+            if start is None:
+                plans[name] = self._uniform_lowest_plan(groups)
+            else:
+                plans[name] = _install(groups, start[0])
         t_min = self.replayer.simulate().throughput
         # The one all-groups check: each ladder fit its own type, and every
         # later step writes one type's groups and re-checks those alone, so
@@ -332,9 +370,17 @@ class Allocator:
                     f"lowest precisions exceed {group.device.name} memory"
                 )
 
-        # Fastest-feasible initialization.
+        # Fastest-feasible initialization.  Only a fresh search fills the
+        # memo, with copies: recovery mutates ``plans``.
         for name, groups in type_groups.items():
-            plans[name] = self._initial_plan(groups, plans[name])
+            start = starts[name]
+            if start is not None:
+                plans[name] = _install(groups, start[1])
+                continue
+            t_min_plan = plans[name]
+            plans[name] = self._initial_plan(groups, t_min_plan)
+            if self.starts is not None:
+                self.starts[name] = (t_min_plan, dict(plans[name]))
         initial_sim = self.replayer.simulate()
         initial_counts = precision_counts(plans)
 
@@ -426,6 +472,16 @@ class Allocator:
             return None
         decrement = indicator.omega(op, prec) - indicator.omega(op, target)
         return (-decrement, next(tiebreak), op)
+
+
+def _install(
+    groups: list[RankGroup], plan: dict[str, Precision]
+) -> dict[str, Precision]:
+    """Apply a memoized ``plan`` to every DAG of ``groups``; returns a copy
+    the caller may mutate."""
+    for group in groups:
+        group.dag.apply_plan(plan)
+    return dict(plan)
 
 
 def precision_counts(plans: dict[str, dict[str, Precision]]) -> dict[str, int]:

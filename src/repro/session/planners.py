@@ -167,7 +167,9 @@ class AllocatorPlanner:
         request = ctx.request
         replayer = ctx.replayer
         indicators = self._build_indicators(ctx)
-        allocator = Allocator(replayer, indicators, config=request.config)
+        allocator = Allocator(
+            replayer, indicators, config=request.config, starts=ctx.starts
+        )
         plan, alloc_report = allocator.allocate()
         final = replayer.simulate()
         return PlanOutcome(
@@ -195,7 +197,9 @@ class CompressedAllocatorPlanner(AllocatorPlanner):
         request = ctx.request
         replayer = ctx.replayer
         indicators = self._build_indicators(ctx)
-        allocator = Allocator(replayer, indicators, config=request.config)
+        allocator = Allocator(
+            replayer, indicators, config=request.config, starts=ctx.starts
+        )
         plan, alloc_report = allocator.allocate()
 
         cconf = request.compression or CompressionConfig()

@@ -2,10 +2,13 @@
 
 One :class:`ProfileStore` owns the expensive, reusable artifacts of the
 Fig. 3 pipeline — per-device-type operator cost catalogs, fitted
-casting-cost models, synthesized indicator statistics, and built template
-DAGs — keyed by :mod:`repro.common.stable_hash` fingerprints of everything
-the artifact actually depends on.  Repeated ``PlanSession.plan()`` calls on
-the same device types therefore re-profile nothing: the catalog key digests
+casting-cost models, synthesized indicator statistics, built template
+DAGs, and allocation starts (a device type's ``T_min`` plan and
+brute-force initial plan, see :class:`AllocationStarts`) — keyed by
+:mod:`repro.common.stable_hash` fingerprints of everything the artifact
+actually depends on.  Repeated ``PlanSession.plan()`` calls on the same
+device types therefore re-profile nothing, and what-ifs of any
+allocator-backed strategy re-search no start: the catalog key digests
 the DAG's profiling-relevant structure (names, kinds, shapes, FLOPs,
 kernel precision sets, edges), the device's full analytical spec, the
 backend's measurement configuration, and the repeat count — so a hit is
@@ -63,6 +66,11 @@ class SessionStats:
     #: Template DAG builds / cache hits (string-named models only).
     template_builds: int = 0
     template_hits: int = 0
+    #: Allocation starts (a device type's ``T_min`` plan and brute-force
+    #: initial plan) searched for / served from memory (string-named
+    #: models only).
+    start_searches: int = 0
+    start_hits: int = 0
     #: Requests served by joining another caller's identical in-flight
     #: computation (or a ``plan_many`` duplicate) instead of planning —
     #: incremented only under the :class:`~repro.service.PlanService` lock.
@@ -332,26 +340,25 @@ class ProfileStore:
     def catalog_for(
         self,
         dag: PrecisionDAG,
-        device: DeviceSpec,
         backend: LPBackend,
         repeats: int,
         *,
         fingerprint: str,
+        backend_fp: str,
     ) -> OperatorCostCatalog:
-        """``fingerprint`` is ``profiling_fingerprint(dag)``, which the
-        caller holds already (see :meth:`copy_fingerprint`)."""
-        key = (
-            "catalog",
-            fingerprint,
-            backend_fingerprint(backend),
-            int(repeats),
-        )
+        """``fingerprint`` is ``profiling_fingerprint(dag)`` and
+        ``backend_fp`` is ``backend_fingerprint(backend)``, which the caller
+        holds already (see :meth:`copy_fingerprint`)."""
+        key = ("catalog", fingerprint, backend_fp, int(repeats))
         return self._lookup(
             key, lambda: profile_operator_costs(dag, backend, repeats=repeats)
         )
 
-    def cast_calc_for(self, backend: LPBackend) -> CastCostCalculator:
-        key = ("cast", backend_fingerprint(backend))
+    def cast_calc_for(
+        self, backend: LPBackend, *, backend_fp: str
+    ) -> CastCostCalculator:
+        """``backend_fp`` is ``backend_fingerprint(backend)``."""
+        key = ("cast", backend_fp)
         return self._lookup(key, lambda: CastCostCalculator(backend), backend)
 
     def stats_for(
@@ -394,3 +401,39 @@ class ProfileStore:
         if digest is None:
             digest = self._memo[full_key] = profiling_fingerprint(copy)
         return digest
+
+
+class AllocationStarts:
+    """One context's window on its store's allocation starts, in the shape
+    :class:`~repro.core.allocator.Allocator` reads: device-type name ->
+    ``(T_min plan, initial plan)``.
+
+    A start is what the allocator's ``T_min`` ladder and brute force find
+    for one device type.  They read only the type's DAG, profiled costs and
+    memory, so every strategy, indicator, seed, collective, schedule and
+    perturbation on the same hardware shares one start.  Like templates,
+    starts live in memory only.  A type keyed ``None`` (an opaque model) is
+    always searched and never stored; an infeasible search stores nothing,
+    because the allocator fills an entry only after its brute force.
+    """
+
+    def __init__(self, store: ProfileStore, keys: dict[str, tuple | None]) -> None:
+        self.store = store
+        #: Device-type name -> its start key in the store.
+        self.keys = keys
+
+    def get(self, name: str) -> tuple | None:
+        key = self.keys[name]
+        if key is None:
+            return None
+        start = self.store._memo.get(key)
+        if start is None:
+            self.store.stats.start_searches += 1
+        else:
+            self.store.stats.start_hits += 1
+        return start
+
+    def __setitem__(self, name: str, start: tuple) -> None:
+        key = self.keys[name]
+        if key is not None:
+            self.store._memo[key] = start

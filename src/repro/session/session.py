@@ -1,10 +1,12 @@
 """`PlanSession` — the front door of the Fig. 3 pipeline.
 
 A session owns the expensive artifacts of planning (operator cost
-catalogs, cast-cost fits, synthesized statistics, template DAGs, keyed by
-stable fingerprints in a :class:`ProfileStore`) and amortizes them across
-what-if queries: different protocols, collective models, and planner
-strategies on the same hardware re-profile nothing.
+catalogs, cast-cost fits, synthesized statistics, template DAGs and each
+device type's allocation start, keyed by stable fingerprints in a
+:class:`ProfileStore`) and amortizes them across what-if queries:
+different protocols, collective models, and planner strategies on the
+same hardware re-profile nothing, and the allocator-backed strategies
+search each device type's ``T_min`` plan and brute-force start once.
 
 ::
 
@@ -30,11 +32,19 @@ from repro.core.replayer import Replayer
 from repro.engine.perturbation import Perturbation
 from repro.graph.dag import PrecisionDAG
 from repro.hardware.cluster import Cluster
+from repro.hardware.device import DeviceSpec
 from repro.hardware.events import ClusterEvent, MembershipDelta, apply_events
 from repro.profiling.stats import OperatorStats
 from repro.session.outcome import PlanOutcome
 from repro.session.planners import available_strategies, get_planner
-from repro.session.profiles import ProfileStore, SessionStats, resolve_backends
+from repro.session.profiles import (
+    AllocationStarts,
+    ProfileStore,
+    SessionStats,
+    backend_fingerprint,
+    device_fingerprint,
+    resolve_backends,
+)
 from repro.session.request import PlanRequest
 
 
@@ -56,6 +66,9 @@ class PlanContext:
     stats: Mapping[str, OperatorStats]
     batch_size: int
     gamma: float
+    #: The device types' allocation starts in the session's store, for the
+    #: allocator-backed strategies.
+    starts: AllocationStarts
 
 
 @dataclasses.dataclass
@@ -81,6 +94,37 @@ class ReplanOutcome:
     @property
     def simulation(self):
         return self.outcome.simulation
+
+
+def _start_key(
+    request: PlanRequest,
+    template_key: tuple | None,
+    fingerprint: str,
+    backend_fp: str,
+    device: DeviceSpec,
+    backend: LPBackend,
+) -> tuple | None:
+    """The store key of one device type's allocation start: everything its
+    ``T_min`` ladder and brute force read, and nothing else.
+
+    The model recipe fixes the DAG, block labels included; the catalog's
+    key parts (profiling fingerprint, backend digest, repeats) fix the
+    costs; ``optimizer_slots`` sets the memory model.  The backend digest
+    covers the device it measures, so the worker's own device is digested
+    only when a provided backend models a different one.  An opaque model
+    (``template_key is None``) has no key.
+    """
+    if template_key is None:
+        return None
+    return (
+        "start",
+        template_key,
+        fingerprint,
+        backend_fp,
+        int(request.profile_repeats),
+        int(request.optimizer_slots),
+        None if backend.device == device else device_fingerprint(device),
+    )
 
 
 class PlanSession:
@@ -140,9 +184,11 @@ class PlanSession:
         # guarantees same-named devices measure alike); same-type ranks
         # alias them, so the replayer plans each type as one group.
         # All copies of the template digest alike: one fingerprint serves
-        # every type's catalog key.
+        # every type's catalog key, and one backend digest per type serves
+        # its catalog, cast-fit and allocation-start keys.
         by_type: dict[str, tuple] = {}
         dags, catalogs, cast_calcs = {}, {}, {}
+        start_keys: dict[str, tuple | None] = {}
         fingerprint = None
         for w in cluster.workers:
             shared = by_type.get(w.device.name)
@@ -153,13 +199,18 @@ class PlanSession:
                         template_key, dag
                     )
                 backend = backends[w.rank]
+                backend_fp = backend_fingerprint(backend)
                 shared = by_type[w.device.name] = (
                     dag,
                     self.profiles.catalog_for(
-                        dag, w.device, backend, request.profile_repeats,
-                        fingerprint=fingerprint,
+                        dag, backend, request.profile_repeats,
+                        fingerprint=fingerprint, backend_fp=backend_fp,
                     ),
-                    self.profiles.cast_calc_for(backend),
+                    self.profiles.cast_calc_for(backend, backend_fp=backend_fp),
+                )
+                start_keys[w.device.name] = _start_key(
+                    request, template_key, fingerprint, backend_fp, w.device,
+                    backend,
                 )
             dags[w.rank], catalogs[w.rank], cast_calcs[w.rank] = shared
 
@@ -194,6 +245,7 @@ class PlanSession:
             stats=stats,
             batch_size=batch_size,
             gamma=gamma,
+            starts=AllocationStarts(self.profiles, start_keys),
         )
 
     # ------------------------------------------------------------------

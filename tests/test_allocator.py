@@ -235,6 +235,48 @@ class _TrialCountingAllocator(Allocator):
         return ok
 
 
+@pytest.mark.parametrize("model, kwargs, cluster, versions, digest", [
+    ("mini_bert", {"batch_size": 8, "width_scale": 16, "spatial_scale": 8},
+     make_cluster_a(1, 1), (13, 2199), "a770312c595483d147029a5cc18dab93"),
+    ("resnet50", {"batch_size": 128}, make_cluster_a(1, 1), (54, 1008),
+     "a3e19b7c983c589c8c2735cd0dbfa39e"),
+    ("resnet50", {}, make_cluster_b(1, 1, memory_ratio=0.3), (54, 1008),
+     "4236a028c4db534b63914bf5848029f1"),
+], ids=["mini_bert", "resnet50", "resnet50_memory_tight"])
+def test_bruteforce_writes_land_on_pinned_versions_and_plan(
+    model, kwargs, cluster, versions, digest
+):
+    """A trial writes only the positions whose candidate changed since the
+    class's previous trial.  ``set_precision`` drops no-op writes, so the
+    DAG's version after the ``T_min`` ladder and after the brute force, and
+    the plan (in order), are pinned from the search that rewrote every
+    decision op of every row per trial; and no more than one write per
+    class position is a no-op."""
+    from repro.common.stable_hash import stable_digest
+
+    replayer = PlanSession().prepare(PlanRequest(
+        model=model, model_kwargs=kwargs, cluster=cluster, profile_repeats=1,
+    )).replayer
+    allocator = Allocator(replayer, {})
+    groups = allocator._planned_groups()["T4"]
+    dag = groups[0].dag
+    t_min_plan = allocator._uniform_lowest_plan(groups)
+    after_ladder = dag.version
+    writes = []
+    original = dag.set_precision
+
+    def counting(name, precision):
+        writes.append(name)
+        original(name, precision)
+
+    dag.set_precision = counting
+    plan = allocator._initial_plan(groups, t_min_plan)
+    assert (after_ladder, dag.version) == versions
+    assert stable_digest([(op, p.value) for op, p in plan.items()]) == digest
+    no_ops = len(writes) - (dag.version - after_ladder)
+    assert no_ops <= len(plan)
+
+
 class TestAllocatorTypeIsolation:
     def test_tmin_ladder_checks_only_its_own_type(self):
         """T4 fits uniform int8 with room to spare; the T4-small type, still

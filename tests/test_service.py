@@ -178,6 +178,113 @@ def test_request_token_covers_every_field():
         assert request_fingerprint(request) is not None, name
 
 
+#: PlanRequest fields an allocation start's key reads: the model recipe
+#: (DAG and block labels), the catalog's inputs and the memory model.
+START_KEYED = (
+    "model", "model_kwargs", "backends", "profile_repeats", "optimizer_slots",
+)
+#: Fields the start key leaves out: neither the T_min ladder nor the brute
+#: force reads them (the cluster only through its devices, which the
+#: backends measure; ``config.amp_mode`` only picks the searched types).
+START_EXCLUDED = (
+    "cluster", "strategy", "loss", "batch_size", "collective_model",
+    "schedule_policy", "perturbation", "indicator", "config", "seed",
+    "stats", "compression",
+)
+
+
+def _start_entries(session) -> dict:
+    return {k: v for k, v in session.profiles._memo.items() if k[0] == "start"}
+
+
+def test_start_key_sorts_every_field():
+    names = {f.name for f in dataclasses.fields(PlanRequest)}
+    assert set(START_KEYED) | set(START_EXCLUDED) == names
+    assert not set(START_KEYED) & set(START_EXCLUDED)
+
+
+@pytest.mark.parametrize("name", START_KEYED)
+def test_keyed_fields_change_the_start_key(name):
+    base = PlanSession().prepare(small_request()).starts.keys
+    changed = PlanSession().prepare(
+        small_request(**{name: _token_alternatives()[name]})
+    ).starts.keys
+    assert set(changed.values()) != set(base.values())
+
+
+@pytest.fixture(scope="module")
+def base_start_plan():
+    session = PlanSession()
+    outcome = session.plan(small_request())
+    return outcome, _start_entries(session)
+
+
+@pytest.mark.parametrize("name", START_EXCLUDED)
+def test_left_out_fields_give_the_same_start(base_start_plan, name):
+    """A cold plan that differs in a left-out field searches the same start
+    under the same key.  ``strategy`` and ``stats`` take allocator-backed
+    values: ``uniform`` runs no allocator, and the variance indicator
+    cannot read empty stats."""
+    from repro.profiling.stats import synthesize_stats
+
+    value = {
+        "strategy": "random",
+        "stats": synthesize_stats(small_request().build_template(), seed=5),
+    }.get(name, _token_alternatives()[name])
+    base, base_entries = base_start_plan
+    session = PlanSession()
+    outcome = session.plan(small_request(**{name: value}))
+    entries = _start_entries(session)
+    assert base_entries and set(base_entries) <= set(entries)
+    assert all(entries[k] == v for k, v in base_entries.items())
+    if len(entries) == len(base_entries):
+        assert (
+            outcome.report.allocation.initial_counts
+            == base.report.allocation.initial_counts
+        )
+
+
+def test_start_key_ignores_the_worker_count():
+    session = PlanSession()
+    session.plan(small_request(cluster="cluster_a_4+4"))
+    session.plan(small_request(cluster="cluster_a_2x8+2x8"))
+    assert session.stats.start_searches == session.stats.start_hits == 1
+    assert len(_start_entries(session)) == 1
+
+
+def _with_device(cluster: Cluster, rank: int, device) -> Cluster:
+    workers = tuple(
+        dataclasses.replace(w, device=device) if w.rank == rank else w
+        for w in cluster.workers
+    )
+    return Cluster(cluster.name, workers, cluster.collective_latency)
+
+
+def test_start_key_reads_the_worker_device_a_backend_does_not_model():
+    """A provided backend may model a same-named device other than its
+    worker's; the worker's device sets the memory and optimizer pass the
+    search reads, so two such requests must not share a start."""
+    from repro.backend.lp_backend import LPBackend
+
+    t4 = CLUSTER.workers[1].device
+    half = dataclasses.replace(t4, memory_bytes=t4.memory_bytes // 2)
+    backends = {1: LPBackend(t4, seed=0)}
+    keys = [
+        PlanSession().prepare(
+            small_request(cluster=cluster, backends=backends)
+        ).starts.keys["T4"]
+        for cluster in (CLUSTER, _with_device(CLUSTER, 1, half))
+    ]
+    assert keys[0] != keys[1]
+
+
+def test_opaque_model_stores_no_start():
+    session = PlanSession()
+    session.plan(small_request(**_opaque_overrides("builder")))
+    assert _start_entries(session) == {}
+    assert session.stats.start_searches == session.stats.start_hits == 0
+
+
 def _opaque_overrides(case: str) -> dict:
     """One request member per kind the key rule must leave opaque."""
     from repro.engine.policy import BlockingSyncPolicy

@@ -5,11 +5,13 @@ import dataclasses
 import pytest
 
 from repro.backend import LPBackend
+from repro.common.errors import InfeasiblePlanError
+from repro.core.allocator import AllocatorConfig
 from repro.core.plan import PrecisionPlan
 from repro.core.replayer import SimulationResult
 from repro.common.units import GBPS
 from repro.graph.dag import PrecisionDAG
-from repro.hardware import T4, V100, make_cluster_a
+from repro.hardware import T4, V100, ClusterEvent, make_cluster_a
 from repro.hardware.cluster import Cluster, Worker
 from repro.models import mini_model_graph
 from repro.session import (
@@ -22,6 +24,7 @@ from repro.session import (
     get_planner,
 )
 from repro.session import profiles as profiles_module
+from repro.session import session as session_module
 from repro.session.profiles import profiling_fingerprint
 
 ALL_STRATEGIES = ("qsync", "uniform", "dpro", "hessian", "random", "qsync+qsgd")
@@ -359,3 +362,120 @@ class TestCompare:
         session.compare(tiny_request(), strategies=("uniform", "dpro", "random"))
         assert session.stats.catalog_profiles == 2  # one per device type
         assert session.stats.cast_fits == 2
+
+
+def _outcome_bits(outcome):
+    """Everything a hit must reproduce bit for bit: the plan dict, the
+    iteration time, every AllocationReport field (``repr`` keeps float bits
+    and dict order) and the compression report."""
+    alloc = outcome.report.allocation
+    compression = outcome.compression
+    return (
+        outcome.plan.to_dict(),
+        outcome.simulation.iteration_time.hex(),
+        [(f.name, repr(getattr(alloc, f.name))) for f in dataclasses.fields(alloc)],
+        None if compression is None else repr(dataclasses.asdict(compression)),
+    )
+
+
+def _start_request(**overrides):
+    return tiny_request(
+        **{"model": "mini_bert", "model_kwargs": _MINI_BERT, "strategy": "qsync",
+           **overrides}
+    )
+
+
+ALLOCATOR_STRATEGIES = ("qsync", "qsync+qsgd", "hessian", "random")
+
+
+class TestAllocationStarts:
+    """A device type's allocation start (its ``T_min`` plan and brute-force
+    initial plan) is searched once per session and reused by every what-if
+    on the same hardware; a reused start must be invisible in results."""
+
+    @pytest.fixture(scope="class")
+    def warm_sessions(self):
+        """Per amp mode, a session whose store already holds the starts."""
+        sessions = {}
+        for amp in (False, True):
+            session = PlanSession()
+            session.plan(_start_request(config=AllocatorConfig(amp_mode=amp)))
+            sessions[amp] = session
+        return sessions
+
+    @pytest.mark.parametrize("amp", [False, True], ids=["amp_off", "amp_on"])
+    @pytest.mark.parametrize("collective", [None, "hierarchical"])
+    @pytest.mark.parametrize("strategy", ALLOCATOR_STRATEGIES)
+    def test_hit_equals_cold_plan(self, warm_sessions, strategy, collective, amp):
+        request = _start_request(
+            strategy=strategy, collective_model=collective,
+            config=AllocatorConfig(amp_mode=amp),
+        )
+        session = warm_sessions[amp]
+        searches = session.stats.start_searches
+        hits = session.stats.start_hits
+        warm = session.plan(request)
+        assert session.stats.start_searches == searches
+        assert session.stats.start_hits == hits + (2 if amp else 1)
+        assert _outcome_bits(warm) == _outcome_bits(PlanSession().plan(request))
+
+    @pytest.mark.parametrize("events", [
+        (ClusterEvent(0.0, "leave", 3),),
+        (ClusterEvent(0.0, "degrade", 2, factor=1.5),),
+    ], ids=["leave", "degrade"])
+    def test_replan_hit_equals_cold_replan(self, events):
+        request = _start_request(cluster=make_cluster_a(2, 2))
+        session = PlanSession()
+        session.plan(request)
+        searches = session.stats.start_searches
+        warm = session.replan(session.last_context, events)
+        assert session.stats.start_searches == searches
+        assert session.stats.start_hits == 1
+        cold = PlanSession().replan(request, events)
+        assert _outcome_bits(warm.outcome) == _outcome_bits(cold.outcome)
+
+    @pytest.mark.parametrize("amp", [False, True])
+    def test_compare_searches_each_type_once(self, amp):
+        session = PlanSession()
+        session.compare(
+            _start_request(config=AllocatorConfig(amp_mode=amp)),
+            strategies=ALLOCATOR_STRATEGIES,
+        )
+        types = 2 if amp else 1
+        assert session.stats.start_searches == types
+        assert session.stats.start_hits == 3 * types
+
+    def test_passive_strategies_touch_no_start(self):
+        session = PlanSession()
+        session.compare(_start_request(), strategies=("uniform", "dpro"))
+        assert session.stats.start_searches == session.stats.start_hits == 0
+
+    def test_infeasible_search_is_never_stored(self):
+        tiny_t4 = dataclasses.replace(T4, memory_bytes=1)
+        cluster = Cluster(
+            name="tiny-t4",
+            workers=(Worker(0, V100, 300 * GBPS), Worker(1, tiny_t4, 32 * GBPS)),
+        )
+        session = PlanSession()
+        for _ in range(2):
+            with pytest.raises(InfeasiblePlanError):
+                session.plan(_start_request(cluster=cluster))
+        assert session.stats.start_searches == 2
+        assert session.stats.start_hits == 0
+        assert not [k for k in session.profiles._memo if k[0] == "start"]
+
+    def test_one_backend_digest_per_type_per_prepare(self, monkeypatch):
+        calls = []
+        original = profiles_module.backend_fingerprint
+
+        def counting(backend):
+            calls.append(backend)
+            return original(backend)
+
+        monkeypatch.setattr(profiles_module, "backend_fingerprint", counting)
+        monkeypatch.setattr(session_module, "backend_fingerprint", counting)
+        session = PlanSession()
+        session.prepare(_start_request(cluster=make_cluster_a(2, 2)))
+        assert len(calls) == 2
+        session.prepare(_start_request(cluster=make_cluster_a(2, 2)))
+        assert len(calls) == 4
