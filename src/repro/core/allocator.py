@@ -164,7 +164,8 @@ class Allocator:
         item assignment.  A type found there skips its ladder and brute
         force, which read only its DAG, costs and memory; the session
         passes its store's (:class:`repro.session.profiles.
-        AllocationStarts`).  ``None`` searches every type.
+        AllocationStarts`).  ``None`` starts a private memo, so the first
+        ``allocate`` searches every type.
     """
 
     def __init__(
@@ -177,7 +178,7 @@ class Allocator:
         self.replayer = replayer
         self.indicators = indicators
         self.config = config or AllocatorConfig()
-        self.starts = starts
+        self.starts = {} if starts is None else starts
         # (device type, op) -> candidate precisions sorted low-to-high by
         # bit width.  Device support tables and kernel sets are static, so
         # this is computed once instead of per recovery trial.
@@ -348,10 +349,7 @@ class Allocator:
         # T_min: uniform lowest-feasible on every inference type at once.
         # A type with a memoized start installs its plans instead of
         # searching for them; the simulations and checks stay the same.
-        starts = {
-            name: None if self.starts is None else self.starts.get(name)
-            for name in type_groups
-        }
+        starts = {name: self.starts.get(name) for name in type_groups}
         plans = {}
         for name, groups in type_groups.items():
             start = starts[name]
@@ -379,8 +377,7 @@ class Allocator:
                 continue
             t_min_plan = plans[name]
             plans[name] = self._initial_plan(groups, t_min_plan)
-            if self.starts is not None:
-                self.starts[name] = (t_min_plan, dict(plans[name]))
+            self.starts[name] = (t_min_plan, dict(plans[name]))
         initial_sim = self.replayer.simulate()
         initial_counts = precision_counts(plans)
 

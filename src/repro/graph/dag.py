@@ -108,6 +108,10 @@ class PrecisionDAG:
         for src, dsts in self._succs.items():
             for dst in dsts:
                 out._preds[dst].append(src)
+        # Depths are longest paths, whatever order the predecessors are
+        # listed in, so the copy shares the table (it is only ever replaced,
+        # never written into).
+        out._depth_cache = self._depth_cache
         return out
 
     # ------------------------------------------------------------------
@@ -303,7 +307,8 @@ class PrecisionDAG:
 
     def max_depth(self) -> int:
         """``d_L``: depth of the deepest operator."""
-        return max(self.depth(n) for n in self._specs)
+        self.depth(self.root())
+        return max(self._depth_cache.values())
 
     def validate(self) -> None:
         """Raise :class:`GraphConsistencyError` on a cycle or a root count

@@ -204,11 +204,14 @@ def resolve_backends(
         backend = provided.get(w.rank)
         if backend is None:
             backend = LPBackend(w.device, seed=seed)
-        elif backend.device.name != w.device.name:
+        elif backend.device != w.device:
+            same = " (same name, different spec)" * (
+                backend.device.name == w.device.name
+            )
             raise ValueError(
                 f"backend for rank {w.rank} models device "
                 f"{backend.device.name!r} but the cluster places "
-                f"{w.device.name!r} there"
+                f"{w.device.name!r} there{same}"
             )
         resolved[w.rank] = backend
         # Equal devices on default backends measure alike: no digests then.

@@ -32,7 +32,6 @@ from repro.core.replayer import Replayer
 from repro.engine.perturbation import Perturbation
 from repro.graph.dag import PrecisionDAG
 from repro.hardware.cluster import Cluster
-from repro.hardware.device import DeviceSpec
 from repro.hardware.events import ClusterEvent, MembershipDelta, apply_events
 from repro.profiling.stats import OperatorStats
 from repro.session.outcome import PlanOutcome
@@ -42,7 +41,6 @@ from repro.session.profiles import (
     ProfileStore,
     SessionStats,
     backend_fingerprint,
-    device_fingerprint,
     resolve_backends,
 )
 from repro.session.request import PlanRequest
@@ -97,33 +95,26 @@ class ReplanOutcome:
 
 
 def _start_key(
-    request: PlanRequest,
-    template_key: tuple | None,
-    fingerprint: str,
-    backend_fp: str,
-    device: DeviceSpec,
-    backend: LPBackend,
+    request: PlanRequest, template_key: tuple | None, backend_fp: str
 ) -> tuple | None:
     """The store key of one device type's allocation start: everything its
     ``T_min`` ladder and brute force read, and nothing else.
 
-    The model recipe fixes the DAG, block labels included; the catalog's
-    key parts (profiling fingerprint, backend digest, repeats) fix the
+    The model recipe fixes the DAG, block labels included (and with it the
+    profiling fingerprint); the backend digest and the repeat count fix the
     costs; ``optimizer_slots`` sets the memory model.  The backend digest
-    covers the device it measures, so the worker's own device is digested
-    only when a provided backend models a different one.  An opaque model
-    (``template_key is None``) has no key.
+    covers the worker's device, which :func:`resolve_backends` requires the
+    backend to model.  An opaque model (``template_key is None``) has no
+    key.
     """
     if template_key is None:
         return None
     return (
         "start",
         template_key,
-        fingerprint,
         backend_fp,
         int(request.profile_repeats),
         int(request.optimizer_slots),
-        None if backend.device == device else device_fingerprint(device),
     )
 
 
@@ -209,8 +200,7 @@ class PlanSession:
                     self.profiles.cast_calc_for(backend, backend_fp=backend_fp),
                 )
                 start_keys[w.device.name] = _start_key(
-                    request, template_key, fingerprint, backend_fp, w.device,
-                    backend,
+                    request, template_key, backend_fp
                 )
             dags[w.rank], catalogs[w.rank], cast_calcs[w.rank] = shared
 

@@ -131,6 +131,19 @@ class TestPrecisionDAG:
         dup.set_precision("conv", Precision.INT8)
         assert dag.precision("conv") is Precision.FP32
 
+    def test_copy_keeps_depths_apart_after_growth(self):
+        dag = chain_dag()
+        depths = {n: dag.depth(n) for n in dag.nodes()}
+        dup = dag.copy()
+        assert {n: dup.depth(n) for n in dup.nodes()} == depths
+        tail = dup.topo_order()[-1]
+        dup.add_op(OperatorSpec("extra", OpKind.RELU, (1,)), inputs=[tail])
+        assert dup.depth("extra") == depths[tail] + 1
+        assert dup.max_depth() == max(depths.values()) + 1
+        assert {n: dag.depth(n) for n in dag.nodes()} == depths
+        assert dag.max_depth() == max(depths.values())
+        assert "extra" not in dag
+
     def test_validate_detects_multiple_roots(self):
         dag = PrecisionDAG()
         dag.add_op(OperatorSpec("a", OpKind.INPUT, (1,)))

@@ -252,32 +252,6 @@ def test_start_key_ignores_the_worker_count():
     assert len(_start_entries(session)) == 1
 
 
-def _with_device(cluster: Cluster, rank: int, device) -> Cluster:
-    workers = tuple(
-        dataclasses.replace(w, device=device) if w.rank == rank else w
-        for w in cluster.workers
-    )
-    return Cluster(cluster.name, workers, cluster.collective_latency)
-
-
-def test_start_key_reads_the_worker_device_a_backend_does_not_model():
-    """A provided backend may model a same-named device other than its
-    worker's; the worker's device sets the memory and optimizer pass the
-    search reads, so two such requests must not share a start."""
-    from repro.backend.lp_backend import LPBackend
-
-    t4 = CLUSTER.workers[1].device
-    half = dataclasses.replace(t4, memory_bytes=t4.memory_bytes // 2)
-    backends = {1: LPBackend(t4, seed=0)}
-    keys = [
-        PlanSession().prepare(
-            small_request(cluster=cluster, backends=backends)
-        ).starts.keys["T4"]
-        for cluster in (CLUSTER, _with_device(CLUSTER, 1, half))
-    ]
-    assert keys[0] != keys[1]
-
-
 def test_opaque_model_stores_no_start():
     session = PlanSession()
     session.plan(small_request(**_opaque_overrides("builder")))

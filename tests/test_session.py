@@ -141,6 +141,20 @@ class TestRequestValidation:
             PlanSession().prepare(
                 tiny_request(cluster=cluster, backends={0: LPBackend(T4, seed=0)})
             )
+        # A same-named device with another spec: the catalog would measure
+        # the backend's device while memory is checked against the rank's.
+        half_t4 = dataclasses.replace(T4, memory_bytes=T4.memory_bytes // 2)
+        workers = tuple(
+            dataclasses.replace(w, device=half_t4) if w.rank == 1 else w
+            for w in cluster.workers
+        )
+        with pytest.raises(ValueError, match="same name, different spec"):
+            PlanSession().prepare(
+                tiny_request(
+                    cluster=Cluster(cluster.name, workers),
+                    backends={1: LPBackend(T4, seed=0)},
+                )
+            )
         # Stray rank: loud error, not a silent ignore.
         with pytest.raises(ValueError, match="ranks"):
             PlanSession().prepare(
