@@ -205,13 +205,11 @@ def resolve_backends(
         if backend is None:
             backend = LPBackend(w.device, seed=seed)
         elif backend.device != w.device:
-            same = " (same name, different spec)" * (
-                backend.device.name == w.device.name
-            )
             raise ValueError(
                 f"backend for rank {w.rank} models device "
-                f"{backend.device.name!r} but the cluster places "
-                f"{w.device.name!r} there{same}"
+                f"{backend.device.name!r} but the cluster places a "
+                f"different {w.device.name!r} there (devices must match "
+                "in every field, not only by name)"
             )
         resolved[w.rank] = backend
         # Equal devices on default backends measure alike: no digests then.
