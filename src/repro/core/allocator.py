@@ -34,18 +34,21 @@ low-to-high by bit width, stepped by :func:`at_or_above`.
 
 The ``T_min`` ladder and step 1's brute force read one device type's DAG,
 profiled costs and memory, never the indicator.  Their result, the type's
-*allocation start*, can therefore be memoized (``starts``): the session
-keeps one per device type, so what-ifs on the same hardware (other
-strategies, indicators, collectives, a re-plan) search it once and run
-only the simulations and recovery.
+*allocation start*, is therefore asked for through a lookup
+(``start_for``): the session serves one per device type from its store,
+so what-ifs on the same hardware (other strategies, indicators,
+collectives, a re-plan) search it once and run only the simulations and
+recovery.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import heapq
 import itertools
 import math
+from typing import Callable
 
 from repro.common.dtypes import Precision
 from repro.common.errors import InfeasiblePlanError
@@ -158,14 +161,14 @@ class Allocator:
         indicator, or a baseline implementing the same protocol).
     config:
         Search tunables.
-    starts:
-        Optional memo of allocation starts: device-type name ->
-        ``(T_min plan, initial plan)``, read with ``get`` and filled by
-        item assignment.  A type found there skips its ladder and brute
-        force, which read only its DAG, costs and memory; the session
-        passes its store's (:class:`repro.session.profiles.
-        AllocationStarts`).  ``None`` starts a private memo, so the first
-        ``allocate`` searches every type.
+    start_for:
+        Optional lookup of allocation starts: ``start_for(type name,
+        search)`` returns the type's ``(T_min plan, initial plan)``, calling
+        ``search()`` (the ladder, then the brute force, which read only the
+        type's DAG, costs and memory) when it holds none.  The session
+        passes its store's (:meth:`repro.session.session.PlanContext.
+        start_for`); the returned plans are never mutated.  ``None``
+        searches on every call.
     """
 
     def __init__(
@@ -173,12 +176,12 @@ class Allocator:
         replayer: Replayer,
         indicators: dict[str, IndicatorProtocol],
         config: AllocatorConfig | None = None,
-        starts=None,
+        start_for: Callable[[str, Callable[[], tuple]], tuple] | None = None,
     ) -> None:
         self.replayer = replayer
         self.indicators = indicators
         self.config = config or AllocatorConfig()
-        self.starts = {} if starts is None else starts
+        self.start_for = start_for or (lambda name, search: search())
         # (device type, op) -> candidate precisions sorted low-to-high by
         # bit width.  Device support tables and kernel sets are static, so
         # this is computed once instead of per recovery trial.
@@ -278,22 +281,10 @@ class Allocator:
                 dag.spec(op).flops for lbl in labels for op in blocks[lbl]
             )
 
-        # The assignment the class's rows hold (``None``: not yet written
-        # this class).  A write skips the positions that already hold their
-        # candidate: ``set_precision`` drops those writes anyway, so the
-        # DAG's versions and dirty log come out the same.
-        held = None
-
         def write(rows: list[list[str]], assignment) -> None:
-            nonlocal held
-            changed = [
-                i for i, prec in enumerate(assignment)
-                if held is None or held[i] is not prec
-            ]
             for row in rows:
-                for i in changed:
-                    self._set_op(groups, row[i], assignment[i])
-            held = assignment
+                for op, prec in zip(row, assignment):
+                    self._set_op(groups, op, prec)
 
         def trial_time(rows: list[list[str]], assignment) -> float:
             # A trial writes the class's ops only: every other op already
@@ -313,7 +304,6 @@ class Allocator:
             per_op_cands = [self._candidates_for(dag, op, device) for op in rows[0]]
             if not per_op_cands:
                 continue
-            held = None
             if len(per_op_cands) <= MAX_BRUTEFORCE_OPS:
                 assignments = itertools.product(*per_op_cands)
             else:
@@ -335,6 +325,14 @@ class Allocator:
                 plan.update(zip(row, winner))
         return plan
 
+    def _search(
+        self, groups: list[RankGroup]
+    ) -> tuple[dict[str, Precision], dict[str, Precision]]:
+        """One type's allocation start: its ``T_min`` plan and the brute
+        force's initial plan (the groups are left on the latter)."""
+        t_min_plan = self._uniform_lowest_plan(groups)
+        return t_min_plan, self._initial_plan(groups, t_min_plan)
+
     # ------------------------------------------------------------------
     # step 3: precision recovery
     # ------------------------------------------------------------------
@@ -346,38 +344,32 @@ class Allocator:
             plan = PrecisionPlan(assignments={})
             return plan, passive_allocation_report(plan, self.replayer.simulate())
 
-        # T_min: uniform lowest-feasible on every inference type at once.
-        # A type with a memoized start installs its plans instead of
-        # searching for them; the simulations and checks stay the same.
-        starts = {name: self.starts.get(name) for name in type_groups}
-        plans = {}
-        for name, groups in type_groups.items():
-            start = starts[name]
-            if start is None:
-                plans[name] = self._uniform_lowest_plan(groups)
-            else:
-                plans[name] = _install(groups, start[0])
-        t_min = self.replayer.simulate().throughput
-        # The one all-groups check: each ladder fit its own type, and every
-        # later step writes one type's groups and re-checks those alone, so
-        # only groups no ladder planned (FP32-pinned training ranks) can
-        # fail here, and their fit holds throughout.
+        # Groups no ladder plans (FP32-pinned training ranks) keep their
+        # precisions throughout, so their fit is checked once, up front.
+        # Every later step writes one type's groups and re-checks those
+        # alone.
         for group in self.replayer.groups:
+            if group.device.name in type_groups:
+                continue
             if not self._memory_ok([group]):
                 raise InfeasiblePlanError(
-                    f"lowest precisions exceed {group.device.name} memory"
+                    f"FP32-pinned ranks exceed {group.device.name} memory"
                 )
 
-        # Fastest-feasible initialization.  Only a fresh search fills the
-        # memo, with copies: recovery mutates ``plans``.
+        # Each type's start: its T_min plan and fastest-feasible initial
+        # plan, searched (or looked up) per type.  T_min is the throughput
+        # of every type on its uniform lowest-feasible plan at once.
+        starts = {
+            name: self.start_for(name, functools.partial(self._search, groups))
+            for name, groups in type_groups.items()
+        }
         for name, groups in type_groups.items():
-            start = starts[name]
-            if start is not None:
-                plans[name] = _install(groups, start[1])
-                continue
-            t_min_plan = plans[name]
-            plans[name] = self._initial_plan(groups, t_min_plan)
-            self.starts[name] = (t_min_plan, dict(plans[name]))
+            _install(groups, starts[name][0])
+        t_min = self.replayer.simulate().throughput
+        plans = {
+            name: _install(groups, starts[name][1])
+            for name, groups in type_groups.items()
+        }
         initial_sim = self.replayer.simulate()
         initial_counts = precision_counts(plans)
 
@@ -474,8 +466,8 @@ class Allocator:
 def _install(
     groups: list[RankGroup], plan: dict[str, Precision]
 ) -> dict[str, Precision]:
-    """Apply a memoized ``plan`` to every DAG of ``groups``; returns a copy
-    the caller may mutate."""
+    """Apply a start's ``plan`` to every DAG of ``groups``; returns a copy
+    the caller may mutate (starts are shared, recovery mutates its plans)."""
     for group in groups:
         group.dag.apply_plan(plan)
     return dict(plan)

@@ -88,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     store = None if args.no_cache else ArtifactStore(args.out)
-    runner = SweepRunner(store=store, jobs=args.jobs, use_cache=not args.no_cache)
+    runner = SweepRunner(store=store, jobs=args.jobs)
 
     def _print_outcome(outcome) -> None:
         # Streamed as cells finish, so long sweeps show per-cell progress.

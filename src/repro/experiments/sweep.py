@@ -318,13 +318,12 @@ class SweepRunner:
         self,
         store: ArtifactStore | None = None,
         jobs: int = 1,
-        use_cache: bool = True,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
+        #: ``None`` runs uncached: nothing is read from or written to disk.
         self.store = store
         self.jobs = jobs
-        self.use_cache = use_cache and store is not None
 
     def run(
         self,
@@ -340,7 +339,7 @@ class SweepRunner:
         # store is bypassed — nothing would read the keys.
         fingerprints = (
             [cell.fingerprint() for cell in cells]
-            if self.use_cache
+            if self.store is not None
             else [""] * len(cells)
         )
         outcomes: list[CellOutcome | None] = [None] * len(cells)
@@ -352,7 +351,7 @@ class SweepRunner:
 
         pending: list[int] = []
         for i, (cell, fp) in enumerate(zip(cells, fingerprints)):
-            cached = self.store.load(cell, fp) if self.use_cache else None
+            cached = None if self.store is None else self.store.load(cell, fp)
             if cached is not None:
                 outcomes[i] = emit(CellOutcome(
                     cell, fp, "cached", 0.0, result=cached,
@@ -419,7 +418,7 @@ class SweepRunner:
         # so cached replays can never diverge from fresh computations.
         result = ExperimentResult.from_json_dict(payload)
         artifact = None
-        if self.use_cache:  # no-cache runs neither read nor write the store
+        if self.store is not None:
             artifact = self.store.save(cell, payload, fingerprint)
         if retried_after is not None:
             # Disclose the recovery on the in-memory result only — after

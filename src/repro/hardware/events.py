@@ -12,8 +12,7 @@ workers mid-run.  This module supplies the vocabulary for that churn:
   :class:`~repro.engine.perturbation.Perturbation`'s input-transform
   semantics);
 * :class:`MembershipDelta` — the net effect of an event batch relative to a
-  starting cluster: which ranks joined, left, or degraded, and which were
-  untouched.  Re-planning reads this to know the O(changed ranks) work set;
+  starting cluster: which ranks joined, left, were replaced, or degraded;
 * :func:`validate_events` — before-any-work validation (the
   :class:`~repro.session.request.PlanRequest` discipline): each
   ``ValueError`` names the offending field;
@@ -122,9 +121,7 @@ class MembershipDelta:
 
     ``degraded`` lists each *surviving* rank's composed slowdown factor
     (multiplicative over its degrade events; a rank's degradation dies with
-    it if it leaves, and a rejoining rank starts fresh).  ``unchanged``
-    lists surviving original ranks whose worker (device + NIC) is
-    untouched — the set re-planning may serve entirely from caches.
+    it if it leaves, and a rejoining rank starts fresh).
     """
 
     joined: tuple[int, ...] = ()
@@ -133,7 +130,6 @@ class MembershipDelta:
     #: worker (device or NIC): members at both ends, but not reusable.
     replaced: tuple[int, ...] = ()
     degraded: tuple[tuple[int, float], ...] = ()
-    unchanged: tuple[int, ...] = ()
 
     @property
     def is_noop(self) -> bool:
@@ -143,19 +139,6 @@ class MembershipDelta:
             and not self.left
             and not self.replaced
             and not self.degraded
-        )
-
-    @property
-    def changed_ranks(self) -> tuple[int, ...]:
-        """Ranks whose DFGs must be (re)derived or dropped: joins, leaves
-        and replacements.
-
-        Degraded ranks are *not* listed — degradation is an input transform
-        (a :class:`~repro.engine.perturbation.Perturbation` straggler
-        factor), so their DFGs are reused as-is.
-        """
-        return tuple(
-            sorted(set(self.joined) | set(self.left) | set(self.replaced))
         )
 
     def describe(self) -> str:
@@ -287,15 +270,11 @@ def apply_events(
         for r in workers
         if r in original and workers[r] != original[r]
     }
-    unchanged = tuple(
-        sorted(r for r in workers if r in original and r not in replaced)
-    )
     delta = MembershipDelta(
         joined=joined,
         left=left,
         replaced=tuple(sorted(replaced)),
         degraded=tuple(sorted((r, f) for r, f in factors.items() if f != 1.0)),
-        unchanged=unchanged,
     )
 
     if tuple(workers[r] for r in sorted(workers)) == cluster.workers:

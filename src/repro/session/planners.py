@@ -163,15 +163,22 @@ class AllocatorPlanner:
                 indicators[w.device.name] = _make_indicator(ctx, dag, choice)
         return indicators
 
-    def plan(self, ctx: "PlanContext") -> PlanOutcome:
-        request = ctx.request
-        replayer = ctx.replayer
+    def _allocate(self, ctx: "PlanContext"):
+        """The allocation both allocator-backed strategies share: returns
+        the indicators, the precision plan and its report.  Device types'
+        starts come from the session's store."""
         indicators = self._build_indicators(ctx)
         allocator = Allocator(
-            replayer, indicators, config=request.config, starts=ctx.starts
+            ctx.replayer,
+            indicators,
+            config=ctx.request.config,
+            start_for=ctx.start_for,
         )
-        plan, alloc_report = allocator.allocate()
-        final = replayer.simulate()
+        return (indicators, *allocator.allocate())
+
+    def plan(self, ctx: "PlanContext") -> PlanOutcome:
+        _, plan, alloc_report = self._allocate(ctx)
+        final = ctx.replayer.simulate()
         return PlanOutcome(
             strategy=self.name,
             plan=plan,
@@ -196,11 +203,7 @@ class CompressedAllocatorPlanner(AllocatorPlanner):
     def plan(self, ctx: "PlanContext") -> PlanOutcome:
         request = ctx.request
         replayer = ctx.replayer
-        indicators = self._build_indicators(ctx)
-        allocator = Allocator(
-            replayer, indicators, config=request.config, starts=ctx.starts
-        )
-        plan, alloc_report = allocator.allocate()
+        indicators, plan, alloc_report = self._allocate(ctx)
 
         cconf = request.compression or CompressionConfig()
         # Budget: the compression axis may add at most `loss_budget` of the

@@ -3,14 +3,16 @@
 One :class:`ProfileStore` owns the expensive, reusable artifacts of the
 Fig. 3 pipeline — per-device-type operator cost catalogs, fitted
 casting-cost models, synthesized indicator statistics, built template
-DAGs, and allocation starts (a device type's ``T_min`` plan and
-brute-force initial plan, see :class:`AllocationStarts`) — keyed by
-:mod:`repro.common.stable_hash` fingerprints of everything the artifact
-actually depends on.  Repeated ``PlanSession.plan()`` calls on the same
-device types therefore re-profile nothing, and what-ifs of any
-allocator-backed strategy re-search no start: the catalog key digests
-the DAG's profiling-relevant structure (names, kinds, shapes, FLOPs,
-kernel precision sets, edges), the device's full analytical spec, the
+DAGs and their copies' fingerprints, and allocation starts (a device
+type's ``T_min`` plan and brute-force initial plan, see
+:meth:`ProfileStore.start_for`) — keyed by :mod:`repro.common.stable_hash`
+fingerprints of everything the artifact actually depends on, and all
+served by one lookup (:meth:`ProfileStore._lookup`).  Repeated
+``PlanSession.plan()`` calls on the same device types therefore
+re-profile nothing, and what-ifs of any allocator-backed strategy
+re-search no start: the catalog key digests the DAG's
+profiling-relevant structure (names, kinds, shapes, FLOPs, kernel
+precision sets, edges), the device's full analytical spec, the
 backend's measurement configuration, and the repeat count — so a hit is
 bit-identical to a fresh profile (backend jitter is keyed per
 (op, precision, rep), never drawn from mutable RNG state).  Given a root,
@@ -68,7 +70,7 @@ class SessionStats:
     template_hits: int = 0
     #: Allocation starts (a device type's ``T_min`` plan and brute-force
     #: initial plan) searched for / served from memory (string-named
-    #: models only).
+    #: models only; a search that raises still counts).
     start_searches: int = 0
     start_hits: int = 0
     #: Requests served by joining another caller's identical in-flight
@@ -238,24 +240,32 @@ def resolve_backends(
 #: change needs no bump: a file only serves the exact key it records.
 PROFILE_FORMAT = 1
 
-#: Store-key kind -> (hit counter, computation counter) in SessionStats.
+#: Store-key kind -> (hit counter, computation counter) in SessionStats;
+#: template fingerprints are not counted.
 _COUNTERS = {
     "catalog": ("catalog_hits", "catalog_profiles"),
     "cast": ("cast_hits", "cast_fits"),
     "stats": ("stats_hits", "stats_syntheses"),
+    "template": ("template_hits", "template_builds"),
+    "start": ("start_hits", "start_searches"),
 }
+
+#: The kinds the disk tier persists (those with a codec); the others live
+#: in memory only.
+_PERSISTED = ("catalog", "cast", "stats")
 
 
 class ProfileStore:
     """Fingerprint-keyed cache of profiling artifacts (one per session).
 
-    Catalogs, cast fits and stats share one lookup path: the in-memory map,
-    then — when the store has a ``root`` — the disk tier under
-    ``<root>/profiles/``, and only then the computation, whose fresh
-    artifact is written to disk.  ``key[0]`` names the artifact kind.  Keys
-    are built from :mod:`repro.common.stable_hash` fingerprints only, so
-    they double as cross-process content addresses: a fresh process on the
-    same root warm-starts with zero profiling events.
+    Every artifact kind shares one lookup path (:meth:`_lookup`): the
+    in-memory map, then — for catalogs, cast fits and stats, when the store
+    has a ``root`` — the disk tier under ``<root>/profiles/``, and only
+    then the computation, whose fresh artifact is written to disk.
+    ``key[0]`` names the artifact kind.  Keys are built from
+    :mod:`repro.common.stable_hash` fingerprints only, so they double as
+    cross-process content addresses: a fresh process on the same root
+    warm-starts with zero profiling events.
 
     Parameters
     ----------
@@ -317,24 +327,33 @@ class ProfileStore:
 
     def _lookup(
         self,
-        key: tuple,
+        key: tuple | None,
         compute: Callable[[], Any],
         backend: LPBackend | None = None,
     ) -> Any:
-        """Memory → disk → ``compute`` (written to disk), counting a hit or
-        a computation under the key's kind.  ``backend`` rebinds a cast fit
-        read from disk to a live measurement backend."""
-        hits, computed = _COUNTERS[key[0]]
+        """Memory → disk (persisted kinds only) → ``compute`` (written to
+        disk), counting a hit or a computation under the key's kind.  The
+        computation is counted before it runs, so one that raises still
+        counts and stores nothing.  A ``None`` key (an opaque input)
+        computes, counts nothing and stores nothing.  ``backend`` rebinds a
+        cast fit read from disk to a live measurement backend.
+
+        The only writer of ``_memo``: every kind is stored here."""
+        if key is None:
+            return compute()
+        persisted = self.disk is not None and key[0] in _PERSISTED
         artifact = self._memo.get(key)
-        if artifact is None and self.disk is not None:
+        if artifact is None and persisted:
             artifact = self._read(key, backend)
-        if artifact is None:
-            setattr(self.stats, computed, getattr(self.stats, computed) + 1)
+        hit = artifact is not None
+        counters = _COUNTERS.get(key[0])
+        if counters is not None:
+            name = counters[0 if hit else 1]
+            setattr(self.stats, name, getattr(self.stats, name) + 1)
+        if not hit:
             artifact = compute()
-            if self.disk is not None:
+            if persisted:
                 self._write(key, artifact)
-        else:
-            setattr(self.stats, hits, getattr(self.stats, hits) + 1)
         self._memo[key] = artifact
         return artifact
 
@@ -372,19 +391,9 @@ class ProfileStore:
         self, key: tuple | None, build: Callable[[], PrecisionDAG]
     ) -> PrecisionDAG:
         """Cached template when ``key`` identifies the recipe (string-named
-        models); opaque builders/DAG instances bypass the cache.  Memory
-        only: templates never reach the disk tier."""
-        if key is None:
-            return build()
-        full_key = ("template", key)
-        hit = self._memo.get(full_key)
-        if hit is not None:
-            self.stats.template_hits += 1
-            return hit
-        self.stats.template_builds += 1
-        template = build()
-        self._memo[full_key] = template
-        return template
+        models); opaque builders/DAG instances (``key is None``) bypass the
+        cache."""
+        return self._lookup(None if key is None else ("template", key), build)
 
     def copy_fingerprint(self, key: tuple | None, copy: PrecisionDAG) -> str:
         """:func:`profiling_fingerprint` of ``copy``, a fresh copy of the
@@ -395,46 +404,16 @@ class ProfileStore:
         order), so the digest of the first copy is held next to the cached
         template, which is immutable by contract.  Opaque templates
         (``key is None``) are digested every call."""
-        if key is None:
-            return profiling_fingerprint(copy)
-        full_key = ("template_fingerprint", key)
-        digest = self._memo.get(full_key)
-        if digest is None:
-            digest = self._memo[full_key] = profiling_fingerprint(copy)
-        return digest
+        return self._lookup(
+            None if key is None else ("template_fingerprint", key),
+            lambda: profiling_fingerprint(copy),
+        )
 
-
-class AllocationStarts:
-    """One context's window on its store's allocation starts, in the shape
-    :class:`~repro.core.allocator.Allocator` reads: device-type name ->
-    ``(T_min plan, initial plan)``.
-
-    A start is what the allocator's ``T_min`` ladder and brute force find
-    for one device type.  They read only the type's DAG, profiled costs and
-    memory, so every strategy, indicator, seed, collective, schedule and
-    perturbation on the same hardware shares one start.  Like templates,
-    starts live in memory only.  A type keyed ``None`` (an opaque model) is
-    always searched and never stored; an infeasible search stores nothing,
-    because the allocator fills an entry only after its brute force.
-    """
-
-    def __init__(self, store: ProfileStore, keys: dict[str, tuple | None]) -> None:
-        self.store = store
-        #: Device-type name -> its start key in the store.
-        self.keys = keys
-
-    def get(self, name: str) -> tuple | None:
-        key = self.keys[name]
-        if key is None:
-            return None
-        start = self.store._memo.get(key)
-        if start is None:
-            self.store.stats.start_searches += 1
-        else:
-            self.store.stats.start_hits += 1
-        return start
-
-    def __setitem__(self, name: str, start: tuple) -> None:
-        key = self.keys[name]
-        if key is not None:
-            self.store._memo[key] = start
+    def start_for(
+        self, key: tuple | None, search: Callable[[], tuple]
+    ) -> tuple:
+        """A device type's allocation start under ``key`` (see
+        ``repro.session.session._start_key``): the ``(T_min plan, initial
+        plan)`` pair the allocator's ``search`` finds.  The allocator copies
+        a start before mutating it."""
+        return self._lookup(None if key is None else ("start", *key), search)

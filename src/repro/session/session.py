@@ -37,7 +37,6 @@ from repro.profiling.stats import OperatorStats
 from repro.session.outcome import PlanOutcome
 from repro.session.planners import available_strategies, get_planner
 from repro.session.profiles import (
-    AllocationStarts,
     ProfileStore,
     SessionStats,
     backend_fingerprint,
@@ -64,9 +63,15 @@ class PlanContext:
     stats: Mapping[str, OperatorStats]
     batch_size: int
     gamma: float
-    #: The device types' allocation starts in the session's store, for the
-    #: allocator-backed strategies.
-    starts: AllocationStarts
+    #: Device-type name -> the key of its allocation start in the
+    #: session's store (``None``: an opaque model, searched every time).
+    start_keys: dict[str, tuple | None]
+
+    def start_for(self, name: str, search) -> tuple:
+        """Device type ``name``'s ``(T_min plan, initial plan)`` from the
+        session's store, running ``search`` only on a miss: the
+        :class:`~repro.core.allocator.Allocator`'s start lookup."""
+        return self.session.profiles.start_for(self.start_keys[name], search)
 
 
 @dataclasses.dataclass
@@ -110,7 +115,6 @@ def _start_key(
     if template_key is None:
         return None
     return (
-        "start",
         template_key,
         backend_fp,
         int(request.profile_repeats),
@@ -235,7 +239,7 @@ class PlanSession:
             stats=stats,
             batch_size=batch_size,
             gamma=gamma,
-            starts=AllocationStarts(self.profiles, start_keys),
+            start_keys=start_keys,
         )
 
     # ------------------------------------------------------------------

@@ -246,12 +246,10 @@ class _TrialCountingAllocator(Allocator):
 def test_bruteforce_writes_land_on_pinned_versions_and_plan(
     model, kwargs, cluster, versions, digest
 ):
-    """A trial writes only the positions whose candidate changed since the
-    class's previous trial.  ``set_precision`` drops no-op writes, so the
-    DAG's version after the ``T_min`` ladder and after the brute force, and
-    the plan (in order), are pinned from the search that rewrote every
-    decision op of every row per trial; and no more than one write per
-    class position is a no-op."""
+    """The DAG's version after the ``T_min`` ladder and after the brute
+    force, and the plan (in order), are pinned: a trial rewrites every
+    decision op of every row of its class, and ``set_precision`` drops the
+    writes that change nothing."""
     from repro.common.stable_hash import stable_digest
 
     replayer = PlanSession().prepare(PlanRequest(
@@ -262,19 +260,9 @@ def test_bruteforce_writes_land_on_pinned_versions_and_plan(
     dag = groups[0].dag
     t_min_plan = allocator._uniform_lowest_plan(groups)
     after_ladder = dag.version
-    writes = []
-    original = dag.set_precision
-
-    def counting(name, precision):
-        writes.append(name)
-        original(name, precision)
-
-    dag.set_precision = counting
     plan = allocator._initial_plan(groups, t_min_plan)
     assert (after_ladder, dag.version) == versions
     assert stable_digest([(op, p.value) for op, p in plan.items()]) == digest
-    no_ops = len(writes) - (dag.version - after_ladder)
-    assert no_ops <= len(plan)
 
 
 class TestAllocatorTypeIsolation:

@@ -77,6 +77,51 @@ def test_one_module_replaces_files():
     assert callers == {"repro/common/jsondir.py"}
 
 
+#: dict methods that write their receiver.
+_DICT_WRITERS = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__"}
+
+
+def test_one_lookup_writes_the_profile_store_memo():
+    """Every artifact kind of ``ProfileStore`` is stored by ``_lookup``, so
+    a bound or policy on the store's memory has one place to live.  A write
+    is an item store or delete on a ``_memo`` attribute, a writing dict
+    method called on one, or a rebinding outside ``__init__``."""
+    path = SRC / "repro" / "session" / "profiles.py"
+
+    def is_memo(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_memo"
+
+    def writes(node, scope):
+        if isinstance(node, ast.Subscript):
+            return is_memo(node.value) and isinstance(node.ctx, (ast.Store, ast.Del))
+        if isinstance(node, ast.Call):
+            func = node.func
+            return (
+                isinstance(func, ast.Attribute)
+                and func.attr in _DICT_WRITERS
+                and is_memo(func.value)
+            )
+        return (
+            is_memo(node)
+            and isinstance(node.ctx, ast.Store)
+            and not scope.endswith(".__init__")
+        )
+
+    writers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if writes(child, scope):
+                writers.add(scope)
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), str(path)), "")
+    assert writers == {"ProfileStore._lookup"}
+
+
 def test_planner_imports_leave_networkx_unloaded():
     env = os.environ.copy()
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")

@@ -205,10 +205,10 @@ def test_start_key_sorts_every_field():
 
 @pytest.mark.parametrize("name", START_KEYED)
 def test_keyed_fields_change_the_start_key(name):
-    base = PlanSession().prepare(small_request()).starts.keys
+    base = PlanSession().prepare(small_request()).start_keys
     changed = PlanSession().prepare(
         small_request(**{name: _token_alternatives()[name]})
-    ).starts.keys
+    ).start_keys
     assert set(changed.values()) != set(base.values())
 
 

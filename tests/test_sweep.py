@@ -325,15 +325,14 @@ class TestSweepRunner:
         again = SweepRunner(store=store).run(cells)
         assert [o.status for o in again.outcomes] == ["computed"] * len(cells)
 
-    def test_use_cache_false_neither_reads_nor_writes(self, tmp_path):
+    def test_no_store_neither_reads_nor_writes(self, tmp_path):
         cells = _cheap_cells()
-        store = ArtifactStore(tmp_path)
-        SweepRunner(store=store).run(cells)
-        again = SweepRunner(store=store, use_cache=False).run(cells)
+        SweepRunner(store=ArtifactStore(tmp_path)).run(cells)
+        files = sorted(tmp_path.rglob("*"))
+        again = SweepRunner(store=None).run(cells)
         assert len(again.computed) == len(cells)  # warm store not read
-        fresh = ArtifactStore(tmp_path / "fresh")
-        SweepRunner(store=fresh, use_cache=False).run(cells)
-        assert len(fresh) == 0  # ... and nothing written
+        assert all(o.artifact is None for o in again.outcomes)
+        assert sorted(tmp_path.rglob("*")) == files  # ... and nothing written
 
     def test_parallel_matches_serial_byte_for_byte(self, tmp_path):
         cells = _cheap_cells()
