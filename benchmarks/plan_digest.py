@@ -13,7 +13,11 @@ and one straggler + jitter + drift perturbation; ``resnet50`` at batch 8
 on ``cluster_a_4+4`` under every strategy; and on ``cloud_edge_4+2x2``
 one ``qsync`` plan under the hierarchical collective and one
 ``qsync+qsgd`` plan under the compressed multi-hop collective.  Every
-request profiles with ``profile_repeats=1``.
+request profiles with ``profile_repeats=1``, so the profile lines that
+follow pin what averaging touches: per model, device type of those
+clusters and repeat count in :data:`PROFILE_REPEATS`, a digest of the
+operator cost catalog, the cast fit and the synthesized statistics as
+they are persisted.
 
 The first line names the Python and numpy versions (float formatting and
 numpy reductions may differ across them).  Each further line holds the
@@ -21,7 +25,8 @@ request's identity, then a digest of ``plan.to_dict()``, the iteration
 time's ``float.hex()``, a digest of the per-rank compute and wait dicts
 (their order included) and a digest of the rendered timeline.  One
 :class:`PlanSession` serves every request, so each device type is
-profiled once per cluster and model.
+profiled once per cluster and model.  A profile line reads ``profile
+<model> <device> r=<repeats>`` and then its three digests.
 """
 
 from __future__ import annotations
@@ -37,8 +42,17 @@ except ImportError:  # standalone invocation without PYTHONPATH=src
 
 import numpy as np
 
+from repro.backend import LPBackend
 from repro.common.stable_hash import stable_digest
 from repro.engine import Perturbation
+from repro.hardware import get_cluster_preset
+from repro.profiling import CastCostCalculator, profile_operator_costs
+from repro.profiling.persistence import (
+    cast_calc_to_dict,
+    catalog_to_dict,
+    stats_to_dict,
+)
+from repro.profiling.stats import synthesize_stats
 from repro.session import PlanRequest, PlanSession, available_strategies
 
 MODEL_KWARGS = {
@@ -75,6 +89,9 @@ REQUESTS = (
     ("mini_bert", "cloud_edge_4+2x2", "qsync", "hierarchical"),
     ("mini_bert", "cloud_edge_4+2x2", "qsync+qsgd", "compressed_multihop"),
 )
+#: Repeat counts the profile lines average over (numpy sums pairwise from
+#: 8 samples on, so 8 is among them).
+PROFILE_REPEATS = (1, 2, 3, 8)
 
 
 def version_line() -> str:
@@ -101,6 +118,32 @@ def digest_line(request: tuple[str, ...], outcome) -> str:
     )
 
 
+def profile_lines():
+    """One line per (model, device type, repeats): digests of the catalog,
+    cast fit and stats a session would persist, profiled with the default
+    backend (``profile_seed=0``)."""
+    devices = {}
+    for cluster in CLUSTERS:
+        for worker in get_cluster_preset(cluster).workers:
+            devices.setdefault(worker.device.name, worker.device)
+    for model, kwargs in MODEL_KWARGS.items():
+        template = PlanRequest(model=model, model_kwargs=kwargs).build_template()
+        stats = stable_digest(stats_to_dict(synthesize_stats(template, seed=0)))
+        for name, device in devices.items():
+            backend = LPBackend(device)
+            for repeats in PROFILE_REPEATS:
+                catalog = profile_operator_costs(
+                    template.copy(), backend, repeats=repeats
+                )
+                cast = CastCostCalculator(backend, repeats=repeats)
+                yield (
+                    f"profile {model} {name} r={repeats} "
+                    f"catalog={stable_digest(catalog_to_dict(catalog))} "
+                    f"cast={stable_digest(cast_calc_to_dict(cast))} "
+                    f"stats={stats}"
+                )
+
+
 def main() -> int:
     print(version_line(), flush=True)
     session = PlanSession()
@@ -111,6 +154,8 @@ def main() -> int:
             strategy=strategy, profile_repeats=1, **RUNS[run],
         ))
         print(digest_line(request, outcome), flush=True)
+    for line in profile_lines():
+        print(line, flush=True)
     return 0
 
 

@@ -10,12 +10,15 @@ Two access styles:
 
 * ``*_time`` — the deterministic analytical latency (the "true" mean);
 * ``measure_*`` — the same latency with multiplicative run-to-run jitter,
-  which is what profiling and the ground-truth simulator consume.  The
+  which the ground-truth simulator consumes (profiling takes several
+  repeats at once through the equal ``*_samples``).  The
   Replayer's fitted cost models therefore predict noisy reality from noisy
   profiles, exactly the estimation problem the paper's predictor solves.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from repro.backend.autotune import AutoTuner
 from repro.backend.fusion import dequant_cost
@@ -50,7 +53,16 @@ def gemm_problem(spec: OperatorSpec) -> tuple[int, int, int]:
 
 
 class LPBackend:
-    """Measurement surface of one device's kernel stack."""
+    """Measurement surface of one device's kernel stack.
+
+    A measurement's jitter depends only on ``seed`` and the measurement's
+    key (operator or cast, precisions, repeat index): each draw comes from
+    a fresh generator seeded by :func:`~repro.common.rng.derive_seed`, so
+    ``seed`` must lie in ``[0, 2**64)``.  The ``*_samples`` methods measure
+    several repeats from one analytic latency, which only the per-repeat
+    jitter multiplies; each sample equals the ``measure_*`` call at its
+    repeat.
+    """
 
     def __init__(
         self,
@@ -166,23 +178,51 @@ class LPBackend:
         rng = new_rng(derive_seed(self.seed, "measure", *key))
         return float(1.0 + self.measurement_noise * rng.standard_normal())
 
+    def _samples(self, latency: float, reps: Iterable[int], *key) -> list[float]:
+        return [latency * self._jitter(*key, rep) for rep in reps]
+
+    def op_forward_samples(
+        self, spec: OperatorSpec, precision: Precision, input_elems: int,
+        reps: Iterable[int],
+    ) -> list[float]:
+        """:meth:`measure_op_forward` at each repeat of ``reps``, from one
+        analytic latency."""
+        return self._samples(
+            self.op_forward_time(spec, precision, input_elems), reps,
+            spec.name, precision.value, "fwd",
+        )
+
+    def op_backward_samples(
+        self, spec: OperatorSpec, precision: Precision, input_elems: int,
+        reps: Iterable[int],
+    ) -> list[float]:
+        """:meth:`measure_op_backward` at each repeat of ``reps``."""
+        return self._samples(
+            self.op_backward_time(spec, precision, input_elems), reps,
+            spec.name, precision.value, "bwd",
+        )
+
+    def cast_samples(
+        self, src: Precision, dst: Precision, elems: int, reps: Iterable[int],
+        rows: int = 1,
+    ) -> list[float]:
+        """:meth:`measure_cast` at each repeat of ``reps``."""
+        return self._samples(
+            self.cast_time(src, dst, elems, rows), reps,
+            src.value, dst.value, elems,
+        )
+
     def measure_op_forward(
         self, spec: OperatorSpec, precision: Precision, input_elems: int, rep: int = 0
     ) -> float:
-        return self.op_forward_time(spec, precision, input_elems) * self._jitter(
-            spec.name, precision.value, "fwd", rep
-        )
+        return self.op_forward_samples(spec, precision, input_elems, (rep,))[0]
 
     def measure_op_backward(
         self, spec: OperatorSpec, precision: Precision, input_elems: int, rep: int = 0
     ) -> float:
-        return self.op_backward_time(spec, precision, input_elems) * self._jitter(
-            spec.name, precision.value, "bwd", rep
-        )
+        return self.op_backward_samples(spec, precision, input_elems, (rep,))[0]
 
     def measure_cast(
         self, src: Precision, dst: Precision, elems: int, rows: int = 1, rep: int = 0
     ) -> float:
-        return self.cast_time(src, dst, elems, rows) * self._jitter(
-            src.value, dst.value, elems, rep
-        )
+        return self.cast_samples(src, dst, elems, (rep,), rows)[0]

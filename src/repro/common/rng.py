@@ -35,10 +35,17 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
 
 
 def derive_seed(seed: int, *keys: Iterable) -> int:
-    """Mix arbitrary hashable keys into a base seed deterministically."""
-    h = np.uint64(seed)
+    """Mix arbitrary hashable keys into a base seed deterministically.
+
+    ``seed`` must convert to a 64-bit unsigned integer: a Python int
+    outside ``[0, 2**64)`` raises :class:`OverflowError`.  Each key mixes
+    in the UTF-8 bytes of its ``str()`` through 64-bit FNV-1a, on Python
+    ints (one ``np.uint64`` conversion per call, for the seed's range
+    check); the result lies in ``[0, 2**31 - 1)``.
+    """
+    h = int(np.uint64(seed))
     for key in keys:
         for ch in str(key).encode():
             # FNV-1a style mixing, cheap and adequate for seeding.
-            h = np.uint64((int(h) ^ ch) * 0x100000001B3 % (2**64))
-    return int(h % (2**31 - 1))
+            h = ((h ^ ch) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h % (2**31 - 1)

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.backend.lp_backend import LPBackend
 from repro.common.dtypes import Precision
+from repro.profiling.profiler import sample_mean
 
 
 @dataclasses.dataclass
@@ -69,7 +70,9 @@ class CastCostCalculator:
         Element counts swept while profiling (default spans the activation
         sizes of the catalog models).
     repeats:
-        Measurements averaged per size (profiling noise reduction).
+        Measurements averaged per size (profiling noise reduction).  Each
+        (pair, size) cast latency is evaluated once; only the per-repeat
+        jitter multiplies it (:meth:`LPBackend.cast_samples`).
     """
 
     def __init__(
@@ -85,14 +88,12 @@ class CastCostCalculator:
         self._fit()
 
     def _fit(self) -> None:
+        reps = range(self.repeats)
         for src, dst in CAST_PAIRS:
-            times = []
-            for size in self.sizes:
-                samples = [
-                    self.backend.measure_cast(src, dst, size, rep=r)
-                    for r in range(self.repeats)
-                ]
-                times.append(float(np.mean(samples)))
+            times = [
+                sample_mean(self.backend.cast_samples(src, dst, size, reps))
+                for size in self.sizes
+            ]
             self._models[(src, dst)] = LinearCostModel.fit(
                 np.asarray(self.sizes, dtype=np.float64), np.asarray(times)
             )

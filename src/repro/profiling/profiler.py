@@ -69,14 +69,26 @@ def _op_input_elems(dag: PrecisionDAG, name: str) -> int:
     return int(sum(dag.spec(p).output_elems for p in preds))
 
 
+def sample_mean(samples: list[float]) -> float:
+    """``np.mean(samples)``, bit for bit, without its dispatch: numpy's
+    own (pairwise from 8 samples on) sum, then one division."""
+    return float(np.add.reduce(samples)) / len(samples)
+
+
 def profile_operator_costs(
     dag: PrecisionDAG,
     backend: LPBackend,
     repeats: int = 3,
 ) -> OperatorCostCatalog:
     """Measure every op at every device-supported precision it has kernels
-    for; average ``repeats`` noisy samples per entry."""
+    for; average ``repeats`` noisy samples per entry.
+
+    Each entry's forward and backward latency is evaluated once; only the
+    per-repeat jitter multiplies it (:meth:`LPBackend.op_forward_samples`),
+    so every sample equals the matching ``measure_*`` call.
+    """
     catalog = OperatorCostCatalog(backend.device.name)
+    reps = range(repeats)
     for name in dag.topo_order():
         spec: OperatorSpec = dag.spec(name)
         input_elems = _op_input_elems(dag, name)
@@ -84,21 +96,11 @@ def profile_operator_costs(
         for precision in spec.supported_precisions():
             if not backend.device.supports(precision):
                 continue
-            fwd = float(
-                np.mean(
-                    [
-                        backend.measure_op_forward(spec, precision, input_elems, rep=r)
-                        for r in range(repeats)
-                    ]
-                )
+            fwd = sample_mean(
+                backend.op_forward_samples(spec, precision, input_elems, reps)
             )
-            bwd = float(
-                np.mean(
-                    [
-                        backend.measure_op_backward(spec, precision, input_elems, rep=r)
-                        for r in range(repeats)
-                    ]
-                )
+            bwd = sample_mean(
+                backend.op_backward_samples(spec, precision, input_elems, reps)
             )
             catalog.put(name, precision, OperatorCost(forward=fwd, backward=bwd))
     return catalog

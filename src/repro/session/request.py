@@ -88,7 +88,8 @@ class PlanRequest:
         Allocator tunables (also carries §VIII ``amp_mode``).
     seed:
         Seeds the synthesized indicator statistics and the random-indicator
-        draws.  Profiling noise is seeded by the backends, not by this.
+        draws; in ``[0, 2**64)``.  Profiling noise is seeded by the
+        backends, not by this.
     profile_repeats:
         Measurements averaged per (op, precision) catalog entry — the
         experiments use 2/3; the default is 3.
@@ -140,6 +141,8 @@ class PlanRequest:
             raise ValueError(
                 f"profile_repeats must be >= 1, got {self.profile_repeats}"
             )
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.model_kwargs and not isinstance(self.model, str):
             raise ValueError(
                 "model_kwargs applies only to a named model; a builder or "

@@ -128,8 +128,8 @@ class PlanSession:
     Parameters
     ----------
     profile_seed:
-        Seed of the default per-rank :class:`LPBackend` measurement noise
-        (``0`` is the seed of the pre-session pipeline that
+        Seed of the default per-rank :class:`LPBackend` measurement noise,
+        in ``[0, 2**64)`` (``0`` is the seed of the pre-session pipeline that
         ``tests/test_session_parity.py`` keeps as its oracle — keep it to
         stay bit-identical with that pipeline).
     profiles:
@@ -142,6 +142,10 @@ class PlanSession:
     def __init__(
         self, profile_seed: int = 0, profiles: ProfileStore | None = None
     ) -> None:
+        if not 0 <= profile_seed < 2**64:
+            raise ValueError(
+                f"profile_seed must lie in [0, 2**64), got {profile_seed}"
+            )
         self.profile_seed = profile_seed
         self.profiles = ProfileStore() if profiles is None else profiles
         #: The context of the most recent ``plan``/``replan`` call — the

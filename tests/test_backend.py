@@ -16,6 +16,7 @@ from repro.backend import (
 )
 from repro.common import MB, Precision, new_rng
 from repro.common.errors import KernelConfigError
+from repro.common.rng import derive_seed
 from repro.graph.ops import OperatorSpec, OpKind
 from repro.hardware import A10, T4, V100
 
@@ -210,6 +211,35 @@ class TestLPBackend:
         assert m1 != m3
         truth = be.op_forward_time(spec, Precision.FP16, 10**6)
         assert abs(m1 - truth) / truth < 0.05
+
+    def test_samples_are_one_latency_times_keyed_jitter(self):
+        be = LPBackend(T4, measurement_noise=0.01, seed=5)
+        spec = self._conv_spec()
+        reps = range(4)
+
+        def jitter(*key):
+            rng = new_rng(derive_seed(5, "measure", *key))
+            return float(1.0 + 0.01 * rng.standard_normal())
+
+        fp16, fp32, int8 = Precision.FP16, Precision.FP32, Precision.INT8
+        fwd = be.op_forward_time(spec, fp16, 10**6)
+        want = [fwd * jitter(spec.name, "fp16", "fwd", r) for r in reps]
+        assert be.op_forward_samples(spec, fp16, 10**6, reps) == want
+        assert [
+            be.measure_op_forward(spec, fp16, 10**6, rep=r) for r in reps
+        ] == want
+        bwd = be.op_backward_time(spec, int8, 10**6)
+        want = [bwd * jitter(spec.name, "int8", "bwd", r) for r in reps]
+        assert be.op_backward_samples(spec, int8, 10**6, reps) == want
+        assert [
+            be.measure_op_backward(spec, int8, 10**6, rep=r) for r in reps
+        ] == want
+        cast = be.cast_time(fp32, int8, 4096, rows=8)
+        want = [cast * jitter("fp32", "int8", 4096, r) for r in reps]
+        assert be.cast_samples(fp32, int8, 4096, reps, rows=8) == want
+        assert [
+            be.measure_cast(fp32, int8, 4096, rows=8, rep=r) for r in reps
+        ] == want
 
     def test_int8_extra_overhead_band_fig7b(self):
         """INT8 + casting vs FP16 on ResNet50-scale op: optimized backend

@@ -144,3 +144,33 @@ class TestRng:
         assert s1 != s2
         assert s1 == s3
         assert 0 <= s1 < 2**31 - 1
+
+    # Recorded from the numpy-uint64 implementation; every profile, plan
+    # and artifact is seeded through these values.
+    DERIVE_SEED_GOLDEN = [
+        (0, ("measure", "fc1", "fp16", "fwd", 2), 2010914640),
+        (1, ("measure", "fc1", "fp16", "fwd", 2), 1268231443),
+        (2**31 - 1, ("measure", "fc1", "fp16", "fwd", 2), 1360557778),
+        (2**63, ("measure", "fc1", "fp16", "fwd", 2), 2010914638),
+        (2**64 - 1, ("measure", "fc1", "fp16", "fwd", 2), 1572073835),
+        (np.int64(7), ("measure", "fc1", "fp16", "fwd", 2), 980086771),
+        (np.uint64(2**64 - 1), ("measure", "fc1", "fp16", "fwd", 2), 1572073835),
+        (True, ("measure", "fc1", "fp16", "fwd", 2), 1268231443),
+        (2**63 + 5, ("measure",), 398103671),
+        (2**63 + 5, (3,), 51140),
+        (2**63 + 5, (-3,), 25343987),
+        (2**63 + 5, (0.5,), 451100309),
+        (2**63 + 5, (("a", 1),), 1818069151),
+        (2**63 + 5, (None,), 1168408412),
+        (2**63 + 5, ("précision·ß",), 2099513003),
+        (2**63 + 5, (), 7),
+    ]
+
+    @pytest.mark.parametrize("seed, keys, expected", DERIVE_SEED_GOLDEN)
+    def test_derive_seed_golden(self, seed, keys, expected):
+        assert derive_seed(seed, *keys) == expected
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_derive_seed_rejects_out_of_range_seed(self, seed):
+        with pytest.raises(OverflowError):
+            derive_seed(seed, "measure")

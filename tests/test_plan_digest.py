@@ -5,7 +5,9 @@ per request of a fixed set.  ``benchmarks/plan_digest.golden`` holds that
 output as committed; a refactor that claims no number moves must reproduce
 it line by line.  The shape test checks the set itself: every request
 appears once, each line carries its four digests, and the schedule and
-perturbation runs move the iteration time, so a diff can see them.
+perturbation runs move the iteration time, so a diff can see them; then
+one profile line per (model, device type, repeats) carries its catalog,
+cast-fit and stats digests, and the repeat count moves the first two.
 
 The rule (CONTRIBUTING.md, "Bit-identity goldens"): a refactor never
 regenerates the golden.  A change that moves numbers on purpose
@@ -20,7 +22,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from benchmarks.plan_digest import REQUESTS, SCHEDULE_RUNS, main, version_line
+from benchmarks.plan_digest import (
+    MODEL_KWARGS,
+    PROFILE_REPEATS,
+    REQUESTS,
+    SCHEDULE_RUNS,
+    main,
+    version_line,
+)
 
 GOLDEN = Path(__file__).resolve().parent.parent / "benchmarks" / "plan_digest.golden"
 
@@ -44,8 +53,9 @@ def _rows(lines):
 def test_digest_covers_the_fixed_set(digest_lines):
     header, *lines = digest_lines
     assert header == version_line()
+    plan_lines = [line for line in lines if not line.startswith("profile ")]
     rows = {}
-    for line in lines:
+    for line in plan_lines:
         *request, plan, it, ranks, timeline = line.split()
         assert [f.split("=")[0] for f in (plan, it, ranks, timeline)] == [
             "plan", "iter", "ranks", "timeline",
@@ -58,6 +68,26 @@ def test_digest_covers_the_fixed_set(digest_lines):
         if run in SCHEDULE_RUNS and run != "default":
             default = rows[model, cluster, strategy, "default"]["iter"]
             assert rows[model, cluster, strategy, run]["iter"] != default
+
+    assert lines[: len(plan_lines)] == plan_lines
+    profiles = {}
+    for line in lines[len(plan_lines):]:
+        _, model, device, repeats, *digests = line.split()
+        assert [f.split("=")[0] for f in digests] == ["catalog", "cast", "stats"]
+        profiles[model, device, repeats] = dict(f.split("=") for f in digests)
+    devices = list(dict.fromkeys(device for _, device, _ in profiles))
+    assert list(profiles) == [
+        (model, device, f"r={r}")
+        for model in MODEL_KWARGS
+        for device in devices
+        for r in PROFILE_REPEATS
+    ]
+    assert len(devices) == 3
+    for (model, device, repeats), row in profiles.items():
+        if repeats != "r=1":
+            one = profiles[model, device, "r=1"]
+            assert row["catalog"] != one["catalog"]
+            assert row["cast"] != one["cast"]
 
 
 def test_digest_matches_the_golden_file(digest_lines):

@@ -94,6 +94,16 @@ class TestRequestValidation:
         with pytest.raises(ValueError, match="profile_repeats"):
             tiny_request(profile_repeats=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_rejected_at_construction(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            tiny_request(seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_profile_seed_out_of_range_rejected(self, seed):
+        with pytest.raises(ValueError, match="profile_seed"):
+            PlanSession(profile_seed=seed)
+
     def test_unknown_loss_rejected_at_construction(self):
         with pytest.raises(ValueError, match="loss"):
             tiny_request(loss="mae")
