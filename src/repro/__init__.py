@@ -30,7 +30,7 @@ Package map (bottom-up):
                        ``PlanService``, persistent on-disk profile store,
                        batched ``plan_many``
 ``repro.parallel``     synchronous hybrid mixed-precision data parallelism
-``repro.train``        optimizers, schedulers, synthetic datasets, loops
+``repro.train``        optimizers, synthetic datasets, metrics, evaluation
 ``repro.baselines``    UP, DBS, Hessian/Random indicators, Dpro replayer
 ``repro.experiments``  one harness per paper table/figure + sweep engine
 =====================  =====================================================

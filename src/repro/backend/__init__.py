@@ -22,7 +22,7 @@ from repro.backend.autotune import AutoTuner, TunedKernel
 from repro.backend.fusion import dequant_cost
 from repro.backend.kernels import KernelRegistry, KernelTemplate, kernel_efficiency
 from repro.backend.lp_backend import LPBackend
-from repro.backend.minmax import MinMaxKernel, compute_minmax
+from repro.backend.minmax import MinMaxKernel
 from repro.backend.wrapper import SecurityWrapper, check_tensor_core_compat
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "AutoTuner",
     "TunedKernel",
     "MinMaxKernel",
-    "compute_minmax",
     "dequant_cost",
     "check_tensor_core_compat",
     "SecurityWrapper",

@@ -8,34 +8,17 @@ the GPU and replaced it with a two-step scheme:
    warp-level primitive (one streaming pass over the data);
 2. a second, tiny kernel reducing the per-row results to tensor scalars.
 
-Both strategies are modelled (cost) *and* implemented (numerics).  The cost
-gap reproduces Fig. 7(a): the vanilla path re-reads the tensor once per
-reduction stage while the optimized path is single-pass plus a negligible
-tail kernel.
+Both strategies compute the same two scalars, so only their cost is
+modelled here.  The cost gap reproduces Fig. 7(a): the vanilla path re-reads
+the tensor once per reduction stage while the optimized path is single-pass
+plus a negligible tail kernel.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 from repro.hardware.device import DeviceSpec
-
-
-def compute_minmax(x: np.ndarray, optimized: bool = True) -> tuple[float, float]:
-    """Tensor-wise (min, max); both strategies are numerically identical.
-
-    The "optimized" flag switches the computation structure (row-wise
-    partials then reduce vs direct full reduction) so tests can assert the
-    refactoring does not change results.
-    """
-    flat = x.reshape(-1) if x.ndim == 1 else x.reshape(x.shape[0], -1)
-    if optimized and flat.ndim == 2:
-        row_min = flat.min(axis=1)  # step 1: row-wise statistics
-        row_max = flat.max(axis=1)
-        return float(row_min.min()), float(row_max.max())  # step 2: tail kernel
-    return float(x.min()), float(x.max())
 
 
 @dataclasses.dataclass(frozen=True)

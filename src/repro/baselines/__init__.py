@@ -3,8 +3,7 @@
 * :mod:`repro.baselines.uniform` — Uniform Precision (UP): one precision for
   every adjustable op on inference GPUs, lowered until memory fits.
 * :mod:`repro.baselines.dbs` — Dynamic Batch Sizing [4]: heterogeneous local
-  batch sizes balancing per-device step time, with the linear LR scaling
-  rule.
+  batch sizes balancing per-device step time.
 * :mod:`repro.baselines.hessian` — the HAWQ-v3-style Hessian indicator [8]:
   block-wise top eigenvalue / parameter count x quantization error.
 * :mod:`repro.baselines.random_ind` — the random indicator of Sec. VII-A1.
@@ -12,7 +11,7 @@
   without casting costs or precision-dependency modelling (Table III).
 """
 
-from repro.baselines.dbs import dbs_batch_sizes, dbs_learning_rate
+from repro.baselines.dbs import dbs_batch_sizes
 from repro.baselines.dpro import DproReplayer
 from repro.baselines.hessian import HessianIndicator, hessian_top_eigenvalues
 from repro.baselines.random_ind import RandomIndicator
@@ -21,7 +20,6 @@ from repro.baselines.uniform import uniform_precision_plan
 __all__ = [
     "uniform_precision_plan",
     "dbs_batch_sizes",
-    "dbs_learning_rate",
     "HessianIndicator",
     "hessian_top_eigenvalues",
     "RandomIndicator",

@@ -2,15 +2,8 @@
 
 Keeps the global batch constant while giving fast/large devices bigger
 local batches and slow/small devices smaller ones, so all workers finish
-their step at roughly the same time.  Two pieces:
-
-* :func:`dbs_batch_sizes` — the proportional-to-speed allocation under
-  per-device memory caps;
-* :func:`dbs_learning_rate` — the linear-scaling LR adaptation the paper
-  says existing DBS work prescribes (lr scales with the batch size [6]) —
-  here applied per the *global* batch, which DBS keeps fixed, so the base
-  LR is returned unchanged; the harm comes from BatchNorm statistics, which
-  the executable models reproduce.
+their step at roughly the same time.  :func:`dbs_batch_sizes` is the
+proportional-to-speed allocation under per-device memory caps.
 """
 
 from __future__ import annotations
@@ -31,7 +24,12 @@ def dbs_batch_sizes(
     ----------
     global_batch:
         Total samples per synchronous step (kept identical to the uniform
-        configuration — the method's defining constraint).
+        configuration — the method's defining constraint).  The linear LR
+        scaling rule existing DBS work prescribes (lr scales with the batch
+        size [6]) applies to this *global* batch, so it leaves the LR
+        unchanged: what degrades from-scratch BN models under DBS is the
+        changed per-worker batch statistics, which the executable models
+        reproduce and no LR adaptation can compensate.
     per_sample_times:
         Seconds per sample per worker at the precision DBS runs (FP32).
     memory_caps, per_sample_bytes:
@@ -75,13 +73,3 @@ def dbs_batch_sizes(
         i += 1
     return [int(b) for b in batches]
 
-
-def dbs_learning_rate(base_lr: float, base_global_batch: int, new_global_batch: int) -> float:
-    """Linear LR scaling with the global batch [6].
-
-    DBS keeps the global batch fixed, so in the paper's experiments this
-    returns ``base_lr`` — documented here because the *reason* DBS still
-    degrades from-scratch BN models is precisely that LR adaptation cannot
-    compensate for changed per-worker batch statistics.
-    """
-    return base_lr * new_global_batch / base_global_batch

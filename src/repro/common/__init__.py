@@ -19,7 +19,7 @@ from repro.common.errors import (
     ReproError,
     UnsupportedPrecisionError,
 )
-from repro.common.rng import new_rng, spawn_rngs
+from repro.common.rng import new_rng
 from repro.common.stable_hash import (
     canonical_encode,
     stable_digest,
@@ -35,9 +35,6 @@ from repro.common.units import (
     MS,
     TFLOPS,
     US,
-    bytes_to_gb,
-    bytes_to_mb,
-    seconds_to_ms,
 )
 
 __all__ = [
@@ -53,7 +50,6 @@ __all__ = [
     "KernelConfigError",
     "InfeasiblePlanError",
     "new_rng",
-    "spawn_rngs",
     "canonical_encode",
     "stable_digest",
     "stable_hash",
@@ -66,7 +62,4 @@ __all__ = [
     "US",
     "TFLOPS",
     "GBPS",
-    "bytes_to_mb",
-    "bytes_to_gb",
-    "seconds_to_ms",
 ]

@@ -53,36 +53,15 @@ class Precision(enum.Enum):
         return self is Precision.INT8
 
     @property
-    def mantissa_bits(self) -> int:
-        """Explicit mantissa bits (floats only).
-
-        The paper's Proposition 2 uses ``epsilon = 2**-k`` with ``k = 9`` for
-        float16: 10 stored mantissa bits give 9 fully-stochastic roundable
-        bits in the paper's accounting, so we expose ``k`` directly as
-        :meth:`stochastic_mantissa_bits`.
-        """
-        if self is Precision.FP16:
-            return 10
-        if self is Precision.FP32:
-            return 23
-        raise ValueError(f"{self} has no mantissa")
-
-    @property
     def stochastic_mantissa_bits(self) -> int:
-        """``k`` in Proposition 2 (``epsilon = 2**-k``); 9 for FP16."""
+        """``k`` in Proposition 2 (``epsilon = 2**-k``); 9 for FP16, whose
+        10 stored mantissa bits give 9 fully-stochastic roundable bits in
+        the paper's accounting."""
         if self is Precision.FP16:
             return 9
         if self is Precision.FP32:
             return 23
         raise ValueError(f"{self} has no mantissa")
-
-    @property
-    def exponent_bits(self) -> int:
-        if self is Precision.FP16:
-            return 5
-        if self is Precision.FP32:
-            return 8
-        raise ValueError(f"{self} has no exponent")
 
     @property
     def max_exponent(self) -> int:

@@ -2,8 +2,9 @@
 
 Stochastic rounding makes the whole training stack randomized, so every
 component that draws randomness takes an explicit ``numpy.random.Generator``.
-These helpers centralize construction so experiments are reproducible and
-workers in the data-parallel trainer get statistically independent streams.
+These helpers centralize construction so experiments are reproducible, and
+:func:`derive_seed` gives each worker of the data-parallel trainer its own
+stream.
 """
 
 from __future__ import annotations
@@ -19,19 +20,6 @@ def new_rng(seed: int | None = 0) -> np.random.Generator:
     ``None`` gives OS entropy; an int gives a reproducible stream.
     """
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` independent child generators from one seed.
-
-    Uses :class:`numpy.random.SeedSequence` spawning, the recommended way to
-    get parallel streams that are provably independent — one per simulated
-    worker/device in :mod:`repro.parallel`.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(n)]
 
 
 def derive_seed(seed: int, *keys: Iterable) -> int:

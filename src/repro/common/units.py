@@ -22,17 +22,3 @@ TFLOPS: float = 1e12
 #: Bandwidth: 1 GB/s, decimal as in interconnect datasheets.
 GBPS: float = 1e9
 
-
-def bytes_to_mb(nbytes: float) -> float:
-    """Convert a byte count to mebibytes."""
-    return nbytes / MB
-
-
-def bytes_to_gb(nbytes: float) -> float:
-    """Convert a byte count to gibibytes."""
-    return nbytes / GB
-
-
-def seconds_to_ms(seconds: float) -> float:
-    """Convert seconds to milliseconds."""
-    return seconds / MS

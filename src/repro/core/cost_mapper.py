@@ -18,7 +18,9 @@ Entry points: :meth:`CostMapper.build_local_dfg` (full rebuild),
 :meth:`CostMapper.current_dfg` (refresh the retained DFG against the DAG's
 dirty log — the Replayer's fast path), :meth:`CostMapper.compute_time`
 (that DFG's compute time, without assembling it — the Allocator's brute
-force), and :meth:`CostMapper.apply_change` (the incremental Algorithm 1).
+force).  Callers change a precision on the DAG
+(:meth:`~repro.graph.dag.PrecisionDAG.set_precision`, Algorithm 1's
+UpdateDAG) and :meth:`CostMapper.refresh` runs the incremental rest.
 
 Incremental engine: the mapper retains per-op *prices* — the slice of
 forward nodes (input casts, weight cast, compute) and backward nodes (grad
@@ -257,7 +259,9 @@ class CostMapper:
     Parameters
     ----------
     dag:
-        The device's Precision DAG (mutated by :meth:`apply_change`).
+        The device's Precision DAG; callers mutate it through
+        :meth:`~repro.graph.dag.PrecisionDAG.set_precision` and the mapper
+        follows its dirty log.
     catalog:
         Profiled pure-execution costs ``CC_i``.
     cast_calc:
@@ -403,7 +407,17 @@ class CostMapper:
         re-deriving only the dirty ops' affected neighbourhood (no DFG
         assembly — :meth:`current_dfg` does that on demand).  Prices come
         from the memo (:meth:`_price`), which is emptied here whenever the
-        DAG's structure has moved."""
+        DAG's structure has moved.
+
+        This is Algorithm 1's incremental CostMapping after its line 3
+        (UpdateDAG, the caller's ``set_precision``): the BFS of lines 16-19
+        is :func:`propagate_dirty`, which re-resolves only the dependent
+        cone downstream of the dirty ops and stops where effective
+        precisions come out unchanged; casts and pure-kernel costs are
+        re-priced only for the changed ops and their one-hop neighbours.
+        Bucket membership and the optimizer pass are structural and never
+        recomputed here.  The result is node-for-node identical to a
+        from-scratch :meth:`build_local_dfg` (equivalence-tested)."""
         if self._memo_structure != self.dag.structure_version:
             self._memo_structure = self.dag.structure_version
             self._prices = {}
@@ -520,11 +534,11 @@ class CostMapper:
     def whatif_change(self, op: str, new_precision: Precision) -> WhatIfChange:
         """Describe a single-op precision change without applying it.
 
-        The mutation-free twin of :meth:`apply_change`: the hypothetical
-        assignment is resolved against a scratch copy of the effective
-        precisions (``propagate_dirty`` with an override, the DAG version
-        untouched), and the affected neighbourhood is priced through the
-        same memoized :meth:`_price` the sequential path's :meth:`refresh`
+        The mutation-free twin of ``set_precision`` + :meth:`refresh`: the
+        hypothetical assignment is resolved against a scratch copy of the
+        effective precisions (``propagate_dirty`` with an override, the DAG
+        version untouched), and the affected neighbourhood is priced through
+        the same memoized :meth:`_price` the sequential path's :meth:`refresh`
         uses — so a kernel splice of the result is bit-identical to apply +
         simulate + revert, and a candidate that is later applied finds its
         prices already memoized.
@@ -580,37 +594,3 @@ class CostMapper:
             act_total=act_total,
             workspace=workspace,
         )
-
-    # ------------------------------------------------------------------
-    # Algorithm 1: incremental change
-    # ------------------------------------------------------------------
-    def apply_change(
-        self, op: str, new_precision: Precision, device_name: str = "", rank: int = 0
-    ) -> LocalDFG:
-        """CostMapping(G_i, o, b_io, CC_i, CP, DFG) — change one operator's
-        precision and delta-update the retained DFG.
-
-        The true incremental Algorithm 1: line 3's UpdateDAG marks ``op``
-        dirty; the BFS of lines 16-19 is :func:`propagate_dirty`, which
-        re-resolves only the dependent cone downstream of ``op`` and stops
-        where effective precisions come out unchanged.  Forward casts,
-        weight casts, backward gradient casts and pure-kernel costs are then
-        re-derived only for the changed ops and their immediate neighbours
-        (one hop each way — exactly the nodes whose cast decisions read a
-        changed precision), and the execution line is reassembled from the
-        retained segments of every untouched op.  Gradient-bucket membership
-        and the optimizer pass are structural and never recomputed here.
-        With no retained state (first call) this degenerates to a full
-        :meth:`build_local_dfg`; afterwards the cost is O(affected
-        subgraph), not O(graph) — and the result is node-for-node identical
-        to a from-scratch rebuild (equivalence-tested).
-        """
-        spec = self.dag.spec(op)
-        if not spec.is_adjustable:
-            raise ValueError(f"operator {op!r} is not precision-adjustable")
-        if new_precision not in spec.supported_precisions():
-            raise ValueError(
-                f"{op!r} has no {new_precision.value} kernel"
-            )
-        self.dag.set_precision(op, new_precision)  # line 3: UpdateDAG
-        return self.current_dfg(device_name, rank)

@@ -63,10 +63,6 @@ class EpochSegment:
     #: Profiling events the opening re-plan paid for (0 = fully warm).
     new_profile_events: int = 0
 
-    @property
-    def cluster_size(self) -> int:
-        return len(self.ranks)
-
     def describe(self) -> str:
         parts = [
             f"seg{self.index}",

@@ -83,6 +83,8 @@ class DeviceSpec:
         return precision in self.peak_flops
 
     def supported_precisions(self) -> tuple[Precision, ...]:
+        """Supported formats, lowest first: the first is "the lowest
+        precision the inference GPUs support" (problem (1)'s T_min)."""
         return tuple(sorted(self.peak_flops, key=lambda p: p.bits))
 
     def flops_at(self, precision: Precision) -> float:
@@ -101,11 +103,6 @@ class DeviceSpec:
     @property
     def effective_bandwidth(self) -> float:
         return self.mem_bandwidth * self.compute_fraction
-
-    def lowest_precision(self) -> Precision:
-        """Fastest available format ("lowest precision the inference GPUs
-        support", problem (1)'s T_min definition)."""
-        return min(self.peak_flops, key=lambda p: p.bits)
 
     # ------------------------------------------------------------------
     # derivation

@@ -212,13 +212,3 @@ class Topology:
                 NodeSpec(name=f"n{w.rank}", ranks=(w.rank,), intra_link=nic, uplink=nic)
             )
         return cls(nodes=tuple(nodes))
-
-    @classmethod
-    def grouped(
-        cls,
-        groups: list[tuple[str, tuple[int, ...], LinkSpec, LinkSpec]],
-    ) -> "Topology":
-        """Build from ``(name, ranks, intra_link, uplink)`` tuples."""
-        return cls(
-            nodes=tuple(NodeSpec(n, r, intra, up) for n, r, intra, up in groups)
-        )

@@ -131,23 +131,15 @@ class DataParallelTrainer:
         dataset: Dataset,
         epochs: int,
         metric: str = "top1",
-        scheduler_factory=None,
         eval_replica: int = 0,
     ) -> TrainResult:
         """Full training run; evaluates after each epoch on one replica."""
         rng = np.random.default_rng(derive_seed(self.seed, "data"))
-        schedulers = (
-            [scheduler_factory(opt) for opt in self.optimizers]
-            if scheduler_factory
-            else []
-        )
         losses: list[float] = []
         history: list[float] = []
         for _ in range(epochs):
             for shards in dataset.shard_batches(self.batch_sizes, rng, epochs=1):
                 losses.append(self.step(shards))
-                for sch in schedulers:
-                    sch.step()
             history.append(
                 evaluate(self.replicas[eval_replica], dataset, metric=metric)
             )

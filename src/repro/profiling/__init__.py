@@ -15,12 +15,6 @@ indicator statistics (workflow step 2).
 
 from repro.profiling.casting import CastCostCalculator, LinearCostModel
 from repro.profiling.memory import MemoryEstimate, MemoryModel
-from repro.profiling.persistence import (
-    load_catalog,
-    load_plan,
-    save_catalog,
-    save_plan,
-)
 from repro.profiling.profiler import OperatorCostCatalog, profile_operator_costs
 from repro.profiling.stats import (
     OperatorStats,
@@ -40,8 +34,4 @@ __all__ = [
     "StatsRecorder",
     "collect_model_stats",
     "synthesize_stats",
-    "load_catalog",
-    "load_plan",
-    "save_catalog",
-    "save_plan",
 ]

@@ -119,9 +119,6 @@ class CastCostCalculator:
         return calc
 
     # ------------------------------------------------------------------
-    def model(self, src: Precision, dst: Precision) -> LinearCostModel:
-        return self._models[(src, dst)]
-
     def predict(self, src: Precision, dst: Precision, elems: int) -> float:
         """Predicted cast latency; zero for same-precision or empty casts.
 

@@ -1,10 +1,11 @@
 """Profile persistence.
 
 The paper's workflow profiles on the target hardware once, then replays and
-allocates offline.  These helpers serialize the profiling artifacts —
-operator cost catalogs, cast-cost fits, synthesized indicator statistics,
-and precision plans — to plain JSON so a planning session can run on a
-different machine (or later) without re-measuring.
+allocates offline.  These helpers turn the profiling artifacts — operator
+cost catalogs, cast-cost fits and synthesized indicator statistics — into
+JSON-able dicts and back, so a planning session can run on a different
+machine (or later) without re-measuring.  Writing them to disk is
+:class:`repro.common.jsondir.JsonDir`'s job.
 
 Round trips are *exact*: every float survives ``json`` byte-for-byte
 (shortest-repr encoding) and every list preserves order, so an artifact
@@ -15,8 +16,6 @@ invariant the disk tier of :class:`repro.session.ProfileStore` leans on.
 from __future__ import annotations
 
 import dataclasses
-import json
-from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 from repro.common.dtypes import parse_precision
@@ -26,7 +25,6 @@ from repro.profiling.stats import OperatorStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.backend.lp_backend import LPBackend
-    from repro.core.plan import PrecisionPlan
 
 
 def catalog_to_dict(catalog: OperatorCostCatalog) -> dict:
@@ -60,16 +58,6 @@ def catalog_from_dict(data: dict) -> OperatorCostCatalog:
                          backward=float(entry["backward"])),
         )
     return catalog
-
-
-def save_catalog(catalog: OperatorCostCatalog, path: str | Path) -> None:
-    """Write a catalog to ``path`` as JSON."""
-    Path(path).write_text(json.dumps(catalog_to_dict(catalog), indent=1))
-
-
-def load_catalog(path: str | Path) -> OperatorCostCatalog:
-    """Read a catalog previously written by :func:`save_catalog`."""
-    return catalog_from_dict(json.loads(Path(path).read_text()))
 
 
 def cast_calc_to_dict(calc: CastCostCalculator) -> dict:
@@ -134,16 +122,3 @@ def stats_from_dict(data: dict) -> dict[str, OperatorStats]:
         out[entry["op"]] = s
     return out
 
-
-def save_plan(plan: PrecisionPlan, path: str | Path) -> None:
-    """Write a precision plan to ``path`` as JSON."""
-    Path(path).write_text(json.dumps(plan.to_dict(), indent=1))
-
-
-def load_plan(path: str | Path) -> PrecisionPlan:
-    """Read a plan previously written by :func:`save_plan`."""
-    # Deferred: profiling sits below core on the import ladder (RPR004);
-    # plan (de)serialization is a call-time delegation upward.
-    from repro.core.plan import PrecisionPlan
-
-    return PrecisionPlan.from_dict(json.loads(Path(path).read_text()))

@@ -21,9 +21,7 @@ from repro.tensor.modules import (
     GELU,
     BatchNorm2d,
     Conv2d,
-    Dropout,
     Embedding,
-    Flatten,
     GlobalAvgPool2d,
     LayerNorm,
     Linear,
@@ -51,8 +49,6 @@ __all__ = [
     "GELU",
     "MaxPool2d",
     "GlobalAvgPool2d",
-    "Flatten",
-    "Dropout",
     "MultiHeadAttention",
     "PrecisionConfig",
     "QuantizedOp",

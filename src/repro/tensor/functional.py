@@ -36,16 +36,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-    return Tensor.from_op(
-        out,
-        (a, b),
-        lambda g: (unbroadcast(g, a.shape), unbroadcast(-g, b.shape)),
-        "sub",
-    )
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
     return Tensor.from_op(
@@ -57,34 +47,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         ),
         "mul",
     )
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data / b.data
-    return Tensor.from_op(
-        out,
-        (a, b),
-        lambda g: (
-            unbroadcast(g / b.data, a.shape),
-            unbroadcast(-g * a.data / (b.data**2), b.shape),
-        ),
-        "div",
-    )
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return Tensor.from_op(out, (a,), lambda g: (g * out,), "exp")
-
-
-def log(a: Tensor) -> Tensor:
-    out = np.log(a.data)
-    return Tensor.from_op(out, (a,), lambda g: (g / a.data,), "log")
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.data)
-    return Tensor.from_op(out, (a,), lambda g: (g * 0.5 / out,), "sqrt")
 
 
 # ---------------------------------------------------------------------------
@@ -112,40 +74,9 @@ def transpose(a: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
     )
 
 
-def flatten(a: Tensor) -> Tensor:
-    """Collapse all but the leading (batch) axis."""
-    out = a.data.reshape(a.shape[0], -1)
-    return Tensor.from_op(out, (a,), lambda g: (g.reshape(a.shape),), "flatten")
-
-
-def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def backward(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return Tensor.from_op(out, tuple(tensors), backward, "concat")
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
-
-
-def sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        g2 = g
-        if not keepdims:
-            g2 = np.expand_dims(g, axis)
-        return (np.broadcast_to(g2, a.shape).copy(),)
-
-    return Tensor.from_op(np.asarray(out), (a,), backward, "sum")
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -364,26 +295,6 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor.from_op(out, (x,), backward, "gelu")
 
 
-def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.data)
-    return Tensor.from_op(out, (x,), lambda g: (g * (1 - out**2),), "tanh")
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-x.data))
-    return Tensor.from_op(out, (x,), lambda g: (g * out * (1 - out),), "sigmoid")
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout; identity at eval time."""
-    if not training or p <= 0.0:
-        return x
-    keep = 1.0 - p
-    mask = (rng.random(x.shape) < keep) / keep
-    out = x.data * mask
-    return Tensor.from_op(out, (x,), lambda g: (g * mask,), "dropout")
-
-
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
@@ -528,18 +439,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         return (g * grad / n,)
 
     return Tensor.from_op(np.asarray(loss), (logits,), backward, "cross_entropy")
-
-
-def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error; input gradient ``2 (v - y) / N`` (gamma = 2/N)."""
-    target = np.asarray(target, dtype=np.float64)
-    diff = pred.data - target
-    loss = np.mean(diff**2)
-
-    def backward(g):
-        return (g * 2.0 * diff / diff.size,)
-
-    return Tensor.from_op(np.asarray(loss), (pred,), backward, "mse_loss")
 
 
 # ---------------------------------------------------------------------------

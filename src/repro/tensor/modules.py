@@ -288,21 +288,6 @@ class GlobalAvgPool2d(Module):
         return F.global_avgpool2d(x)
 
 
-class Flatten(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.flatten(x)
-
-
-class Dropout(Module):
-    def __init__(self, p: float = 0.1, seed: int = 0):
-        super().__init__()
-        self.p = p
-        self._rng = new_rng(seed)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self._rng, self.training)
-
-
 # ---------------------------------------------------------------------------
 # attention
 # ---------------------------------------------------------------------------

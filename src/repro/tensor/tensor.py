@@ -213,38 +213,20 @@ class Tensor:
     def __radd__(self, other):
         return self._f().add(_coerce(other), self)
 
-    def __sub__(self, other):
-        return self._f().sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return self._f().sub(_coerce(other), self)
-
     def __mul__(self, other):
         return self._f().mul(self, _coerce(other))
 
     def __rmul__(self, other):
         return self._f().mul(_coerce(other), self)
 
-    def __truediv__(self, other):
-        return self._f().div(self, _coerce(other))
-
-    def __neg__(self):
-        return self._f().mul(self, Tensor(-1.0))
-
     def __matmul__(self, other):
         return self._f().matmul(self, _coerce(other))
-
-    def sum(self, axis=None, keepdims=False):
-        return self._f().sum(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims=False):
         return self._f().mean(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
         return self._f().reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return self._f().transpose(self, axes)
 
 
 def _coerce(value) -> Tensor:

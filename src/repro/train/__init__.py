@@ -1,22 +1,18 @@
-"""Training substrate: optimizers, schedulers, synthetic data, metrics."""
+"""Training substrate: optimizers, synthetic data, metrics, evaluation."""
 
 from repro.train.data import (
     Dataset,
     make_image_classification,
     make_token_classification,
 )
-from repro.train.loop import TrainResult, evaluate, train_single
+from repro.train.loop import TrainResult, evaluate
 from repro.train.metrics import f1_macro, top1_accuracy
 from repro.train.optim import SGD, Adam, Optimizer
-from repro.train.schedulers import CosineSchedule, StepSchedule, WarmupSchedule
 
 __all__ = [
     "SGD",
     "Adam",
     "Optimizer",
-    "CosineSchedule",
-    "StepSchedule",
-    "WarmupSchedule",
     "Dataset",
     "make_image_classification",
     "make_token_classification",
@@ -24,5 +20,4 @@ __all__ = [
     "f1_macro",
     "TrainResult",
     "evaluate",
-    "train_single",
 ]

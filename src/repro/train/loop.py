@@ -1,8 +1,7 @@
-"""Training loops: single-worker reference and evaluation helpers.
+"""Shared pieces of the training loop: the result record and evaluation.
 
-The multi-worker (DDP) loop lives in :mod:`repro.parallel.ddp`; this module
-provides the ORACLE path (plain FP32 single-stream training on the full
-global batch semantics) and shared evaluation.
+The loop itself is :class:`repro.parallel.ddp.DataParallelTrainer`; the
+ORACLE configuration is that trainer with every worker at FP32.
 """
 
 from __future__ import annotations
@@ -11,11 +10,10 @@ import dataclasses
 
 import numpy as np
 
-from repro.tensor import Tensor, functional as F, no_grad
+from repro.tensor import Tensor, no_grad
 from repro.tensor.modules import Module
 from repro.train.data import Dataset
 from repro.train.metrics import f1_macro, top1_accuracy
-from repro.train.optim import Optimizer
 
 
 @dataclasses.dataclass
@@ -48,35 +46,3 @@ def evaluate(
     model.train()
     logits = np.concatenate(logits_all, axis=0)
     return fn(logits, dataset.test_y)
-
-
-def train_single(
-    model: Module,
-    dataset: Dataset,
-    optimizer: Optimizer,
-    epochs: int,
-    batch_size: int,
-    seed: int = 0,
-    metric: str = "top1",
-    scheduler=None,
-) -> TrainResult:
-    """Plain single-worker training (the ORACLE configuration)."""
-    rng = np.random.default_rng(seed)
-    losses: list[float] = []
-    history: list[float] = []
-    for epoch in range(epochs):
-        for xb, yb in dataset.batches(batch_size, rng, epochs=1):
-            optimizer.zero_grad()
-            loss = F.cross_entropy(_forward(model, xb), yb)
-            loss.backward()
-            optimizer.step()
-            if scheduler is not None:
-                scheduler.step()
-            losses.append(loss.item())
-        history.append(evaluate(model, dataset, metric=metric))
-    return TrainResult(
-        final_accuracy=history[-1] if history else 0.0,
-        best_accuracy=max(history) if history else 0.0,
-        history=history,
-        losses=losses,
-    )

@@ -7,7 +7,6 @@ from repro.baselines import (
     HessianIndicator,
     RandomIndicator,
     dbs_batch_sizes,
-    dbs_learning_rate,
     hessian_top_eigenvalues,
     uniform_precision_plan,
 )
@@ -80,10 +79,6 @@ class TestDBS:
     def test_invalid_speed(self):
         with pytest.raises(ValueError):
             dbs_batch_sizes(10, [1.0, 0.0])
-
-    def test_lr_rule_fixed_global_batch(self):
-        assert dbs_learning_rate(0.4, 128, 128) == 0.4
-        assert dbs_learning_rate(0.4, 128, 256) == 0.8
 
 
 class TestRandomIndicator:

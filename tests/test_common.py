@@ -6,16 +6,14 @@ import pytest
 from repro.common import (
     GB,
     MB,
+    MS,
     PRECISION_ORDER,
+    US,
     Precision,
-    bytes_to_gb,
-    bytes_to_mb,
     higher_precision,
     lower_precision,
     new_rng,
     parse_precision,
-    seconds_to_ms,
-    spawn_rngs,
 )
 from repro.common.rng import derive_seed
 
@@ -39,22 +37,19 @@ class TestPrecision:
         assert not Precision.FP32.is_fixed_point
 
     def test_fp16_format_parameters(self):
-        assert Precision.FP16.mantissa_bits == 10
         assert Precision.FP16.stochastic_mantissa_bits == 9  # k=9 per paper
-        assert Precision.FP16.exponent_bits == 5
         assert Precision.FP16.max_exponent == 15
         assert Precision.FP16.min_exponent == -14
 
     def test_fp32_format_parameters(self):
-        assert Precision.FP32.mantissa_bits == 23
-        assert Precision.FP32.exponent_bits == 8
+        assert Precision.FP32.stochastic_mantissa_bits == 23
         assert Precision.FP32.max_exponent == 127
 
     def test_int8_has_no_mantissa(self):
         with pytest.raises(ValueError):
-            _ = Precision.INT8.mantissa_bits
+            _ = Precision.INT8.stochastic_mantissa_bits
         with pytest.raises(ValueError):
-            _ = Precision.INT8.exponent_bits
+            _ = Precision.INT8.max_exponent
 
     def test_order_is_low_to_high(self):
         bits = [p.bits for p in PRECISION_ORDER]
@@ -107,11 +102,10 @@ class TestUnits:
     def test_storage_units(self):
         assert MB == 1024**2
         assert GB == 1024**3
-        assert bytes_to_mb(5 * MB) == pytest.approx(5.0)
-        assert bytes_to_gb(3 * GB) == pytest.approx(3.0)
 
     def test_time_units(self):
-        assert seconds_to_ms(0.25) == pytest.approx(250.0)
+        assert 250 * MS == pytest.approx(0.25)
+        assert 1000 * US == pytest.approx(MS)
 
 
 class TestRng:
@@ -119,23 +113,6 @@ class TestRng:
         a = new_rng(42).random(8)
         b = new_rng(42).random(8)
         np.testing.assert_array_equal(a, b)
-
-    def test_spawn_rngs_independent(self):
-        rngs = spawn_rngs(7, 4)
-        assert len(rngs) == 4
-        draws = [r.random(16) for r in rngs]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert not np.allclose(draws[i], draws[j])
-
-    def test_spawn_rngs_deterministic(self):
-        a = spawn_rngs(7, 3)[1].random(4)
-        b = spawn_rngs(7, 3)[1].random(4)
-        np.testing.assert_array_equal(a, b)
-
-    def test_spawn_negative_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
 
     def test_derive_seed_depends_on_keys(self):
         s1 = derive_seed(1, "worker", 0)

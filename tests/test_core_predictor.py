@@ -210,7 +210,10 @@ class TestCostMapper:
         """Algorithm 1 incremental == full recompute."""
         dag_a = bert_dag.copy()
         mapper_a = CostMapper(dag_a, t4_catalog, t4_casts, device=T4)
-        dfg_inc = mapper_a.apply_change("blocks.0.fc1", Precision.FP16, "T4", 0)
+        mapper_a.build_local_dfg("T4", 0)
+        dag_a.set_precision("blocks.0.fc1", Precision.FP16)
+        dfg_inc = mapper_a.current_dfg("T4", 0)
+        assert mapper_a.incremental_updates == 1
 
         dag_b = bert_dag.copy()
         dag_b.set_precision("blocks.0.fc1", Precision.FP16)
@@ -219,18 +222,6 @@ class TestCostMapper:
 
         assert dfg_inc.compute_time == pytest.approx(dfg_full.compute_time)
         assert dfg_inc.cast_time() == pytest.approx(dfg_full.cast_time())
-
-    def test_apply_change_rejects_dependent_op(self, bert_dag, t4_catalog, t4_casts):
-        mapper = CostMapper(bert_dag.copy(), t4_catalog, t4_casts, device=T4)
-        with pytest.raises(ValueError):
-            mapper.apply_change("blocks.0.gelu", Precision.FP16)
-
-    def test_apply_change_rejects_unsupported_precision(
-        self, bert_dag, t4_catalog, t4_casts
-    ):
-        mapper = CostMapper(bert_dag.copy(), t4_catalog, t4_casts, device=T4)
-        with pytest.raises(ValueError):
-            mapper.apply_change("blocks.0.attn.softmax", Precision.INT8)
 
     def test_buckets_cover_all_weighted_ops(self, bert_dag, t4_catalog, t4_casts):
         mapper = CostMapper(bert_dag.copy(), t4_catalog, t4_casts, device=T4)

@@ -135,10 +135,10 @@ class TestNumericsFailures:
         lin = Linear(3, 2, seed=0)
         x = Tensor(new_rng(0).normal(size=(2, 3)))
         out = lin(x)
-        out.sum().backward()
+        out.backward()
         g1 = lin.weight.grad.copy()
         out2 = lin(x)
-        out2.sum().backward()
+        out2.backward()
         np.testing.assert_allclose(lin.weight.grad, 2 * g1)
 
     def test_nan_inputs_surface_in_outputs(self):

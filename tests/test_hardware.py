@@ -36,8 +36,8 @@ class TestDeviceSpecs:
         assert not A10.is_training_gpu
 
     def test_lowest_precision(self):
-        assert T4.lowest_precision() is Precision.INT8
-        assert V100.lowest_precision() is Precision.FP16
+        assert T4.supported_precisions()[0] is Precision.INT8
+        assert V100.supported_precisions()[0] is Precision.FP16
 
     def test_unsupported_precision_raises(self):
         with pytest.raises(UnsupportedPrecisionError):

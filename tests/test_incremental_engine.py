@@ -116,10 +116,11 @@ def _assert_whatif_matches_apply(mapper, dag, op, prec):
 @pytest.mark.parametrize("cluster_name", sorted(CLUSTERS))
 @pytest.mark.parametrize("model", ["mini_bert", "mini_vggbn"])
 def test_apply_change_walk_matches_fresh_rebuild(cluster_name, model):
-    """Randomized single-op walks: after every incremental apply_change the
-    retained DFG, memory terms and compute time must equal a from-scratch
-    derivation, and a what-if probe must equal apply + refresh + revert.
-    The walk then runs again from the same start, every price context a
+    """Randomized single-op walks (Algorithm 1: ``set_precision`` then the
+    mapper's incremental refresh): after every change the retained DFG,
+    memory terms and compute time must equal a from-scratch derivation, and
+    a what-if probe must equal apply + refresh + revert.  The walk then
+    runs again from the same start, every price context a
     memo hit, under the same checks."""
     cluster = CLUSTERS[cluster_name]()
     builder = lambda: mini_model_graph(model, batch_size=4, width_scale=8,
@@ -140,7 +141,8 @@ def test_apply_change_walk_matches_fresh_rebuild(cluster_name, model):
     # Prime the retained state so every subsequent change is a delta.
     mapper.build_local_dfg(device.name, rank)
     for (op, prec), (probe_op, probe_prec) in zip(walk, probes):
-        mapper.apply_change(op, prec, device.name, rank)
+        dag.set_precision(op, prec)
+        mapper.current_dfg(device.name, rank)
         _assert_mapper_matches_fresh(mapper, dag, device, rank, memory_model)
         assert replayer.memory_estimate(rank) == memory_model.estimate(dag)
         _assert_whatif_matches_apply(mapper, dag, probe_op, probe_prec)
@@ -150,7 +152,8 @@ def test_apply_change_walk_matches_fresh_rebuild(cluster_name, model):
     size = len(mapper._prices)
     assert size > 0
     for op, prec in walk:
-        mapper.apply_change(op, prec, device.name, rank)
+        dag.set_precision(op, prec)
+        mapper.current_dfg(device.name, rank)
         _assert_mapper_matches_fresh(mapper, dag, device, rank, memory_model)
     assert len(mapper._prices) == size  # the revisit priced nothing anew
     assert mapper.full_rebuilds == 1

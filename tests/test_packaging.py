@@ -146,7 +146,22 @@ def test_version_has_one_source():
     assert dynamic["version"] == {"attr": "repro.__version__"}
 
 
-@pytest.mark.parametrize("module", ["repro", "repro.session"])
+def modules_with_all() -> list[str]:
+    """Every ``repro`` module whose source assigns ``__all__`` at top level."""
+    found = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if any(
+            isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for node in tree.body
+        ):
+            parts = path.relative_to(SRC).with_suffix("").parts
+            found.append(".".join(parts).removesuffix(".__init__"))
+    return found
+
+
+@pytest.mark.parametrize("module", modules_with_all())
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
