@@ -36,14 +36,19 @@ structure and are computed once.  Equivalence with a from-scratch
 
 Price memo: an op's price depends only on its assigned precision and the
 effective precisions of itself and its one-hop neighbours (the
-neighbourhood-aware property of Algorithm 1), so each mapper memoizes
-prices on exactly that context.  The allocator's brute force and what-if
-sweeps revisit the same few neighbourhoods thousands of times; a revisit
-is a dict lookup instead of cast-model predictions, catalog lookups and
-node construction.  The memo empties when the DAG's structure moves, holds
-at most the distinct contexts its requests visit, and dies with the mapper.
-The full derivation never reads it, so ``Replayer(incremental=False)``
-stays an independent from-scratch oracle.
+neighbourhood-aware property of Algorithm 1), so prices are memoized on
+exactly that context.  The allocator's brute force and what-if sweeps
+revisit the same few neighbourhoods thousands of times, and different
+strategies on one model share most of them; a revisit is a dict lookup
+instead of cast-model predictions, catalog lookups and node construction.
+A mapper may be handed its memo: ``PlanSession`` keeps one per device type
+and model recipe in its :class:`~repro.session.profiles.ProfileStore`, so
+every replayer the session builds for that recipe reads and fills the same
+dict, holding the distinct contexts the whole session visits.  A mapper
+given none keeps a private one.  When the DAG's structure moves the mapper
+swaps in a fresh private dict and never clears the one it was handed.
+:meth:`CostMapper.build_local_dfg` never reads or fills the memo, so
+``Replayer(incremental=False)`` stays an independent from-scratch oracle.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import operator
+from typing import Callable
 
 from repro.common.dtypes import Precision
 from repro.core.dfg import (
@@ -269,6 +275,10 @@ class CostMapper:
     device:
         The :class:`~repro.hardware.device.DeviceSpec` whose memory
         bandwidth prices the optimizer pass.
+    prices:
+        The price memo to read and fill (see the module docstring), shared
+        by every mapper over a copy of one template with the same catalog,
+        cast model and device.  ``None`` keeps a private one.
 
     Segments are priced by the module-level ``catalog_*`` functions and
     assembled by :func:`~repro.core.dfg.assemble_execution_line`, the walk
@@ -281,6 +291,7 @@ class CostMapper:
         catalog: OperatorCostCatalog,
         cast_calc: CastCostCalculator,
         device: DeviceSpec,
+        prices: dict[tuple, OpPrice] | None = None,
     ) -> None:
         self.dag = dag
         self.catalog = catalog
@@ -292,7 +303,7 @@ class CostMapper:
         #: for the DAG structure ``_memo_structure``.  ``_contexts`` holds
         #: each op's getter for the effective part of its key.
         self._memo_structure = dag.structure_version
-        self._prices: dict[tuple, OpPrice] = {}
+        self._prices: dict[tuple, OpPrice] = {} if prices is None else prices
         self._contexts: dict[str, operator.itemgetter] = {}
         #: Diagnostics: how often the full vs. delta path ran (the allocator
         #: benchmark asserts zero full rebuilds inside the recovery loop).
@@ -323,16 +334,18 @@ class CostMapper:
     # ------------------------------------------------------------------
     def build_local_dfg(self, device_name: str, rank: int) -> LocalDFG:
         """Rebuild the device's execution line from scratch under the
-        current precisions, replacing any retained incremental state."""
-        self._full_derive()
-        return self._assemble(device_name, rank)
-
-    def _full_derive(self) -> None:
-        """Derive the complete retained state from the DAG (full walk).
+        current precisions, replacing any retained incremental state.
 
         Prices every op fresh, never reading or filling the price memo, so
-        the from-scratch path stays an independent oracle for it.  The
-        structural record (weighted ops; buckets at the default cap of
+        the from-scratch path stays an independent oracle for it."""
+        self._full_derive(self._price_fresh)
+        return self._assemble(device_name, rank)
+
+    def _full_derive(self, price: Callable[..., OpPrice]) -> None:
+        """Derive the complete retained state from the DAG (full walk),
+        pricing every op through ``price`` (:meth:`_price_fresh` or the
+        memoized :meth:`_price`).  The structural record (weighted ops;
+        buckets at the default cap of
         :func:`~repro.core.dfg.weight_buckets`, as the ground truth's and
         Dpro's; the optimizer pass) is derived here only: :meth:`refresh`
         re-derives everything when the structure moves, so every later read
@@ -340,7 +353,7 @@ class CostMapper:
         dag = self.dag
         effective = effective_precisions(dag)
         prices = {
-            name: self._price_fresh(name, dag.precision(name), effective)
+            name: price(name, dag.precision(name), effective)
             for name in dag.topo_order()
         }
         self._state = _MapperState(
@@ -380,11 +393,14 @@ class CostMapper:
 
         Forward casts read the predecessors' effective precisions, gradient
         casts the successors', kernels and memory the op's own assigned and
-        effective precisions; the catalog, cast model and device are fixed
-        per mapper.  So ``(op, assigned, effective of the op, of each
+        effective precisions; the DAG's specs and edges, the catalog, the
+        cast model and the device are fixed per memo (every mapper sharing
+        one prices a copy of one template with the same catalog, cast
+        model and device).  So ``(op, assigned, effective of the op, of each
         predecessor, of each successor)`` determines the price, and equal
         keys return the very record a fresh derivation would rebuild.
-        :meth:`refresh` empties the memo when the DAG's structure moves.
+        :meth:`refresh` swaps in a fresh private memo when the DAG's
+        structure moves.
         """
         context = self._contexts.get(name)
         if context is None:
@@ -406,8 +422,12 @@ class CostMapper:
         """Bring the retained state up to the DAG's current version,
         re-deriving only the dirty ops' affected neighbourhood (no DFG
         assembly — :meth:`current_dfg` does that on demand).  Prices come
-        from the memo (:meth:`_price`), which is emptied here whenever the
-        DAG's structure has moved.
+        from the memo (:meth:`_price`), the first derivation's included, so
+        a mapper handed a session's memo derives its first DFG from it.
+        Whenever the DAG's structure has moved, a fresh private memo
+        replaces the old one here (which is never cleared: other mappers
+        may share it) and the re-derivation prices fresh, as
+        :meth:`build_local_dfg` does.
 
         This is Algorithm 1's incremental CostMapping after its line 3
         (UpdateDAG, the caller's ``set_precision``): the BFS of lines 16-19
@@ -423,8 +443,11 @@ class CostMapper:
             self._prices = {}
             self._contexts = {}
         state = self._state
-        if state is None or state.structure != self.dag.structure_version:
-            self._full_derive()
+        if state is None:
+            self._full_derive(self._price)
+            return
+        if state.structure != self.dag.structure_version:
+            self._full_derive(self._price_fresh)
             return
         if state.version == self.dag.version:
             return

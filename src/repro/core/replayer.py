@@ -152,6 +152,11 @@ class Replayer:
     perturbation:
         Optional deterministic straggler/bandwidth-drift injection
         (:class:`repro.engine.Perturbation`), applied to Eq. (6)'s inputs.
+    prices:
+        Optional per-rank price memos (see :mod:`repro.core.cost_mapper`),
+        handed to the rank's group's :class:`CostMapper`; ranks of one
+        device type alias one dict, as they alias one DAG.  ``None`` gives
+        every mapper a private memo.
 
     Per-query state lives per :class:`RankGroup`, in its
     :class:`CostMapper`: the one cache of the group's LocalDFG and memory
@@ -179,6 +184,7 @@ class Replayer:
         collective_model: CollectiveModel | str | None = None,
         schedule_policy: SchedulePolicy | str | None = None,
         perturbation: Perturbation | None = None,
+        prices: dict[int, dict] | None = None,
     ) -> None:
         self.cluster = cluster
         self.collective_model = resolve_collective_model(collective_model)
@@ -209,7 +215,10 @@ class Replayer:
             ]
             group = next((g for g in priced_alike if g.dag is dag), None)
             if group is None:
-                mapper = CostMapper(dag, catalog, cast, device=w.device)
+                mapper = CostMapper(
+                    dag, catalog, cast, device=w.device,
+                    prices=None if prices is None else prices[w.rank],
+                )
                 key = priced_alike[0].key if priced_alike else len(self.groups)
                 group = RankGroup([], w.device, dag, mapper, key)
                 self.groups.append(group)

@@ -27,11 +27,11 @@ import numpy as np
 from repro.common.dtypes import Precision
 from repro.common.rng import derive_seed
 from repro.parallel.collective import allreduce_gradients
-from repro.tensor import Tensor, functional as F
+from repro.tensor import functional as F
 from repro.tensor.modules import Module
 from repro.tensor.qmodules import QuantizedOp
 from repro.train.data import Dataset
-from repro.train.loop import TrainResult, evaluate
+from repro.train.loop import TrainResult, _forward, evaluate
 from repro.train.optim import Optimizer
 
 
@@ -108,11 +108,7 @@ class DataParallelTrainer:
         shard_sizes = []
         for (xb, yb), replica, opt in zip(shards, self.replicas, self.optimizers):
             opt.zero_grad()
-            if np.issubdtype(np.asarray(xb).dtype, np.integer):
-                logits = replica(xb)
-            else:
-                logits = replica(Tensor(xb))
-            loss = F.cross_entropy(logits, yb)
+            loss = F.cross_entropy(_forward(replica, xb), yb)
             loss.backward()
             losses.append(loss.item())
             shard_sizes.append(float(len(yb)))

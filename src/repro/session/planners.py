@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, Protocol
 
 from repro.baselines.dpro import DproReplayer
 from repro.baselines.hessian import HessianIndicator, structural_eigenvalues
-from repro.baselines.random_ind import RandomIndicator
 from repro.baselines.uniform import uniform_precision_plan
 from repro.common.dtypes import Precision
 from repro.core.allocator import Allocator, passive_allocation_report
@@ -113,7 +112,9 @@ def _make_indicator(ctx: "PlanContext", dag, choice):
         return VarianceIndicator(dag, ctx.stats, ctx.gamma)
     if choice == "hessian":
         return HessianIndicator(structural_eigenvalues(dag, ctx.stats), ctx.stats)
-    return RandomIndicator(list(dag.adjustable_ops()), seed=ctx.request.seed)
+    return ctx.session.profiles.random_indicator_for(
+        ctx.request.model_cache_key(), dag, ctx.request.seed
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 One :class:`ProfileStore` owns the expensive, reusable artifacts of the
 Fig. 3 pipeline — per-device-type operator cost catalogs, fitted
 casting-cost models, synthesized indicator statistics, built template
-DAGs and their copies' fingerprints, and allocation starts (a device
-type's ``T_min`` plan and brute-force initial plan, see
-:meth:`ProfileStore.start_for`) — keyed by :mod:`repro.common.stable_hash`
+DAGs and their copies' fingerprints, allocation starts (a device type's
+``T_min`` plan and brute-force initial plan, see
+:meth:`ProfileStore.start_for`), cost-mapper price memos (see
+:meth:`ProfileStore.prices_for`) and the random baseline's indicators —
+keyed by :mod:`repro.common.stable_hash`
 fingerprints of everything the artifact actually depends on, and all
 served by one lookup (:meth:`ProfileStore._lookup`).  Repeated
 ``PlanSession.plan()`` calls on the same device types therefore
@@ -30,8 +32,10 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from repro.backend.lp_backend import LPBackend
+from repro.baselines.random_ind import RandomIndicator
 from repro.common.jsondir import JsonDir
 from repro.common.stable_hash import stable_digest
+from repro.core.dfg import OpPrice
 from repro.graph.dag import PrecisionDAG
 from repro.hardware.cluster import Cluster, Worker
 from repro.hardware.device import DeviceSpec
@@ -241,7 +245,8 @@ def resolve_backends(
 PROFILE_FORMAT = 1
 
 #: Store-key kind -> (hit counter, computation counter) in SessionStats;
-#: template fingerprints are not counted.
+#: template fingerprints, price memos and random indicators are not
+#: counted.
 _COUNTERS = {
     "catalog": ("catalog_hits", "catalog_profiles"),
     "cast": ("cast_hits", "cast_fits"),
@@ -417,3 +422,25 @@ class ProfileStore:
         plan)`` pair the allocator's ``search`` finds.  The allocator copies
         a start before mutating it."""
         return self._lookup(None if key is None else ("start", *key), search)
+
+    def prices_for(self, key: tuple | None) -> dict[tuple, OpPrice]:
+        """A device type's price memo under ``key`` (see
+        ``repro.session.session._price_key``): the dict every
+        :class:`~repro.core.cost_mapper.CostMapper` over a copy of the
+        keyed template, with the keyed catalog and cast model, reads and
+        fills.  Its entries are determined by their own keys, so the memo
+        only grows, by the distinct price contexts the session visits.
+        Opaque models (``key is None``) get a fresh private dict."""
+        return self._lookup(None if key is None else ("prices", *key), dict)
+
+    def random_indicator_for(
+        self, key: tuple | None, dag: PrecisionDAG, seed: int
+    ) -> RandomIndicator:
+        """The random baseline's indicator over the adjustable ops of
+        ``dag``, a copy of the template :meth:`template_for` serves under
+        ``key``: drawn once per (template key, seed), read-only after.
+        Opaque templates (``key is None``) draw every call."""
+        return self._lookup(
+            None if key is None else ("random_indicator", key, int(seed)),
+            lambda: RandomIndicator(list(dag.adjustable_ops()), seed=seed),
+        )

@@ -1,12 +1,13 @@
 """`PlanSession` — the front door of the Fig. 3 pipeline.
 
 A session owns the expensive artifacts of planning (operator cost
-catalogs, cast-cost fits, synthesized statistics, template DAGs and each
-device type's allocation start, keyed by stable fingerprints in a
-:class:`ProfileStore`) and amortizes them across what-if queries:
-different protocols, collective models, and planner strategies on the
-same hardware re-profile nothing, and the allocator-backed strategies
-search each device type's ``T_min`` plan and brute-force start once.
+catalogs, cast-cost fits, synthesized statistics, template DAGs, and each
+device type's allocation start and price memo, keyed by stable
+fingerprints in a :class:`ProfileStore`) and amortizes them across
+what-if queries: different protocols, collective models, and planner
+strategies on the same hardware re-profile nothing, the allocator-backed
+strategies search each device type's ``T_min`` plan and brute-force start
+once, and each op neighbourhood of a named model is priced once.
 
 ::
 
@@ -99,27 +100,32 @@ class ReplanOutcome:
         return self.outcome.simulation
 
 
-def _start_key(
+def _price_key(
     request: PlanRequest, template_key: tuple | None, backend_fp: str
 ) -> tuple | None:
-    """The store key of one device type's allocation start: everything its
-    ``T_min`` ladder and brute force read, and nothing else.
+    """The store key of one device type's price memo: everything an op's
+    price reads besides its precision context.
 
     The model recipe fixes the DAG, block labels included (and with it the
     profiling fingerprint); the backend digest and the repeat count fix the
-    costs; ``optimizer_slots`` sets the memory model.  The backend digest
-    covers the worker's device, which :func:`resolve_backends` requires the
-    backend to model.  An opaque model (``template_key is None``) has no
-    key.
+    catalog and the cast model.  The backend digest covers the worker's
+    device, which :func:`resolve_backends` requires the backend to model.
+    An opaque model (``template_key is None``) has no key.
     """
     if template_key is None:
         return None
-    return (
-        template_key,
-        backend_fp,
-        int(request.profile_repeats),
-        int(request.optimizer_slots),
-    )
+    return (template_key, backend_fp, int(request.profile_repeats))
+
+
+def _start_key(request: PlanRequest, price_key: tuple | None) -> tuple | None:
+    """The store key of one device type's allocation start: everything its
+    ``T_min`` ladder and brute force read, and nothing else — the costs
+    :func:`_price_key` fixes, plus ``optimizer_slots``, which sets the
+    memory model.  An opaque model has no key.
+    """
+    if price_key is None:
+        return None
+    return (*price_key, int(request.optimizer_slots))
 
 
 class PlanSession:
@@ -165,9 +171,11 @@ class PlanSession:
 
         A fresh DAG per device type and a fresh :class:`Replayer` every
         time (the allocator mutates them); ``replayer.dags`` maps every
-        rank of a type to its type's DAG.  Per-device-type catalogs and
-        cast models come from the store whenever their fingerprints have
-        been seen.
+        rank of a type to its type's DAG.  Per-device-type catalogs, cast
+        models and price memos come from the store whenever their
+        fingerprints have been seen, so a replayer prices every op
+        neighbourhood an earlier request of the same recipe priced with a
+        dict lookup.
         """
         self.profiles.stats.prepare_calls += 1
         cluster = request.resolve_cluster()
@@ -179,14 +187,15 @@ class PlanSession:
             cluster, request.backends, seed=self.profile_seed
         )
 
-        # One DAG, catalog and cast model per device type (resolve_backends
-        # guarantees same-named devices measure alike); same-type ranks
-        # alias them, so the replayer plans each type as one group.
-        # All copies of the template digest alike: one fingerprint serves
-        # every type's catalog key, and one backend digest per type serves
-        # its catalog, cast-fit and allocation-start keys.
+        # One DAG, catalog, cast model and price memo per device type
+        # (resolve_backends guarantees same-named devices measure alike);
+        # same-type ranks alias them, so the replayer plans each type as
+        # one group.  All copies of the template digest alike: one
+        # fingerprint serves every type's catalog key, and one backend
+        # digest per type serves its catalog, cast-fit, price-memo and
+        # allocation-start keys.
         by_type: dict[str, tuple] = {}
-        dags, catalogs, cast_calcs = {}, {}, {}
+        dags, catalogs, cast_calcs, prices = {}, {}, {}, {}
         start_keys: dict[str, tuple | None] = {}
         fingerprint = None
         for w in cluster.workers:
@@ -199,6 +208,7 @@ class PlanSession:
                     )
                 backend = backends[w.rank]
                 backend_fp = backend_fingerprint(backend)
+                price_key = _price_key(request, template_key, backend_fp)
                 shared = by_type[w.device.name] = (
                     dag,
                     self.profiles.catalog_for(
@@ -206,11 +216,13 @@ class PlanSession:
                         fingerprint=fingerprint, backend_fp=backend_fp,
                     ),
                     self.profiles.cast_calc_for(backend, backend_fp=backend_fp),
+                    self.profiles.prices_for(price_key),
                 )
-                start_keys[w.device.name] = _start_key(
-                    request, template_key, backend_fp
-                )
-            dags[w.rank], catalogs[w.rank], cast_calcs[w.rank] = shared
+                start_keys[w.device.name] = _start_key(request, price_key)
+            (
+                dags[w.rank], catalogs[w.rank], cast_calcs[w.rank],
+                prices[w.rank],
+            ) = shared
 
         replayer = Replayer(
             cluster,
@@ -221,6 +233,7 @@ class PlanSession:
             collective_model=request.collective_model,
             schedule_policy=request.schedule_policy,
             perturbation=request.perturbation,
+            prices=prices,
         )
 
         if request.batch_size is not None:
@@ -274,8 +287,9 @@ class PlanSession:
         request's strategy on the surviving membership — against this
         session's *warm* :class:`ProfileStore`, so already-profiled device
         types cost zero new profiling events and reuse their templates.
-        The new replayer derives its DFGs from scratch, one per device
-        type; nothing carries over from ``ctx``'s replayer.
+        The new replayer derives its DFGs anew, one per device type, from
+        the session's price memos; nothing carries over from ``ctx``'s
+        replayer.
 
         With zero events the returned outcome is bit-identical to the
         original ``plan()`` — the parity oracle pinned by

@@ -132,7 +132,8 @@ class Tensor:
 
         ``grad`` defaults to ones (for scalar losses this is the usual
         ``dL/dL = 1``).  Gradients accumulate into ``.grad`` of every
-        reachable tensor with ``requires_grad=True``.
+        reachable leaf tensor with ``requires_grad=True``; interior
+        gradients are not retained (memory).
         """
         if grad is None:
             grad = np.ones_like(self.data)
@@ -174,9 +175,6 @@ class Tensor:
                     grads[key] = grads[key] + pgrad
                 else:
                     grads[key] = pgrad
-            # Interior nodes may also want .grad (retain for inspection).
-            if node is not self and node.requires_grad and node._parents:
-                pass  # interior grads are not retained (memory)
 
     def _topological_order(self) -> list["Tensor"]:
         """Iterative post-order DFS (recursion-free: deep nets overflow

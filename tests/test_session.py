@@ -5,8 +5,12 @@ import dataclasses
 import pytest
 
 from repro.backend import LPBackend
+from repro.baselines import RandomIndicator
+from repro.common.dtypes import Precision
 from repro.common.errors import InfeasiblePlanError
 from repro.core.allocator import AllocatorConfig
+from repro.core.cost_mapper import CostMapper
+from repro.core.dfg import OpPrice
 from repro.core.plan import PrecisionPlan
 from repro.core.replayer import SimulationResult
 from repro.common.units import GBPS
@@ -503,3 +507,124 @@ class TestAllocationStarts:
         assert len(calls) == 2
         session.prepare(_start_request(cluster=make_cluster_a(2, 2)))
         assert len(calls) == 4
+
+
+def _price_memos(session) -> dict:
+    return {k: v for k, v in session.profiles._memo.items() if k[0] == "prices"}
+
+
+class TestSessionPriceMemo:
+    """Each device type's price memo lives in the session's store, so every
+    replayer the session builds for one recipe reads and fills one dict; a
+    shared price must be invisible in results."""
+
+    def test_recipes_differing_only_in_kwargs_keep_apart(self):
+        """mini_bert at batch 8 and 16 names the same ops; planned in one
+        session, each must price like a fresh session."""
+        requests = [
+            _start_request(model_kwargs={**_MINI_BERT, "batch_size": batch})
+            for batch in (8, 16)
+        ]
+        session = PlanSession()
+        warm = [session.plan(request) for request in requests]
+        assert len(_price_memos(session)) == 2 * 2  # recipes x device types
+        for request, outcome in zip(requests, warm):
+            cold = PlanSession().plan(request)
+            assert outcome.plan.to_dict() == cold.plan.to_dict()
+            assert (
+                outcome.simulation.iteration_time.hex()
+                == cold.simulation.iteration_time.hex()
+            )
+
+    def test_warm_plan_prices_nothing_afresh(self, monkeypatch):
+        calls = []
+        original = CostMapper._price_fresh
+
+        def counting(self, *args):
+            calls.append(args[0])
+            return original(self, *args)
+
+        monkeypatch.setattr(CostMapper, "_price_fresh", counting)
+        session = PlanSession()
+        first = session.plan(_start_request())
+        assert calls
+        calls.clear()
+        second = session.plan(_start_request())
+        assert calls == []
+        assert _outcome_bits(second) == _outcome_bits(first)
+
+    def test_from_scratch_paths_never_read_the_memo(self):
+        """Poison every memoized price: the incremental path serves the
+        poison (so the memo is live), the from-scratch paths do not."""
+        request = _start_request()
+        session = PlanSession()
+        session.plan(request)
+        for memo in _price_memos(session).values():
+            for key in memo:
+                memo[key] = OpPrice.of((), ())
+
+        def fresh_reference():
+            replayer = PlanSession().prepare(request).replayer
+            replayer.incremental = False
+            return replayer
+
+        poisoned = session.prepare(request).replayer
+        reference = fresh_reference()
+        assert (
+            poisoned.simulate().iteration_time
+            != reference.simulate().iteration_time
+        )
+
+        poisoned = session.prepare(request).replayer
+        poisoned.incremental = False
+        assert (
+            poisoned.simulate().iteration_time.hex()
+            == reference.simulate().iteration_time.hex()
+        )
+        poisoned = session.prepare(request).replayer
+        for group in poisoned.groups:
+            rank = group.ranks[0]
+            built = group.mapper.build_local_dfg(group.device.name, rank)
+            expected = reference.local_dfg(rank)
+            assert [(n.name, n.duration.hex()) for n in built.forward] == [
+                (n.name, n.duration.hex()) for n in expected.forward
+            ]
+            assert [(n.name, n.duration.hex()) for n in built.backward] == [
+                (n.name, n.duration.hex()) for n in expected.backward
+            ]
+
+    def test_opaque_model_stores_no_price_memo_or_indicator(self):
+        session = PlanSession()
+        session.plan(_start_request(
+            strategy="random",
+            model=lambda: mini_model_graph("mini_bert", **_MINI_BERT),
+            model_kwargs={},
+        ))
+        assert {k[0] for k in session.profiles._memo}.isdisjoint(
+            {"prices", "random_indicator"}
+        )
+        session.plan(_start_request())
+        assert len(_price_memos(session)) == 2  # one per device type
+
+    def test_random_indicator_drawn_once_and_equal_to_fresh(self):
+        request = _start_request(strategy="random", seed=7)
+        session = PlanSession()
+        first = session.plan(request)
+        entries = {
+            k: v for k, v in session.profiles._memo.items()
+            if k[0] == "random_indicator"
+        }
+        assert list(entries) == [
+            ("random_indicator", request.model_cache_key(), 7)
+        ]
+        cached = next(iter(entries.values()))
+        template = session.prepare(request).template
+        ops = list(template.adjustable_ops())
+        fresh = RandomIndicator(ops, seed=7)
+        for op in ops:
+            for prec in Precision:
+                assert cached.omega(op, prec).hex() == fresh.omega(op, prec).hex()
+        second = session.plan(request)
+        assert session.profiles._memo[next(iter(entries))] is cached
+        assert _outcome_bits(second) == _outcome_bits(first)
+        assert _outcome_bits(second) == _outcome_bits(PlanSession().plan(request))
