@@ -10,10 +10,9 @@ a plan that is at least as fast and strictly less quantized (or equal).
 """
 
 from repro.common import Precision
-from repro.common.dtypes import lower_precision
-from repro.core.allocator import Allocator
+from repro.core.allocator import Allocator, op_candidates
 from repro.core.indicator import VarianceIndicator, gamma_for_loss
-from repro.hardware import make_cluster_a
+from repro.hardware import T4, make_cluster_a
 from repro.models import mini_model_graph
 from repro.profiling import synthesize_stats
 from repro.session import PlanRequest, PlanSession
@@ -37,9 +36,11 @@ def greedy_demotion(replayer, rank: int) -> dict[str, Precision]:
         improved = False
         best = None
         for op in dag.adjustable_ops():
-            lower = lower_precision(plan[op])
-            while lower is not None and lower not in dag.spec(op).supported_precisions():
-                lower = lower_precision(lower)
+            lower = next(
+                (p for p in reversed(op_candidates(dag.spec(op), T4))
+                 if p.bits < plan[op].bits),
+                None,
+            )
             if lower is None:
                 continue
             dag.set_precision(op, lower)

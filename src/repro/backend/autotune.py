@@ -28,6 +28,11 @@ class TunedKernel:
     candidates_tried: int
 
 
+#: Std-dev of the multiplicative jitter on each simulated tuning
+#: measurement; models run-to-run variance of real benchmarking.
+TUNING_NOISE = 0.015
+
+
 def _bucket(problem: tuple[int, int, int]) -> tuple[int, int, int]:
     """Round problem dims to powers of two: tuning reuse across near-equal
     shapes, exactly like shape-bucketed kernel caches in real autotuners."""
@@ -41,16 +46,12 @@ class AutoTuner:
     ----------
     arch:
         Device architecture tag (``sm70``/``sm75``/``sm80``).
-    measurement_noise:
-        Std-dev of the multiplicative jitter applied to each simulated
-        measurement; models run-to-run variance of real benchmarking.
     seed:
         Jitter stream seed (derived per candidate, so results are stable).
     """
 
-    def __init__(self, arch: str, measurement_noise: float = 0.015, seed: int = 0) -> None:
+    def __init__(self, arch: str, seed: int = 0) -> None:
         self.arch = arch
-        self.measurement_noise = measurement_noise
         self.seed = seed
         self._cache: dict[tuple, TunedKernel] = {}
 
@@ -68,7 +69,7 @@ class AutoTuner:
             true_eff = kernel_efficiency(self.arch, kind, precision, template, problem)
             rng = new_rng(derive_seed(self.seed, self.arch, kind.value,
                                       precision.value, template.label))
-            measured = true_eff * (1.0 + self.measurement_noise * rng.standard_normal())
+            measured = true_eff * (1.0 + TUNING_NOISE * rng.standard_normal())
             if best is None or measured > best[0]:
                 best = (measured, template)
         assert best is not None, "registry always returns >= 1 candidate"

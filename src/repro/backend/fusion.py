@@ -10,27 +10,16 @@ removes the extra global-memory round trip entirely.
 from __future__ import annotations
 
 from repro.hardware.device import DeviceSpec
-from repro.quant.fixed_point import Granularity
 
 
-def dequant_cost(
-    device: DeviceSpec,
-    output_elems: int,
-    fused: bool,
-    granularity: Granularity = Granularity.LAYER,
-) -> float:
+def dequant_cost(device: DeviceSpec, output_elems: int, fused: bool) -> float:
     """Seconds spent dequantizing one INT8 op's output.
 
     Unfused: a full elementwise pass — read 4-byte INT32 accumulator, write
-    4-byte FP32, plus (for channel-wise) a scale-vector read that is
-    negligible but keeps the granularity distinction observable.  Fused: the
-    epilogue applies the scale in-register; only the kernel-launch saving is
-    counted (zero extra cost).
+    4-byte FP32.  Fused: the epilogue applies the scale in-register; only
+    the kernel-launch saving is counted (zero extra cost).
     """
     if fused:
         return 0.0
-    bw = device.effective_bandwidth
     bytes_moved = output_elems * (4 + 4)
-    if granularity is Granularity.CHANNEL:
-        bytes_moved *= 1.02  # scale-vector traffic, slightly worse locality
-    return bytes_moved / bw + device.kernel_launch_overhead
+    return bytes_moved / device.effective_bandwidth + device.kernel_launch_overhead

@@ -3,21 +3,18 @@
 Keeps the global batch constant while giving fast/large devices bigger
 local batches and slow/small devices smaller ones, so all workers finish
 their step at roughly the same time.  :func:`dbs_batch_sizes` is the
-proportional-to-speed allocation under per-device memory caps.
+proportional-to-speed allocation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+#: Fewest samples any worker is given.
+MIN_BATCH = 1
 
-def dbs_batch_sizes(
-    global_batch: int,
-    per_sample_times: list[float],
-    memory_caps: list[int] | None = None,
-    per_sample_bytes: float | None = None,
-    min_batch: int = 1,
-) -> list[int]:
+
+def dbs_batch_sizes(global_batch: int, per_sample_times: list[float]) -> list[int]:
     """Split ``global_batch`` across workers proportional to speed.
 
     Parameters
@@ -32,10 +29,6 @@ def dbs_batch_sizes(
         reproduce and no LR adaptation can compensate.
     per_sample_times:
         Seconds per sample per worker at the precision DBS runs (FP32).
-    memory_caps, per_sample_bytes:
-        Optional per-worker activation-memory caps: worker ``i`` may hold at
-        most ``memory_caps[i] / per_sample_bytes`` samples; overflow is
-        redistributed to the remaining workers.
     """
     times = np.asarray(per_sample_times, dtype=np.float64)
     if np.any(times <= 0) or not np.all(np.isfinite(times)):
@@ -43,31 +36,16 @@ def dbs_batch_sizes(
     speeds = 1.0 / times
     k = len(speeds)
     raw = speeds / speeds.sum() * global_batch
-    batches = np.maximum(np.floor(raw).astype(int), min_batch)
+    batches = np.maximum(np.floor(raw).astype(int), MIN_BATCH)
 
-    if memory_caps is not None and per_sample_bytes:
-        caps = np.asarray(memory_caps, dtype=np.float64) // per_sample_bytes
-        caps = np.maximum(caps.astype(int), min_batch)
-        for _ in range(k):
-            over = batches > caps
-            if not np.any(over):
-                break
-            excess = int(np.sum(batches[over] - caps[over]))
-            batches[over] = caps[over]
-            free = ~over
-            if not np.any(free):
-                raise ValueError("memory caps cannot hold the global batch")
-            share = speeds[free] / speeds[free].sum()
-            batches[free] = batches[free] + np.floor(share * excess).astype(int)
-
-    # Fix rounding drift: add/remove from the fastest unconstrained workers.
+    # Fix rounding drift: add/remove from the fastest workers.
     diff = global_batch - int(batches.sum())
     order = np.argsort(-speeds)
     i = 0
     while diff != 0:
         idx = order[i % k]
         step = 1 if diff > 0 else -1
-        if batches[idx] + step >= min_batch:
+        if batches[idx] + step >= MIN_BATCH:
             batches[idx] += step
             diff -= step
         i += 1

@@ -23,6 +23,9 @@ from repro.quant.variance import fixed_point_variance
 from repro.tensor.modules import Module
 from repro.tensor.qmodules import QuantizedOp
 
+#: Finite-difference step of the Hessian-vector products.
+FD_EPS = 1e-3
+
 
 def _model_grads(model: Module, loss_fn) -> dict[str, np.ndarray]:
     model.zero_grad()
@@ -38,7 +41,6 @@ def hessian_top_eigenvalues(
     model: Module,
     loss_fn,
     power_iters: int = 8,
-    eps: float = 1e-3,
     seed: int = 0,
 ) -> dict[str, float]:
     """Per-adjustable-module top Hessian eigenvalue (block-diagonal approx).
@@ -69,10 +71,10 @@ def hessian_top_eigenvalues(
         eig = 0.0
         original = weight.data.copy()
         for _ in range(power_iters):
-            weight.data = original + eps * v
+            weight.data = original + FD_EPS * v
             grads_plus = _model_grads(model, loss_fn)
             weight.data = original
-            hv = (grads_plus[key] - base_grads[key]) / eps
+            hv = (grads_plus[key] - base_grads[key]) / FD_EPS
             eig = float(np.sum(v * hv))
             norm = np.linalg.norm(hv)
             if norm < 1e-30:

@@ -8,7 +8,6 @@ from repro.common.dtypes import (
     PRECISION_ORDER,
     Precision,
     higher_precision,
-    lower_precision,
     parse_precision,
 )
 from repro.common.errors import (
@@ -41,7 +40,6 @@ __all__ = [
     "Precision",
     "PRECISION_ORDER",
     "higher_precision",
-    "lower_precision",
     "parse_precision",
     "ReproError",
     "UnsupportedPrecisionError",

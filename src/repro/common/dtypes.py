@@ -124,10 +124,3 @@ def higher_precision(prec: Precision) -> Precision | None:
         return None
     return PRECISION_ORDER[idx + 1]
 
-
-def lower_precision(prec: Precision) -> Precision | None:
-    """Next precision down in :data:`PRECISION_ORDER`, or ``None`` at the bottom."""
-    idx = PRECISION_ORDER.index(prec)
-    if idx == 0:
-        return None
-    return PRECISION_ORDER[idx - 1]

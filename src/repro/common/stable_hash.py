@@ -94,15 +94,13 @@ def _encode(obj: Any, out: bytearray) -> None:
         )
 
 
-def stable_digest(obj: Any, *, digest_size: int = 16) -> str:
-    """Hex blake2b digest of :func:`canonical_encode`; the artifact-store
-    content address (32 hex chars at the default size)."""
-    return hashlib.blake2b(
-        canonical_encode(obj), digest_size=digest_size
-    ).hexdigest()
+def stable_digest(obj: Any) -> str:
+    """Hex 16-byte blake2b digest of :func:`canonical_encode`; the
+    artifact-store content address (32 hex chars)."""
+    return hashlib.blake2b(canonical_encode(obj), digest_size=16).hexdigest()
 
 
-def try_stable_digest(obj: Any, *, digest_size: int = 16) -> str | None:
+def try_stable_digest(obj: Any) -> str | None:
     """:func:`stable_digest`, or ``None`` when the value tree contains a
     member :func:`canonical_encode` cannot represent (a callable, a built
     graph, a custom cost-model instance, ...).
@@ -113,7 +111,7 @@ def try_stable_digest(obj: Any, *, digest_size: int = 16) -> str | None:
     coalescing) rather than inventing an identity-derived key.
     """
     try:
-        return stable_digest(obj, digest_size=digest_size)
+        return stable_digest(obj)
     except TypeError:
         return None
 

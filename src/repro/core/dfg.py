@@ -248,16 +248,15 @@ def assign_buckets(
     return buckets
 
 
-def weight_buckets(dag, bucket_cap_bytes: int = 25 * MB) -> list[CommBucket]:
+def weight_buckets(dag) -> list[CommBucket]:
     """A DAG's DDP buckets: its weighted ops' FP32 gradients in backward
-    completion order, packed by :func:`assign_buckets`.  Precision-
-    independent — it reads only the graph structure."""
+    completion order, packed by :func:`assign_buckets` at its default cap.
+    Precision-independent — it reads only the graph structure."""
     return assign_buckets(
         [
             (name, dag.spec(name).weight_elems * Precision.FP32.nbytes)
             for name in reversed(dag.weighted_ops())
-        ],
-        bucket_cap_bytes,
+        ]
     )
 
 

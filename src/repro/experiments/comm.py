@@ -45,7 +45,6 @@ def build_preset(name: str, quick: bool = True) -> Cluster:
 def price_collectives(
     cluster: Cluster,
     quick: bool = True,
-    profile_repeats: int | None = None,
     session: PlanSession | None = None,
 ) -> tuple[dict[str, dict[str, float]], list]:
     """Price one cluster's gradient buckets under every collective model.
@@ -57,12 +56,10 @@ def price_collectives(
     Pass a shared ``session`` to reuse device-type catalogs across presets
     (V100/T4 repeat across the multi-node clusters).
     """
-    if profile_repeats is None:
-        profile_repeats = 1 if quick else 2
     ctx = (session or PlanSession()).prepare(
         PlanRequest(
             model=MINI_BERT, model_kwargs=mini_bert_kw(quick), cluster=cluster,
-            profile_repeats=profile_repeats,
+            profile_repeats=1 if quick else 2,
         )
     )
     replayer = ctx.replayer

@@ -30,9 +30,7 @@ LOSS_BUDGET = 0.01
 def compress_preset(
     cluster: Cluster,
     quick: bool = True,
-    profile_repeats: int | None = None,
     session: PlanSession | None = None,
-    loss_budget: float = LOSS_BUDGET,
 ) -> dict:
     """Plan one preset uncompressed and compressed, return the comparison.
 
@@ -43,14 +41,12 @@ def compress_preset(
     :class:`~repro.core.compression.CompressionReport` carries the
     all-reduce totals and the variance ledger.
     """
-    if profile_repeats is None:
-        profile_repeats = 1 if quick else 2
     session = session or PlanSession()
     base = dict(
         model=MINI_BERT,
         model_kwargs=mini_bert_kw(quick),
         cluster=cluster,
-        profile_repeats=profile_repeats,
+        profile_repeats=1 if quick else 2,
     )
     baseline = session.plan(
         PlanRequest(strategy="qsync", collective_model="hierarchical", **base)
@@ -59,7 +55,7 @@ def compress_preset(
         PlanRequest(
             strategy="qsync+qsgd",
             collective_model="compressed_multihop",
-            compression=CompressionConfig(loss_budget=loss_budget),
+            compression=CompressionConfig(loss_budget=LOSS_BUDGET),
             **base,
         )
     )
@@ -67,9 +63,9 @@ def compress_preset(
     assert creport is not None  # qsync+qsgd always attaches its report
     base_iter = baseline.report.final_simulation.iteration_time
     comp_iter = compressed.report.final_simulation.iteration_time
-    # The budget is loss_budget * base_loss, so the realized indicator-loss
-    # increase is added/budget * loss_budget (0 when the budget is empty).
-    base_loss = creport.variance_budget / loss_budget if loss_budget > 0 else 0.0
+    # The budget is LOSS_BUDGET * base_loss, so the realized indicator-loss
+    # increase is added/budget * LOSS_BUDGET (0 when the budget is empty).
+    base_loss = creport.variance_budget / LOSS_BUDGET
     loss_increase = creport.added_variance / base_loss if base_loss > 0 else 0.0
     return {
         "levels": list(creport.levels),

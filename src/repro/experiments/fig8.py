@@ -17,8 +17,8 @@ from repro.core.indicator import VarianceIndicator, gamma_for_loss
 from repro.experiments.base import ExperimentResult
 from repro.models import make_mini_model, mini_model_graph
 from repro.profiling.stats import StatsRecorder, install_recorder
-from repro.tensor import Tensor, functional as F
-from repro.train import SGD, Adam
+from repro.tensor import functional as F
+from repro.train import SGD, Adam, forward_batch
 from repro.train.data import make_image_classification, make_token_classification
 
 
@@ -30,12 +30,13 @@ TRACE_CONFIGS = (
 )
 
 
-def _rank_trace(model_name: str, iterations: int, precision: Precision,
-                seed: int = 0) -> tuple[list[str], list[dict[str, int]]]:
+def _rank_trace(
+    model_name: str, iterations: int, precision: Precision
+) -> tuple[list[str], list[dict[str, int]]]:
     """Per-iteration relative ranks of every weighted adjustable op."""
-    model = make_mini_model(model_name, seed=seed)
+    model = make_mini_model(model_name, seed=0)
     dag = mini_model_graph(model_name, batch_size=16)
-    rng = new_rng(seed)
+    rng = new_rng(0)
     if model_name.startswith(("mini_bert", "mini_roberta")):
         vocab = model.embed.table.shape[0]
         ds = make_token_classification(n_train=512, n_test=32, vocab_size=vocab, seed=2)
@@ -56,8 +57,7 @@ def _rank_trace(model_name: str, iterations: int, precision: Precision,
         recorder = StatsRecorder()
         install_recorder(model, recorder)
         opt.zero_grad()
-        x = xb if np.issubdtype(np.asarray(xb).dtype, np.integer) else Tensor(xb)
-        loss = F.cross_entropy(model(x), yb)
+        loss = F.cross_entropy(forward_batch(model, xb), yb)
         loss.backward()
         opt.step()
         indicator = VarianceIndicator(dag, recorder.snapshot(), gamma)

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 from repro.baselines import dbs_batch_sizes
 from repro.common.dtypes import Precision
 from repro.core.allocator import AllocatorConfig
@@ -28,8 +26,8 @@ from repro.models import make_mini_model, mini_model_graph
 from repro.parallel import DataParallelTrainer, WorkerConfig
 from repro.profiling import MemoryModel, collect_model_stats
 from repro.session import PlanRequest, PlanSession
-from repro.tensor import Tensor, functional as F
-from repro.train import SGD, Adam, Dataset
+from repro.tensor import functional as F
+from repro.train import SGD, Adam, Dataset, forward_batch
 
 #: Production-scale graph settings per mini model (shapes reach the regime
 #: where the paper's memory/throughput pressures are active).
@@ -42,22 +40,26 @@ GRAPH_SCALE: dict[str, dict] = {
 }
 
 
-def find_pressure_batch(
-    model_name: str, device_memory: int, start: int = 64, cap: int = 4096
-) -> int:
+#: :func:`find_pressure_batch`'s ladder: first rung and the batch returned
+#: when no rung exceeds the device.
+PRESSURE_BATCH_START = 64
+PRESSURE_BATCH_CAP = 4096
+
+
+def find_pressure_batch(model_name: str, device_memory: int) -> int:
     """Smallest batch (on a ~1.2x ladder, 32-aligned) whose FP32 footprint
     exceeds ``device_memory`` — the hybrid-training regime where the
     inference GPU cannot hold the training GPU's configuration at full
     precision, while lower precisions still fit.  The fine ladder matters:
     overshooting would push even INT8 past ClusterB's cap."""
     mm = MemoryModel()
-    batch = start
-    while batch <= cap:
+    batch = PRESSURE_BATCH_START
+    while batch <= PRESSURE_BATCH_CAP:
         dag = mini_model_graph(model_name, batch_size=batch, **GRAPH_SCALE[model_name])
         if mm.estimate(dag).total > device_memory:
             return batch
         batch = int(-(-batch * 1.2 // 32) * 32)  # ceil to a multiple of 32
-    return cap
+    return PRESSURE_BATCH_CAP
 
 
 @dataclasses.dataclass
@@ -78,8 +80,6 @@ def prepare_methods(
     cluster: Cluster,
     graph_batch: int,
     exec_batch_per_worker: int,
-    stats: dict | None = None,
-    loss: str = "ce",
     allocator_config: AllocatorConfig | None = None,
     session: PlanSession | None = None,
 ) -> dict[str, MethodPlan]:
@@ -89,18 +89,18 @@ def prepare_methods(
     (pass a shared ``session`` to amortize profiling across tables); the
     FP32 baseline replayer for ORACLE/DBS comes from the same session's
     context, so the whole method set profiles each device type once.
+    Indicator statistics come from :func:`collect_executable_stats` under
+    cross-entropy loss.
     """
     scale = GRAPH_SCALE[model_name]
     session = session or PlanSession()
-    if stats is None:
-        stats = collect_executable_stats(model_name, loss=loss)
+    stats = collect_executable_stats(model_name)
     # gamma uses the executable local batch (the accuracy axis), not the
     # production graph batch — hence the explicit batch_size.
     request = PlanRequest(
         model=model_name,
         model_kwargs=dict(batch_size=graph_batch, **scale),
         cluster=cluster,
-        loss=loss,
         batch_size=exec_batch_per_worker,
         stats=stats,
         config=allocator_config,
@@ -163,7 +163,7 @@ def _weighted_only(dag, graph_plan: dict[str, Precision]) -> dict[str, Precision
     }
 
 
-def collect_executable_stats(model_name: str, loss: str = "ce", iterations: int = 20):
+def collect_executable_stats(model_name: str, iterations: int = 20):
     """Profile indicator statistics on the executable mini model (the paper's
     first-50-iterations running mean, at reduced batch)."""
     from repro.common import new_rng
@@ -182,11 +182,10 @@ def collect_executable_stats(model_name: str, loss: str = "ce", iterations: int 
     def data_iter():
         while True:
             for xb, yb in ds.batches(16, rng, epochs=1):
-                yield xb if np.issubdtype(xb.dtype, np.integer) else Tensor(xb), yb
+                yield xb, yb
 
     def loss_fn(m, x, y):
-        logits = m(x) if not isinstance(x, Tensor) else m(x)
-        return F.cross_entropy(logits, y)
+        return F.cross_entropy(forward_batch(m, x), y)
 
     return collect_model_stats(model, data_iter(), loss_fn, iterations=iterations)
 

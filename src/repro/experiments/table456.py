@@ -90,7 +90,6 @@ def _run_table(
     lr: float = 0.05,
     metric: str = "top1",
     kind: str = "image",
-    fine_tune: bool = False,
 ) -> ExperimentResult:
     seeds = seeds or (1 if quick else 3)
     epochs = 3 if quick else 6
@@ -188,5 +187,4 @@ def run_table6(quick: bool = True, seeds: int | None = None) -> ExperimentResult
         lr=2e-3,
         metric="f1",
         kind="token",
-        fine_tune=True,
     )

@@ -69,13 +69,8 @@ class PrecisionDAG:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def add_op(
-        self,
-        spec: OperatorSpec,
-        inputs: Iterable[str] = (),
-        precision: Precision = Precision.FP32,
-    ) -> str:
-        """Insert an operator, wiring edges from its input ops."""
+    def add_op(self, spec: OperatorSpec, inputs: Iterable[str] = ()) -> str:
+        """Insert an operator at FP32, wiring edges from its input ops."""
         name = spec.name
         if name in self._specs:
             raise GraphConsistencyError(f"duplicate operator name {name!r}")
@@ -86,7 +81,7 @@ class PrecisionDAG:
                     f"operator {name!r} references unknown input {src!r}"
                 )
         self._specs[name] = spec
-        self._prec[name] = precision
+        self._prec[name] = Precision.FP32
         self._preds[name] = preds
         self._succs[name] = []
         for src in preds:

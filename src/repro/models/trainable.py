@@ -17,6 +17,7 @@ from repro.graph.ops import OpKind
 from repro.models.catalog import GraphBuilder
 from repro.tensor import functional as F
 from repro.tensor.modules import (
+    MLP_RATIO,
     BatchNorm2d,
     Conv2d,
     Embedding,
@@ -276,7 +277,7 @@ def _transformer_mini_graph(
         out = b.linear(f"{blk}.attn.out_proj", ctx, dim, block=blk)
         res1 = b.elementwise(f"{blk}.add1", OpKind.ADD, [out, prev], 1, blk)
         ln2 = b.elementwise(f"{blk}.ln2", OpKind.LAYERNORM, [res1], 1, blk)
-        fc1 = b.linear(f"{blk}.fc1", ln2, dim * 4, block=blk)
+        fc1 = b.linear(f"{blk}.fc1", ln2, dim * MLP_RATIO, block=blk)
         act = b.elementwise(f"{blk}.gelu", OpKind.GELU, [fc1], 1, blk)
         fc2 = b.linear(f"{blk}.fc2", act, dim, block=blk)
         prev = b.elementwise(f"{blk}.add2", OpKind.ADD, [fc2, res1], 1, blk)

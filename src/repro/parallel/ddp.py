@@ -31,7 +31,7 @@ from repro.tensor import functional as F
 from repro.tensor.modules import Module
 from repro.tensor.qmodules import QuantizedOp
 from repro.train.data import Dataset
-from repro.train.loop import TrainResult, _forward, evaluate
+from repro.train.loop import TrainResult, evaluate, forward_batch
 from repro.train.optim import Optimizer
 
 
@@ -108,7 +108,7 @@ class DataParallelTrainer:
         shard_sizes = []
         for (xb, yb), replica, opt in zip(shards, self.replicas, self.optimizers):
             opt.zero_grad()
-            loss = F.cross_entropy(_forward(replica, xb), yb)
+            loss = F.cross_entropy(forward_batch(replica, xb), yb)
             loss.backward()
             losses.append(loss.item())
             shard_sizes.append(float(len(yb)))
@@ -127,9 +127,8 @@ class DataParallelTrainer:
         dataset: Dataset,
         epochs: int,
         metric: str = "top1",
-        eval_replica: int = 0,
     ) -> TrainResult:
-        """Full training run; evaluates after each epoch on one replica."""
+        """Full training run; evaluates replica 0 after each epoch."""
         rng = np.random.default_rng(derive_seed(self.seed, "data"))
         losses: list[float] = []
         history: list[float] = []
@@ -137,7 +136,7 @@ class DataParallelTrainer:
             for shards in dataset.shard_batches(self.batch_sizes, rng, epochs=1):
                 losses.append(self.step(shards))
             history.append(
-                evaluate(self.replicas[eval_replica], dataset, metric=metric)
+                evaluate(self.replicas[0], dataset, metric=metric)
             )
         return TrainResult(
             final_accuracy=history[-1] if history else 0.0,

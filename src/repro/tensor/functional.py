@@ -234,12 +234,10 @@ def conv2d(
 # ---------------------------------------------------------------------------
 
 
-def maxpool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tensor:
-    """Max pooling (NCHW); requires H, W divisible by the window for the
-    fast reshaped path (all catalog models satisfy this)."""
-    stride = stride or kernel
-    if stride != kernel:
-        raise NotImplementedError("maxpool2d supports stride == kernel")
+def maxpool2d(x: Tensor, kernel: int = 2) -> Tensor:
+    """Max pooling (NCHW) over non-overlapping windows (stride = kernel);
+    requires H, W divisible by the window for the fast reshaped path (all
+    catalog models satisfy this)."""
     n, c, h, w = x.shape
     if h % kernel or w % kernel:
         raise ValueError(f"maxpool2d: {h}x{w} not divisible by {kernel}")

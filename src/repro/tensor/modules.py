@@ -334,17 +334,22 @@ class MultiHeadAttention(Module):
         return self.out_proj(ctx)
 
 
+# Hidden width of a transformer block's MLP, in multiples of the model
+# width; the graph mirror in ``repro.models.trainable`` reads it too.
+MLP_RATIO = 4
+
+
 class TransformerBlock(Module):
     """Pre-LN transformer encoder block (attention + MLP, residuals)."""
 
-    def __init__(self, dim: int, num_heads: int, mlp_ratio: int = 4, seed: int = 0):
+    def __init__(self, dim: int, num_heads: int, seed: int = 0):
         super().__init__()
         self.ln1 = LayerNorm(dim)
         self.attn = MultiHeadAttention(dim, num_heads, seed=seed)
         self.ln2 = LayerNorm(dim)
-        self.fc1 = Linear(dim, dim * mlp_ratio, seed=seed + 10)
+        self.fc1 = Linear(dim, dim * MLP_RATIO, seed=seed + 10)
         self.act = GELU()
-        self.fc2 = Linear(dim * mlp_ratio, dim, seed=seed + 11)
+        self.fc2 = Linear(dim * MLP_RATIO, dim, seed=seed + 11)
 
     def forward(self, x: Tensor) -> Tensor:
         x = x + self.attn(self.ln1(x))

@@ -5,7 +5,7 @@ from repro.train.data import (
     make_image_classification,
     make_token_classification,
 )
-from repro.train.loop import TrainResult, evaluate
+from repro.train.loop import TrainResult, evaluate, forward_batch
 from repro.train.metrics import f1_macro, top1_accuracy
 from repro.train.optim import SGD, Adam, Optimizer
 
@@ -20,4 +20,5 @@ __all__ = [
     "f1_macro",
     "TrainResult",
     "evaluate",
+    "forward_batch",
 ]

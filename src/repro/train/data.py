@@ -16,6 +16,14 @@ import numpy as np
 
 from repro.common.rng import new_rng
 
+# Image task: class-template amplitude against unit white noise.  The ratio
+# puts a linear probe at ~65 % and small conv nets at ~70-85 %.
+TEMPLATE_AMPLITUDE = 0.12
+IMAGE_NOISE = 1.0
+# Token task: planted tokens per class, and the chance each is swapped out.
+SIGNAL_TOKENS = 3
+NOISE_SWAP_PROB = 0.35
+
 
 @dataclasses.dataclass
 class Dataset:
@@ -74,28 +82,26 @@ def make_image_classification(
     num_classes: int = 10,
     image_size: int = 16,
     channels: int = 3,
-    noise: float = 1.0,
-    template_amplitude: float = 0.12,
     seed: int = 0,
 ) -> Dataset:
     """Images whose class is encoded by a low-frequency spatial template.
 
     Each class has a random smooth template; samples are template + strong
-    white noise + random global contrast.  The default amplitude/noise ratio
-    puts a linear probe at ~65 % and small conv nets at ~70-85 % — enough
-    headroom that precision-policy accuracy deltas are measurable.
+    white noise + random global contrast.  ``TEMPLATE_AMPLITUDE`` against
+    ``IMAGE_NOISE`` leaves enough headroom that precision-policy accuracy
+    deltas are measurable.
     """
     rng = new_rng(seed)
     # Smooth class templates: random low-res pattern upsampled blockwise.
     low = 4
-    templates = template_amplitude * rng.normal(size=(num_classes, channels, low, low))
+    templates = TEMPLATE_AMPLITUDE * rng.normal(size=(num_classes, channels, low, low))
     reps = image_size // low
     templates = np.repeat(np.repeat(templates, reps, axis=2), reps, axis=3)
 
     def sample(n: int) -> tuple[np.ndarray, np.ndarray]:
         y = rng.integers(0, num_classes, size=n)
         contrast = rng.uniform(0.7, 1.3, size=(n, 1, 1, 1))
-        x = templates[y] * contrast + noise * rng.normal(
+        x = templates[y] * contrast + IMAGE_NOISE * rng.normal(
             size=(n, channels, image_size, image_size)
         )
         return x.astype(np.float64), y
@@ -111,29 +117,27 @@ def make_token_classification(
     num_classes: int = 4,
     seq_len: int = 16,
     vocab_size: int = 64,
-    signal_tokens: int = 3,
-    noise_swap_prob: float = 0.35,
     seed: int = 0,
 ) -> Dataset:
     """Token sequences whose class is a positional co-occurrence pattern.
 
-    Each class plants ``signal_tokens`` specific tokens at specific
+    Each class plants ``SIGNAL_TOKENS`` specific tokens at specific
     positions; the rest of the sequence is uniform noise, and each signal
-    token is independently replaced by noise with ``noise_swap_prob`` — the
+    token is independently replaced by noise with ``NOISE_SWAP_PROB`` — the
     sequence-classification proxy for the paper's fine-tuning tasks.
     """
     rng = new_rng(seed)
     positions = np.stack(
-        [rng.choice(seq_len, size=signal_tokens, replace=False) for _ in range(num_classes)]
+        [rng.choice(seq_len, size=SIGNAL_TOKENS, replace=False) for _ in range(num_classes)]
     )
-    tokens = rng.integers(0, vocab_size, size=(num_classes, signal_tokens))
+    tokens = rng.integers(0, vocab_size, size=(num_classes, SIGNAL_TOKENS))
 
     def sample(n: int) -> tuple[np.ndarray, np.ndarray]:
         y = rng.integers(0, num_classes, size=n)
         x = rng.integers(0, vocab_size, size=(n, seq_len))
-        keep = rng.random((n, signal_tokens)) > noise_swap_prob
+        keep = rng.random((n, SIGNAL_TOKENS)) > NOISE_SWAP_PROB
         rows = np.arange(n)
-        for j in range(signal_tokens):
+        for j in range(SIGNAL_TOKENS):
             pos = positions[y, j]
             planted = np.where(keep[:, j], tokens[y, j], x[rows, pos])
             x[rows, pos] = planted

@@ -26,7 +26,9 @@ class TrainResult:
     losses: list[float]
 
 
-def _forward(model: Module, x: np.ndarray) -> Tensor:
+def forward_batch(model: Module, x: np.ndarray) -> Tensor:
+    """Run ``model`` on one input batch: token models take the raw integer
+    array, every other model a :class:`Tensor` of it."""
     if np.issubdtype(np.asarray(x).dtype, np.integer):
         return model(x)  # token models take raw integer arrays
     return model(Tensor(x))
@@ -42,7 +44,7 @@ def evaluate(
     with no_grad():
         for start in range(0, len(dataset.test_y), batch_size):
             xb = dataset.test_x[start : start + batch_size]
-            logits_all.append(_forward(model, xb).numpy())
+            logits_all.append(forward_batch(model, xb).numpy())
     model.train()
     logits = np.concatenate(logits_all, axis=0)
     return fn(logits, dataset.test_y)

@@ -10,7 +10,7 @@ from repro.baselines import (
     hessian_top_eigenvalues,
     uniform_precision_plan,
 )
-from repro.common import GB, Precision, new_rng
+from repro.common import Precision, new_rng
 from repro.common.errors import InfeasiblePlanError
 from repro.hardware import T4, make_cluster_a
 from repro.models import make_mini_model, mini_model_graph
@@ -62,14 +62,6 @@ class TestDBS:
     def test_equal_speed_equal_split(self):
         sizes = dbs_batch_sizes(128, [1.0, 1.0, 1.0, 1.0])
         assert sizes == [32, 32, 32, 32]
-
-    def test_memory_caps_respected(self):
-        sizes = dbs_batch_sizes(
-            100, [1.0, 1.0], memory_caps=[10 * GB, 1 * GB],
-            per_sample_bytes=0.1 * GB,
-        )
-        assert sum(sizes) == 100
-        assert sizes[1] <= 10
 
     def test_global_batch_preserved_always(self):
         for gb in (64, 96, 120):

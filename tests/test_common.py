@@ -11,7 +11,6 @@ from repro.common import (
     US,
     Precision,
     higher_precision,
-    lower_precision,
     new_rng,
     parse_precision,
 )
@@ -91,11 +90,6 @@ class TestPrecisionLadder:
         assert higher_precision(Precision.INT8) is Precision.FP16
         assert higher_precision(Precision.FP16) is Precision.FP32
         assert higher_precision(Precision.FP32) is None
-
-    def test_lower(self):
-        assert lower_precision(Precision.FP32) is Precision.FP16
-        assert lower_precision(Precision.FP16) is Precision.INT8
-        assert lower_precision(Precision.INT8) is None
 
 
 class TestUnits:

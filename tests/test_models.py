@@ -118,10 +118,14 @@ class TestMiniModels:
 
 
 class TestGraphModelMirror:
-    """The graph mirror's adjustable node names must equal module paths."""
+    """The graph mirror's adjustable node names must equal module paths, and
+    at scale 1 its weight shapes must equal the modules' (this pins the MLP
+    ratio the transformer block and its mirror share)."""
 
     @pytest.mark.parametrize(
-        "name", ["mini_vgg", "mini_vggbn", "mini_resnet", "mini_bert", "mini_roberta"]
+        "name",
+        ["mini_vgg", "mini_vggbn", "mini_resnet", "mini_bert", "mini_bert6",
+         "mini_roberta"],
     )
     def test_adjustable_names_match_module_paths(self, name):
         model = make_mini_model(name)
@@ -129,8 +133,12 @@ class TestGraphModelMirror:
         graph_adjustable = {
             n for n in dag.adjustable_ops() if dag.spec(n).has_weight
         }
-        model_paths = set(QuantizedOp.adjustable_modules(model))
-        assert graph_adjustable == model_paths
+        modules = QuantizedOp.adjustable_modules(model)
+        assert graph_adjustable == set(modules)
+        for path, mod in modules.items():
+            assert dag.spec(path).weight_shape == mod.weight.shape, path
+        if isinstance(model, MiniTransformer):
+            assert dag.spec("embed").weight_shape == model.embed.table.shape
 
     def test_graph_plan_installs_on_model(self):
         from repro.common import Precision
